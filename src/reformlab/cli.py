@@ -6,7 +6,10 @@ Exit codes: 0 success, 1 precondition/assumption failure, 2 malformed input.
 
 Floats are emitted with ``repr`` (shortest round-trip form) so CSV and JSON
 outputs are bit-stable across runs. Sweep rows where a quantity cannot be
-computed carry the sentinel "NA", never a silent omission.
+computed carry the sentinel "NA", never a silent omission. A sweep runs its
+rows one after another in the calling thread; each row's welfare columns
+come from ``optimal_regime(params, strict=False)``. ``REFORMLAB_THREADS``
+affects ``simulate`` only.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, Optional
@@ -26,13 +29,7 @@ from .equilibrium import AgentAction, REGIMES, STATUS_QUO, solve
 from .model_core import Params, check_assumptions
 from .montecarlo import SimConfig, simulate
 from .verification import bayes_consistency, deviation_check, divinity_breakeven, news_classification
-from .welfare import (
-    WELFARE_REGIMES,
-    formula_welfare,
-    optimal_regime,
-    thresholds,
-    _welfare_and_selection,
-)
+from .welfare import WELFARE_REGIMES, optimal_regime, thresholds
 
 FIXTURES = ("sanity", "part3")
 
@@ -87,8 +84,16 @@ class SweepAxis:
     steps: int
 
     def __post_init__(self):
-        if self.param not in _AXIS_DOMAINS:
+        if not isinstance(self.param, str) or self.param not in _AXIS_DOMAINS:
             raise DomainError(f"invalid sweep axis {self.param!r}")
+        try:
+            operator.index(self.steps)
+        except TypeError:
+            raise DomainError(
+                f"axis {self.param}: steps must be an integer, got {self.steps!r}"
+            ) from None
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise DomainError(f"axis {self.param}: min and max must be finite")
         if self.steps < 2:
             raise DomainError(f"axis {self.param}: steps must be >= 2, got {self.steps}")
         if not self.min < self.max:
@@ -132,15 +137,22 @@ class SweepSpec:
             raise DomainError(f"unknown sweep spec keys: {sorted(unknown)}")
         if "base" not in obj or "axes" not in obj:
             raise DomainError("sweep spec requires 'base' and 'axes'")
-        axes = tuple(
-            SweepAxis(
-                param=a["param"], min=float(a["min"]), max=float(a["max"]),
-                steps=int(a["steps"]),
-            )
-            for a in obj["axes"]
-        )
-        outputs = tuple(obj.get("outputs", ("welfare", "assumptions", "thresholds")))
-        return cls(base=Params.from_json(obj["base"]), axes=axes, outputs=outputs)
+        if not isinstance(obj["axes"], list) or not all(isinstance(a, dict) for a in obj["axes"]):
+            raise DomainError("sweep 'axes' must be a list of axis objects")
+        axes = []
+        for a in obj["axes"]:
+            missing = {"param", "min", "max", "steps"} - set(a)
+            if missing:
+                raise DomainError(f"sweep axis missing keys: {sorted(missing)}")
+            try:
+                lo, hi = float(a["min"]), float(a["max"])
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"sweep axis {a['param']!r}: non-numeric bound: {exc}") from None
+            axes.append(SweepAxis(param=a["param"], min=lo, max=hi, steps=a["steps"]))
+        outputs = obj.get("outputs", ["welfare", "assumptions", "thresholds"])
+        if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
+            raise DomainError("sweep 'outputs' must be a list of names")
+        return cls(base=Params.from_json(obj["base"]), axes=tuple(axes), outputs=tuple(outputs))
 
 
 _PARAM_COLS = ("p", "phi", "d", "lambda", "R", "pi", "M")
@@ -177,37 +189,22 @@ def _sweep_row(spec: SweepSpec, point: dict[str, float]) -> list:
         else:
             row.append(getattr(params, "lam" if k == "lambda" else k))
     if params is None:
-        pad = 0
-        if "assumptions" in spec.outputs:
-            pad += len(_ASSUMPTION_COLS)
-        if "welfare" in spec.outputs:
-            pad += 3 * len(WELFARE_REGIMES) + 2
-        if "thresholds" in spec.outputs:
-            pad += 4
-        return row + [None] * pad
+        return row + [None] * (len(_sweep_header(spec)) - len(row))
 
     if "assumptions" in spec.outputs:
         report = check_assumptions(params)
         row += [report.check(name).passed for name in _ASSUMPTION_COLS]
     if "welfare" in spec.outputs:
         # paper-algebra welfare (unclamped efforts), see welfare module note
-        totals: dict[str, float] = {}
-        for regime in WELFARE_REGIMES:
-            try:
-                w = formula_welfare(params, regime)
-                eq = solve(params, regime, check=False)
-                _, q = _welfare_and_selection(eq, params)
-                total = w + params.M * q
-                totals[regime] = total
-                row += [w, q, total]
-            except ReformLabError:
-                row += [None, None, None]
-        if totals:
-            ranked = sorted(totals, key=lambda r: -totals[r])
-            row.append(ranked[0])
-            row.append(totals[ranked[0]] - totals[ranked[1]] if len(ranked) > 1 else None)
+        try:
+            report = optimal_regime(params, strict=False)
+        except ReformLabError:
+            row += [None] * (3 * len(WELFARE_REGIMES) + 2)
         else:
-            row += [None, None]
+            for regime in WELFARE_REGIMES:
+                e = report.entries[regime]
+                row += [e.W, e.Q, e.total]
+            row += [report.optimal, report.margin]
     if "thresholds" in spec.outputs:
         th = thresholds(params)
         row += [th.lambda_hat, th.exists, th.R_low, th.R_high]
@@ -224,15 +221,8 @@ def run_sweep(spec: SweepSpec) -> Iterator[str]:
         points = [
             {a0.param: v0, a1.param: v1} for v0 in a0.values() for v1 in a1.values()
         ]
-    threads = max(1, int(os.environ.get("REFORMLAB_THREADS", "1") or "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = pool.map(lambda pt: _sweep_row(spec, pt), points)
-            for row in rows:
-                yield ",".join(_format_cell(c) for c in row)
-    else:
-        for pt in points:
-            yield ",".join(_format_cell(c) for c in _sweep_row(spec, pt))
+    for pt in points:
+        yield ",".join(_format_cell(c) for c in _sweep_row(spec, pt))
 
 
 def _emit(text: str, out: Optional[str]) -> None:

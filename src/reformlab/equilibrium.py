@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import AssumptionError, DomainError, InformativenessError, UnresolvedObservationError
-from .model_core import Params, RentMode, check_assumptions, posteriors
+from .model_core import Params, Posteriors, RentMode, check_assumptions, posteriors
 
 CONGRUENT = "congruent"
 NONCONGRUENT = "noncongruent"
@@ -143,7 +143,9 @@ class ObservationPattern:
         if (self.effort_op is None) != (self.effort_value is None):
             raise DomainError("effort_op and effort_value must come together")
 
-    def matches(self, obs: Observation, eps: float) -> bool:
+    def matches(self, obs: Observation, eps: float):
+        """Whether ``obs`` matches: a bool, or a bool array when the pattern
+        tests an ``obs.effort`` that is an array of efforts."""
         if obs.policy != self.policy:
             return False
         if self.outcome is not None and obs.outcome != self.outcome:
@@ -152,10 +154,7 @@ class ObservationPattern:
             return True
         if obs.effort is None:
             return False
-        return self._effort_test(obs.effort, eps)
-
-    def _effort_test(self, e: float, eps: float) -> bool:
-        v = self.effort_value
+        e, v = obs.effort, self.effort_value
         if self.effort_op == "eq":
             return abs(e - v) <= eps
         if self.effort_op == "ge":
@@ -163,18 +162,6 @@ class ObservationPattern:
         if self.effort_op == "gt":
             return e > v + eps
         return e < v - eps  # "lt"
-
-    def effort_test_batch(self, efforts: np.ndarray, eps: float) -> np.ndarray:
-        if self.effort_op is None:
-            return np.ones(efforts.shape, dtype=bool)
-        v = self.effort_value
-        if self.effort_op == "eq":
-            return np.abs(efforts - v) <= eps
-        if self.effort_op == "ge":
-            return efforts >= v - eps
-        if self.effort_op == "gt":
-            return efforts > v + eps
-        return efforts < v - eps
 
     def to_json(self) -> dict:
         out: dict = {"policy": self.policy}
@@ -208,14 +195,26 @@ class Equilibrium:
             if decision not in (RETAIN, REMOVE):
                 raise DomainError(f"bad retention decision {decision!r}")
 
-    def decide(self, obs: Observation, eps: float = 1e-12) -> bool:
-        """True iff the agent is retained after ``obs``."""
+    def decide(self, obs: Observation, eps: float = 1e-12):
+        """True iff the agent is retained after ``obs``.
+
+        ``obs.effort`` may be an array of efforts (the deviation oracle's
+        grid); the result is then a bool array, or a single bool when the
+        deciding pattern does not look at effort.
+        """
         if not self.retention:
             return True  # no retention stage
+        retained, unset = False, True
         for pattern, decision in self.retention:
-            if pattern.matches(obs, eps):
-                return decision == RETAIN
-        raise UnresolvedObservationError(f"no retention rule matches {obs}")
+            hit = unset & pattern.matches(obs, eps)
+            if decision == RETAIN:
+                retained = retained | hit
+            unset = unset ^ hit
+            if unset is False:  # a scalar decision is final at its first match
+                return retained
+        if np.any(unset):
+            raise UnresolvedObservationError(f"no retention rule matches {obs}")
+        return retained
 
     def belief(self, obs: Observation, eps: float = 1e-12) -> float:
         """Posterior probability the agent is congruent after ``obs``."""
@@ -223,33 +222,6 @@ class Equilibrium:
             if pattern.matches(obs, eps):
                 return value
         raise UnresolvedObservationError(f"no belief entry matches {obs}")
-
-    def decide_over_efforts(
-        self, policy: str, efforts: np.ndarray, outcome: Optional[str],
-        eps: float = 1e-12,
-    ) -> np.ndarray:
-        """Vectorized retention decisions for reform deviations over an
-        effort grid (used by the brute-force deviation oracle)."""
-        if not self.retention:
-            return np.ones(efforts.shape, dtype=bool)
-        out = np.zeros(efforts.shape, dtype=bool)
-        unset = np.ones(efforts.shape, dtype=bool)
-        for pattern, decision in self.retention:
-            if pattern.policy != policy:
-                continue
-            if pattern.outcome is not None and pattern.outcome != outcome:
-                continue
-            hit = unset & pattern.effort_test_batch(efforts, eps)
-            if decision == RETAIN:
-                out |= hit
-            unset &= ~hit
-            if not unset.any():
-                return out
-        if unset.any():
-            raise UnresolvedObservationError(
-                f"retention rule does not cover ({policy}, e, {outcome})"
-            )
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -300,6 +272,41 @@ def _require(params: Params, rent_mode: RentMode, names: tuple[str, ...]) -> Non
 _CORE_GATES = ("signal_informative", "moderate_rent", "effort_bound")
 
 
+def raw_profile(
+    regime: str, params: Params, post: Posteriors
+) -> tuple[tuple[str, float], ...]:
+    """Closed-form (policy, effort) of the four (type, signal) cells, in
+    ``TYPES x SIGNALS`` order, with efforts left unclamped.
+
+    This is the one statement of each regime's strategy: the constructors
+    clamp the efforts to [0, 1], and
+    :func:`~reformlab.welfare.formula_welfare` uses them raw.
+    """
+    lam, R = params.lam, params.R
+    mu_g, mu_b = post.mu_plus, post.mu_minus
+    sq = (STATUS_QUO, 0.0)
+    if regime == BENCHMARK:
+        return (REFORM, lam * mu_g), sq, sq, sq
+    if regime == NONTRANSPARENT:
+        return (REFORM, lam * mu_g), (REFORM, lam * mu_b), (REFORM, 0.0), (REFORM, 0.0)
+    if regime == OPAQUE:
+        return (
+            (REFORM, lam * (1 + R) * mu_g), (REFORM, lam * (1 + R) * mu_b),
+            (REFORM, lam * R * mu_g), sq,
+        )
+    if regime == TRANSPARENT_SEPARATING:
+        bar = separation_effort(params)
+        return (REFORM, max(bar, lam * mu_g)), (REFORM, max(bar, lam * mu_b)), sq, sq
+    raise DomainError(f"no closed-form profile for regime {regime!r}")
+
+
+def _clamped_profile(regime: str, params: Params, post: Posteriors) -> StrategyProfile:
+    return StrategyProfile(*(
+        AgentAction(policy, min(1.0, max(0.0, effort)))
+        for policy, effort in raw_profile(regime, params, post)
+    ))
+
+
 def benchmark_profile(
     params: Params, *, rent_mode: RentMode = "relaxed", check: bool = True
 ) -> Equilibrium:
@@ -310,13 +317,7 @@ def benchmark_profile(
     """
     if check:
         _require(params, rent_mode, _CORE_GATES)
-    post = posteriors(params)
-    profile = StrategyProfile(
-        congruent_g=AgentAction(REFORM, interior_effort(post.mu_plus, 1.0, params)),
-        congruent_b=AgentAction(STATUS_QUO),
-        noncongruent_g=AgentAction(STATUS_QUO),
-        noncongruent_b=AgentAction(STATUS_QUO),
-    )
+    profile = _clamped_profile(BENCHMARK, params, posteriors(params))
     return Equilibrium(regime=BENCHMARK, profile=profile, retention=(), beliefs=())
 
 
@@ -331,13 +332,7 @@ def nontransparent_equilibrium(
     """
     if check:
         _require(params, rent_mode, _CORE_GATES)
-    post = posteriors(params)
-    profile = StrategyProfile(
-        congruent_g=AgentAction(REFORM, interior_effort(post.mu_plus, 1.0, params)),
-        congruent_b=AgentAction(REFORM, interior_effort(post.mu_minus, 1.0, params)),
-        noncongruent_g=AgentAction(REFORM, 0.0),
-        noncongruent_b=AgentAction(REFORM, 0.0),
-    )
+    profile = _clamped_profile(NONTRANSPARENT, params, posteriors(params))
     retention = (
         (ObservationPattern(policy=REFORM), RETAIN),
         (ObservationPattern(policy=STATUS_QUO), REMOVE),
@@ -381,14 +376,7 @@ def opaque_equilibrium(
 
         if not informativeness_condition(params)[0]:
             raise InformativenessError()
-    post = posteriors(params)
-    R = params.R
-    profile = StrategyProfile(
-        congruent_g=AgentAction(REFORM, interior_effort(post.mu_plus, 1 + R, params)),
-        congruent_b=AgentAction(REFORM, interior_effort(post.mu_minus, 1 + R, params)),
-        noncongruent_g=AgentAction(REFORM, interior_effort(post.mu_plus, R, params)),
-        noncongruent_b=AgentAction(STATUS_QUO),
-    )
+    profile = _clamped_profile(OPAQUE, params, posteriors(params))
     b_succ, b_fail = _opaque_success_beliefs(params)
     retention = (
         (ObservationPattern(policy=REFORM, outcome=SUCCESS), RETAIN),
@@ -415,24 +403,17 @@ def transparent_separating_equilibrium(
     quo. Retention rewards reforms at or above the separating bar (or at
     exactly e_L); any other effort is attributed to a noncongruent deviator.
     """
-    bar = separation_effort(params)
     if check:
         _require(params, rent_mode, _CORE_GATES)
+        bar = separation_effort(params)
         if bar > 1.0 + params.eps_tol:
             # mimicry cannot be deterred by any feasible effort
             raise AssumptionError(
                 "separation_feasible",
                 f"separating effort sqrt(2 lambda (R-d)) = {bar:.6g} exceeds 1",
             )
-    post = posteriors(params)
-    e_h = min(1.0, max(bar, params.lam * post.mu_plus))
-    e_l = min(1.0, max(bar, params.lam * post.mu_minus))
-    profile = StrategyProfile(
-        congruent_g=AgentAction(REFORM, e_h),
-        congruent_b=AgentAction(REFORM, e_l),
-        noncongruent_g=AgentAction(STATUS_QUO),
-        noncongruent_b=AgentAction(STATUS_QUO),
-    )
+    profile = _clamped_profile(TRANSPARENT_SEPARATING, params, posteriors(params))
+    e_h, e_l = profile.congruent_g.effort, profile.congruent_b.effort
     retention = (
         (ObservationPattern(policy=STATUS_QUO), REMOVE),
         (ObservationPattern(policy=REFORM, effort_op="eq", effort_value=e_h), RETAIN),

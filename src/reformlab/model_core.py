@@ -55,10 +55,11 @@ class Params:
             (0.0 < self.phi < 1.0, f"phi must be in (0, 1), got {self.phi}"),
             (0.0 < self.d < 1.0, f"d must be in (0, 1), got {self.d}"),
             (0.0 < self.lam <= 1.0, f"lambda must be in (0, 1], got {self.lam}"),
-            (self.R > 0.0, f"R must be > 0, got {self.R}"),
+            (0.0 < self.R < math.inf, f"R must be finite and > 0, got {self.R}"),
             (0.0 < self.pi < 1.0, f"pi must be in (0, 1), got {self.pi}"),
-            (self.M >= 0.0, f"M must be >= 0, got {self.M}"),
-            (self.eps_tol >= 0.0, f"eps_tol must be >= 0, got {self.eps_tol}"),
+            (0.0 <= self.M < math.inf, f"M must be finite and >= 0, got {self.M}"),
+            (0.0 <= self.eps_tol < math.inf,
+             f"eps_tol must be finite and >= 0, got {self.eps_tol}"),
         ]
         for ok, msg in checks:
             if not ok:

@@ -215,11 +215,16 @@ def _stats_from_acc(acc: _Acc, seed: int, params: Params) -> SimStats:
 
 
 def _thread_count() -> int:
+    """Worker threads from ``REFORMLAB_THREADS`` (default 1), capped at the
+    CPU count; anything but an integer >= 1 is a :class:`DomainError`."""
     raw = os.environ.get("REFORMLAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise DomainError(f"REFORMLAB_THREADS must be an integer >= 1, got {raw!r}")
+    return min(threads, os.cpu_count() or 1)
 
 
 def simulate(config: SimConfig, eq: Equilibrium) -> SimStats:

@@ -61,8 +61,40 @@ class AgentUtilityModel:
     def effort_cost(self, effort: float) -> float:
         return effort * effort / (2.0 * self.params.lam)
 
-    def office_term(self, retained: bool) -> float:
-        return self.params.R if retained else 0.0
+    def office_term(self, retained):
+        """R when retained, else 0; elementwise over a retention mask."""
+        return self.params.R * retained
+
+
+def _reform_retention(eq: Equilibrium, effort, eps: float) -> tuple:
+    """Retention after a successful and after a failed reform at ``effort``.
+
+    ``effort`` may be an array (the deviation grid): each decision is then a
+    bool array, or a single bool when the regime's retention ignores effort.
+    """
+    out = []
+    for outcome in (SUCCESS, FAILURE):
+        obs = observe(eq.regime, AgentAction(REFORM), outcome)
+        if obs.effort is not None:  # the regime observes effort
+            obs = Observation(REFORM, effort, outcome)
+        out.append(eq.decide(obs, eps))
+    return tuple(out)
+
+
+def _reform_utility(
+    agent_type: str, mu: float, effort, retained: tuple, params: Params
+):
+    """Expected utility of reforming at ``effort`` with state posterior
+    ``mu``, given the retention after success and after failure; evaluated
+    elementwise when ``effort`` is an effort grid."""
+    um = AgentUtilityModel(params)
+    kept_succ, kept_fail = retained
+    p_succ = mu * effort
+    return (
+        -um.effort_cost(effort)
+        + p_succ * (um.policy_payoff(agent_type, SUCCESS) + um.office_term(kept_succ))
+        + (1.0 - p_succ) * (um.policy_payoff(agent_type, FAILURE) + um.office_term(kept_fail))
+    )
 
 
 def expected_utility(
@@ -74,40 +106,14 @@ def expected_utility(
     state and action, applying the equilibrium's retention rule to each
     induced observation.
     """
-    um = AgentUtilityModel(params)
-    mu = posteriors(params).mu(signal)
     eps = params.eps_tol
     if action.policy == STATUS_QUO:
+        um = AgentUtilityModel(params)
         obs = observe(eq.regime, action, SQ_OUTCOME)
         return um.policy_payoff(agent_type, SQ_OUTCOME) + um.office_term(eq.decide(obs, eps))
-    p_succ = mu * action.effort
-    u = -um.effort_cost(action.effort)
-    for outcome, prob in ((SUCCESS, p_succ), (FAILURE, 1.0 - p_succ)):
-        obs = observe(eq.regime, action, outcome)
-        u += prob * (um.policy_payoff(agent_type, outcome) + um.office_term(eq.decide(obs, eps)))
-    return u
-
-
-def _reform_utilities_over_grid(
-    agent_type: str, signal: str, efforts: np.ndarray, eq: Equilibrium, params: Params
-) -> np.ndarray:
-    """Vectorized expected utilities of (reform, e) over an effort grid."""
-    mu = posteriors(params).mu(signal)
-    eps = params.eps_tol
-    if eq.regime in ("benchmark", "nontransparent", "opaque"):
-        # retention cannot depend on effort in these regimes
-        d_succ = float(eq.decide(observe(eq.regime, AgentAction(REFORM, 0.5), SUCCESS), eps))
-        d_fail = float(eq.decide(observe(eq.regime, AgentAction(REFORM, 0.5), FAILURE), eps))
-        d_succ = np.full(efforts.shape, d_succ)
-        d_fail = np.full(efforts.shape, d_fail)
-    else:
-        d_succ = eq.decide_over_efforts(REFORM, efforts, SUCCESS, eps).astype(float)
-        d_fail = eq.decide_over_efforts(REFORM, efforts, FAILURE, eps).astype(float)
-    policy_weight = 1.0 if agent_type == CONGRUENT else 0.0
-    p_succ = mu * efforts
-    cost = efforts * efforts / (2.0 * params.lam)
-    office = params.R * (p_succ * d_succ + (1.0 - p_succ) * d_fail)
-    return policy_weight * p_succ - cost + office
+    retained = _reform_retention(eq, action.effort, eps)
+    return _reform_utility(agent_type, posteriors(params).mu(signal), action.effort,
+                           retained, params)
 
 
 @dataclass(frozen=True)
@@ -221,21 +227,21 @@ def deviation_check(
             extras.add(pattern.effort_value)
     grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid_size), sorted(extras)]))
 
+    # retention does not depend on the deviator's cell: one mask per outcome
+    retained = _reform_retention(eq, grid, params.eps_tol)
     cells: dict[tuple[str, str], DeviationCell] = {}
     for t in TYPES:
         for s in SIGNALS:
             eq_action = eq.profile.action(t, s)
             eq_u = expected_utility(t, s, eq_action, eq, params)
             sq_u = expected_utility(t, s, AgentAction(STATUS_QUO), eq, params)
-            reform_u = _reform_utilities_over_grid(t, s, grid, eq, params)
+            reform_u = _reform_utility(t, post.mu(s), grid, retained, params)
             i_best = int(np.argmax(reform_u))
             if sq_u >= reform_u[i_best]:
                 best_action, best_u = AgentAction(STATUS_QUO), sq_u
             else:
                 best_action = AgentAction(REFORM, float(grid[i_best]))
-                # re-evaluate through the scalar path so the comparison with
-                # the equilibrium utility is apples-to-apples
-                best_u = expected_utility(t, s, best_action, eq, params)
+                best_u = float(reform_u[i_best])
             if best_u <= eq_u:
                 # no improving deviation: the equilibrium action is best
                 best_action, best_u = eq_action, eq_u

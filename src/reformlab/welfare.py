@@ -7,12 +7,17 @@ Two welfare surfaces are exposed deliberately:
   actual :class:`~reformlab.equilibrium.Equilibrium` (efforts are feasible
   probabilities). This is the surface the Monte Carlo oracle must match.
 * :func:`formula_welfare` evaluates the same closed forms on the raw effort
-  expressions (``lambda (1+R) mu`` etc.) without feasibility clamping or
-  assumption gating. The rent-threshold analysis lives on this algebraic
-  surface: the upper switch point R_high sits where the raw efforts exceed
-  one, so gated welfare cannot reach it. Sweeps report this surface next to
-  the assumption flags so consumers can see where the model's restrictions
-  stop holding.
+  expressions of :func:`~reformlab.equilibrium.raw_profile` (``lambda (1+R)
+  mu`` etc.) without feasibility clamping or assumption gating. The
+  rent-threshold analysis lives on this algebraic surface: the upper switch
+  point R_high sits where the raw efforts exceed one, so gated welfare
+  cannot reach it. Sweeps take their welfare columns from
+  ``optimal_regime(params, strict=False)``, which ranks this surface, and
+  report them next to the assumption flags so consumers can see where the
+  model's restrictions stop holding.
+
+The rent thresholds are the closed-form roots of :func:`H`; the test suite
+checks them against bisection.
 """
 
 from __future__ import annotations
@@ -24,18 +29,16 @@ from typing import Optional
 from .errors import AssumptionError, DomainError, PreconditionLossError
 from .equilibrium import (
     CONGRUENT,
-    NONCONGRUENT,
     FAILURE,
     NONTRANSPARENT,
     OPAQUE,
     REFORM,
     SQ_OUTCOME,
-    STATUS_QUO,
     SUCCESS,
     TRANSPARENT_SEPARATING,
     Equilibrium,
     observe,
-    separation_effort,
+    raw_profile,
     solve,
 )
 from .model_core import Params, RentMode, posteriors
@@ -110,52 +113,17 @@ def regime_welfare(params: Params, regime: str, eq: Equilibrium) -> WelfareEntry
     return WelfareEntry(regime=regime, W=w, Q=q, total=w + params.M * q)
 
 
-def _formula_cells(params: Params, regime: str) -> list[tuple[float, str, float, float]]:
-    """(cell mass, policy, raw effort, state posterior) per (type, signal)
-    under the regime's closed-form profile, efforts left unclamped."""
-    post = posteriors(params)
-    lam, R, pi = params.lam, params.R, params.pi
-    p_g = params.phi * params.p + (1 - params.phi) * (1 - params.p)
-    bar = separation_effort(params)
-    masses = {
-        (CONGRUENT, "g"): pi * p_g, (CONGRUENT, "b"): pi * (1 - p_g),
-        (NONCONGRUENT, "g"): (1 - pi) * p_g,
-        (NONCONGRUENT, "b"): (1 - pi) * (1 - p_g),
-    }
-    mus = {"g": post.mu_plus, "b": post.mu_minus}
-    if regime == NONTRANSPARENT:
-        plan = {
-            (CONGRUENT, "g"): (REFORM, lam * post.mu_plus),
-            (CONGRUENT, "b"): (REFORM, lam * post.mu_minus),
-            (NONCONGRUENT, "g"): (REFORM, 0.0),
-            (NONCONGRUENT, "b"): (REFORM, 0.0),
-        }
-    elif regime == OPAQUE:
-        plan = {
-            (CONGRUENT, "g"): (REFORM, lam * (1 + R) * post.mu_plus),
-            (CONGRUENT, "b"): (REFORM, lam * (1 + R) * post.mu_minus),
-            (NONCONGRUENT, "g"): (REFORM, lam * R * post.mu_plus),
-            (NONCONGRUENT, "b"): (STATUS_QUO, 0.0),
-        }
-    elif regime == TRANSPARENT_SEPARATING:
-        plan = {
-            (CONGRUENT, "g"): (REFORM, max(bar, lam * post.mu_plus)),
-            (CONGRUENT, "b"): (REFORM, max(bar, lam * post.mu_minus)),
-            (NONCONGRUENT, "g"): (STATUS_QUO, 0.0),
-            (NONCONGRUENT, "b"): (STATUS_QUO, 0.0),
-        }
-    else:
-        raise DomainError(f"no closed-form welfare for regime {regime!r}")
-    return [
-        (masses[key], policy, effort, mus[key[1]])
-        for key, (policy, effort) in plan.items()
-    ]
-
-
 def formula_welfare(params: Params, regime: str) -> float:
     """Closed-form W on raw (unclamped) effort expressions; see module note."""
+    if regime not in WELFARE_REGIMES:
+        raise DomainError(f"no closed-form welfare for regime {regime!r}")
+    post = posteriors(params)
+    pi = params.pi
+    p_g = params.phi * params.p + (1 - params.phi) * (1 - params.p)
+    masses = (pi * p_g, pi * (1 - p_g), (1 - pi) * p_g, (1 - pi) * (1 - p_g))
+    mus = (post.mu_plus, post.mu_minus) * 2
     w = 0.0
-    for mass, policy, effort, mu in _formula_cells(params, regime):
+    for mass, mu, (policy, effort) in zip(masses, mus, raw_profile(regime, params, post)):
         w += mass * (effort * mu if policy == REFORM else params.d)
     return w
 
@@ -216,19 +184,8 @@ class Thresholds:
         }
 
 
-def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
-    flo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) < 0) == (flo < 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def thresholds_from_lambda_hat(lambda_hat: float, d: float) -> Thresholds:
-    """Closed-form roots of H, cross-validated by bisection."""
+    """Closed-form roots of H (the test suite checks them against bisection)."""
     if lambda_hat <= 0:
         raise DomainError(f"lambda_hat must be > 0, got {lambda_hat}")
     disc = 1.0 - 2.0 * (1.0 + d) * lambda_hat
@@ -237,17 +194,6 @@ def thresholds_from_lambda_hat(lambda_hat: float, d: float) -> Thresholds:
     s = math.sqrt(disc)
     r_low = (1.0 - lambda_hat - s) / lambda_hat
     r_high = (1.0 - lambda_hat + s) / lambda_hat
-    if disc > 0:
-        vertex = (1.0 - lambda_hat) / lambda_hat
-        hi = max(2.0 * vertex + 1.0, 2.0)
-        while H(hi, lambda_hat, d) <= 0:
-            hi *= 2.0
-        r_low_b = _bisect(lambda r: H(r, lambda_hat, d), 0.0, vertex)
-        r_high_b = _bisect(lambda r: -H(r, lambda_hat, d), vertex, hi)
-        if abs(r_low_b - r_low) > 1e-9 or abs(r_high_b - r_high) > 1e-9:
-            raise DomainError(
-                "threshold cross-check failed: closed form and bisection disagree"
-            )
     return Thresholds(lambda_hat=lambda_hat, exists=True, R_low=r_low, R_high=r_high)
 
 

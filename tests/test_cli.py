@@ -1,6 +1,7 @@
 """Tests for the command-line interface and the sweep engine."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -51,6 +52,13 @@ class TestCheck:
         path = _write_json(tmp_path, "bad.json", {**SANITY, "bogus": 1})
         assert run(["check", "--params", path]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_non_finite_rent_is_usage_error(self, tmp_path, capsys):
+        path = _write_json(tmp_path, "inf.json", {**SANITY, "R": "Infinity"})
+        assert run(["welfare", "--params", path, "--no-strict"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestSolve:
@@ -135,6 +143,12 @@ class TestSimulate:
     def test_bad_n(self, capsys):
         assert run(["simulate", "--params", "sanity", "--regime", "opaque",
                     "--n", "0"]) == 2
+
+    def test_bad_thread_count_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("REFORMLAB_THREADS", "abc")
+        assert run(["simulate", "--params", "sanity", "--regime", "opaque",
+                    "--n", "1000"]) == 2
+        assert "REFORMLAB_THREADS" in capsys.readouterr().err
 
 
 class TestSweepEngine:
@@ -269,6 +283,25 @@ class TestSweepCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert b"\r" not in out1.read_bytes()  # LF-only line endings
 
+    # sha256 of the CSV file (LF endings) as the sweep engine first wrote it;
+    # the p x phi grid crosses the phi domain edges (NA rows) and has M > 0
+    @pytest.mark.parametrize("spec, sha256", [
+        ({"base": PART3,
+          "axes": [{"param": "R", "min": 0.2, "max": 5.0, "steps": 97}],
+          "outputs": ["welfare", "assumptions", "thresholds"]},
+         "bbc77e780361ec5cf71e8260d3c1d1a1e2e56299675e71a9d1e34591b0827d6f"),
+        ({"base": {**SANITY, "M": 0.7},
+          "axes": [{"param": "p", "min": 0.5, "max": 1.0, "steps": 41},
+                   {"param": "phi", "min": 0.0, "max": 1.0, "steps": 41}],
+          "outputs": ["welfare", "assumptions", "thresholds"]},
+         "cdef9ad24a38dc0d4f2274b7a5a2c83615318a8f6cbf61fd43d76dd70984ec4f"),
+    ], ids=["readme_R97", "p_phi_41x41_M07"])
+    def test_golden_csv(self, tmp_path, spec, sha256):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--sweep", _write_json(tmp_path, "s.json", spec),
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
     def test_bad_spec_exit_codes(self, tmp_path, capsys):
         assert run(["sweep", "--sweep", str(tmp_path / "missing.json")]) == 2
         bad = _write_json(tmp_path, "bad.json", {"base": SANITY})
@@ -278,6 +311,28 @@ class TestSweepCommand:
             "axes": [{"param": "R", "min": 0.5, "max": 0.2, "steps": 4}],
         })
         assert run(["sweep", "--sweep", bad_axis]) == 2
+
+    @pytest.mark.parametrize("axes, outputs", [
+        ([{"param": "R", "min": 0.2, "steps": 4}], None),  # no max
+        ("R", None),
+        ([{"param": "R", "min": 0.2, "max": 0.5, "steps": 2.5}], None),
+        ([{"param": "R", "min": 0.2, "max": 0.5, "steps": "4"}], None),
+        ([{"param": "R", "min": "low", "max": 0.5, "steps": 4}], None),
+        ([{"param": "R", "min": 0.2, "max": None, "steps": 4}], None),
+        ([{"param": "R", "min": 0.2, "max": "Infinity", "steps": 4}], None),
+        ([{"param": ["R"], "min": 0.2, "max": 0.5, "steps": 4}], None),
+        (["R"], None),
+        ([{"param": "R", "min": 0.2, "max": 0.5, "steps": 4}], "welfare"),
+        ([{"param": "R", "min": 0.2, "max": 0.5, "steps": 4}], [["welfare"]]),
+    ])
+    def test_malformed_spec_is_usage_error(self, tmp_path, capsys, axes, outputs):
+        spec = {"base": SANITY, "axes": axes}
+        if outputs is not None:
+            spec["outputs"] = outputs
+        assert run(["sweep", "--sweep", _write_json(tmp_path, "s.json", spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestEntryPoint:

@@ -1,7 +1,9 @@
 """Tests for the regime equilibrium constructors."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from reformlab import (
@@ -9,6 +11,7 @@ from reformlab import (
     AssumptionError,
     DomainError,
     InformativenessError,
+    UnresolvedObservationError,
     Observation,
     Params,
     benchmark_profile,
@@ -264,6 +267,30 @@ class TestCrossRegimeInvariants:
                 for obs in _observations_for(eq, params):
                     retained = eq.decide(obs, params.eps_tol)
                     assert retained == (eq.belief(obs, params.eps_tol) >= params.pi)
+
+    def test_decide_on_effort_grid_matches_scalar(self, sanity):
+        fam = transparent_pooling_family(POOLING_PARAMS)
+        eqs = [solve(sanity, r) for r in
+               ("benchmark", "nontransparent", "opaque", "transparent_separating")]
+        eqs.append(transparent_pooling_equilibrium(POOLING_PARAMS, fam[0]))
+        for eq in eqs:
+            kinks = [act.effort for _, _, act in eq.profile.cells()]
+            grid = np.union1d(np.linspace(0.0, 1.0, 2001), kinks)
+            for outcome in (SUCCESS, FAILURE):
+                batch = eq.decide(Observation(REFORM, grid, outcome))
+                scalar = [eq.decide(Observation(REFORM, float(e), outcome)) for e in grid]
+                assert all(type(v) is bool for v in scalar)
+                if eq.regime.startswith("transparent"):
+                    assert batch.dtype == bool and batch.tolist() == scalar, eq.regime
+                else:  # retention ignores effort: one decision for the grid
+                    assert type(batch) is bool and [batch] * grid.size == scalar
+
+    def test_decide_on_effort_grid_unresolved(self, sanity):
+        eq = transparent_separating_equilibrium(sanity)
+        partial = dataclasses.replace(eq, retention=eq.retention[:4])
+        grid = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(UnresolvedObservationError):
+            partial.decide(Observation(REFORM, grid, FAILURE))
 
     def test_effort_ordering_opaque_above_flat(self):
         for params in sample_params(37, 200, "acceptance"):

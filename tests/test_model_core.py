@@ -45,7 +45,8 @@ class TestParams:
     @pytest.mark.parametrize("bad", [
         {"p": 0.4}, {"p": 1.1}, {"phi": 0.0}, {"phi": 1.0}, {"d": 0.0}, {"d": 1.0},
         {"lam": 0.0}, {"lam": 1.5}, {"R": 0.0}, {"R": -1.0}, {"pi": 0.0}, {"pi": 1.0},
-        {"M": -0.1},
+        {"M": -0.1}, {"R": float("inf")}, {"M": float("inf")},
+        {"eps_tol": float("inf")}, {"p": float("nan")}, {"R": float("nan")},
     ])
     def test_domain_violations(self, sanity, bad):
         with pytest.raises(DomainError):

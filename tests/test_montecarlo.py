@@ -1,6 +1,7 @@
 """Tests for the seeded Monte Carlo simulator."""
 
 import math
+import os
 
 import pytest
 
@@ -15,7 +16,7 @@ from reformlab import (
     simulate,
     solve,
 )
-from reformlab.montecarlo import BLOCK_SIZE
+from reformlab.montecarlo import BLOCK_SIZE, _thread_count
 from reformlab.verification import joint_outcome_distribution
 
 
@@ -45,6 +46,20 @@ class TestDeterminism:
         serial = simulate(cfg, eq)
         monkeypatch.setenv("REFORMLAB_THREADS", "4")
         assert simulate(cfg, eq) == serial
+
+    @pytest.mark.parametrize("raw", ["abc", "", "2.5", "0", "-3"])
+    def test_thread_count_rejects_non_positive_integers(self, monkeypatch, raw):
+        monkeypatch.setenv("REFORMLAB_THREADS", raw)
+        with pytest.raises(DomainError, match="REFORMLAB_THREADS"):
+            _thread_count()
+
+    def test_thread_count_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("REFORMLAB_THREADS", str(10**6))
+        assert _thread_count() == (os.cpu_count() or 1)
+        monkeypatch.setenv("REFORMLAB_THREADS", "1")
+        assert _thread_count() == 1
+        monkeypatch.delenv("REFORMLAB_THREADS")
+        assert _thread_count() == 1
 
     def test_convergence_sweep_single_stream(self, sanity):
         eq = opaque_equilibrium(sanity)

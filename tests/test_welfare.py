@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reformlab import (
     DomainError,
@@ -190,6 +192,24 @@ class TestThresholds:
                 r_high = bisect_root(lambda r: -H(r, lam_hat, d), vertex, 10 * vertex + 10)
                 assert th.R_low == pytest.approx(r_low, abs=1e-9)
                 assert th.R_high == pytest.approx(r_high, abs=1e-9)
+
+    # Two regions are left out because the roots themselves are not resolved
+    # to 1e-9 there. For small lambda_hat, R_high ~ 2/lambda_hat is so large
+    # that a few units of float spacing approach 1e-9 (the bound fails below
+    # lambda_hat ~ 5e-7), and the closed-form R_low loses digits to
+    # cancellation in 1 - lambda_hat - s. Near the double root (disc -> 0) any
+    # method amplifies rounding by 1/sqrt(disc).
+    @given(st.floats(1e-5, 0.5), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_matches_bisection(self, lam_hat, d):
+        th = thresholds_from_lambda_hat(lam_hat, d)
+        assume(th.exists and 1.0 - 2.0 * (1.0 + d) * lam_hat > 1e-6)
+        vertex = (1.0 - lam_hat) / lam_hat
+        hi = max(2.0 * vertex + 1.0, 2.0)
+        while H(hi, lam_hat, d) <= 0:
+            hi *= 2.0
+        assert abs(bisect_root(lambda r: H(r, lam_hat, d), 0.0, vertex) - th.R_low) <= 1e-9
+        assert abs(bisect_root(lambda r: -H(r, lam_hat, d), vertex, hi) - th.R_high) <= 1e-9
 
     def test_no_real_roots(self):
         th = thresholds_from_lambda_hat(0.45, 0.2)  # 2*0.45*1.2 = 1.08 > 1
