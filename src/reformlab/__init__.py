@@ -7,6 +7,7 @@ from .errors import (
     InformativenessError,
     PreconditionLossError,
     ReformLabError,
+    UnderflowError,
     UnresolvedObservationError,
 )
 from .model_core import (
@@ -76,7 +77,8 @@ __all__ = [
     "NONTRANSPARENT", "NewsReport", "OPAQUE", "Observation", "ObservationPattern",
     "Params", "Posteriors", "PreconditionLossError", "ReformLabError", "SimConfig",
     "SimStats", "StrategyProfile", "SweepAxis", "SweepSpec", "Thresholds",
-    "TRANSPARENT_POOLING", "TRANSPARENT_SEPARATING", "UnresolvedObservationError",
+    "TRANSPARENT_POOLING", "TRANSPARENT_SEPARATING", "UnderflowError",
+    "UnresolvedObservationError",
     "WelfareEntry", "WelfareReport", "bayes_consistency", "benchmark_profile",
     "check_assumptions", "comparative_statics", "convergence_sweep",
     "deviation_check", "divinity_breakeven", "expected_utility", "find_p_bar",

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, Optional
 
-from .errors import AssumptionError, DomainError, PreconditionLossError, ReformLabError
+from .errors import (
+    AssumptionError, DomainError, PreconditionLossError, ReformLabError, UnderflowError,
+)
 from .equilibrium import AgentAction, REGIMES, STATUS_QUO, solve
 from .model_core import Params, check_assumptions
 from .montecarlo import SimConfig, simulate
@@ -206,8 +208,12 @@ def _sweep_row(spec: SweepSpec, point: dict[str, float]) -> list:
                 row += [e.W, e.Q, e.total]
             row += [report.optimal, report.margin]
     if "thresholds" in spec.outputs:
-        th = thresholds(params)
-        row += [th.lambda_hat, th.exists, th.R_low, th.R_high]
+        try:
+            th = thresholds(params)
+        except UnderflowError:
+            row += [None] * 4
+        else:
+            row += [th.lambda_hat, th.exists, th.R_low, th.R_high]
     return row
 
 

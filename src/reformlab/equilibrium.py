@@ -21,7 +21,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import AssumptionError, DomainError, InformativenessError, UnresolvedObservationError
+from .errors import (
+    AssumptionError, DomainError, InformativenessError, UnderflowError, UnresolvedObservationError,
+)
 from .model_core import Params, Posteriors, RentMode, check_assumptions, posteriors
 
 CONGRUENT = "congruent"
@@ -353,9 +355,11 @@ def _opaque_success_beliefs(params: Params) -> tuple[float, float]:
     succ_n = phi * p * lam * R * post.mu_plus
     fail_c = 1.0 - succ_c
     fail_n = phi * p * (1 - lam * R * post.mu_plus) + (1 - phi) * (1 - p)
-    b_succ = pi * succ_c / (pi * succ_c + (1 - pi) * succ_n)
-    b_fail = pi * fail_c / (pi * fail_c + (1 - pi) * fail_n)
-    return b_succ, b_fail
+    mass_succ = pi * succ_c + (1 - pi) * succ_n
+    mass_fail = pi * fail_c + (1 - pi) * fail_n
+    if mass_succ == 0.0 or mass_fail == 0.0:
+        raise UnderflowError("opaque: the probability of an on-path reform outcome underflows to 0")
+    return pi * succ_c / mass_succ, pi * fail_c / mass_fail
 
 
 def opaque_equilibrium(

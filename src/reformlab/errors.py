@@ -28,6 +28,11 @@ class InformativenessError(AssumptionError):
         super().__init__("informativeness", message)
 
 
+class UnderflowError(ReformLabError, ArithmeticError):
+    """A quantity that is positive at valid parameters underflows to 0 in
+    double precision, so the belief or threshold built on it is undefined."""
+
+
 class UnresolvedObservationError(ReformLabError, LookupError):
     """An observation cannot be resolved by an equilibrium's retention or
     belief rules (regime-inconsistent observation pattern)."""

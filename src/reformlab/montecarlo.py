@@ -6,16 +6,22 @@ computations. Reproducibility contract:
 * ``simulate`` partitions the draws into fixed blocks of ``BLOCK_SIZE``;
   block ``i`` uses the PCG64 generator seeded by
   ``SeedSequence(entropy=seed, spawn_key=(i,))``. Blocks may be evaluated
-  in parallel (``REFORMLAB_THREADS``); accumulators merge in block order,
-  so identical (seed, config) gives bit-identical statistics regardless of
-  scheduling.
+  in parallel (``REFORMLAB_THREADS``); each block returns an integer count
+  table and the tables are summed in block order, so identical
+  (seed, config) gives bit-identical statistics regardless of scheduling.
 * ``convergence_sweep`` consumes one sequential PCG64 stream seeded by
   ``SeedSequence(seed)`` and reports cumulative statistics at each
   checkpoint.
 
 Within a draw the generator is consumed in a fixed order: type, state,
 signal, outcome (one uniform each, drawn for every draw even when the
-policy is the status quo).
+policy is the status quo). A block of ``n`` draws takes them as one
+``random((4, n))`` call, whose rows are the same stream as four sequential
+``random(n)`` calls.
+
+The payoff takes only the values 1, 0 and d, so every statistic, the mean
+payoff and its standard error included, is computed once from the summed
+counts of (type, signal, state, outcome).
 """
 
 from __future__ import annotations
@@ -123,73 +129,51 @@ def _cell_tables(eq: Equilibrium, params: Params):
     return reform, effort, retain
 
 
-@dataclass
-class _Acc:
-    n: int = 0
-    sum_v: float = 0.0
-    sum_v2: float = 0.0
-    n_congruent: int = 0
-    retained: int = 0
-    retained_congruent: int = 0
-    retained_noncongruent: int = 0
-    n_success: int = 0
-    n_failure: int = 0
-    n_status_quo: int = 0
-
-    def merge(self, other: "_Acc") -> None:
-        for f in self.__dataclass_fields__:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
-
-
-def _run_block(rng: np.random.Generator, n: int, params: Params, tables) -> _Acc:
-    reform_tab, effort_tab, retain_tab = tables
-    u_type = rng.random(n)
-    u_state = rng.random(n)
-    u_signal = rng.random(n)
-    u_outcome = rng.random(n)
-
-    congruent = u_type < params.pi
-    good = u_state < params.phi
-    match = u_signal < params.p
-    sig_g = good == match  # signal g iff the signal matched a good state or missed a bad one
-    cell = (~congruent).astype(np.int8) * 2 + (~sig_g).astype(np.int8)
-
-    reform = reform_tab[cell]
-    effort = effort_tab[cell]
-    success = reform & good & (u_outcome < effort)
-    failure = reform & ~success
-    outcome_idx = np.where(success, 0, np.where(failure, 1, 2)).astype(np.int8)
-
-    retained = retain_tab[cell, outcome_idx]
-    payoff = np.where(success, 1.0, np.where(failure, 0.0, params.d))
-
-    acc = _Acc()
-    acc.n = n
-    acc.sum_v = float(np.sum(payoff))
-    acc.sum_v2 = float(np.sum(payoff * payoff))
-    acc.n_congruent = int(np.count_nonzero(congruent))
-    acc.retained = int(np.count_nonzero(retained))
-    acc.retained_congruent = int(np.count_nonzero(retained & congruent))
-    acc.retained_noncongruent = acc.retained - acc.retained_congruent
-    acc.n_success = int(np.count_nonzero(success))
-    acc.n_failure = int(np.count_nonzero(failure))
-    acc.n_status_quo = n - acc.n_success - acc.n_failure
-    return acc
+def _run_block(rng: np.random.Generator, n: int, params: Params, tables) -> np.ndarray:
+    """Count table of one block, indexed by 8*noncongruent + 4*bad_signal +
+    2*good_state + (outcome uniform < effort): the first two bits are the
+    cell of :func:`_cell_tables`."""
+    effort_tab = tables[1]
+    u = rng.random((4, n))  # rows: type, state, signal, outcome
+    good = u[1] < params.phi
+    key = (u[0] >= params.pi).view(np.uint8) << 1
+    key |= good ^ (u[2] < params.p)  # signal b iff it missed the state
+    hit = u[3] < effort_tab[key]
+    key <<= 1
+    key |= good
+    key <<= 1
+    key |= hit
+    return np.bincount(key, minlength=16)
 
 
-def _stats_from_acc(acc: _Acc, seed: int, params: Params) -> SimStats:
-    n = acc.n
-    mean = acc.sum_v / n
+def _stats_from_counts(counts: np.ndarray, seed: int, params: Params, tables) -> SimStats:
+    """Every statistic from a sum of :func:`_run_block` count tables."""
+    reform_tab, _, retain_tab = tables
+    by_cell = counts.reshape(4, 2, 2)  # [cell, good state, hit]
+    n_cell = by_cell.sum(axis=(1, 2))
+    success = np.where(reform_tab, by_cell[:, 1, 1], 0)
+    failure = np.where(reform_tab, n_cell - success, 0)
+    by_outcome = np.stack([success, failure, n_cell - success - failure], axis=1)
+    retained_cell = (by_outcome * retain_tab).sum(axis=1)
+
+    n = int(n_cell.sum())
+    n_congruent = int(n_cell[:2].sum())
+    retained = int(retained_cell.sum())
+    retained_congruent = int(retained_cell[:2].sum())
+    n_success, n_failure, n_status_quo = (int(k) for k in by_outcome.sum(axis=0))
+    sum_v = n_success + n_status_quo * params.d
+    sum_v2 = n_success + n_status_quo * (params.d * params.d)
+    mean = sum_v / n
     if n >= 2:
-        var = max(0.0, (acc.sum_v2 - acc.sum_v * acc.sum_v / n) / (n - 1))
+        var = max(0.0, (sum_v2 - sum_v * sum_v / n) / (n - 1))
         se = math.sqrt(var / n)
     else:
         se = None
-    n_noncongruent = n - acc.n_congruent
-    rate_c = acc.retained_congruent / acc.n_congruent if acc.n_congruent else None
-    rate_n = acc.retained_noncongruent / n_noncongruent if n_noncongruent else None
-    p_c_ret = acc.retained_congruent / acc.retained if acc.retained else None
-    q_hat = (acc.retained_congruent + (n - acc.retained) * params.pi) / n
+    n_noncongruent = n - n_congruent
+    rate_c = retained_congruent / n_congruent if n_congruent else None
+    rate_n = (retained - retained_congruent) / n_noncongruent if n_noncongruent else None
+    p_c_ret = retained_congruent / retained if retained else None
+    q_hat = (retained_congruent + (n - retained) * params.pi) / n
     return SimStats(
         n_draws=n,
         seed=seed,
@@ -198,18 +182,18 @@ def _stats_from_acc(acc: _Acc, seed: int, params: Params) -> SimStats:
         retention_rate_by_type={CONGRUENT: rate_c, NONCONGRUENT: rate_n},
         p_congruent_given_retained=p_c_ret,
         outcome_freqs={
-            SUCCESS: acc.n_success / n,
-            FAILURE: acc.n_failure / n,
-            SQ_OUTCOME: acc.n_status_quo / n,
+            SUCCESS: n_success / n,
+            FAILURE: n_failure / n,
+            SQ_OUTCOME: n_status_quo / n,
         },
         q_hat=q_hat,
         counts={
-            "congruent": acc.n_congruent,
-            "retained": acc.retained,
-            "retained_congruent": acc.retained_congruent,
-            "success": acc.n_success,
-            "failure": acc.n_failure,
-            "status_quo": acc.n_status_quo,
+            "congruent": n_congruent,
+            "retained": retained,
+            "retained_congruent": retained_congruent,
+            "success": n_success,
+            "failure": n_failure,
+            "status_quo": n_status_quo,
         },
     )
 
@@ -256,13 +240,10 @@ def simulate(config: SimConfig, eq: Equilibrium) -> SimStats:
     jobs = list(enumerate(sizes))
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            accs = list(pool.map(block, jobs))
+            counts = sum(pool.map(block, jobs))  # block order; exact integers
     else:
-        accs = [block(j) for j in jobs]
-    total = _Acc()
-    for acc in accs:  # merge in block order
-        total.merge(acc)
-    return _stats_from_acc(total, config.seed, params)
+        counts = sum(map(block, jobs))
+    return _stats_from_counts(counts, config.seed, params, tables)
 
 
 def convergence_sweep(
@@ -278,15 +259,15 @@ def convergence_sweep(
     params = config.params
     tables = _cell_tables(eq, params)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    total = _Acc()
+    counts = np.zeros(16, dtype=np.int64)
     done = 0
     out = []
     for target in checkpoints:
         remaining = target - done
         while remaining > 0:
             take = min(BLOCK_SIZE, remaining)
-            total.merge(_run_block(rng, take, params, tables))
+            counts += _run_block(rng, take, params, tables)
             remaining -= take
         done = target
-        out.append(_stats_from_acc(total, config.seed, params))
+        out.append(_stats_from_counts(counts, config.seed, params, tables))
     return out

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import AssumptionError, DomainError, PreconditionLossError
+from .errors import AssumptionError, DomainError, PreconditionLossError, UnderflowError
 from .equilibrium import (
     CONGRUENT,
     FAILURE,
@@ -199,8 +199,10 @@ def thresholds_from_lambda_hat(lambda_hat: float, d: float) -> Thresholds:
 
 def thresholds(params: Params) -> Thresholds:
     """Thresholds at lambda_hat = lambda * mu_plus^2 for the given params."""
-    post = posteriors(params)
-    return thresholds_from_lambda_hat(params.lam * post.mu_plus**2, params.d)
+    lambda_hat = params.lam * posteriors(params).mu_plus**2
+    if lambda_hat == 0.0:
+        raise UnderflowError("lambda_hat = lambda * mu_plus^2 underflows to 0")
+    return thresholds_from_lambda_hat(lambda_hat, params.d)
 
 
 _BUMP_ATTR = {"phi": "phi", "lambda": "lam", "p": "p", "R": "R"}

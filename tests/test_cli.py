@@ -124,6 +124,20 @@ class TestWelfare:
             "nontransparent", "opaque", "transparent_separating"}
         assert sum(r["optimal_flag"] == "true" for r in rows) == 1
 
+    # at phi = 1e-200 the opaque on-path success mass and lambda * mu_plus^2
+    # underflow to 0 although every parameter is valid
+    @pytest.mark.parametrize("extra, reason", [
+        (["--no-strict"], "on-path reform outcome underflows"),
+        ([], "lambda_hat = lambda * mu_plus^2 underflows"),
+    ], ids=["no_strict", "strict"])
+    def test_underflow_is_refused_with_reason(self, tmp_path, capsys, extra, reason):
+        path = _write_json(tmp_path, "tiny_phi.json", {**SANITY, "phi": 1e-200})
+        assert run(["welfare", "--params", path, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert reason in captured.err
+
 
 class TestSimulate:
     def test_table_echoes_seed(self, capsys):
@@ -333,6 +347,17 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_underflowing_phi_row_is_na(self, tmp_path, capsys):
+        spec = {"base": SANITY, "axes": [{"param": "phi", "min": 1e-200, "max": 0.9, "steps": 3}]}
+        assert run(["sweep", "--sweep", _write_json(tmp_path, "s.json", spec)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        first, *rest = _parse_csv(captured.out)
+        assert first["phi"] == "1e-200"
+        for col in ("W_opaque", "optimal_regime", "margin", "lambda_hat", "R_low"):
+            assert first[col] == "NA"
+        assert all(row["W_opaque"] != "NA" and row["lambda_hat"] != "NA" for row in rest)
 
 
 class TestEntryPoint:

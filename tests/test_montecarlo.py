@@ -1,14 +1,19 @@
 """Tests for the seeded Monte Carlo simulator."""
 
+import json
 import math
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reformlab import (
     DomainError,
+    Params,
     SimConfig,
     convergence_sweep,
+    fixture_path,
     nontransparent_equilibrium,
     opaque_equilibrium,
     posteriors,
@@ -67,6 +72,63 @@ class TestDeterminism:
         a = convergence_sweep(cfg, eq, [1000, 5000])
         b = convergence_sweep(cfg, eq, [1000, 5000])
         assert a == b
+
+
+class TestDrawOrder:
+    """A block takes its uniforms as one ``random((4, n))`` call. The seeded
+    results rely on its rows being the same stream as four sequential
+    ``random(n)`` calls (type, state, signal, outcome)."""
+
+    @pytest.mark.parametrize("seed_seq, takes", [
+        (np.random.SeedSequence(entropy=99, spawn_key=(3,)), [1001]),
+        (np.random.SeedSequence(5), [1, 17, 1000, 4099]),
+    ], ids=["spawned_block", "sequential_uneven_takes"])
+    def test_rows_match_sequential_draws(self, seed_seq, takes):
+        block = np.random.Generator(np.random.PCG64(seed_seq))
+        sequential = np.random.Generator(np.random.PCG64(seed_seq))
+        for n in takes:
+            for row in block.random((4, n)):
+                np.testing.assert_array_equal(row, sequential.random(n))
+        assert block.random() == sequential.random()
+
+
+# Statistics of the per-draw payoff-array kernel, captured before the count
+# table replaced it. Counts and rates must match exactly; the mean and SE now
+# come from exact counts instead of a float sum, so they may move in the
+# last ulp.
+GOLDEN = json.loads(Path(__file__).with_name("mc_golden.json").read_text())
+
+
+def _assert_golden(stats, golden):
+    got = stats.to_json()
+    for key in ("mean_payoff", "payoff_se"):
+        assert got.pop(key) == pytest.approx(golden[key], rel=1e-14, abs=0), key
+    assert got == {k: v for k, v in golden.items() if k not in ("mean_payoff", "payoff_se")}
+
+
+def _golden_eq(case):
+    params = Params.load(fixture_path(case["fixture"]))
+    return params, solve(params, case["regime"])
+
+
+class TestGolden:
+    @pytest.mark.parametrize("case", GOLDEN["simulate"], ids=lambda c: (
+        f"{c['fixture']}-{c['regime']}-{c['stats']['seed']}"))
+    def test_simulate(self, case):
+        params, eq = _golden_eq(case)
+        cfg = SimConfig(n_draws=GOLDEN["n_draws"], seed=case["stats"]["seed"],
+                        regime=case["regime"], params=params)
+        _assert_golden(simulate(cfg, eq), case["stats"])
+
+    @pytest.mark.parametrize("case", GOLDEN["convergence_sweep"], ids=lambda c: (
+        f"{c['fixture']}-{c['regime']}"))
+    def test_convergence_sweep(self, case):
+        params, eq = _golden_eq(case)
+        cfg = SimConfig(n_draws=1, seed=GOLDEN["seeds"][0], regime=case["regime"], params=params)
+        table = convergence_sweep(cfg, eq, GOLDEN["checkpoints"])
+        assert len(table) == len(case["stats"])
+        for stats, golden in zip(table, case["stats"]):
+            _assert_golden(stats, golden)
 
 
 class TestStatistics:
