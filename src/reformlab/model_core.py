@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace as _replace
 from typing import Literal
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -66,9 +68,7 @@ class Params:
                 raise DomainError(msg)
 
     def replace(self, **kwargs) -> "Params":
-        d = asdict(self)
-        d.update(kwargs)
-        return Params(**d)
+        return _replace(self, **kwargs)
 
     def to_json(self) -> dict:
         """Flat JSON object with keys exactly ``PARAM_KEYS``."""
@@ -250,8 +250,13 @@ def informativeness_condition(params: Params) -> tuple[bool, float, float]:
 
     Returns (holds, lhs, rhs) with holds = lhs <= rhs + eps_tol.
     """
-    post = posteriors(params)
-    g, z = post.gamma, post.z
+    return _informativeness(params, params.p)
+
+
+def _informativeness(params: Params, p):
+    """(holds, lhs, rhs) at accuracy ``p`` (a float or an ndarray)."""
+    g = (1 - p) / p
+    z = (1 - params.phi) / params.phi
     lhs = z - params.lam / (1 + g * z)
     rhs = g * (params.lam * (1 + params.R) * g / (g + z) - 1)
     return lhs <= rhs + params.eps_tol, lhs, rhs
@@ -267,37 +272,32 @@ def find_p_bar(params: Params, tol: float = 1e-9) -> float | None:
     by bisection on that boundary, then re-verified on a finer grid above
     the returned value; if the re-scan exposes non-monotone behavior (only
     possible when lambda(1+R) > 1), the search repeats on the finer grid.
+    ``tol`` (finite, > 0) bounds the final bisection bracket's width.
     """
-    post = posteriors(params)
-    if post.z >= params.lam:
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
+    if posteriors(params).z >= params.lam:
         return None
 
-    def holds(p: float) -> bool:
-        return informativeness_condition(params.replace(p=p))[0]
-
     def locate(n: int) -> float:
-        lo_edge = 0.5
-        grid = [lo_edge + (1.0 - lo_edge) * i / (n - 1) for i in range(n)]
-        flags = [holds(p) for p in grid]
-        first = n - 1
-        for i in range(n - 2, -1, -1):
-            if flags[i]:
-                first = i
-            else:
-                break
-        if first == 0:
-            return lo_edge + tol  # holds on the whole open interval
-        lo, hi = grid[first - 1], grid[first]
+        grid = 0.5 + 0.5 * np.arange(n) / (n - 1)
+        # the last grid point's own flag is not read
+        fails = np.flatnonzero(~_informativeness(params, grid)[0][:-1])
+        if len(fails) == 0:
+            return 0.5 + tol  # holds on the whole open interval
+        lo, hi = float(grid[fails[-1]]), float(grid[fails[-1] + 1])
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if holds(mid):
+            if mid == lo or mid == hi:
+                break  # adjacent floats: no narrower bracket exists
+            if _informativeness(params, mid)[0]:
                 hi = mid
             else:
                 lo = mid
         return hi
 
     p_bar = locate(4097)
-    for i in range(257):
-        if not holds(min(p_bar + (1.0 - p_bar) * i / 256, 1.0)):
-            return locate(65_537)
+    recheck = np.minimum(p_bar + (1.0 - p_bar) * np.arange(257) / 256, 1.0)
+    if not _informativeness(params, recheck)[0].all():
+        return locate(65_537)
     return p_bar

@@ -1,6 +1,8 @@
 """Tests for parameters, posteriors, and assumption checks."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,10 @@ class TestParams:
     def test_domain_violations(self, sanity, bad):
         with pytest.raises(DomainError):
             sanity.replace(**bad)
+
+    def test_replace_unknown_key_rejected(self, sanity):
+        with pytest.raises(TypeError):
+            sanity.replace(mu=0.5)
 
     @given(st.floats(0.5, 1.0), st.floats(0.01, 0.99))
     @settings(max_examples=200, deadline=None)
@@ -210,3 +216,42 @@ class TestFindPBar:
         params = Params(p=0.9, phi=0.5, d=0.01, lam=0.3, R=0.5, pi=0.5)
         assert (1 - params.phi) / params.phi >= params.lam
         assert find_p_bar(params) is None
+
+
+# find_p_bar and informativeness_condition values captured from the scalar
+# implementation (one Params per probed accuracy) before the scans became
+# arrays: the fixtures, 100 seeded uniform points over the test domains for
+# each path (None when z >= lambda, the whole-interval 0.5 + tol return, scan
+# plus bisection), and one point with a failure window narrower than the
+# 4 097-point grid just above a re-check point, which reaches the 65 537-point
+# re-scan, all at the default tol. Values must match exactly.
+P_BAR_GOLDEN = json.loads(Path(__file__).with_name("p_bar_golden.json").read_text())
+
+
+class TestPBarGolden:
+    @pytest.mark.parametrize("name", sorted(P_BAR_GOLDEN["fixtures"]))
+    def test_fixtures(self, name, request):
+        params, golden = request.getfixturevalue(name), P_BAR_GOLDEN["fixtures"][name]
+        assert find_p_bar(params) == golden["p_bar"]
+        holds, lhs, rhs = informativeness_condition(params)
+        assert (type(holds), type(lhs), type(rhs)) == (bool, float, float)
+        assert [holds, lhs, rhs] == golden["informativeness"]
+
+    @pytest.mark.parametrize("path", sorted(P_BAR_GOLDEN["points"]))
+    def test_points(self, path):
+        cases = P_BAR_GOLDEN["points"][path]
+        got = [find_p_bar(Params.from_json(c["params"])) for c in cases]
+        assert got == [c["p_bar"] for c in cases]
+
+
+class TestFindPBarTol:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_tol_rejected(self, sanity, tol):
+        with pytest.raises(DomainError, match="tol"):
+            find_p_bar(sanity, tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-17, 1e-300])
+    def test_below_one_ulp_stops_where_condition_holds(self, sanity, tol):
+        p_bar = find_p_bar(sanity, tol=tol)
+        assert informativeness_condition(sanity.replace(p=p_bar))[0]
+        assert not informativeness_condition(sanity.replace(p=math.nextafter(p_bar, 0)))[0]
