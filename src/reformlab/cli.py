@@ -5,7 +5,8 @@ Subcommands: check | solve | verify | welfare | sweep | simulate.
 Exit codes: 0 success, 1 precondition/assumption failure, 2 malformed input.
 
 Floats are emitted with ``repr`` (shortest round-trip form) so CSV and JSON
-outputs are bit-stable across runs. Sweep rows where a quantity cannot be
+outputs are bit-stable across runs; JSON output is strict, with non-finite
+floats written as ``null``. Sweep rows where a quantity cannot be
 computed carry the sentinel "NA", never a silent omission. A sweep runs its
 rows one after another in the calling thread; each row's welfare columns
 come from ``optimal_regime(params, strict=False)``. ``REFORMLAB_THREADS``
@@ -30,7 +31,8 @@ from .errors import (
 from .equilibrium import AgentAction, REGIMES, STATUS_QUO, solve
 from .model_core import Params, check_assumptions
 from .montecarlo import SimConfig, simulate
-from .verification import bayes_consistency, deviation_check, divinity_breakeven, news_classification
+from .verification import (MAX_GRID_SIZE, bayes_consistency, deviation_check,
+                           divinity_breakeven, news_classification)
 from .welfare import WELFARE_REGIMES, optimal_regime, thresholds
 
 FIXTURES = ("sanity", "part3")
@@ -239,8 +241,17 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=True)
+    return json.dumps(_finite_or_null(obj), indent=2, allow_nan=False)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -302,8 +313,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = _load_params(args.params)
-    if args.grid < 2:
-        raise DomainError("--grid must be >= 2")
+    if not 2 <= args.grid <= MAX_GRID_SIZE:
+        raise DomainError(f"--grid must be in [2, {MAX_GRID_SIZE}]")
     eq = solve(params, args.regime, rent_mode=args.rent_mode,
                pooling_effort=args.pooling_effort)
     dev = deviation_check(eq, params, grid_size=args.grid)

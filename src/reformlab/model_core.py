@@ -272,10 +272,11 @@ def find_p_bar(params: Params, tol: float = 1e-9) -> float | None:
     by bisection on that boundary, then re-verified on a finer grid above
     the returned value; if the re-scan exposes non-monotone behavior (only
     possible when lambda(1+R) > 1), the search repeats on the finer grid.
-    ``tol`` (finite, > 0) bounds the final bisection bracket's width.
+    ``tol`` (in (0, 1/2), so that ``1/2 + tol`` is an accuracy) bounds the
+    final bisection bracket's width.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be finite and > 0, got {tol}")
+    if not 0.0 < tol < 0.5:
+        raise DomainError(f"tol must be in (0, 0.5), got {tol}")
     if posteriors(params).z >= params.lam:
         return None
 

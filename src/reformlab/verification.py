@@ -36,6 +36,10 @@ from .model_core import Params, posteriors
 
 #: classification band for neutral news (posterior within this of the prior)
 NEUTRAL_BAND = 1e-9
+#: largest deviation-scan grid: a check peaks near 30 bytes per point, ~300 MB here
+MAX_GRID_SIZE = 10_000_001
+#: efforts per deviation-scan block, so that one block's (4, B) temporaries stay in cache
+SCAN_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -81,19 +85,19 @@ def _reform_retention(eq: Equilibrium, effort, eps: float) -> tuple:
     return tuple(out)
 
 
-def _reform_utility(
-    agent_type: str, mu: float, effort, retained: tuple, params: Params
-):
+def _reform_utility(mu, effort, payoffs: tuple, retained: tuple, params: Params):
     """Expected utility of reforming at ``effort`` with state posterior
-    ``mu``, given the retention after success and after failure; evaluated
-    elementwise when ``effort`` is an effort grid."""
+    ``mu``, given the policy payoffs of success and of failure and the
+    retention after each; evaluated elementwise (with numpy broadcasting)
+    when the arguments are arrays."""
     um = AgentUtilityModel(params)
+    pay_succ, pay_fail = payoffs
     kept_succ, kept_fail = retained
     p_succ = mu * effort
     return (
         -um.effort_cost(effort)
-        + p_succ * (um.policy_payoff(agent_type, SUCCESS) + um.office_term(kept_succ))
-        + (1.0 - p_succ) * (um.policy_payoff(agent_type, FAILURE) + um.office_term(kept_fail))
+        + p_succ * (pay_succ + um.office_term(kept_succ))
+        + (1.0 - p_succ) * (pay_fail + um.office_term(kept_fail))
     )
 
 
@@ -107,12 +111,13 @@ def expected_utility(
     induced observation.
     """
     eps = params.eps_tol
+    um = AgentUtilityModel(params)
     if action.policy == STATUS_QUO:
-        um = AgentUtilityModel(params)
         obs = observe(eq.regime, action, SQ_OUTCOME)
         return um.policy_payoff(agent_type, SQ_OUTCOME) + um.office_term(eq.decide(obs, eps))
+    payoffs = (um.policy_payoff(agent_type, SUCCESS), um.policy_payoff(agent_type, FAILURE))
     retained = _reform_retention(eq, action.effort, eps)
-    return _reform_utility(agent_type, posteriors(params).mu(signal), action.effort,
+    return _reform_utility(posteriors(params).mu(signal), action.effort, payoffs,
                            retained, params)
 
 
@@ -204,10 +209,12 @@ def deviation_check(
     For each (type, signal) cell, scans the status quo plus reforms on a
     uniform effort grid augmented with the closed-form candidate optima and
     the equilibrium's own effort levels (so quadratic peaks and retention
-    breakpoints are hit exactly).
+    breakpoints are hit exactly). The extras are merged into the sorted
+    linspace; the scan runs over blocks of ``SCAN_BLOCK`` efforts, all four
+    cells per block in one broadcast, and keeps the first grid maximum.
     """
-    if grid_size < 2:
-        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
+    if not 2 <= grid_size <= MAX_GRID_SIZE:
+        raise DomainError(f"grid_size must be in [2, {MAX_GRID_SIZE}], got {grid_size}")
     if dev_tol is None:
         dev_tol = default_dev_tol(params, grid_size)
     post = posteriors(params)
@@ -225,38 +232,56 @@ def deviation_check(
     for pattern, _ in eq.retention:
         if pattern.effort_value is not None and 0.0 <= pattern.effort_value <= 1.0:
             extras.add(pattern.effort_value)
-    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, grid_size), sorted(extras)]))
+    lin = np.linspace(0.0, 1.0, grid_size)
+    extra = np.array(sorted(extras))
+    at = np.searchsorted(lin, extra)
+    new_point = lin[np.minimum(at, grid_size - 1)] != extra  # equal: keep lin's
+    grid = np.insert(lin, at[new_point], extra[new_point])
 
     # retention does not depend on the deviator's cell: one mask per outcome
     retained = _reform_retention(eq, grid, params.eps_tol)
+    um = AgentUtilityModel(params)
+    keys = [(t, s) for t in TYPES for s in SIGNALS]
+    mu = np.array([[post.mu(s)] for _, s in keys])
+    pay = np.array([[um.policy_payoff(t, o) for o in (SUCCESS, FAILURE)] for t, _ in keys])
+    rows = np.arange(len(keys))
+    scan_u, scan_i = np.full(len(keys), -np.inf), np.zeros(len(keys), dtype=np.intp)
+    for lo in range(0, len(grid), SCAN_BLOCK):
+        block = slice(lo, lo + SCAN_BLOCK)
+        kept = tuple(k[block] if isinstance(k, np.ndarray) else k for k in retained)
+        u = _reform_utility(mu, grid[block], (pay[:, :1], pay[:, 1:]), kept, params)
+        i = np.argmax(u, axis=1)
+        u_max = u[rows, i]
+        # strictly greater: a tie keeps the earlier block's index, as np.argmax would
+        better = u_max > scan_u
+        scan_u[better] = u_max[better]
+        scan_i[better] = lo + i[better]
+
     cells: dict[tuple[str, str], DeviationCell] = {}
-    for t in TYPES:
-        for s in SIGNALS:
-            eq_action = eq.profile.action(t, s)
-            eq_u = expected_utility(t, s, eq_action, eq, params)
-            sq_u = expected_utility(t, s, AgentAction(STATUS_QUO), eq, params)
-            reform_u = _reform_utility(t, post.mu(s), grid, retained, params)
-            i_best = int(np.argmax(reform_u))
-            if sq_u >= reform_u[i_best]:
-                best_action, best_u = AgentAction(STATUS_QUO), sq_u
-            else:
-                best_action = AgentAction(REFORM, float(grid[i_best]))
-                best_u = float(reform_u[i_best])
-            if best_u <= eq_u:
-                # no improving deviation: the equilibrium action is best
-                best_action, best_u = eq_action, eq_u
-            gain = best_u - eq_u
-            if gain <= dev_tol:
-                verdict = "pass"
-            elif (
-                eq.regime == OPAQUE
-                and (t, s) == (CONGRUENT, "b")
-                and documented_opaque_gap(params) > 0
-            ):
-                verdict = "fail (documented)"
-            else:
-                verdict = "fail"
-            cells[(t, s)] = DeviationCell(eq_action, eq_u, best_action, best_u, gain, verdict)
+    for k, (t, s) in enumerate(keys):
+        eq_action = eq.profile.action(t, s)
+        eq_u = expected_utility(t, s, eq_action, eq, params)
+        sq_u = expected_utility(t, s, AgentAction(STATUS_QUO), eq, params)
+        if sq_u >= scan_u[k]:
+            best_action, best_u = AgentAction(STATUS_QUO), sq_u
+        else:
+            best_action = AgentAction(REFORM, float(grid[scan_i[k]]))
+            best_u = float(scan_u[k])
+        if best_u <= eq_u:
+            # no improving deviation: the equilibrium action is best
+            best_action, best_u = eq_action, eq_u
+        gain = best_u - eq_u
+        if gain <= dev_tol:
+            verdict = "pass"
+        elif (
+            eq.regime == OPAQUE
+            and (t, s) == (CONGRUENT, "b")
+            and documented_opaque_gap(params) > 0
+        ):
+            verdict = "fail (documented)"
+        else:
+            verdict = "fail"
+        cells[(t, s)] = DeviationCell(eq_action, eq_u, best_action, best_u, gain, verdict)
     return DeviationReport(eq.regime, grid_size, dev_tol, cells)
 
 

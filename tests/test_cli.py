@@ -124,6 +124,20 @@ class TestWelfare:
             "nontransparent", "opaque", "transparent_separating"}
         assert sum(r["optimal_flag"] == "true" for r in rows) == 1
 
+    def test_overflowing_welfare_is_null_in_strict_json(self, tmp_path, capsys):
+        path = _write_json(tmp_path, "huge.json", {**SANITY, "p": 0.8, "phi": 0.6, "d": 0.3,
+                                                   "lambda": 1.0, "R": 1.7e308, "pi": 0.5,
+                                                   "M": 1.7e308})
+        assert run(["welfare", "--params", path, "--no-strict"]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        blob = json.loads(capsys.readouterr().out, parse_constant=reject)
+        entry = blob["welfare"]["entries"]["transparent_separating"]
+        assert entry["W"] is None and entry["total"] is None
+        assert blob["welfare"]["margin"] is None
+
     # at phi = 1e-200 the opaque on-path success mass and lambda * mu_plus^2
     # underflow to 0 although every parameter is valid
     @pytest.mark.parametrize("extra, reason", [

@@ -245,7 +245,8 @@ class TestPBarGolden:
 
 
 class TestFindPBarTol:
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    # from 1/2 up, the whole-interval return 1/2 + tol is no accuracy
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, 0.5, 0.6, 1.0])
     def test_invalid_tol_rejected(self, sanity, tol):
         with pytest.raises(DomainError, match="tol"):
             find_p_bar(sanity, tol=tol)
