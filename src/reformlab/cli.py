@@ -367,13 +367,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = _load_params(args.params)
-    if args.n < 1:
-        raise DomainError("--n must be >= 1")
-    if not 0 <= args.seed < 2**64:
-        raise DomainError("--seed must be an unsigned 64-bit integer")
+    config = SimConfig(n_draws=args.n, seed=args.seed, regime=args.regime, params=params)
     eq = solve(params, args.regime, rent_mode=args.rent_mode,
                pooling_effort=args.pooling_effort)
-    config = SimConfig(n_draws=args.n, seed=args.seed, regime=args.regime, params=params)
     stats = simulate(config, eq)
     text = _json_dumps(stats.to_json()) if args.format == "json" else stats.format_table()
     _emit(text, args.out)

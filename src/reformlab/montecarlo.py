@@ -7,8 +7,8 @@ computations. Reproducibility contract:
   block ``i`` uses the PCG64 generator seeded by
   ``SeedSequence(entropy=seed, spawn_key=(i,))``. Blocks may be evaluated
   in parallel (``REFORMLAB_THREADS``); each block returns an integer count
-  table and the tables are summed in block order, so identical
-  (seed, config) gives bit-identical statistics regardless of scheduling.
+  table and the tables are summed exactly, so identical (seed, config)
+  gives bit-identical statistics regardless of scheduling.
 * ``convergence_sweep`` consumes one sequential PCG64 stream seeded by
   ``SeedSequence(seed)`` and reports cumulative statistics at each
   checkpoint.
@@ -19,9 +19,11 @@ policy is the status quo). A block of ``n`` draws takes them as one
 ``random((4, n))`` call, whose rows are the same stream as four sequential
 ``random(n)`` calls.
 
-The payoff takes only the values 1, 0 and d, so every statistic, the mean
-payoff and its standard error included, is computed once from the summed
-counts of (type, signal, state, outcome).
+A block's count table holds the draws per (type, signal) cell and the
+good-state successes per cell; status-quo cells have none, and every other
+draw of a reform cell fails. The payoff takes only the values 1, 0 and d,
+so every statistic, the mean payoff and its standard error included, is
+computed once from the summed table.
 """
 
 from __future__ import annotations
@@ -50,18 +52,23 @@ from .equilibrium import (
 from .model_core import Params
 
 BLOCK_SIZE = 1 << 18
+#: most draws one run may ask for (hours of compute); far below 2**53, so
+#: every count converts to float exactly
+MAX_DRAWS = 10**12
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run: ``n_draws`` in [1, MAX_DRAWS], ``seed`` an unsigned 64-bit integer."""
+
     n_draws: int
     seed: int
     regime: str
     params: Params
 
     def __post_init__(self):
-        if self.n_draws < 1:
-            raise DomainError(f"n_draws must be >= 1, got {self.n_draws}")
+        if not 1 <= self.n_draws <= MAX_DRAWS:
+            raise DomainError(f"n_draws must be in [1, {MAX_DRAWS}], got {self.n_draws}")
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
@@ -130,28 +137,33 @@ def _cell_tables(eq: Equilibrium, params: Params):
 
 
 def _run_block(rng: np.random.Generator, n: int, params: Params, tables) -> np.ndarray:
-    """Count table of one block, indexed by 8*noncongruent + 4*bad_signal +
-    2*good_state + (outcome uniform < effort): the first two bits are the
-    cell of :func:`_cell_tables`."""
-    effort_tab = tables[1]
+    """Count table of one block: the draws in each cell of :func:`_cell_tables`
+    (2*noncongruent + bad_signal), then the good-state draws in each reform
+    cell whose outcome uniform is below the cell's effort (8 int64 entries)."""
+    reform, effort, _ = tables
     u = rng.random((4, n))  # rows: type, state, signal, outcome
+    nc = u[0] >= params.pi
     good = u[1] < params.phi
-    key = (u[0] >= params.pi).view(np.uint8) << 1
-    key |= good ^ (u[2] < params.p)  # signal b iff it missed the state
-    hit = u[3] < effort_tab[key]
-    key <<= 1
-    key |= good
-    key <<= 1
-    key |= hit
-    return np.bincount(key, minlength=16)
+    bad = u[2] < params.p
+    bad ^= good  # signal b iff it missed the state
+    n_nc, n_bad, n_both = (np.count_nonzero(m) for m in (nc, bad, nc & bad))
+    counts = np.zeros(8, dtype=np.int64)
+    counts[:4] = n - n_nc - n_bad + n_both, n_bad - n_both, n_nc - n_both, n_both
+    good_nc = np.logical_and(good, nc, out=nc)
+    good_by_type = (np.logical_xor(good, good_nc, out=good), good_nc)
+    for c in np.flatnonzero(reform & (effort > 0)):
+        good_type = good_by_type[c >> 1]
+        hits = good_type & bad if c & 1 else good_type > bad  # x > y is x & ~y on booleans
+        if effort[c] < 1:  # otherwise every good draw succeeds: u < 1
+            hits &= u[3] < effort[c]
+        counts[4 + c] = np.count_nonzero(hits)
+    return counts
 
 
 def _stats_from_counts(counts: np.ndarray, seed: int, params: Params, tables) -> SimStats:
     """Every statistic from a sum of :func:`_run_block` count tables."""
     reform_tab, _, retain_tab = tables
-    by_cell = counts.reshape(4, 2, 2)  # [cell, good state, hit]
-    n_cell = by_cell.sum(axis=(1, 2))
-    success = np.where(reform_tab, by_cell[:, 1, 1], 0)
+    n_cell, success = counts[:4], counts[4:]
     failure = np.where(reform_tab, n_cell - success, 0)
     by_outcome = np.stack([success, failure, n_cell - success - failure], axis=1)
     retained_cell = (by_outcome * retain_tab).sum(axis=1)
@@ -217,32 +229,33 @@ def simulate(config: SimConfig, eq: Equilibrium) -> SimStats:
     Per draw: nature picks (type, state, signal), the profile fixes the
     action, a good reform succeeds with probability equal to the effort,
     and the retention rule is applied to the regime's observables.
+
+    With ``threads`` workers, worker ``w`` sums blocks ``w, w + threads, ...``,
+    so at most ``threads`` blocks are in memory whatever ``n_draws`` is. The
+    sums are of integers, hence exact in any order.
     """
     if eq.regime != config.regime:
         raise DomainError(f"equilibrium regime {eq.regime!r} != config regime {config.regime!r}")
     params = config.params
     tables = _cell_tables(eq, params)
-    sizes = []
-    remaining = config.n_draws
-    while remaining > 0:
-        take = min(BLOCK_SIZE, remaining)
-        sizes.append(take)
-        remaining -= take
+    n_blocks = -(-config.n_draws // BLOCK_SIZE)
 
-    def block(i_n):
-        i, n = i_n
+    def block(i):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=config.seed, spawn_key=(i,)))
         )
-        return _run_block(rng, n, params, tables)
+        return _run_block(rng, min(BLOCK_SIZE, config.n_draws - i * BLOCK_SIZE), params, tables)
 
-    threads = _thread_count()
-    jobs = list(enumerate(sizes))
-    if threads > 1 and len(jobs) > 1:
+    threads = min(_thread_count(), n_blocks)
+
+    def worker(w):
+        return sum(block(i) for i in range(w, n_blocks, threads))
+
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = sum(pool.map(block, jobs))  # block order; exact integers
+            counts = sum(pool.map(worker, range(threads)))
     else:
-        counts = sum(map(block, jobs))
+        counts = worker(0)
     return _stats_from_counts(counts, config.seed, params, tables)
 
 
@@ -254,12 +267,12 @@ def convergence_sweep(
         raise DomainError(f"equilibrium regime {eq.regime!r} != config regime {config.regime!r}")
     if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise DomainError("checkpoints must be strictly increasing and nonempty")
-    if checkpoints[0] < 1:
-        raise DomainError("checkpoints must be >= 1")
+    if not (1 <= checkpoints[0] and checkpoints[-1] <= MAX_DRAWS):
+        raise DomainError(f"checkpoints must lie in [1, {MAX_DRAWS}]")
     params = config.params
     tables = _cell_tables(eq, params)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
-    counts = np.zeros(16, dtype=np.int64)
+    counts = np.zeros(8, dtype=np.int64)
     done = 0
     out = []
     for target in checkpoints:

@@ -41,6 +41,24 @@ def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
+def reference_block_counts(rng: np.random.Generator, n: int, params: Params, tables) -> np.ndarray:
+    """The Monte Carlo block as one 16-bin table, indexed by 8*noncongruent +
+    4*bad_signal + 2*good_state + (outcome uniform < effort): a per-draw
+    effort gather and a ``bincount``, the kernel ``montecarlo._run_block``
+    replaced, kept as the reference its per-cell counts must match."""
+    effort_tab = tables[1]
+    u = rng.random((4, n))  # rows: type, state, signal, outcome
+    good = u[1] < params.phi
+    key = (u[0] >= params.pi).view(np.uint8) << 1
+    key |= good ^ (u[2] < params.p)  # signal b iff it missed the state
+    hit = u[3] < effort_tab[key]
+    key <<= 1
+    key |= good
+    key <<= 1
+    key |= hit
+    return np.bincount(key, minlength=16)
+
+
 def _raw_batch(rng: np.random.Generator, size: int) -> dict[str, np.ndarray]:
     return {k: rng.uniform(lo, hi, size) for k, (lo, hi) in DOMAINS.items()}
 

@@ -11,6 +11,7 @@ import pytest
 
 from reformlab import DomainError, Params, SweepAxis, SweepSpec, run_sweep
 from reformlab.cli import run
+from reformlab.montecarlo import MAX_DRAWS
 
 SANITY = {"p": 0.99, "phi": 0.75, "lambda": 0.5, "R": 0.25, "d": 0.0125, "pi": 0.9, "M": 0}
 PART3 = {"p": 0.999, "phi": 0.999, "lambda": 0.3, "R": 1.0, "d": 0.05, "pi": 0.999, "M": 0}
@@ -171,6 +172,18 @@ class TestSimulate:
     def test_bad_n(self, capsys):
         assert run(["simulate", "--params", "sanity", "--regime", "opaque",
                     "--n", "0"]) == 2
+
+    @pytest.mark.parametrize("extra, reason", [
+        (["--n", "0"], "n_draws"),
+        (["--n", str(MAX_DRAWS + 1)], "n_draws"),
+        (["--seed", "-1"], "seed"),
+    ], ids=["n_zero", "n_above_cap", "negative_seed"])
+    def test_out_of_domain_is_usage_error(self, capsys, extra, reason):
+        assert run(["simulate", "--params", "sanity", "--regime", "opaque", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert reason in captured.err
 
     def test_bad_thread_count_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("REFORMLAB_THREADS", "abc")

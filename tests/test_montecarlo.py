@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reformlab import (
     DomainError,
@@ -21,8 +24,11 @@ from reformlab import (
     simulate,
     solve,
 )
-from reformlab.montecarlo import BLOCK_SIZE, _thread_count
+from reformlab import montecarlo
+from reformlab.montecarlo import BLOCK_SIZE, MAX_DRAWS, _cell_tables, _run_block, _thread_count
 from reformlab.verification import joint_outcome_distribution
+
+from support import reference_block_counts
 
 
 def _analytic_outcome_probs(eq, params):
@@ -72,6 +78,65 @@ class TestDeterminism:
         a = convergence_sweep(cfg, eq, [1000, 5000])
         b = convergence_sweep(cfg, eq, [1000, 5000])
         assert a == b
+
+
+# the effort edge cases of the kernel's skips: none, the smallest positive
+# float, the largest float below 1, and every good draw succeeding
+EFFORTS = st.sampled_from([0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0]) | st.floats(
+    0.0, 1.0, exclude_min=True, exclude_max=True)
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+class TestKernel:
+    """``_run_block`` counts per cell what the 16-bin gather + ``bincount``
+    reference counts on the same draws."""
+
+    @given(reform=st.lists(st.booleans(), min_size=4, max_size=4),
+           effort=st.lists(EFFORTS, min_size=4, max_size=4),
+           p=st.floats(0.5, 1.0), phi=OPEN_UNIT, pi=OPEN_UNIT,
+           n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    @example(reform=[True, True, True, False], effort=[0.62, 1.0, 5e-324, 0.3],
+             p=0.9, phi=0.5, pi=0.7, n=BLOCK_SIZE, seed=0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, reform, effort, p, phi, pi, n, seed):
+        params = Params(p=p, phi=phi, d=0.5, lam=0.5, R=1.0, pi=pi)
+        tables = (np.array(reform), np.array(effort), np.zeros((4, 3), dtype=bool))
+        got = _run_block(np.random.default_rng(seed), n, params, tables)
+        ref = reference_block_counts(np.random.default_rng(seed), n, params, tables)
+        ref = ref.reshape(4, 2, 2)  # [cell, good state, hit]
+        np.testing.assert_array_equal(got[:4], ref.sum(axis=(1, 2)))
+        np.testing.assert_array_equal(got[4:], np.where(tables[0], ref[:, 1, 1], 0))
+        assert got.dtype == np.int64
+
+    def test_block_peak_below_40_bytes_per_draw(self, sanity):
+        # the draws take 32 bytes; an n-length float temporary would add 8
+        tables = _cell_tables(opaque_equilibrium(sanity), sanity)
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            _run_block(rng, BLOCK_SIZE, sanity, tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * BLOCK_SIZE
+
+    def test_threaded_memory_independent_of_block_count(self, sanity, monkeypatch):
+        # a stub kernel keeps this to seeding: every block counts its draws as
+        # congruent good-signal, so the totals check that each block ran once
+        monkeypatch.setattr(montecarlo, "_run_block", lambda rng, n, params, tables: (
+            np.array([n, 0, 0, 0, 0, 0, 0, 0], dtype=np.int64)))
+        monkeypatch.setenv("REFORMLAB_THREADS", "2")
+        eq = opaque_equilibrium(sanity)
+        simulate(SimConfig(n_draws=2 * BLOCK_SIZE, seed=1, regime="opaque", params=sanity), eq)
+        n = 3000 * BLOCK_SIZE + 1  # about 5.8 MB of queued futures if all were submitted
+        tracemalloc.start()
+        try:
+            stats = simulate(SimConfig(n_draws=n, seed=1, regime="opaque", params=sanity), eq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.n_draws == stats.counts["congruent"] == n
+        assert peak < 100_000
 
 
 class TestDrawOrder:
@@ -225,6 +290,16 @@ class TestConvergenceSweep:
         with pytest.raises(DomainError):
             convergence_sweep(cfg, eq, [0, 10])
 
+    def test_checkpoint_cap_before_any_draw(self, sanity, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before checking the cap")
+
+        monkeypatch.setattr(montecarlo, "_run_block", no_draws)
+        eq = nontransparent_equilibrium(sanity)
+        cfg = SimConfig(n_draws=1, seed=19, regime="nontransparent", params=sanity)
+        with pytest.raises(DomainError, match="checkpoints"):
+            convergence_sweep(cfg, eq, [10, MAX_DRAWS + 1])
+
 
 class TestValidation:
     def test_regime_mismatch(self, sanity):
@@ -236,6 +311,8 @@ class TestValidation:
     def test_config_domain(self, sanity):
         with pytest.raises(DomainError):
             SimConfig(n_draws=0, seed=0, regime="opaque", params=sanity)
+        with pytest.raises(DomainError):
+            SimConfig(n_draws=MAX_DRAWS + 1, seed=0, regime="opaque", params=sanity)
         with pytest.raises(DomainError):
             SimConfig(n_draws=10, seed=-1, regime="opaque", params=sanity)
         with pytest.raises(DomainError):
