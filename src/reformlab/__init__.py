@@ -42,7 +42,6 @@ from .equilibrium import (
     transparent_separating_equilibrium,
 )
 from .verification import (
-    AgentUtilityModel,
     BayesReport,
     BreakEvenReport,
     DeviationReport,
@@ -71,7 +70,7 @@ from .cli import SweepAxis, SweepSpec, fixture_path, run_sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentAction", "AgentUtilityModel", "AssumptionError", "AssumptionReport",
+    "AgentAction", "AssumptionError", "AssumptionReport",
     "BENCHMARK", "BayesReport", "BreakEvenReport", "ComparativeStaticsReport",
     "DeviationReport", "DomainError", "Equilibrium", "InformativenessError",
     "NONTRANSPARENT", "NewsReport", "OPAQUE", "Observation", "ObservationPattern",

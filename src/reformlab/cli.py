@@ -2,20 +2,24 @@
 sweep engine.
 
 Subcommands: check | solve | verify | welfare | sweep | simulate.
-Exit codes: 0 success, 1 precondition/assumption failure, 2 malformed input.
+Exit codes: 0 success, 1 precondition/assumption failure or underflow, 2
+malformed input or an unreadable/unwritable file.
 
 Floats are emitted with ``repr`` (shortest round-trip form) so CSV and JSON
 outputs are bit-stable across runs; JSON output is strict, with non-finite
 floats written as ``null``. Sweep rows where a quantity cannot be
-computed carry the sentinel "NA", never a silent omission. A sweep runs its
-rows one after another in the calling thread; each row's welfare columns
-come from ``optimal_regime(params, strict=False)``. ``REFORMLAB_THREADS``
-affects ``simulate`` only.
+computed carry the sentinel "NA", never a silent omission. A sweep streams
+its rows one after another in the calling thread, each computed when it is
+pulled, over at most ``MAX_SWEEP_STEPS`` points per axis; each row's
+welfare columns come from ``optimal_regime(params, strict=False)``.
+``REFORMLAB_THREADS`` affects ``simulate`` only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import operator
@@ -25,17 +29,20 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, Optional
 
-from .errors import (
-    AssumptionError, DomainError, PreconditionLossError, ReformLabError, UnderflowError,
-)
+from .errors import DomainError, ReformLabError, UnderflowError
 from .equilibrium import AgentAction, REGIMES, STATUS_QUO, solve
-from .model_core import Params, check_assumptions
+from .model_core import ASSUMPTION_CHECKS, Params, check_assumptions
 from .montecarlo import SimConfig, simulate
 from .verification import (MAX_GRID_SIZE, bayes_consistency, deviation_check,
                            divinity_breakeven, news_classification)
 from .welfare import WELFARE_REGIMES, optimal_regime, thresholds
 
 FIXTURES = ("sanity", "part3")
+
+#: most points per sweep axis. The rows are streamed, so a sweep holds only
+#: its axis values: two axes at the cap peak near 8 MB (tracemalloc), and
+#: their 10^10 rows would run for weeks.
+MAX_SWEEP_STEPS = 100_000
 
 _AXIS_DOMAINS = {
     "p": (0.5, 1.0), "phi": (0.0, 1.0), "d": (0.0, 1.0),
@@ -98,8 +105,10 @@ class SweepAxis:
             ) from None
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise DomainError(f"axis {self.param}: min and max must be finite")
-        if self.steps < 2:
-            raise DomainError(f"axis {self.param}: steps must be >= 2, got {self.steps}")
+        if not 2 <= self.steps <= MAX_SWEEP_STEPS:
+            raise DomainError(
+                f"axis {self.param}: steps must be in [2, {MAX_SWEEP_STEPS}], got {self.steps}"
+            )
         if not self.min < self.max:
             raise DomainError(f"axis {self.param}: min must be < max")
         lo, hi = _AXIS_DOMAINS[self.param]
@@ -160,16 +169,12 @@ class SweepSpec:
 
 
 _PARAM_COLS = ("p", "phi", "d", "lambda", "R", "pi", "M")
-_ASSUMPTION_COLS = (
-    "signal_informative", "moderate_rent_strict", "moderate_rent_relaxed",
-    "effort_bound", "informativeness", "rent_exceeds_2d",
-)
 
 
 def _sweep_header(spec: SweepSpec) -> list[str]:
     cols = list(_PARAM_COLS)
     if "assumptions" in spec.outputs:
-        cols += list(_ASSUMPTION_COLS)
+        cols += list(ASSUMPTION_CHECKS)
     if "welfare" in spec.outputs:
         for r in WELFARE_REGIMES:
             cols += [f"W_{r}", f"Q_{r}", f"total_{r}"]
@@ -197,7 +202,7 @@ def _sweep_row(spec: SweepSpec, point: dict[str, float]) -> list:
 
     if "assumptions" in spec.outputs:
         report = check_assumptions(params)
-        row += [report.check(name).passed for name in _ASSUMPTION_COLS]
+        row += [report.check(name).passed for name in ASSUMPTION_CHECKS]
     if "welfare" in spec.outputs:
         # paper-algebra welfare (unclamped efforts), see welfare module note
         try:
@@ -220,25 +225,22 @@ def _sweep_row(spec: SweepSpec, point: dict[str, float]) -> list:
 
 
 def run_sweep(spec: SweepSpec) -> Iterator[str]:
-    """Yield CSV lines (header first), rows in row-major axis order."""
+    """Yield CSV lines (header first), rows in row-major axis order, each
+    row computed when it is pulled."""
     yield ",".join(_sweep_header(spec))
-    if len(spec.axes) == 1:
-        points = [{spec.axes[0].param: v} for v in spec.axes[0].values()]
-    else:
-        a0, a1 = spec.axes
-        points = [
-            {a0.param: v0, a1.param: v1} for v0 in a0.values() for v1 in a1.values()
-        ]
-    for pt in points:
-        yield ",".join(_format_cell(c) for c in _sweep_row(spec, pt))
+    names = [a.param for a in spec.axes]
+    for values in itertools.product(*(a.values() for a in spec.axes)):
+        yield ",".join(_format_cell(c) for c in _sweep_row(spec, dict(zip(names, values))))
+
+
+def _output(out: Optional[str]):
+    """Context manager over the file ``out`` (LF line endings), or stdout."""
+    return open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", newline="") as f:
-            f.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    with _output(out) as f:
+        f.write(text if text.endswith("\n") else text + "\n")
 
 
 def _finite_or_null(obj):
@@ -328,10 +330,7 @@ def _cmd_verify(args) -> int:
         "news": news.to_json(),
         "breakeven_status_quo": breakeven.to_json(),
     }
-    if args.out:
-        _emit(_json_dumps(payload), args.out)
-    else:
-        sys.stdout.write(_json_dumps(payload) + "\n")
+    _emit(_json_dumps(payload), args.out)
     return 0 if dev.passed and bayes.passed else 1
 
 
@@ -354,14 +353,9 @@ def _cmd_sweep(args) -> int:
         raise DomainError(f"--sweep: no such file: {args.sweep!r}")
     except json.JSONDecodeError as exc:
         raise DomainError(f"--sweep: invalid JSON: {exc}")
-    lines = run_sweep(spec)
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            for line in lines:
-                f.write(line + "\n")
-    else:
-        for line in lines:
-            sys.stdout.write(line + "\n")
+    with _output(args.out) as f:
+        for line in run_sweep(spec):
+            f.write(line + "\n")
     return 0
 
 
@@ -395,18 +389,12 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (AssumptionError, PreconditionLossError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ReformLabError as exc:
+    except ReformLabError as exc:  # a failed assumption, precondition or underflow
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

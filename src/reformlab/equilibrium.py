@@ -24,12 +24,16 @@ import numpy as np
 from .errors import (
     AssumptionError, DomainError, InformativenessError, UnderflowError, UnresolvedObservationError,
 )
-from .model_core import Params, Posteriors, RentMode, check_assumptions, posteriors
+from .model_core import (
+    AssumptionReport, Params, Posteriors, RentMode, check_assumptions, posteriors,
+)
 
 CONGRUENT = "congruent"
 NONCONGRUENT = "noncongruent"
 TYPES = (CONGRUENT, NONCONGRUENT)
 SIGNALS = ("g", "b")
+#: the four (type, signal) cells, in the one order every table and report uses
+CELLS = tuple((t, s) for t in TYPES for s in SIGNALS)
 
 REFORM = "reform"
 STATUS_QUO = "status_quo"
@@ -78,15 +82,13 @@ class StrategyProfile:
     noncongruent_b: AgentAction
 
     def action(self, agent_type: str, signal: str) -> AgentAction:
-        key = f"{'congruent' if agent_type == CONGRUENT else 'noncongruent'}_{signal}"
-        if agent_type not in TYPES or signal not in SIGNALS:
+        if (agent_type, signal) not in CELLS:
             raise DomainError(f"unknown cell ({agent_type!r}, {signal!r})")
-        return getattr(self, key)
+        return getattr(self, f"{agent_type}_{signal}")
 
     def cells(self) -> Iterator[tuple[str, str, AgentAction]]:
-        for t in TYPES:
-            for s in SIGNALS:
-                yield t, s, self.action(t, s)
+        for t, s in CELLS:
+            yield t, s, self.action(t, s)
 
     def to_json(self) -> list[dict]:
         return [
@@ -131,7 +133,7 @@ class ObservationPattern:
     """Matcher for a set of observations.
 
     ``outcome=None`` matches any outcome. ``effort_op`` is one of
-    None (any), "eq", "ge", "gt", "lt"; comparisons are eps-buffered.
+    None (any), "eq", "ge", "gt"; comparisons are eps-buffered.
     """
 
     policy: str
@@ -140,7 +142,7 @@ class ObservationPattern:
     effort_value: Optional[float] = None
 
     def __post_init__(self):
-        if self.effort_op not in (None, "eq", "ge", "gt", "lt"):
+        if self.effort_op not in (None, "eq", "ge", "gt"):
             raise DomainError(f"bad effort_op {self.effort_op!r}")
         if (self.effort_op is None) != (self.effort_value is None):
             raise DomainError("effort_op and effort_value must come together")
@@ -161,9 +163,7 @@ class ObservationPattern:
             return abs(e - v) <= eps
         if self.effort_op == "ge":
             return e >= v - eps
-        if self.effort_op == "gt":
-            return e > v + eps
-        return e < v - eps  # "lt"
+        return e > v + eps  # "gt"
 
     def to_json(self) -> dict:
         out: dict = {"policy": self.policy}
@@ -262,13 +262,15 @@ def separation_effort(params: Params) -> float:
     return math.sqrt(max(0.0, 2.0 * params.lam * (params.R - params.d)))
 
 
-def _require(params: Params, rent_mode: RentMode, names: tuple[str, ...]) -> None:
+def _require(params: Params, rent_mode: RentMode, names: tuple[str, ...]) -> AssumptionReport:
+    """The assumption report of ``params``, once each named gate holds."""
     report = check_assumptions(params)
     for name in names:
         result = report.rent(rent_mode) if name == "moderate_rent" else report.check(name)
         if not result.passed:
             label = f"moderate_rent_{rent_mode}" if name == "moderate_rent" else name
             raise AssumptionError(label)
+    return report
 
 
 _CORE_GATES = ("signal_informative", "moderate_rent", "effort_bound")
@@ -374,12 +376,8 @@ def opaque_equilibrium(
     (otherwise a failed reform need not be bad news and the retention rule
     unravels).
     """
-    if check:
-        _require(params, rent_mode, _CORE_GATES)
-        from .model_core import informativeness_condition
-
-        if not informativeness_condition(params)[0]:
-            raise InformativenessError()
+    if check and not _require(params, rent_mode, _CORE_GATES).informativeness.passed:
+        raise InformativenessError()
     profile = _clamped_profile(OPAQUE, params, posteriors(params))
     b_succ, b_fail = _opaque_success_beliefs(params)
     retention = (

@@ -26,6 +26,11 @@ RentMode = Literal["strict", "relaxed"]
 #: JSON keys for Params, in canonical order. ``lambda`` is a Python keyword,
 #: so the attribute is named ``lam``.
 PARAM_KEYS = ("p", "phi", "d", "lambda", "R", "pi", "M", "eps_tol")
+#: the assumption checks of :class:`AssumptionReport`, in report and sweep-column order
+ASSUMPTION_CHECKS = (
+    "signal_informative", "moderate_rent_strict", "moderate_rent_relaxed",
+    "effort_bound", "informativeness", "rent_exceeds_2d",
+)
 
 
 @dataclass(frozen=True)
@@ -186,13 +191,7 @@ class AssumptionReport:
         return self.moderate_rent_strict if mode == "strict" else self.moderate_rent_relaxed
 
     def to_json(self) -> dict:
-        return {
-            name: self.check(name).to_json()
-            for name in (
-                "signal_informative", "moderate_rent_strict", "moderate_rent_relaxed",
-                "effort_bound", "informativeness", "rent_exceeds_2d",
-            )
-        }
+        return {name: self.check(name).to_json() for name in ASSUMPTION_CHECKS}
 
 
 def check_assumptions(params: Params) -> AssumptionReport:

@@ -38,11 +38,11 @@ import numpy as np
 
 from .errors import DomainError
 from .equilibrium import (
+    CELLS,
     CONGRUENT,
     FAILURE,
     NONCONGRUENT,
     REFORM,
-    SIGNALS,
     SQ_OUTCOME,
     SUCCESS,
     TYPES,
@@ -125,7 +125,7 @@ def _cell_tables(eq: Equilibrium, params: Params):
     reform = np.zeros(4, dtype=bool)
     effort = np.zeros(4)
     retain = np.zeros((4, 3), dtype=bool)
-    for i, (t, s) in enumerate([(t, s) for t in TYPES for s in SIGNALS]):
+    for i, (t, s) in enumerate(CELLS):
         act = eq.profile.action(t, s)
         reform[i] = act.policy == REFORM
         effort[i] = act.effort

@@ -4,7 +4,9 @@ Every check here re-derives its target from game primitives rather than
 trusting the equilibrium constructors: expected utilities are integrated
 from the payoff table, deviations are scanned over a dense effort grid,
 beliefs are recomputed by enumerating the joint distribution, and news
-classifications come from the same enumeration.
+classifications come from the same enumeration. The primitives are the
+policy payoff of :func:`_policy_payoff`, the effort cost e^2/(2 lambda) and
+the office rent R paid on retention.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .equilibrium import (
+    CELLS,
     CONGRUENT,
     FAILURE,
     NONCONGRUENT,
@@ -25,7 +28,6 @@ from .equilibrium import (
     SQ_OUTCOME,
     STATUS_QUO,
     SUCCESS,
-    TYPES,
     AgentAction,
     Equilibrium,
     Observation,
@@ -42,32 +44,16 @@ MAX_GRID_SIZE = 10_000_001
 SCAN_BLOCK = 1 << 13
 
 
-@dataclass(frozen=True)
-class AgentUtilityModel:
-    """Payoff primitives for one parameter vector.
-
-    Policy payoffs: a congruent agent values success/status quo/failure at
-    1/d/0, a noncongruent agent at 0/d/0. Effort costs e^2/(2 lambda);
-    retention pays the office rent R.
-    """
-
-    params: Params
-
-    def policy_payoff(self, agent_type: str, outcome: str) -> float:
-        if outcome == SQ_OUTCOME:
-            return self.params.d
-        if outcome == SUCCESS:
-            return 1.0 if agent_type == CONGRUENT else 0.0
-        if outcome == FAILURE:
-            return 0.0
-        raise DomainError(f"bad outcome {outcome!r}")
-
-    def effort_cost(self, effort: float) -> float:
-        return effort * effort / (2.0 * self.params.lam)
-
-    def office_term(self, retained):
-        """R when retained, else 0; elementwise over a retention mask."""
-        return self.params.R * retained
+def _policy_payoff(agent_type: str, outcome: str, params: Params) -> float:
+    """A congruent agent values success/status quo/failure at 1/d/0, a
+    noncongruent agent at 0/d/0."""
+    if outcome == SQ_OUTCOME:
+        return params.d
+    if outcome == SUCCESS:
+        return 1.0 if agent_type == CONGRUENT else 0.0
+    if outcome == FAILURE:
+        return 0.0
+    raise DomainError(f"bad outcome {outcome!r}")
 
 
 def _reform_retention(eq: Equilibrium, effort, eps: float) -> tuple:
@@ -90,14 +76,13 @@ def _reform_utility(mu, effort, payoffs: tuple, retained: tuple, params: Params)
     ``mu``, given the policy payoffs of success and of failure and the
     retention after each; evaluated elementwise (with numpy broadcasting)
     when the arguments are arrays."""
-    um = AgentUtilityModel(params)
     pay_succ, pay_fail = payoffs
     kept_succ, kept_fail = retained
     p_succ = mu * effort
     return (
-        -um.effort_cost(effort)
-        + p_succ * (pay_succ + um.office_term(kept_succ))
-        + (1.0 - p_succ) * (pay_fail + um.office_term(kept_fail))
+        -(effort * effort / (2.0 * params.lam))
+        + p_succ * (pay_succ + params.R * kept_succ)
+        + (1.0 - p_succ) * (pay_fail + params.R * kept_fail)
     )
 
 
@@ -111,11 +96,10 @@ def expected_utility(
     induced observation.
     """
     eps = params.eps_tol
-    um = AgentUtilityModel(params)
     if action.policy == STATUS_QUO:
         obs = observe(eq.regime, action, SQ_OUTCOME)
-        return um.policy_payoff(agent_type, SQ_OUTCOME) + um.office_term(eq.decide(obs, eps))
-    payoffs = (um.policy_payoff(agent_type, SUCCESS), um.policy_payoff(agent_type, FAILURE))
+        return _policy_payoff(agent_type, SQ_OUTCOME, params) + params.R * eq.decide(obs, eps)
+    payoffs = tuple(_policy_payoff(agent_type, o, params) for o in (SUCCESS, FAILURE))
     retained = _reform_retention(eq, action.effort, eps)
     return _reform_utility(posteriors(params).mu(signal), action.effort, payoffs,
                            retained, params)
@@ -240,12 +224,10 @@ def deviation_check(
 
     # retention does not depend on the deviator's cell: one mask per outcome
     retained = _reform_retention(eq, grid, params.eps_tol)
-    um = AgentUtilityModel(params)
-    keys = [(t, s) for t in TYPES for s in SIGNALS]
-    mu = np.array([[post.mu(s)] for _, s in keys])
-    pay = np.array([[um.policy_payoff(t, o) for o in (SUCCESS, FAILURE)] for t, _ in keys])
-    rows = np.arange(len(keys))
-    scan_u, scan_i = np.full(len(keys), -np.inf), np.zeros(len(keys), dtype=np.intp)
+    mu = np.array([[post.mu(s)] for _, s in CELLS])
+    pay = np.array([[_policy_payoff(t, o, params) for o in (SUCCESS, FAILURE)] for t, _ in CELLS])
+    rows = np.arange(len(CELLS))
+    scan_u, scan_i = np.full(len(CELLS), -np.inf), np.zeros(len(CELLS), dtype=np.intp)
     for lo in range(0, len(grid), SCAN_BLOCK):
         block = slice(lo, lo + SCAN_BLOCK)
         kept = tuple(k[block] if isinstance(k, np.ndarray) else k for k in retained)
@@ -258,7 +240,7 @@ def deviation_check(
         scan_i[better] = lo + i[better]
 
     cells: dict[tuple[str, str], DeviationCell] = {}
-    for k, (t, s) in enumerate(keys):
+    for k, (t, s) in enumerate(CELLS):
         eq_action = eq.profile.action(t, s)
         eq_u = expected_utility(t, s, eq_action, eq, params)
         sq_u = expected_utility(t, s, AgentAction(STATUS_QUO), eq, params)
@@ -444,17 +426,16 @@ def divinity_breakeven(
     Higher break-evens mark types with less to gain from the deviation; the
     refinement attributes the deviation to the lowest break-even type(s).
     """
-    um = AgentUtilityModel(params)
     post = posteriors(params)
+    e = deviation.effort
     p_bar: dict[tuple[str, str], float] = {}
-    for t in TYPES:
-        for s in SIGNALS:
-            eq_u = expected_utility(t, s, eq.profile.action(t, s), eq, params)
-            if deviation.policy == STATUS_QUO:
-                dev_policy = params.d
-            else:
-                weight = post.mu(s) if t == CONGRUENT else 0.0
-                dev_policy = weight * deviation.effort - um.effort_cost(deviation.effort)
-            p_bar[(t, s)] = (eq_u - dev_policy) / params.R
+    for t, s in CELLS:
+        eq_u = expected_utility(t, s, eq.profile.action(t, s), eq, params)
+        if deviation.policy == STATUS_QUO:
+            dev_policy = params.d
+        else:
+            weight = post.mu(s) if t == CONGRUENT else 0.0
+            dev_policy = weight * e - e * e / (2.0 * params.lam)
+        p_bar[(t, s)] = (eq_u - dev_policy) / params.R
     ordering = tuple(sorted(p_bar, key=lambda cell: -p_bar[cell]))
     return BreakEvenReport(deviation=deviation, p_bar=p_bar, ordering=ordering)

@@ -135,24 +135,22 @@ def optimal_regime(
 
     With ``strict=True`` each regime is constructed under its assumption
     gates and excluded (with the failed check noted) when they do not hold.
-    With ``strict=False`` all three W values come from the raw closed forms,
-    extending the comparison across the whole rent axis.
+    With ``strict=False`` the gates are skipped and all three W values come
+    from the raw closed forms, extending the comparison across the whole
+    rent axis; Q is always read from the constructed equilibrium.
     """
     entries: dict[str, WelfareEntry] = {}
     excluded: dict[str, str] = {}
     for regime in WELFARE_REGIMES:
-        if strict:
-            try:
-                eq = solve(params, regime, rent_mode=rent_mode, check=True)
-            except AssumptionError as exc:
-                excluded[regime] = exc.check
-                continue
-            entries[regime] = regime_welfare(params, regime, eq)
-        else:
+        try:
+            eq = solve(params, regime, rent_mode=rent_mode, check=strict)
+        except AssumptionError as exc:
+            excluded[regime] = exc.check
+            continue
+        w, q = _welfare_and_selection(eq, params)
+        if not strict:
             w = formula_welfare(params, regime)
-            eq = solve(params, regime, rent_mode=rent_mode, check=False)
-            _, q = _welfare_and_selection(eq, params)
-            entries[regime] = WelfareEntry(regime=regime, W=w, Q=q, total=w + params.M * q)
+        entries[regime] = WelfareEntry(regime=regime, W=w, Q=q, total=w + params.M * q)
     if not entries:
         return WelfareReport(entries={}, excluded=excluded, optimal=None, margin=None)
     ranked = sorted(entries.values(), key=lambda e: -e.total)

@@ -6,11 +6,13 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
+from itertools import islice
 
 import pytest
 
 from reformlab import DomainError, Params, SweepAxis, SweepSpec, run_sweep
-from reformlab.cli import run
+from reformlab.cli import MAX_SWEEP_STEPS, run
 from reformlab.montecarlo import MAX_DRAWS
 
 SANITY = {"p": 0.99, "phi": 0.75, "lambda": 0.5, "R": 0.25, "d": 0.0125, "pi": 0.9, "M": 0}
@@ -291,6 +293,23 @@ class TestSweepEngine:
             SweepSpec(base=base, axes=())
         with pytest.raises(DomainError):
             SweepSpec(base=base, axes=(SweepAxis("R", 0.2, 0.3, 2),), outputs=("bogus",))
+        with pytest.raises(DomainError, match="steps"):
+            SweepAxis("R", 0.2, 0.3, MAX_SWEEP_STEPS + 1)  # above the cap
+
+    def test_rows_are_streamed(self):
+        # a 300 x 300 grid: building every point up front takes ~20 MB
+        spec = SweepSpec(
+            base=Params.from_json(SANITY),
+            axes=(SweepAxis("R", 0.2, 5.0, 300), SweepAxis("lambda", 0.01, 1.0, 300)),
+        )
+        tracemalloc.start()
+        try:
+            lines = list(islice(run_sweep(spec), 3))  # the header and two rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lines) == 3
+        assert peak < 1_000_000
 
 
 class TestSweepCommand:
@@ -365,6 +384,7 @@ class TestSweepCommand:
         (["R"], None),
         ([{"param": "R", "min": 0.2, "max": 0.5, "steps": 4}], "welfare"),
         ([{"param": "R", "min": 0.2, "max": 0.5, "steps": 4}], [["welfare"]]),
+        ([{"param": "R", "min": 0.2, "max": 0.5, "steps": MAX_SWEEP_STEPS + 1}], None),
     ])
     def test_malformed_spec_is_usage_error(self, tmp_path, capsys, axes, outputs):
         spec = {"base": SANITY, "axes": axes}
@@ -398,3 +418,9 @@ class TestEntryPoint:
 
     def test_no_command_is_usage_error(self):
         assert run([]) == 2
+
+    def test_unwritable_out_is_usage_error(self, capsys):
+        assert run(["check", "--params", "sanity", "--out", "/nonexistent_dir/x.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
