@@ -38,9 +38,9 @@ from .model_core import Params, posteriors
 
 #: classification band for neutral news (posterior within this of the prior)
 NEUTRAL_BAND = 1e-9
-#: largest deviation-scan grid: a check peaks near 30 bytes per point, ~300 MB here
+#: largest deviation-scan grid; a check's memory is constant, so this bounds its time (~0.25 s)
 MAX_GRID_SIZE = 10_000_001
-#: efforts per deviation-scan block, so that one block's (4, B) temporaries stay in cache
+#: efforts per deviation-scan block, so that one block's (10, B) work buffer stays in cache
 SCAN_BLOCK = 1 << 13
 
 
@@ -57,11 +57,7 @@ def _policy_payoff(agent_type: str, outcome: str, params: Params) -> float:
 
 
 def _reform_retention(eq: Equilibrium, effort, eps: float) -> tuple:
-    """Retention after a successful and after a failed reform at ``effort``.
-
-    ``effort`` may be an array (the deviation grid): each decision is then a
-    bool array, or a single bool when the regime's retention ignores effort.
-    """
+    """Retention after a successful and after a failed reform at ``effort``."""
     out = []
     for outcome in (SUCCESS, FAILURE):
         obs = observe(eq.regime, AgentAction(REFORM), outcome)
@@ -71,19 +67,42 @@ def _reform_retention(eq: Equilibrium, effort, eps: float) -> tuple:
     return tuple(out)
 
 
-def _reform_utility(mu, effort, payoffs: tuple, retained: tuple, params: Params):
-    """Expected utility of reforming at ``effort`` with state posterior
-    ``mu``, given the policy payoffs of success and of failure and the
-    retention after each; evaluated elementwise (with numpy broadcasting)
-    when the arguments are arrays."""
+def _retention_runs(eq: Equilibrium, grid_size: int, step: float, eps: float) -> list:
+    """(lo, hi, retained) runs of constant reform retention over the grid
+    indices [0, G); point i is ``i * step``, the last one 1.0. Retention
+    flips only at a pattern's v - eps, v or v + eps; ``i * step`` and the
+    comparisons round by under 1e-15, far below a spacing for G <=
+    MAX_GRID_SIZE, so a flip at t lies between i and i + 1 with i within
+    one of floor(t (G - 1)): decisions are taken at that index -1 ... +2."""
+    near: set[int] = set()
+    for v in {pattern.effort_value for pattern, _ in eq.retention} - {None}:
+        for t in (v - eps, v, v + eps):
+            k = int(min(max(t, 0.0), 1.0) * (grid_size - 1))
+            near.update(range(max(k - 1, 0), min(k + 3, grid_size)))
+    points = {i: 1.0 if i == grid_size - 1 else i * step for i in near | {0}}
+    kept = {i: _reform_retention(eq, e, eps) for i, e in points.items()}
+    cuts = [i for i in sorted(near) if i - 1 in kept and kept[i - 1] != kept[i]]
+    bounds = [0, *cuts, grid_size]
+    return [(lo, hi, kept[lo]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _reform_utility(mu, effort, payoffs: tuple, retained: tuple, params: Params, out: tuple):
+    """Expected utility of reforming at the 1-D array ``effort`` with state
+    posterior ``mu``, given the policy payoffs of success and of failure and
+    the retention after each, broadcast into the buffers ``out`` = (success
+    term, failure term, cost); the first one is returned holding the sum."""
     pay_succ, pay_fail = payoffs
     kept_succ, kept_fail = retained
-    p_succ = mu * effort
-    return (
-        -(effort * effort / (2.0 * params.lam))
-        + p_succ * (pay_succ + params.R * kept_succ)
-        + (1.0 - p_succ) * (pay_fail + params.R * kept_fail)
-    )
+    p_succ, p_fail, cost = out
+    np.multiply(mu, effort, out=p_succ)
+    np.subtract(1.0, p_succ, out=p_fail)
+    np.multiply(p_fail, pay_fail + params.R * kept_fail, out=p_fail)
+    np.multiply(p_succ, pay_succ + params.R * kept_succ, out=p_succ)
+    np.multiply(effort, effort, out=cost)
+    np.divide(cost, 2.0 * params.lam, out=cost)
+    np.subtract(p_succ, cost, out=p_succ)  # -cost + success term, bit for bit
+    p_succ += p_fail
+    return p_succ
 
 
 def expected_utility(
@@ -101,8 +120,8 @@ def expected_utility(
         return _policy_payoff(agent_type, SQ_OUTCOME, params) + params.R * eq.decide(obs, eps)
     payoffs = tuple(_policy_payoff(agent_type, o, params) for o in (SUCCESS, FAILURE))
     retained = _reform_retention(eq, action.effort, eps)
-    return _reform_utility(posteriors(params).mu(signal), action.effort, payoffs,
-                           retained, params)
+    return float(_reform_utility(posteriors(params).mu(signal), np.array([action.effort]),
+                                 payoffs, retained, params, np.empty((3, 1)))[0])
 
 
 @dataclass(frozen=True)
@@ -190,19 +209,19 @@ def deviation_check(
 ) -> DeviationReport:
     """Brute-force no-profitable-deviation check.
 
-    For each (type, signal) cell, scans the status quo plus reforms on a
-    uniform effort grid augmented with the closed-form candidate optima and
-    the equilibrium's own effort levels (so quadratic peaks and retention
-    breakpoints are hit exactly). The extras are merged into the sorted
-    linspace; the scan runs over blocks of ``SCAN_BLOCK`` efforts, all four
-    cells per block in one broadcast, and keeps the first grid maximum.
+    For each (type, signal) cell, scans the status quo plus reforms on
+    ``np.linspace(0, 1, grid_size)``, built ``SCAN_BLOCK`` efforts at a time
+    within runs of constant retention, then on the sorted extras (candidate
+    optima, equilibrium efforts, retention breakpoints), all four cells per
+    block in preallocated buffers. A cell's best moves on a greater utility,
+    or an equal one at a smaller effort: the first merged, sorted maximum.
     """
     if not 2 <= grid_size <= MAX_GRID_SIZE:
         raise DomainError(f"grid_size must be in [2, {MAX_GRID_SIZE}], got {grid_size}")
     if dev_tol is None:
         dev_tol = default_dev_tol(params, grid_size)
     post = posteriors(params)
-    lam, R = params.lam, params.R
+    lam, R, eps = params.lam, params.R, params.eps_tol
 
     extras = {0.0, 1.0}
     for mu in (post.mu_plus, post.mu_minus):
@@ -216,28 +235,38 @@ def deviation_check(
     for pattern, _ in eq.retention:
         if pattern.effort_value is not None and 0.0 <= pattern.effort_value <= 1.0:
             extras.add(pattern.effort_value)
-    lin = np.linspace(0.0, 1.0, grid_size)
     extra = np.array(sorted(extras))
-    at = np.searchsorted(lin, extra)
-    new_point = lin[np.minimum(at, grid_size - 1)] != extra  # equal: keep lin's
-    grid = np.insert(lin, at[new_point], extra[new_point])
+    extra_kept = np.array([_reform_retention(eq, float(x), eps) for x in extra])
+    step = 1.0 / (grid_size - 1)
+    index = np.arange(SCAN_BLOCK, dtype=float)
+    work = np.empty((10, SCAN_BLOCK))  # 4 success terms, 4 failure terms, cost, grid efforts
 
-    # retention does not depend on the deviator's cell: one mask per outcome
-    retained = _reform_retention(eq, grid, params.eps_tol)
+    def blocks():
+        # retention does not depend on the deviator's cell: one decision per run
+        for lo, hi, kept in _retention_runs(eq, grid_size, step, eps):
+            for start in range(lo, hi, SCAN_BLOCK):
+                n = min(SCAN_BLOCK, hi - start)
+                e = np.add(index[:n], start, out=work[9, :n])
+                e *= step
+                if start + n == grid_size:
+                    e[-1] = 1.0  # as linspace: i * step, then the exact endpoint
+                yield e, kept
+        for lo in range(0, len(extra), SCAN_BLOCK):
+            yield extra[lo:lo + SCAN_BLOCK], tuple(extra_kept[lo:lo + SCAN_BLOCK].T)
+
     mu = np.array([[post.mu(s)] for _, s in CELLS])
     pay = np.array([[_policy_payoff(t, o, params) for o in (SUCCESS, FAILURE)] for t, _ in CELLS])
     rows = np.arange(len(CELLS))
-    scan_u, scan_i = np.full(len(CELLS), -np.inf), np.zeros(len(CELLS), dtype=np.intp)
-    for lo in range(0, len(grid), SCAN_BLOCK):
-        block = slice(lo, lo + SCAN_BLOCK)
-        kept = tuple(k[block] if isinstance(k, np.ndarray) else k for k in retained)
-        u = _reform_utility(mu, grid[block], (pay[:, :1], pay[:, 1:]), kept, params)
+    scan_u, scan_e = np.full(len(CELLS), -np.inf), np.zeros(len(CELLS))
+    for e, kept in blocks():
+        n = len(e)
+        u = _reform_utility(mu, e, (pay[:, :1], pay[:, 1:]), kept, params,
+                            (work[:4, :n], work[4:8, :n], work[8, :n]))
         i = np.argmax(u, axis=1)
-        u_max = u[rows, i]
-        # strictly greater: a tie keeps the earlier block's index, as np.argmax would
-        better = u_max > scan_u
+        u_max, e_max = u[rows, i], e[i]
+        better = (u_max > scan_u) | ((u_max == scan_u) & (e_max < scan_e))
         scan_u[better] = u_max[better]
-        scan_i[better] = lo + i[better]
+        scan_e[better] = e_max[better]
 
     cells: dict[tuple[str, str], DeviationCell] = {}
     for k, (t, s) in enumerate(CELLS):
@@ -247,7 +276,7 @@ def deviation_check(
         if sq_u >= scan_u[k]:
             best_action, best_u = AgentAction(STATUS_QUO), sq_u
         else:
-            best_action = AgentAction(REFORM, float(grid[scan_i[k]]))
+            best_action = AgentAction(REFORM, float(scan_e[k]))
             best_u = float(scan_u[k])
         if best_u <= eq_u:
             # no improving deviation: the equilibrium action is best

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -25,7 +26,11 @@ from reformlab import (
     transparent_pooling_family,
     transparent_separating_equilibrium,
 )
-from reformlab.equilibrium import REFORM, STATUS_QUO, SUCCESS, FAILURE, SQ_OUTCOME
+from reformlab.equilibrium import (
+    CELLS, REFORM, STATUS_QUO, SUCCESS, FAILURE, SQ_OUTCOME, StrategyProfile, raw_profile,
+)
+from reformlab.verification import joint_outcome_distribution
+from reformlab.welfare import WELFARE_REGIMES, formula_welfare
 from support import grid_argmax_effort, sample_params
 
 # frozen effort levels at the sanity-check parameters
@@ -330,3 +335,57 @@ class TestActionValidation:
             Observation(REFORM, outcome=SQ_OUTCOME)
         with pytest.raises(DomainError):
             Observation(STATUS_QUO, outcome=SUCCESS)
+
+
+def _paper_profile(regime, params, post):
+    """Each regime's (policy, effort) per (type, signal) cell, keyed by name."""
+    lam, R, bar = params.lam, params.R, separation_effort(params)
+    mu = {"g": post.mu_plus, "b": post.mu_minus}
+    sq = (STATUS_QUO, 0.0)
+    cell = {
+        "benchmark": lambda t, s: (REFORM, lam * mu[s]) if (t, s) == ("congruent", "g") else sq,
+        "nontransparent": lambda t, s: (REFORM, lam * mu[s] if t == "congruent" else 0.0),
+        "opaque": lambda t, s: (
+            (REFORM, lam * (1 + R) * mu[s]) if t == "congruent"
+            else (REFORM, lam * R * mu[s]) if s == "g" else sq),
+        "transparent_separating": lambda t, s: (
+            (REFORM, max(bar, lam * mu[s])) if t == "congruent" else sq),
+    }[regime]
+    return {(t, s): cell(t, s) for t in ("congruent", "noncongruent") for s in ("g", "b")}
+
+
+class TestCellOrder:
+    """Every hand-written sequence of (type, signal) cells follows ``CELLS``."""
+
+    POINTS = sample_params(43, 20, "acceptance")
+
+    def test_strategy_profile_fields(self):
+        names = [f.name for f in dataclasses.fields(StrategyProfile)]
+        assert names == [f"{t}_{s}" for t, s in CELLS]
+
+    @pytest.mark.parametrize("regime", ["benchmark", "nontransparent", "opaque",
+                                        "transparent_separating"])
+    def test_raw_profile(self, regime):
+        for params in self.POINTS:
+            post = posteriors(params)
+            got = dict(zip(CELLS, raw_profile(regime, params, post)))
+            assert got == _paper_profile(regime, params, post)
+
+    def test_joint_outcome_distribution(self, sanity):
+        profile = nontransparent_equilibrium(sanity).profile  # every cell reforms
+        order = [(t, s) for t, s, *_ in joint_outcome_distribution(profile, sanity)]
+        assert list(dict.fromkeys(order)) == list(CELLS)
+
+    @pytest.mark.parametrize("regime", WELFARE_REGIMES)
+    def test_formula_welfare(self, regime):
+        status_quo = StrategyProfile(*[AgentAction(STATUS_QUO)] * len(CELLS))
+        for params in self.POINTS:
+            post = posteriors(params)
+            mass = defaultdict(float)
+            for t, s, _, _, m in joint_outcome_distribution(status_quo, params):
+                mass[(t, s)] += m
+            want = sum(
+                mass[(t, s)] * (effort * post.mu(s) if policy == REFORM else params.d)
+                for (t, s), (policy, effort) in _paper_profile(regime, params, post).items()
+            )
+            assert formula_welfare(params, regime) == pytest.approx(want, rel=1e-12)
