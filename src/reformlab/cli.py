@@ -8,10 +8,12 @@ malformed input or an unreadable/unwritable file.
 Floats are emitted with ``repr`` (shortest round-trip form) so CSV and JSON
 outputs are bit-stable across runs; JSON output is strict, with non-finite
 floats written as ``null``. Sweep rows where a quantity cannot be
-computed carry the sentinel "NA", never a silent omission. A sweep streams
-its rows one after another in the calling thread, each computed when it is
-pulled, over at most ``MAX_SWEEP_STEPS`` points per axis; each row's
-welfare columns come from ``optimal_regime(params, strict=False)``.
+computed carry the sentinel "NA", never a silent omission: an output group
+whose computation raises a ``ReformLabError`` (every group, at a point
+outside the parameter domain) is "NA" across its own columns. A sweep
+streams its rows one after another in the calling thread, each computed
+when it is pulled, over at most ``MAX_SWEEP_STEPS`` points per axis; each
+row's welfare columns come from ``optimal_regime(params, strict=False)``.
 ``REFORMLAB_THREADS`` affects ``simulate`` only.
 """
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, Optional
 
-from .errors import DomainError, ReformLabError, UnderflowError
+from .errors import DomainError, ReformLabError
 from .equilibrium import AgentAction, REGIMES, STATUS_QUO, solve
 from .model_core import ASSUMPTION_CHECKS, Params, check_assumptions
 from .montecarlo import SimConfig, simulate
@@ -124,20 +126,53 @@ class SweepAxis:
         ]
 
 
+def _assumption_cells(params: Params) -> list:
+    report = check_assumptions(params)
+    return [report.check(name).passed for name in ASSUMPTION_CHECKS]
+
+
+_WELFARE_TERMS = ("W", "Q", "total")
+
+
+def _welfare_cells(params: Params) -> list:
+    # paper-algebra welfare (unclamped efforts), see welfare module note
+    report = optimal_regime(params, strict=False)
+    terms = [getattr(report.entries[r], t) for r in WELFARE_REGIMES for t in _WELFARE_TERMS]
+    return terms + [report.optimal, report.margin]
+
+
+def _threshold_cells(params: Params) -> list:
+    th = thresholds(params)
+    return [th.lambda_hat, th.exists, th.R_low, th.R_high]
+
+
+#: the sweep's output groups in column order: name -> (columns, the cells of
+#: a row's ``Params``)
+SWEEP_GROUPS = {
+    "assumptions": (ASSUMPTION_CHECKS, _assumption_cells),
+    "welfare": (
+        tuple(f"{t}_{r}" for r in WELFARE_REGIMES for t in _WELFARE_TERMS)
+        + ("optimal_regime", "margin"),
+        _welfare_cells,
+    ),
+    "thresholds": (("lambda_hat", "thresholds_exist", "R_low", "R_high"), _threshold_cells),
+}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid sweep over 1-2 parameter axes with selectable output groups."""
 
     base: Params
     axes: tuple[SweepAxis, ...]
-    outputs: tuple[str, ...] = ("welfare", "assumptions", "thresholds")
+    outputs: tuple[str, ...] = tuple(SWEEP_GROUPS)
 
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise DomainError(f"sweeps take 1 or 2 axes, got {len(self.axes)}")
         if len({a.param for a in self.axes}) != len(self.axes):
             raise DomainError("sweep axes must be distinct parameters")
-        bad = set(self.outputs) - {"welfare", "assumptions", "thresholds"}
+        bad = set(self.outputs) - set(SWEEP_GROUPS)
         if bad:
             raise DomainError(f"unknown sweep outputs: {sorted(bad)}")
 
@@ -162,7 +197,7 @@ class SweepSpec:
             except (TypeError, ValueError) as exc:
                 raise DomainError(f"sweep axis {a['param']!r}: non-numeric bound: {exc}") from None
             axes.append(SweepAxis(param=a["param"], min=lo, max=hi, steps=a["steps"]))
-        outputs = obj.get("outputs", ["welfare", "assumptions", "thresholds"])
+        outputs = obj.get("outputs", list(SWEEP_GROUPS))
         if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
             raise DomainError("sweep 'outputs' must be a list of names")
         return cls(base=Params.from_json(obj["base"]), axes=tuple(axes), outputs=tuple(outputs))
@@ -171,66 +206,28 @@ class SweepSpec:
 _PARAM_COLS = ("p", "phi", "d", "lambda", "R", "pi", "M")
 
 
-def _sweep_header(spec: SweepSpec) -> list[str]:
-    cols = list(_PARAM_COLS)
-    if "assumptions" in spec.outputs:
-        cols += list(ASSUMPTION_CHECKS)
-    if "welfare" in spec.outputs:
-        for r in WELFARE_REGIMES:
-            cols += [f"W_{r}", f"Q_{r}", f"total_{r}"]
-        cols += ["optimal_regime", "margin"]
-    if "thresholds" in spec.outputs:
-        cols += ["lambda_hat", "thresholds_exist", "R_low", "R_high"]
-    return cols
-
-
-def _sweep_row(spec: SweepSpec, point: dict[str, float]) -> list:
-    try:
-        params = spec.base.replace(
-            **{("lam" if k == "lambda" else k): v for k, v in point.items()}
-        )
-    except DomainError:
-        params = None
-    row: list = []
-    for k in _PARAM_COLS:
-        if params is None:
-            row.append(point.get(k))
-        else:
-            row.append(getattr(params, "lam" if k == "lambda" else k))
-    if params is None:
-        return row + [None] * (len(_sweep_header(spec)) - len(row))
-
-    if "assumptions" in spec.outputs:
-        report = check_assumptions(params)
-        row += [report.check(name).passed for name in ASSUMPTION_CHECKS]
-    if "welfare" in spec.outputs:
-        # paper-algebra welfare (unclamped efforts), see welfare module note
-        try:
-            report = optimal_regime(params, strict=False)
-        except ReformLabError:
-            row += [None] * (3 * len(WELFARE_REGIMES) + 2)
-        else:
-            for regime in WELFARE_REGIMES:
-                e = report.entries[regime]
-                row += [e.W, e.Q, e.total]
-            row += [report.optimal, report.margin]
-    if "thresholds" in spec.outputs:
-        try:
-            th = thresholds(params)
-        except UnderflowError:
-            row += [None] * 4
-        else:
-            row += [th.lambda_hat, th.exists, th.R_low, th.R_high]
-    return row
-
-
 def run_sweep(spec: SweepSpec) -> Iterator[str]:
     """Yield CSV lines (header first), rows in row-major axis order, each
     row computed when it is pulled."""
-    yield ",".join(_sweep_header(spec))
+    groups = [group for name, group in SWEEP_GROUPS.items() if name in spec.outputs]
+    yield ",".join([*_PARAM_COLS, *(c for columns, _ in groups for c in columns)])
+    base = spec.base.to_json()
     names = [a.param for a in spec.axes]
     for values in itertools.product(*(a.values() for a in spec.axes)):
-        yield ",".join(_format_cell(c) for c in _sweep_row(spec, dict(zip(names, values))))
+        point = dict(zip(names, values))
+        cols = {**base, **point}
+        row = [cols[k] for k in _PARAM_COLS]
+        try:
+            params = spec.base.replace(**{("lam" if k == "lambda" else k): v
+                                          for k, v in point.items()})
+        except DomainError:
+            params = None  # outside the parameter domain: every group is NA
+        for columns, cells in groups:
+            try:
+                row += [None] * len(columns) if params is None else cells(params)
+            except ReformLabError:
+                row += [None] * len(columns)
+        yield ",".join(_format_cell(c) for c in row)
 
 
 def _output(out: Optional[str]):

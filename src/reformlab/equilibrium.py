@@ -25,7 +25,7 @@ from .errors import (
     AssumptionError, DomainError, InformativenessError, UnderflowError, UnresolvedObservationError,
 )
 from .model_core import (
-    AssumptionReport, Params, Posteriors, RentMode, check_assumptions, posteriors,
+    AssumptionReport, Params, Posteriors, Record, RentMode, check_assumptions, posteriors,
 )
 
 CONGRUENT = "congruent"
@@ -54,7 +54,7 @@ REMOVE = "remove"
 
 
 @dataclass(frozen=True)
-class AgentAction:
+class AgentAction(Record):
     """A policy choice plus implementation effort (zero under the status quo)."""
 
     policy: str
@@ -67,9 +67,6 @@ class AgentAction:
             raise DomainError(f"effort must be in [0, 1], got {self.effort}")
         if self.policy == STATUS_QUO and self.effort != 0.0:
             raise DomainError("status quo carries zero effort")
-
-    def to_json(self) -> dict:
-        return {"policy": self.policy, "effort": self.effort}
 
 
 @dataclass(frozen=True)
@@ -262,18 +259,18 @@ def separation_effort(params: Params) -> float:
     return math.sqrt(max(0.0, 2.0 * params.lam * (params.R - params.d)))
 
 
-def _require(params: Params, rent_mode: RentMode, names: tuple[str, ...]) -> AssumptionReport:
-    """The assumption report of ``params``, once each named gate holds."""
+_CORE_GATES = ("signal_informative", "moderate_rent", "effort_bound")
+
+
+def _require(params: Params, rent_mode: RentMode) -> AssumptionReport:
+    """The assumption report of ``params``, once each of ``_CORE_GATES`` holds."""
     report = check_assumptions(params)
-    for name in names:
+    for name in _CORE_GATES:
         result = report.rent(rent_mode) if name == "moderate_rent" else report.check(name)
         if not result.passed:
             label = f"moderate_rent_{rent_mode}" if name == "moderate_rent" else name
             raise AssumptionError(label)
     return report
-
-
-_CORE_GATES = ("signal_informative", "moderate_rent", "effort_bound")
 
 
 def raw_profile(
@@ -320,7 +317,7 @@ def benchmark_profile(
     career-blind effort lambda*mu+. There is no retention stage.
     """
     if check:
-        _require(params, rent_mode, _CORE_GATES)
+        _require(params, rent_mode)
     profile = _clamped_profile(BENCHMARK, params, posteriors(params))
     return Equilibrium(regime=BENCHMARK, profile=profile, retention=(), beliefs=())
 
@@ -335,7 +332,7 @@ def nontransparent_equilibrium(
     entirely. An off-path status quo reveals noncongruence and removal.
     """
     if check:
-        _require(params, rent_mode, _CORE_GATES)
+        _require(params, rent_mode)
     profile = _clamped_profile(NONTRANSPARENT, params, posteriors(params))
     retention = (
         (ObservationPattern(policy=REFORM), RETAIN),
@@ -376,7 +373,7 @@ def opaque_equilibrium(
     (otherwise a failed reform need not be bad news and the retention rule
     unravels).
     """
-    if check and not _require(params, rent_mode, _CORE_GATES).informativeness.passed:
+    if check and not _require(params, rent_mode).informativeness.passed:
         raise InformativenessError()
     profile = _clamped_profile(OPAQUE, params, posteriors(params))
     b_succ, b_fail = _opaque_success_beliefs(params)
@@ -406,7 +403,7 @@ def transparent_separating_equilibrium(
     exactly e_L); any other effort is attributed to a noncongruent deviator.
     """
     if check:
-        _require(params, rent_mode, _CORE_GATES)
+        _require(params, rent_mode)
         bar = separation_effort(params)
         if bar > 1.0 + params.eps_tol:
             # mimicry cannot be deterred by any feasible effort
@@ -454,7 +451,7 @@ def transparent_pooling_equilibrium(
     to a good-signal congruent type.
     """
     if check:
-        _require(params, rent_mode, _CORE_GATES)
+        _require(params, rent_mode)
         family = transparent_pooling_family(params)
         if family is None:
             raise AssumptionError("pooling_family_nonempty", "no pooling equilibrium survives")

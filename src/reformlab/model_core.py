@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace as _replace
+from dataclasses import asdict, dataclass, field, fields, replace as _replace
 from typing import Literal
 
 import numpy as np
@@ -26,11 +26,14 @@ RentMode = Literal["strict", "relaxed"]
 #: JSON keys for Params, in canonical order. ``lambda`` is a Python keyword,
 #: so the attribute is named ``lam``.
 PARAM_KEYS = ("p", "phi", "d", "lambda", "R", "pi", "M", "eps_tol")
-#: the assumption checks of :class:`AssumptionReport`, in report and sweep-column order
-ASSUMPTION_CHECKS = (
-    "signal_informative", "moderate_rent_strict", "moderate_rent_relaxed",
-    "effort_bound", "informativeness", "rent_exceeds_2d",
-)
+
+
+class Record:
+    """Base of the dataclass reports whose JSON object is their fields in
+    declaration order, nested records and dicts included."""
+
+    def to_json(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -152,18 +155,15 @@ def posteriors(params: Params) -> Posteriors:
 
 
 @dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One assumption check: pass/fail plus the signed quantities behind it."""
 
     passed: bool
     detail: dict[str, float] = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "detail": dict(self.detail)}
-
 
 @dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(Record):
     """All parameter-assumption checks, evaluated independently.
 
     The moderate-rent restriction appears in two forms. The ``strict`` form
@@ -180,18 +180,18 @@ class AssumptionReport:
     rent_exceeds_2d: CheckResult
 
     def check(self, name: str) -> CheckResult:
-        try:
-            return getattr(self, name)
-        except AttributeError:
-            raise DomainError(f"unknown assumption check: {name!r}") from None
+        if name not in ASSUMPTION_CHECKS:
+            raise DomainError(f"unknown assumption check: {name!r}")
+        return getattr(self, name)
 
     def rent(self, mode: RentMode) -> CheckResult:
         if mode not in ("strict", "relaxed"):
             raise DomainError(f"rent_mode must be 'strict' or 'relaxed', got {mode!r}")
         return self.moderate_rent_strict if mode == "strict" else self.moderate_rent_relaxed
 
-    def to_json(self) -> dict:
-        return {name: self.check(name).to_json() for name in ASSUMPTION_CHECKS}
+
+#: the assumption checks of :class:`AssumptionReport`, in report and sweep-column order
+ASSUMPTION_CHECKS = tuple(f.name for f in fields(AssumptionReport))
 
 
 def check_assumptions(params: Params) -> AssumptionReport:

@@ -49,7 +49,7 @@ from .equilibrium import (
     Equilibrium,
     observe,
 )
-from .model_core import Params
+from .model_core import Params, Record
 
 BLOCK_SIZE = 1 << 18
 #: most draws one run may ask for (hours of compute); far below 2**53, so
@@ -74,7 +74,7 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SimStats:
+class SimStats(Record):
     """Accumulated statistics from one simulation run."""
 
     n_draws: int
@@ -86,19 +86,6 @@ class SimStats:
     outcome_freqs: dict[str, float]
     q_hat: float
     counts: dict[str, int]
-
-    def to_json(self) -> dict:
-        return {
-            "n_draws": self.n_draws,
-            "seed": self.seed,
-            "mean_payoff": self.mean_payoff,
-            "payoff_se": self.payoff_se,
-            "retention_rate_by_type": dict(self.retention_rate_by_type),
-            "p_congruent_given_retained": self.p_congruent_given_retained,
-            "outcome_freqs": dict(self.outcome_freqs),
-            "q_hat": self.q_hat,
-            "counts": dict(self.counts),
-        }
 
     def format_table(self) -> str:
         fmt = lambda v: "NA" if v is None else f"{v:.6f}"

@@ -12,7 +12,7 @@ the office rent R paid on retention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -34,10 +34,12 @@ from .equilibrium import (
     StrategyProfile,
     observe,
 )
-from .model_core import Params, posteriors
+from .model_core import Params, Record, posteriors
 
 #: classification band for neutral news (posterior within this of the prior)
 NEUTRAL_BAND = 1e-9
+#: largest gap between a recomputed and a stored belief that still passes
+BAYES_TOL = 1e-9
 #: largest deviation-scan grid; a check's memory is constant, so this bounds its time (~0.25 s)
 MAX_GRID_SIZE = 10_000_001
 #: efforts per deviation-scan block, so that one block's (10, B) work buffer stays in cache
@@ -58,13 +60,8 @@ def _policy_payoff(agent_type: str, outcome: str, params: Params) -> float:
 
 def _reform_retention(eq: Equilibrium, effort, eps: float) -> tuple:
     """Retention after a successful and after a failed reform at ``effort``."""
-    out = []
-    for outcome in (SUCCESS, FAILURE):
-        obs = observe(eq.regime, AgentAction(REFORM), outcome)
-        if obs.effort is not None:  # the regime observes effort
-            obs = Observation(REFORM, effort, outcome)
-        out.append(eq.decide(obs, eps))
-    return tuple(out)
+    action = AgentAction(REFORM, effort)
+    return tuple(eq.decide(observe(eq.regime, action, o), eps) for o in (SUCCESS, FAILURE))
 
 
 def _retention_runs(eq: Equilibrium, grid_size: int, step: float, eps: float) -> list:
@@ -125,7 +122,7 @@ def expected_utility(
 
 
 @dataclass(frozen=True)
-class DeviationCell:
+class DeviationCell(Record):
     """Best deviation found for one (type, signal) cell."""
 
     eq_action: AgentAction
@@ -134,16 +131,6 @@ class DeviationCell:
     best_utility: float
     gain: float
     verdict: str  # "pass" | "fail" | "fail (documented)"
-
-    def to_json(self) -> dict:
-        return {
-            "eq_action": self.eq_action.to_json(),
-            "eq_utility": self.eq_utility,
-            "best_action": self.best_action.to_json(),
-            "best_utility": self.best_utility,
-            "gain": self.gain,
-            "verdict": self.verdict,
-        }
 
 
 @dataclass(frozen=True)
@@ -203,23 +190,21 @@ def default_dev_tol(params: Params, grid_size: int) -> float:
     return 1e-9 + (1.0 + params.R + 1.0 / params.lam) / (2.0 * grid_size)
 
 
-def deviation_check(
-    eq: Equilibrium, params: Params, grid_size: int = 100_001,
-    dev_tol: Optional[float] = None,
-) -> DeviationReport:
-    """Brute-force no-profitable-deviation check.
+def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -> DeviationReport:
+    """Brute-force no-profitable-deviation check at tolerance
+    :func:`default_dev_tol`.
 
     For each (type, signal) cell, scans the status quo plus reforms on
     ``np.linspace(0, 1, grid_size)``, built ``SCAN_BLOCK`` efforts at a time
     within runs of constant retention, then on the sorted extras (candidate
-    optima, equilibrium efforts, retention breakpoints), all four cells per
-    block in preallocated buffers. A cell's best moves on a greater utility,
-    or an equal one at a smaller effort: the first merged, sorted maximum.
+    optima, equilibrium efforts, retention breakpoints) as one more block,
+    all four cells per block in preallocated buffers. A cell's best moves on
+    a greater utility, or an equal one at a smaller effort: the first
+    merged, sorted maximum.
     """
     if not 2 <= grid_size <= MAX_GRID_SIZE:
         raise DomainError(f"grid_size must be in [2, {MAX_GRID_SIZE}], got {grid_size}")
-    if dev_tol is None:
-        dev_tol = default_dev_tol(params, grid_size)
+    dev_tol = default_dev_tol(params, grid_size)
     post = posteriors(params)
     lam, R, eps = params.lam, params.R, params.eps_tol
 
@@ -239,7 +224,8 @@ def deviation_check(
     extra_kept = np.array([_reform_retention(eq, float(x), eps) for x in extra])
     step = 1.0 / (grid_size - 1)
     index = np.arange(SCAN_BLOCK, dtype=float)
-    work = np.empty((10, SCAN_BLOCK))  # 4 success terms, 4 failure terms, cost, grid efforts
+    # 4 success terms, 4 failure terms, cost, grid efforts; wide enough for the extras' block
+    work = np.empty((10, max(SCAN_BLOCK, len(extra))))
 
     def blocks():
         # retention does not depend on the deviator's cell: one decision per run
@@ -251,8 +237,7 @@ def deviation_check(
                 if start + n == grid_size:
                     e[-1] = 1.0  # as linspace: i * step, then the exact endpoint
                 yield e, kept
-        for lo in range(0, len(extra), SCAN_BLOCK):
-            yield extra[lo:lo + SCAN_BLOCK], tuple(extra_kept[lo:lo + SCAN_BLOCK].T)
+        yield extra, tuple(extra_kept.T)
 
     mu = np.array([[post.mu(s)] for _, s in CELLS])
     pay = np.array([[_policy_payoff(t, o, params) for o in (SUCCESS, FAILURE)] for t, _ in CELLS])
@@ -325,25 +310,12 @@ def joint_outcome_distribution(
 
 
 @dataclass(frozen=True)
-class BayesEntry:
+class BayesEntry(Record):
     observation: Observation
     probability: float
     recomputed: float
     stored: float
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "observation": {
-                "policy": self.observation.policy,
-                "effort": self.observation.effort,
-                "outcome": self.observation.outcome,
-            },
-            "probability": self.probability,
-            "recomputed": self.recomputed,
-            "stored": self.stored,
-            "passed": self.passed,
-        }
 
 
 @dataclass(frozen=True)
@@ -358,9 +330,10 @@ class BayesReport:
         return {"entries": [e.to_json() for e in self.entries], "passed": self.passed}
 
 
-def bayes_consistency(eq: Equilibrium, params: Params, tol: float = 1e-9) -> BayesReport:
+def bayes_consistency(eq: Equilibrium, params: Params) -> BayesReport:
     """Recompute P(congruent | observation) for every positive-probability
-    observation under the profile and compare with the stored beliefs."""
+    observation under the profile and compare with the stored beliefs, to
+    within ``BAYES_TOL``."""
     if not eq.beliefs:
         return BayesReport(entries=())  # no belief system (benchmark)
     acc: dict[Observation, tuple[float, float]] = {}
@@ -373,35 +346,23 @@ def bayes_consistency(eq: Equilibrium, params: Params, tol: float = 1e-9) -> Bay
         recomputed = cong / tot
         stored = eq.belief(obs, params.eps_tol)
         entries.append(
-            BayesEntry(obs, tot, recomputed, stored, passed=abs(recomputed - stored) <= tol)
+            BayesEntry(obs, tot, recomputed, stored, passed=abs(recomputed - stored) <= BAYES_TOL)
         )
     return BayesReport(entries=tuple(entries))
 
 
 @dataclass(frozen=True)
-class NewsEntry:
+class NewsEntry(Record):
     event: str
     probability: float
     posterior: float
     classification: str  # "good" | "bad" | "neutral"
 
-    def to_json(self) -> dict:
-        return {
-            "event": self.event, "probability": self.probability,
-            "posterior": self.posterior, "classification": self.classification,
-        }
-
 
 @dataclass(frozen=True)
-class NewsReport:
+class NewsReport(Record):
     entries: dict[str, NewsEntry] = field(default_factory=dict)
     total_probability: float = 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "entries": {k: v.to_json() for k, v in self.entries.items()},
-            "total_probability": self.total_probability,
-        }
 
 
 def news_classification(profile: StrategyProfile, params: Params) -> NewsReport:

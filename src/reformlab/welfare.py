@@ -41,7 +41,7 @@ from .equilibrium import (
     raw_profile,
     solve,
 )
-from .model_core import Params, RentMode, posteriors
+from .model_core import Params, Record, RentMode, posteriors
 from .verification import joint_outcome_distribution
 
 WELFARE_REGIMES = (NONTRANSPARENT, OPAQUE, TRANSPARENT_SEPARATING)
@@ -50,7 +50,7 @@ _OUTCOME_VALUE = {SUCCESS: 1.0, FAILURE: 0.0}
 
 
 @dataclass(frozen=True)
-class WelfareEntry:
+class WelfareEntry(Record):
     """Per-regime welfare: expected policy payoff W, selection term Q, and
     the total W + M*Q."""
 
@@ -59,24 +59,13 @@ class WelfareEntry:
     Q: float
     total: float
 
-    def to_json(self) -> dict:
-        return {"regime": self.regime, "W": self.W, "Q": self.Q, "total": self.total}
-
 
 @dataclass(frozen=True)
-class WelfareReport:
+class WelfareReport(Record):
     entries: dict[str, WelfareEntry]
     excluded: dict[str, str]  # regime -> failed check
     optimal: Optional[str]
     margin: Optional[float]  # optimal total minus runner-up total
-
-    def to_json(self) -> dict:
-        return {
-            "entries": {k: v.to_json() for k, v in self.entries.items()},
-            "excluded": dict(self.excluded),
-            "optimal": self.optimal,
-            "margin": self.margin,
-        }
 
     def to_csv_rows(self) -> list[str]:
         rows = ["regime,W,Q,total,optimal_flag"]
@@ -167,19 +156,13 @@ def H(R: float, lambda_hat: float, d: float) -> float:
 
 
 @dataclass(frozen=True)
-class Thresholds:
+class Thresholds(Record):
     """Roots of H: the office-rent band on which transparency dominates."""
 
     lambda_hat: float
     exists: bool
     R_low: Optional[float]
     R_high: Optional[float]
-
-    def to_json(self) -> dict:
-        return {
-            "lambda_hat": self.lambda_hat, "exists": self.exists,
-            "R_low": self.R_low, "R_high": self.R_high,
-        }
 
 
 def thresholds_from_lambda_hat(lambda_hat: float, d: float) -> Thresholds:
@@ -207,23 +190,13 @@ _BUMP_ATTR = {"phi": "phi", "lambda": "lam", "p": "p", "R": "R"}
 
 
 @dataclass(frozen=True)
-class ComparativeStaticsReport:
+class ComparativeStaticsReport(Record):
     which: str
     delta: float
     baseline: WelfareReport
     bumped: WelfareReport
     welfare_deltas: dict[str, float]
     persisted: bool  # did the optimal regime survive the bump
-
-    def to_json(self) -> dict:
-        return {
-            "which": self.which,
-            "delta": self.delta,
-            "baseline": self.baseline.to_json(),
-            "bumped": self.bumped.to_json(),
-            "welfare_deltas": dict(self.welfare_deltas),
-            "persisted": self.persisted,
-        }
 
 
 def comparative_statics(

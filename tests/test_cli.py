@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -296,6 +297,25 @@ class TestSweepEngine:
         with pytest.raises(DomainError, match="steps"):
             SweepAxis("R", 0.2, 0.3, MAX_SWEEP_STEPS + 1)  # above the cap
 
+    @pytest.mark.parametrize("outputs", [
+        c for n in range(4) for c in itertools.combinations(("welfare", "assumptions", "thresholds"), n)
+    ], ids=lambda c: "+".join(c) or "none")
+    def test_domain_invalid_rows_keep_base_values(self, outputs):
+        # phi = 0 and phi = 1 leave the parameter domain; the other parameters
+        # are the base's, and every output cell of those rows is NA
+        base = {**SANITY, "M": 0.7}
+        spec = SweepSpec(base=Params.from_json(base), axes=(SweepAxis("phi", 0.0, 1.0, 3),),
+                         outputs=outputs)
+        header, *rows = (line.split(",") for line in run_sweep(spec))
+        assert [len(row) for row in rows] == [len(header)] * 3
+        n_params = header.index("M") + 1
+        for row in (rows[0], rows[2]):
+            cells = dict(zip(header, row))
+            assert {k: cells[k] for k in ("p", "d", "lambda", "R", "pi", "M")} == {
+                k: repr(float(base[k])) for k in ("p", "d", "lambda", "R", "pi", "M")}
+            assert row[n_params:] == ["NA"] * (len(header) - n_params)
+        assert "NA" not in rows[1][:n_params]
+
     def test_rows_are_streamed(self):
         # a 300 x 300 grid: building every point up front takes ~20 MB
         spec = SweepSpec(
@@ -343,8 +363,9 @@ class TestSweepCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert b"\r" not in out1.read_bytes()  # LF-only line endings
 
-    # sha256 of the CSV file (LF endings) as the sweep engine first wrote it;
-    # the p x phi grid crosses the phi domain edges (NA rows) and has M > 0
+    # sha256 of the CSV file (LF endings); the p x phi grid crosses the phi
+    # domain edges (rows with NA outputs and the base's other parameters) and
+    # has M > 0
     @pytest.mark.parametrize("spec, sha256", [
         ({"base": PART3,
           "axes": [{"param": "R", "min": 0.2, "max": 5.0, "steps": 97}],
@@ -354,7 +375,7 @@ class TestSweepCommand:
           "axes": [{"param": "p", "min": 0.5, "max": 1.0, "steps": 41},
                    {"param": "phi", "min": 0.0, "max": 1.0, "steps": 41}],
           "outputs": ["welfare", "assumptions", "thresholds"]},
-         "cdef9ad24a38dc0d4f2274b7a5a2c83615318a8f6cbf61fd43d76dd70984ec4f"),
+         "7a1f7fa93614d58f7e471b83830fd370c83dc6958a144b4e6ce78dc6e5f218b6"),
     ], ids=["readme_R97", "p_phi_41x41_M07"])
     def test_golden_csv(self, tmp_path, spec, sha256):
         out = tmp_path / "sweep.csv"

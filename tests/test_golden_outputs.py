@@ -1,14 +1,18 @@
 """Byte-level pins on CLI stdout and on the library reports no other golden
-covers exactly: strict and loose welfare, break-even, news and Bayes JSON.
+covers exactly: strict and loose welfare, break-even, news, Bayes,
+Monte Carlo and comparative-statics JSON.
 
-``cli_golden.json`` holds, for each of 30 fixture commands (``check``,
+``cli_golden.json`` holds, for each of 33 fixture commands (``check``,
 ``solve`` and ``verify --grid 5001`` for every regime, ``welfare`` as
-json/csv and strict/loose, at ``sanity`` and ``part3``), the sha256 of
-stdout and the exit code. It also holds one sha256 per library surface over
-the seeded acceptance points: ``optimal_regime(p, strict=s).to_json()`` for
-both modes and ``divinity_breakeven(solve(p, r), status quo, p).to_json()``
-for the four non-pooling regimes. A point where a call raises contributes
-the exception's class name instead of JSON.
+json/csv and strict/loose, at ``sanity`` and ``part3``, and three seeded
+``simulate --format json`` runs), the sha256 of stdout and the exit code.
+It also holds one sha256 per library surface over the seeded acceptance
+points: ``optimal_regime(p, strict=s).to_json()`` for both modes and
+``divinity_breakeven(solve(p, r), status quo, p).to_json()`` for the four
+non-pooling regimes. A point where a call raises contributes the
+exception's class name instead of JSON. Last, it holds the sha256 of
+``comparative_statics(...).to_json()`` for the non-raising cases of
+``test_welfare.py``.
 
 Regenerate (only after deciding that an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden_outputs.py``.
@@ -22,7 +26,10 @@ from pathlib import Path
 
 import pytest
 
-from reformlab import AgentAction, ReformLabError, divinity_breakeven, optimal_regime, solve
+from reformlab import (
+    AgentAction, Params, ReformLabError, comparative_statics, divinity_breakeven, fixture_path,
+    optimal_regime, solve, thresholds,
+)
 from reformlab.cli import run
 from reformlab.equilibrium import REGIMES
 
@@ -43,6 +50,10 @@ def cli_commands() -> list[list[str]]:
             for loose in (False, True):
                 cmds.append(["welfare", "--params", fixture, "--format", fmt]
                             + (["--no-strict"] if loose else []))
+    for fixture, regime in (("sanity", "opaque"), ("sanity", "transparent_separating"),
+                            ("part3", "transparent_pooling")):
+        cmds.append(["simulate", "--params", fixture, "--regime", regime, "--seed", "7",
+                     "--n", "100000", "--format", "json"])
     return cmds
 
 
@@ -78,12 +89,32 @@ def library_surfaces() -> dict:
     return surfaces
 
 
+def comparative_statics_cases() -> dict:
+    """Name -> zero-argument call: the cases ``test_welfare.py`` runs that do not raise."""
+    sanity, part3 = (Params.load(fixture_path(f)) for f in ("sanity", "part3"))
+    part2 = Params(p=0.999, phi=0.75, d=0.01, lam=0.5, R=0.22, pi=0.9)
+    near_r_high = part3.replace(R=thresholds(part3).R_high - 0.02)
+    return {
+        "sanity_phi": lambda: comparative_statics(sanity, "phi", 0.01),
+        "part2_lambda": lambda: comparative_statics(part2, "lambda", 0.02),
+        "part2_p": lambda: comparative_statics(part2, "p", 0.0005),
+        "part3_R_loose": lambda: comparative_statics(near_r_high, "R", 0.04, strict=False),
+    }
+
+
+def _json_sha(report) -> str:
+    return hashlib.sha256(json.dumps(report.to_json()).encode()).hexdigest()
+
+
 def capture() -> dict:
     points = sample_params(11, 40, "acceptance")
     return {
         "cli": {" ".join(argv): run_command(argv) for argv in cli_commands()},
         "library": {
             name: _surface_sha(call, points) for name, call in library_surfaces().items()
+        },
+        "comparative_statics": {
+            name: _json_sha(call()) for name, call in comparative_statics_cases().items()
         },
     }
 
@@ -93,8 +124,9 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 def test_golden_covers_every_command():
     assert sorted(GOLDEN["cli"]) == sorted(" ".join(argv) for argv in cli_commands())
-    assert len(GOLDEN["cli"]) == 30
+    assert len(GOLDEN["cli"]) == 33
     assert sorted(GOLDEN["library"]) == sorted(library_surfaces())
+    assert sorted(GOLDEN["comparative_statics"]) == sorted(comparative_statics_cases())
 
 
 @pytest.mark.parametrize("argv", cli_commands(), ids=" ".join)
@@ -106,6 +138,12 @@ def test_cli_stdout(argv):
 def test_library_json(name):
     points = sample_params(11, 40, "acceptance")
     assert _surface_sha(library_surfaces()[name], points) == GOLDEN["library"][name]
+
+
+@pytest.mark.parametrize("name", sorted(comparative_statics_cases()))
+def test_comparative_statics_json(name):
+    report = comparative_statics_cases()[name]()
+    assert _json_sha(report) == GOLDEN["comparative_statics"][name]
 
 
 if __name__ == "__main__":

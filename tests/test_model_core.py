@@ -150,6 +150,12 @@ class TestAssumptionChecks:
                      "effort_bound", "informativeness", "rent_exceeds_2d"):
             assert rep.check(name).detail  # populated, not skipped
 
+    @pytest.mark.parametrize("name", ["bogus", "rent", "to_json"])
+    def test_check_takes_only_check_names(self, sanity, name):
+        # the report's methods are attributes too, but not checks
+        with pytest.raises(DomainError, match="unknown assumption check"):
+            check_assumptions(sanity).check(name)
+
     def test_strict_implies_relaxed(self):
         for params in sample_params(101, 300, "base"):
             rep = check_assumptions(params)
