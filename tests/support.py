@@ -99,6 +99,8 @@ PREDICATES = {
     # baseline validity without constraining informativeness either way
     "news": ("signal", "rent_relaxed", "rent_mu_plus", "effort", "rent_2d"),
     "base": ("signal", "rent_relaxed", "effort", "rent_2d"),
+    # the whole declared domain, every assumption free to fail
+    "domain": (),
 }
 
 
