@@ -5,6 +5,7 @@ from .errors import (
     AssumptionError,
     DomainError,
     InformativenessError,
+    NonFiniteError,
     PreconditionLossError,
     ReformLabError,
     UnderflowError,
@@ -30,16 +31,11 @@ from .equilibrium import (
     Observation,
     ObservationPattern,
     StrategyProfile,
-    benchmark_profile,
     interior_effort,
-    nontransparent_equilibrium,
     observe,
-    opaque_equilibrium,
     separation_effort,
     solve,
-    transparent_pooling_equilibrium,
     transparent_pooling_family,
-    transparent_separating_equilibrium,
 )
 from .verification import (
     BayesReport,
@@ -73,18 +69,16 @@ __all__ = [
     "AgentAction", "AssumptionError", "AssumptionReport",
     "BENCHMARK", "BayesReport", "BreakEvenReport", "ComparativeStaticsReport",
     "DeviationReport", "DomainError", "Equilibrium", "InformativenessError",
-    "NONTRANSPARENT", "NewsReport", "OPAQUE", "Observation", "ObservationPattern",
-    "Params", "Posteriors", "PreconditionLossError", "ReformLabError", "SimConfig",
-    "SimStats", "StrategyProfile", "SweepAxis", "SweepSpec", "Thresholds",
-    "TRANSPARENT_POOLING", "TRANSPARENT_SEPARATING", "UnderflowError",
-    "UnresolvedObservationError",
-    "WelfareEntry", "WelfareReport", "bayes_consistency", "benchmark_profile",
-    "check_assumptions", "comparative_statics", "convergence_sweep",
-    "deviation_check", "divinity_breakeven", "expected_utility", "find_p_bar",
-    "fixture_path", "formula_welfare", "informativeness_condition",
-    "interior_effort", "news_classification", "nontransparent_equilibrium",
-    "observe", "opaque_equilibrium", "optimal_regime", "posteriors",
-    "regime_welfare", "run_sweep", "separation_effort", "simulate", "solve",
-    "thresholds", "thresholds_from_lambda_hat", "transparent_pooling_equilibrium",
-    "transparent_pooling_family", "transparent_separating_equilibrium",
+    "NONTRANSPARENT", "NewsReport", "NonFiniteError", "OPAQUE", "Observation",
+    "ObservationPattern", "Params", "Posteriors", "PreconditionLossError",
+    "ReformLabError", "SimConfig", "SimStats", "StrategyProfile", "SweepAxis",
+    "SweepSpec", "Thresholds", "TRANSPARENT_POOLING", "TRANSPARENT_SEPARATING",
+    "UnderflowError", "UnresolvedObservationError", "WelfareEntry", "WelfareReport",
+    "bayes_consistency", "check_assumptions", "comparative_statics",
+    "convergence_sweep", "deviation_check", "divinity_breakeven",
+    "expected_utility", "find_p_bar", "fixture_path", "formula_welfare",
+    "informativeness_condition", "interior_effort", "news_classification",
+    "observe", "optimal_regime", "posteriors", "regime_welfare", "run_sweep",
+    "separation_effort", "simulate", "solve", "thresholds",
+    "thresholds_from_lambda_hat", "transparent_pooling_family",
 ]

@@ -2,8 +2,10 @@
 sweep engine.
 
 Subcommands: check | solve | verify | welfare | sweep | simulate.
-Exit codes: 0 success, 1 precondition/assumption failure or underflow, 2
-malformed input or an unreadable/unwritable file.
+Exit codes: 0 success, 1 precondition/assumption failure, underflow or an
+overflowing welfare total, 2 malformed input (JSON that does not decode, is
+not UTF-8, nests too deeply or holds a number too large for a float) or an
+unreadable/unwritable file.
 
 Floats are emitted with ``repr`` (shortest round-trip form) so CSV and JSON
 outputs are bit-stable across runs; JSON output is strict, with non-finite
@@ -69,12 +71,17 @@ def _load_params(value: str) -> Params:
             path = fixture_path(stem)
         else:
             raise DomainError(f"--params: no such file or fixture: {value!r}")
+    return Params.from_json(_read_json(path, f"--params: invalid JSON in {path}"))
+
+
+def _read_json(path: str, invalid: str):
+    """The JSON document in ``path``; undecodable, non-UTF-8 or too deeply
+    nested text raises ``DomainError`` prefixed with ``invalid``."""
     try:
         with open(path) as f:
-            obj = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"--params: invalid JSON in {path}: {exc}") from exc
-    return Params.from_json(obj)
+            return json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise DomainError(f"{invalid}: {exc}") from None
 
 
 def _format_cell(value) -> str:
@@ -194,7 +201,7 @@ class SweepSpec:
                 raise DomainError(f"sweep axis missing keys: {sorted(missing)}")
             try:
                 lo, hi = float(a["min"]), float(a["max"])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise DomainError(f"sweep axis {a['param']!r}: non-numeric bound: {exc}") from None
             axes.append(SweepAxis(param=a["param"], min=lo, max=hi, steps=a["steps"]))
         outputs = obj.get("outputs", list(SWEEP_GROUPS))
@@ -344,12 +351,9 @@ def _cmd_welfare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     try:
-        with open(args.sweep) as f:
-            spec = SweepSpec.from_json(json.load(f))
+        spec = SweepSpec.from_json(_read_json(args.sweep, "--sweep: invalid JSON"))
     except FileNotFoundError:
         raise DomainError(f"--sweep: no such file: {args.sweep!r}")
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"--sweep: invalid JSON: {exc}")
     with _output(args.out) as f:
         for line in run_sweep(spec):
             f.write(line + "\n")

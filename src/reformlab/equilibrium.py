@@ -6,9 +6,9 @@ A regime fixes what the principal observes before the retention vote:
 * ``opaque``: policy choice and reform outcome
 * ``transparent``: policy choice, implementation effort, and outcome
 
-plus a no-accountability ``benchmark`` with no retention stage. Each
-constructor returns an :class:`Equilibrium` bundling the pure strategy
-profile, a pure retention rule, and a belief system over observables.
+plus a no-accountability ``benchmark`` with no retention stage.
+:func:`solve` returns each regime's :class:`Equilibrium`, bundling the pure
+strategy profile, a pure retention rule, and a belief system over observables.
 Retention and beliefs are stored as ordered pattern lists (first match
 wins) so that rules over a continuous effort dimension stay serializable.
 """
@@ -279,8 +279,8 @@ def raw_profile(
     """Closed-form (policy, effort) of the four (type, signal) cells, in
     ``TYPES x SIGNALS`` order, with efforts left unclamped.
 
-    This is the one statement of each regime's strategy: the constructors
-    clamp the efforts to [0, 1], and
+    This is the one statement of each regime's strategy: :func:`solve`
+    clamps the efforts to [0, 1], and
     :func:`~reformlab.welfare.formula_welfare` uses them raw.
     """
     lam, R = params.lam, params.R
@@ -301,50 +301,6 @@ def raw_profile(
     raise DomainError(f"no closed-form profile for regime {regime!r}")
 
 
-def _clamped_profile(regime: str, params: Params, post: Posteriors) -> StrategyProfile:
-    return StrategyProfile(*(
-        AgentAction(policy, min(1.0, max(0.0, effort)))
-        for policy, effort in raw_profile(regime, params, post)
-    ))
-
-
-def benchmark_profile(
-    params: Params, *, rent_mode: RentMode = "relaxed", check: bool = True
-) -> Equilibrium:
-    """No-accountability benchmark: each type plays its policy favorite.
-
-    Only the congruent type reforms, and only on a good signal, with the
-    career-blind effort lambda*mu+. There is no retention stage.
-    """
-    if check:
-        _require(params, rent_mode)
-    profile = _clamped_profile(BENCHMARK, params, posteriors(params))
-    return Equilibrium(regime=BENCHMARK, profile=profile, retention=(), beliefs=())
-
-
-def nontransparent_equilibrium(
-    params: Params, *, rent_mode: RentMode = "relaxed", check: bool = True
-) -> Equilibrium:
-    """Unique pure equilibrium when only the policy choice is observed.
-
-    Both types pool on reform (neutral news, retained); the congruent type
-    implements at the career-blind level, the noncongruent type shirks
-    entirely. An off-path status quo reveals noncongruence and removal.
-    """
-    if check:
-        _require(params, rent_mode)
-    profile = _clamped_profile(NONTRANSPARENT, params, posteriors(params))
-    retention = (
-        (ObservationPattern(policy=REFORM), RETAIN),
-        (ObservationPattern(policy=STATUS_QUO), REMOVE),
-    )
-    beliefs = (
-        (ObservationPattern(policy=REFORM), params.pi),
-        (ObservationPattern(policy=STATUS_QUO), 0.0),
-    )
-    return Equilibrium(NONTRANSPARENT, profile, retention, beliefs)
-
-
 def _opaque_success_beliefs(params: Params) -> tuple[float, float]:
     """Posterior congruence after a successful / failed reform under the
     outcome-accountable profile, by Bayes from the on-path distribution."""
@@ -361,75 +317,6 @@ def _opaque_success_beliefs(params: Params) -> tuple[float, float]:
     return pi * succ_c / mass_succ, pi * fail_c / mass_fail
 
 
-def opaque_equilibrium(
-    params: Params, *, rent_mode: RentMode = "relaxed", check: bool = True
-) -> Equilibrium:
-    """Unique pure equilibrium when policy and outcome are observed.
-
-    Retention is pivotal on a successful reform, so reformers internalize
-    the office rent: the congruent type reforms on both signals at
-    lambda(1+R)mu, the noncongruent type gambles for resurrection only on a
-    good signal at lambda*R*mu+. Requires the informativeness condition
-    (otherwise a failed reform need not be bad news and the retention rule
-    unravels).
-    """
-    if check and not _require(params, rent_mode).informativeness.passed:
-        raise InformativenessError()
-    profile = _clamped_profile(OPAQUE, params, posteriors(params))
-    b_succ, b_fail = _opaque_success_beliefs(params)
-    retention = (
-        (ObservationPattern(policy=REFORM, outcome=SUCCESS), RETAIN),
-        (ObservationPattern(policy=REFORM, outcome=FAILURE), REMOVE),
-        (ObservationPattern(policy=STATUS_QUO), REMOVE),
-    )
-    beliefs = (
-        (ObservationPattern(policy=REFORM, outcome=SUCCESS), b_succ),
-        (ObservationPattern(policy=REFORM, outcome=FAILURE), b_fail),
-        (ObservationPattern(policy=STATUS_QUO), 0.0),
-    )
-    return Equilibrium(OPAQUE, profile, retention, beliefs)
-
-
-def transparent_separating_equilibrium(
-    params: Params, *, rent_mode: RentMode = "relaxed", check: bool = True
-) -> Equilibrium:
-    """Least-cost separating equilibrium when policy, effort, and outcome
-    are all observed.
-
-    The congruent type reforms with effort e_H = max{sqrt(2 lambda (R-d)),
-    lambda mu+} on a good signal and e_L = max{sqrt(2 lambda (R-d)),
-    lambda mu-} on a bad one; the noncongruent type always keeps the status
-    quo. Retention rewards reforms at or above the separating bar (or at
-    exactly e_L); any other effort is attributed to a noncongruent deviator.
-    """
-    if check:
-        _require(params, rent_mode)
-        bar = separation_effort(params)
-        if bar > 1.0 + params.eps_tol:
-            # mimicry cannot be deterred by any feasible effort
-            raise AssumptionError(
-                "separation_feasible",
-                f"separating effort sqrt(2 lambda (R-d)) = {bar:.6g} exceeds 1",
-            )
-    profile = _clamped_profile(TRANSPARENT_SEPARATING, params, posteriors(params))
-    e_h, e_l = profile.congruent_g.effort, profile.congruent_b.effort
-    retention = (
-        (ObservationPattern(policy=STATUS_QUO), REMOVE),
-        (ObservationPattern(policy=REFORM, effort_op="eq", effort_value=e_h), RETAIN),
-        (ObservationPattern(policy=REFORM, effort_op="eq", effort_value=e_l), RETAIN),
-        (ObservationPattern(policy=REFORM, effort_op="gt", effort_value=e_h), RETAIN),
-        (ObservationPattern(policy=REFORM), REMOVE),
-    )
-    beliefs = (
-        (ObservationPattern(policy=STATUS_QUO), 0.0),
-        (ObservationPattern(policy=REFORM, effort_op="eq", effort_value=e_h), 1.0),
-        (ObservationPattern(policy=REFORM, effort_op="eq", effort_value=e_l), 1.0),
-        (ObservationPattern(policy=REFORM, effort_op="gt", effort_value=e_h), 1.0),
-        (ObservationPattern(policy=REFORM), 0.0),
-    )
-    return Equilibrium(TRANSPARENT_SEPARATING, profile, retention, beliefs)
-
-
 def transparent_pooling_family(params: Params) -> Optional[tuple[float, float]]:
     """Effort interval [lambda mu+, sqrt(2 lambda (R-d))] supporting pooling
     on reform in the transparent regime, or None when lambda mu+^2 is not
@@ -440,62 +327,113 @@ def transparent_pooling_family(params: Params) -> Optional[tuple[float, float]]:
     return None
 
 
-def transparent_pooling_equilibrium(
-    params: Params, e_star: float, *, rent_mode: RentMode = "relaxed", check: bool = True
-) -> Equilibrium:
-    """Pooling-on-reform equilibrium of the transparent regime at a pooled
-    effort ``e_star`` drawn from :func:`transparent_pooling_family`.
-
-    Everyone reforms at e_star and is retained; efforts below the pool (or
-    the status quo) are attributed to the noncongruent type, efforts above
-    to a good-signal congruent type.
-    """
-    if check:
-        _require(params, rent_mode)
-        family = transparent_pooling_family(params)
-        if family is None:
-            raise AssumptionError("pooling_family_nonempty", "no pooling equilibrium survives")
-        lo, hi = family
-        if not (lo - params.eps_tol <= e_star <= hi + params.eps_tol):
-            raise DomainError(f"e_star {e_star} outside pooling family [{lo}, {hi}]")
-    if not 0.0 <= e_star <= 1.0:
-        raise DomainError(f"pooled effort must be feasible, got {e_star}")
-    act = AgentAction(REFORM, e_star)
-    profile = StrategyProfile(act, act, act, act)
-    retention = (
-        (ObservationPattern(policy=STATUS_QUO), REMOVE),
-        (ObservationPattern(policy=REFORM, effort_op="ge", effort_value=e_star), RETAIN),
-        (ObservationPattern(policy=REFORM), REMOVE),
-    )
-    beliefs = (
-        (ObservationPattern(policy=STATUS_QUO), 0.0),
-        (ObservationPattern(policy=REFORM, effort_op="eq", effort_value=e_star), params.pi),
-        (ObservationPattern(policy=REFORM, effort_op="gt", effort_value=e_star), 1.0),
-        (ObservationPattern(policy=REFORM), 0.0),
-    )
-    return Equilibrium(TRANSPARENT_POOLING, profile, retention, beliefs, pooling_effort=e_star)
+def _pooling_family(params: Params) -> tuple[float, float]:
+    """:func:`transparent_pooling_family`, refused by name when it is empty."""
+    family = transparent_pooling_family(params)
+    if family is None:
+        raise AssumptionError("pooling_family_nonempty", "no pooling equilibrium survives")
+    return family
 
 
 def solve(
     params: Params, regime: str, *, rent_mode: RentMode = "relaxed", check: bool = True,
     pooling_effort: Optional[float] = None,
 ) -> Equilibrium:
-    """Construct the named regime's equilibrium."""
-    if regime == BENCHMARK:
-        return benchmark_profile(params, rent_mode=rent_mode, check=check)
-    if regime == NONTRANSPARENT:
-        return nontransparent_equilibrium(params, rent_mode=rent_mode, check=check)
-    if regime == OPAQUE:
-        return opaque_equilibrium(params, rent_mode=rent_mode, check=check)
-    if regime == TRANSPARENT_SEPARATING:
-        return transparent_separating_equilibrium(params, rent_mode=rent_mode, check=check)
+    """Construct the named regime's equilibrium.
+
+    * ``benchmark`` (no accountability): each type plays its policy
+      favorite. Only the congruent type reforms, and only on a good signal,
+      with the career-blind effort lambda*mu+. There is no retention stage.
+    * ``nontransparent`` (policy observed), the unique pure equilibrium:
+      both types pool on reform (neutral news, retained); the congruent type
+      implements at the career-blind level, the noncongruent type shirks
+      entirely. An off-path status quo reveals noncongruence and removal.
+    * ``opaque`` (policy and outcome observed), the unique pure equilibrium:
+      retention is pivotal on a successful reform, so reformers internalize
+      the office rent. The congruent type reforms on both signals at
+      lambda(1+R)mu, the noncongruent type gambles for resurrection only on
+      a good signal at lambda*R*mu+. Requires the informativeness condition
+      (otherwise a failed reform need not be bad news and the retention rule
+      unravels).
+    * ``transparent_separating`` (policy, effort and outcome observed), the
+      least-cost separating equilibrium: the congruent type reforms with
+      effort e_H = max{sqrt(2 lambda (R-d)), lambda mu+} on a good signal
+      and e_L = max{sqrt(2 lambda (R-d)), lambda mu-} on a bad one; the
+      noncongruent type always keeps the status quo. Retention rewards
+      reforms at or above the separating bar (or at exactly e_L); any other
+      effort is attributed to a noncongruent deviator. Requires the bar to
+      be a feasible effort.
+    * ``transparent_pooling``: everyone reforms at ``pooling_effort`` (by
+      default the lower end of :func:`transparent_pooling_family`) and is
+      retained; efforts below the pool (or the status quo) are attributed to
+      the noncongruent type, efforts above to a good-signal congruent type.
+
+    With ``check`` the core assumptions (rent in its ``rent_mode`` form) and
+    the regime's own condition must hold, and a pooled effort must lie in
+    the family. Either way the closed-form efforts are clamped to [0, 1],
+    and a pooled effort outside [0, 1] is refused.
+    """
+    if regime not in REGIMES:
+        raise DomainError(f"unknown regime {regime!r}")
+    if regime == TRANSPARENT_POOLING and pooling_effort is None:
+        pooling_effort = _pooling_family(params)[0]
+    if check:
+        report = _require(params, rent_mode)
+        if regime == OPAQUE and not report.informativeness.passed:
+            raise InformativenessError()
+        if regime == TRANSPARENT_SEPARATING:
+            bar = separation_effort(params)
+            if bar > 1.0 + params.eps_tol:  # no feasible effort deters mimicry
+                raise AssumptionError(
+                    "separation_feasible",
+                    f"separating effort sqrt(2 lambda (R-d)) = {bar:.6g} exceeds 1",
+                )
+        if regime == TRANSPARENT_POOLING:
+            lo, hi = _pooling_family(params)
+            if not (lo - params.eps_tol <= pooling_effort <= hi + params.eps_tol):
+                raise DomainError(f"e_star {pooling_effort} outside pooling family [{lo}, {hi}]")
     if regime == TRANSPARENT_POOLING:
-        if pooling_effort is None:
-            family = transparent_pooling_family(params)
-            if family is None:
-                raise AssumptionError("pooling_family_nonempty", "no pooling equilibrium survives")
-            pooling_effort = family[0]
-        return transparent_pooling_equilibrium(
-            params, pooling_effort, rent_mode=rent_mode, check=check
+        if not 0.0 <= pooling_effort <= 1.0:
+            raise DomainError(f"pooled effort must be feasible, got {pooling_effort}")
+        act = AgentAction(REFORM, pooling_effort)
+        retention = (
+            (ObservationPattern(STATUS_QUO), REMOVE),
+            (ObservationPattern(REFORM, effort_op="ge", effort_value=pooling_effort), RETAIN),
+            (ObservationPattern(REFORM), REMOVE),
         )
-    raise DomainError(f"unknown regime {regime!r}")
+        beliefs = (
+            (ObservationPattern(STATUS_QUO), 0.0),
+            (ObservationPattern(REFORM, effort_op="eq", effort_value=pooling_effort), params.pi),
+            (ObservationPattern(REFORM, effort_op="gt", effort_value=pooling_effort), 1.0),
+            (ObservationPattern(REFORM), 0.0),
+        )
+        return Equilibrium(regime, StrategyProfile(act, act, act, act), retention, beliefs,
+                           pooling_effort)
+    profile = StrategyProfile(*(
+        AgentAction(policy, min(1.0, max(0.0, effort)))
+        for policy, effort in raw_profile(regime, params, posteriors(params))
+    ))
+    rules: tuple = ()  # (pattern, retention decision, belief), first match wins
+    if regime == NONTRANSPARENT:
+        rules = (
+            (ObservationPattern(REFORM), RETAIN, params.pi),
+            (ObservationPattern(STATUS_QUO), REMOVE, 0.0),
+        )
+    elif regime == OPAQUE:
+        b_succ, b_fail = _opaque_success_beliefs(params)
+        rules = (
+            (ObservationPattern(REFORM, outcome=SUCCESS), RETAIN, b_succ),
+            (ObservationPattern(REFORM, outcome=FAILURE), REMOVE, b_fail),
+            (ObservationPattern(STATUS_QUO), REMOVE, 0.0),
+        )
+    elif regime == TRANSPARENT_SEPARATING:
+        e_h, e_l = profile.congruent_g.effort, profile.congruent_b.effort
+        rules = (
+            (ObservationPattern(STATUS_QUO), REMOVE, 0.0),
+            (ObservationPattern(REFORM, effort_op="eq", effort_value=e_h), RETAIN, 1.0),
+            (ObservationPattern(REFORM, effort_op="eq", effort_value=e_l), RETAIN, 1.0),
+            (ObservationPattern(REFORM, effort_op="gt", effort_value=e_h), RETAIN, 1.0),
+            (ObservationPattern(REFORM), REMOVE, 0.0),
+        )
+    return Equilibrium(regime, profile, tuple((pat, dec) for pat, dec, _ in rules),
+                       tuple((pat, belief) for pat, _, belief in rules))

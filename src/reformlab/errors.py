@@ -33,6 +33,12 @@ class UnderflowError(ReformLabError, ArithmeticError):
     double precision, so the belief or threshold built on it is undefined."""
 
 
+class NonFiniteError(ReformLabError, ArithmeticError):
+    """A quantity that is finite at valid parameters overflows to a
+    non-finite value in double precision, so a ranking built on it is
+    undefined."""
+
+
 class UnresolvedObservationError(ReformLabError, LookupError):
     """An observation cannot be resolved by an equilibrium's retention or
     belief rules (regime-inconsistent observation pattern)."""

@@ -99,7 +99,7 @@ class Params:
             raise DomainError(f"missing params keys: {sorted(missing)}")
         try:
             vals = {k: float(obj[k]) for k in obj}
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"non-numeric params value: {exc}") from exc
         return cls(
             p=vals["p"], phi=vals["phi"], d=vals["d"], lam=vals["lambda"],

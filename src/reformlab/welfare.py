@@ -26,7 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import AssumptionError, DomainError, PreconditionLossError, UnderflowError
+from .errors import (
+    AssumptionError, DomainError, NonFiniteError, PreconditionLossError, UnderflowError,
+)
 from .equilibrium import (
     CONGRUENT,
     FAILURE,
@@ -126,7 +128,8 @@ def optimal_regime(
     gates and excluded (with the failed check noted) when they do not hold.
     With ``strict=False`` the gates are skipped and all three W values come
     from the raw closed forms, extending the comparison across the whole
-    rent axis; Q is always read from the constructed equilibrium.
+    rent axis; Q is always read from the constructed equilibrium. A total
+    that overflows is refused with :class:`NonFiniteError`, never ranked.
     """
     entries: dict[str, WelfareEntry] = {}
     excluded: dict[str, str] = {}
@@ -139,7 +142,10 @@ def optimal_regime(
         w, q = _welfare_and_selection(eq, params)
         if not strict:
             w = formula_welfare(params, regime)
-        entries[regime] = WelfareEntry(regime=regime, W=w, Q=q, total=w + params.M * q)
+        total = w + params.M * q
+        if not math.isfinite(total):
+            raise NonFiniteError(f"{regime}: the welfare total W + M*Q = {total} is not finite")
+        entries[regime] = WelfareEntry(regime=regime, W=w, Q=q, total=total)
     if not entries:
         return WelfareReport(entries={}, excluded=excluded, optimal=None, margin=None)
     ranked = sorted(entries.values(), key=lambda e: -e.total)

@@ -18,7 +18,6 @@ from reformlab import (
     divinity_breakeven,
     informativeness_condition,
     news_classification,
-    nontransparent_equilibrium,
     optimal_regime,
     posteriors,
     regime_welfare,
@@ -27,7 +26,6 @@ from reformlab import (
     solve,
     thresholds,
     thresholds_from_lambda_hat,
-    transparent_pooling_equilibrium,
     transparent_pooling_family,
     transparent_pooling_family as pooling_family,
 )
@@ -134,7 +132,7 @@ def test_criterion_4_no_profitable_deviation(points200):
         eqs = [solve(params, regime) for regime in REGIMES_CHECKED]
         fam = pooling_family(params)
         if fam is not None and fam[0] <= 1.0:
-            eqs.append(transparent_pooling_equilibrium(params, fam[0]))
+            eqs.append(solve(params, "transparent_pooling", pooling_effort=fam[0]))
         for eq in eqs:
             report = deviation_check(eq, params, grid_size=DEVIATION_GRID)
             counts = report.counts()
@@ -243,7 +241,7 @@ def test_criterion_8_property_suites(sanity, part3):
     # break-even orderings behind the strong off-path beliefs: 1,000 draws
     div_ok = True
     for params in sample_params(20_240_803, 1000, "base"):
-        rep = divinity_breakeven(nontransparent_equilibrium(params),
+        rep = divinity_breakeven(solve(params, "nontransparent"),
                                  AgentAction(STATUS_QUO), params)
         pb = rep.p_bar
         if not (pb[(CONGRUENT, "g")] > pb[(CONGRUENT, "b")]

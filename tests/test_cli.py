@@ -1,23 +1,29 @@
 """Tests for the command-line interface and the sweep engine."""
 
+import contextlib
 import csv
 import hashlib
 import io
 import itertools
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from reformlab import DomainError, Params, SweepAxis, SweepSpec, run_sweep
-from reformlab.cli import MAX_SWEEP_STEPS, run
+from reformlab.cli import MAX_SWEEP_STEPS, SWEEP_GROUPS, _json_dumps, run
 from reformlab.montecarlo import MAX_DRAWS
 
 SANITY = {"p": 0.99, "phi": 0.75, "lambda": 0.5, "R": 0.25, "d": 0.0125, "pi": 0.9, "M": 0}
 PART3 = {"p": 0.999, "phi": 0.999, "lambda": 0.3, "R": 1.0, "d": 0.05, "pi": 0.999, "M": 0}
+OVERFLOW = {"p": 0.8, "phi": 0.6, "d": 0.3, "lambda": 1.0, "R": 1.7e308, "pi": 0.5, "M": 1.7e308}
 
 
 def _write_json(tmp_path, name, obj):
@@ -128,19 +134,14 @@ class TestWelfare:
             "nontransparent", "opaque", "transparent_separating"}
         assert sum(r["optimal_flag"] == "true" for r in rows) == 1
 
-    def test_overflowing_welfare_is_null_in_strict_json(self, tmp_path, capsys):
-        path = _write_json(tmp_path, "huge.json", {**SANITY, "p": 0.8, "phi": 0.6, "d": 0.3,
-                                                   "lambda": 1.0, "R": 1.7e308, "pi": 0.5,
-                                                   "M": 1.7e308})
-        assert run(["welfare", "--params", path, "--no-strict"]) == 0
-
-        def reject(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
-        blob = json.loads(capsys.readouterr().out, parse_constant=reject)
-        entry = blob["welfare"]["entries"]["transparent_separating"]
-        assert entry["W"] is None and entry["total"] is None
-        assert blob["welfare"]["margin"] is None
+    def test_overflowing_welfare_is_refused(self, tmp_path, capsys):
+        # the transparent_separating total W + M*Q overflows to infinity
+        path = _write_json(tmp_path, "huge.json", OVERFLOW)
+        assert run(["welfare", "--params", path, "--no-strict"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "transparent_separating" in captured.err and "not finite" in captured.err
 
     # at phi = 1e-200 the opaque on-path success mass and lambda * mu_plus^2
     # underflow to 0 although every parameter is valid
@@ -416,6 +417,16 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_overflowing_welfare_row_is_na(self, tmp_path, capsys):
+        spec = {"base": OVERFLOW, "axes": [{"param": "pi", "min": 0.5, "max": 0.6, "steps": 2}]}
+        assert run(["sweep", "--sweep", _write_json(tmp_path, "s.json", spec)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        welfare = SWEEP_GROUPS["welfare"][0]
+        for row in _parse_csv(captured.out):
+            assert [row[c] for c in welfare] == ["NA"] * len(welfare)
+            assert row["signal_informative"] != "NA" and row["lambda_hat"] != "NA"
+
     def test_underflowing_phi_row_is_na(self, tmp_path, capsys):
         spec = {"base": SANITY, "axes": [{"param": "phi", "min": 1e-200, "max": 0.9, "steps": 3}]}
         assert run(["sweep", "--sweep", _write_json(tmp_path, "s.json", spec)]) == 0
@@ -426,6 +437,110 @@ class TestSweepCommand:
         for col in ("W_opaque", "optimal_regime", "margin", "lambda_hat", "R_low"):
             assert first[col] == "NA"
         assert all(row["W_opaque"] != "NA" and row["lambda_hat"] != "NA" for row in rest)
+
+
+def _run_on_file(argv: list[str], content: bytes) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``run(argv + [path])``, where the
+    file at ``path`` holds ``content``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "wb") as f:
+            f.write(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([*argv, path])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _dump(obj) -> bytes:
+    return json.dumps(obj).encode()
+
+
+DEEP_ARRAY = b"[" * 200_000 + b"]" * 200_000
+HUGE_INT = 10**400
+
+#: inputs that escaped as tracebacks before the one JSON reader
+MALFORMED = {
+    "params_not_utf8": (["check", "--params"], b"\xff\xfe"),
+    "sweep_not_utf8": (["sweep", "--sweep"], b"\xff\xfe"),
+    "params_deep_array": (["check", "--params"], DEEP_ARRAY),
+    "sweep_deep_array": (["sweep", "--sweep"], DEEP_ARRAY),
+    "params_huge_int": (["check", "--params"], _dump({**SANITY, "R": HUGE_INT})),
+    "sweep_huge_bound": (["sweep", "--sweep"], _dump(
+        {"base": SANITY, "axes": [{"param": "R", "min": HUGE_INT, "max": 0.5, "steps": 3}]})),
+}
+
+# integers stay <= 50 so that no generated sweep axis has more than 50 steps
+_SCALARS = (st.none() | st.booleans() | st.integers(max_value=50) | st.floats()
+            | st.text(max_size=6))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=6), inner, max_size=3), max_leaves=8)
+_NUMBER = st.floats(0.0, 1.0) | st.floats() | st.integers(max_value=50) | _JSON
+_PARAMS = (
+    _JSON
+    | st.fixed_dictionaries({k: _NUMBER for k in ("p", "phi", "d", "lambda", "R", "pi")},
+                            optional={"M": _NUMBER, "eps_tol": _NUMBER})
+    | st.builds(lambda key, value: {**SANITY, key: value}, st.sampled_from(list(SANITY)), _NUMBER)
+)
+_AXIS_NAMES = st.sampled_from(["p", "phi", "d", "lambda", "R", "pi", "M"])
+_AXIS = _JSON | st.fixed_dictionaries({"param": _AXIS_NAMES | _JSON, "min": _NUMBER,
+                                       "max": _NUMBER, "steps": st.integers(max_value=50) | _JSON})
+_RUNNABLE_AXIS = st.fixed_dictionaries({"param": _AXIS_NAMES, "min": st.floats(0.0, 0.5),
+                                        "max": st.floats(0.5, 1.0), "steps": st.integers(2, 50)})
+_SWEEP = (
+    _JSON
+    | st.fixed_dictionaries(
+        {"base": _PARAMS, "axes": st.lists(_AXIS, max_size=3) | _JSON},
+        optional={"outputs": st.lists(st.sampled_from(list(SWEEP_GROUPS)) | st.text(max_size=6),
+                                      max_size=3) | _JSON})
+    | st.fixed_dictionaries(  # mostly runnable: a valid base and in-domain axes
+        {"base": st.just(SANITY) | st.just(OVERFLOW),
+         "axes": st.lists(_RUNNABLE_AXIS, min_size=1, max_size=2, unique_by=lambda a: a["param"])},
+        optional={"outputs": st.lists(st.sampled_from(list(SWEEP_GROUPS)), max_size=3)})
+)
+_PARAMS_COMMANDS = st.sampled_from([
+    ["check"], ["welfare"], ["welfare", "--no-strict"], ["solve", "--regime", "opaque"],
+])
+
+
+def _assert_clean_exit(code: int, err: str) -> None:
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert err.count("error:") <= 1
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_is_usage_error(self, name):
+        argv, content = MALFORMED[name]
+        code, out, err = _run_on_file(argv, content)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=_PARAMS_COMMANDS, content=_PARAMS.map(_dump))
+    @example(command=["check"], content=b"{not json")
+    @example(command=["check"], content=MALFORMED["params_not_utf8"][1])
+    @example(command=["check"], content=DEEP_ARRAY)
+    @example(command=["welfare"], content=MALFORMED["params_huge_int"][1])
+    @example(command=["welfare", "--no-strict"], content=_dump(OVERFLOW))
+    def test_fuzzed_params_exit_cleanly(self, command, content):
+        code, _, err = _run_on_file([*command, "--params"], content)
+        _assert_clean_exit(code, err)
+
+    @settings(max_examples=60, deadline=None)
+    @given(content=_SWEEP.map(_dump))
+    @example(content=b"{not json")
+    @example(content=MALFORMED["sweep_not_utf8"][1])
+    @example(content=DEEP_ARRAY)
+    @example(content=MALFORMED["sweep_huge_bound"][1])
+    @example(content=_dump({"base": OVERFLOW, "axes": [
+        {"param": "pi", "min": 0.5, "max": 0.6, "steps": 2}]}))
+    def test_fuzzed_sweep_exit_cleanly(self, content):
+        code, _, err = _run_on_file(["sweep", "--sweep"], content)
+        _assert_clean_exit(code, err)
 
 
 class TestEntryPoint:
@@ -439,6 +554,13 @@ class TestEntryPoint:
 
     def test_no_command_is_usage_error(self):
         assert run([]) == 2
+
+    def test_json_writes_non_finite_floats_as_null(self):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = _json_dumps({"W": math.inf, "margin": [math.nan, -math.inf, 1.5]})
+        assert json.loads(text, parse_constant=reject) == {"W": None, "margin": [None, None, 1.5]}
 
     def test_unwritable_out_is_usage_error(self, capsys):
         assert run(["check", "--params", "sanity", "--out", "/nonexistent_dir/x.json"]) == 2

@@ -30,7 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reformlab import (
-    AgentAction, DomainError, Params, deviation_check, opaque_equilibrium, posteriors, solve,
+    AgentAction, DomainError, Params, deviation_check, posteriors, solve,
     transparent_pooling_family,
 )
 from reformlab import verification
@@ -70,7 +70,7 @@ class TestDeviationGolden:
             assert run_shas == case["run"], case["regime"]
 
     def test_tampered_and_documented_opaque(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         effort = sanity.lam * posteriors(sanity).mu_plus
         tampered = dataclasses.replace(eq, profile=dataclasses.replace(
             eq.profile, congruent_g=AgentAction(REFORM, effort)))
@@ -111,7 +111,7 @@ class TestScanBlocks:
 
 class TestGridCap:
     def test_library_rejects_above_cap(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         with pytest.raises(DomainError, match="grid_size"):
             deviation_check(eq, sanity, grid_size=verification.MAX_GRID_SIZE + 1)
 

@@ -15,16 +15,11 @@ from reformlab import (
     UnresolvedObservationError,
     Observation,
     Params,
-    benchmark_profile,
     interior_effort,
-    nontransparent_equilibrium,
-    opaque_equilibrium,
     posteriors,
     separation_effort,
     solve,
-    transparent_pooling_equilibrium,
     transparent_pooling_family,
-    transparent_separating_equilibrium,
 )
 from reformlab.equilibrium import (
     CELLS, REFORM, STATUS_QUO, SUCCESS, FAILURE, SQ_OUTCOME, StrategyProfile, raw_profile,
@@ -94,7 +89,7 @@ class TestInteriorEffort:
 
 class TestBenchmark:
     def test_profile(self, sanity):
-        eq = benchmark_profile(sanity)
+        eq = solve(sanity, "benchmark")
         assert eq.profile.congruent_g.policy == REFORM
         assert eq.profile.congruent_g.effort == pytest.approx(E_BENCH)
         assert eq.profile.congruent_b.policy == STATUS_QUO
@@ -105,50 +100,50 @@ class TestBenchmark:
     def test_effort_approaches_lambda_at_certainty(self):
         eps = 1e-3
         params = Params(p=1 - eps, phi=1 - eps, d=0.05, lam=0.3, R=1.0, pi=0.5)
-        eq = benchmark_profile(params)
+        eq = solve(params, "benchmark")
         assert eq.profile.congruent_g.effort == pytest.approx(params.lam, abs=1e-5)
 
     def test_assumption_gate_names_check(self):
         bad = Params(p=0.5, phi=0.3, d=0.1, lam=0.5, R=1.0, pi=0.5)
         with pytest.raises(AssumptionError) as exc:
-            benchmark_profile(bad)
+            solve(bad, "benchmark")
         assert exc.value.check == "signal_informative"
 
 
 class TestNontransparent:
     def test_efforts(self, sanity):
-        eq = nontransparent_equilibrium(sanity)
+        eq = solve(sanity, "nontransparent")
         assert eq.profile.congruent_g.effort == pytest.approx(E_BENCH)
         assert eq.profile.congruent_b.effort == pytest.approx(E_CB_FLAT)
         assert eq.profile.noncongruent_g == AgentAction(REFORM, 0.0)
         assert eq.profile.noncongruent_b == AgentAction(REFORM, 0.0)
 
     def test_reform_is_neutral_news(self, sanity):
-        eq = nontransparent_equilibrium(sanity)
+        eq = solve(sanity, "nontransparent")
         assert eq.belief(Observation(REFORM)) == sanity.pi
 
     def test_off_path_status_quo_removes(self, sanity):
-        eq = nontransparent_equilibrium(sanity)
+        eq = solve(sanity, "nontransparent")
         assert eq.decide(Observation(STATUS_QUO)) is False
         assert eq.belief(Observation(STATUS_QUO)) == 0.0
 
 
 class TestOpaque:
     def test_efforts(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         assert eq.profile.congruent_g.effort == pytest.approx(E_CG_OPAQUE)
         assert eq.profile.congruent_b.effort == pytest.approx(E_CB_OPAQUE)
         assert eq.profile.noncongruent_g.effort == pytest.approx(E_NG_OPAQUE)
         assert eq.profile.noncongruent_b.policy == STATUS_QUO
 
     def test_retention_pivots_on_success(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         assert eq.decide(Observation(REFORM, outcome=SUCCESS)) is True
         assert eq.decide(Observation(REFORM, outcome=FAILURE)) is False
         assert eq.decide(Observation(STATUS_QUO, outcome=SQ_OUTCOME)) is False
 
     def test_beliefs(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         b_s = eq.belief(Observation(REFORM, outcome=SUCCESS))
         b_f = eq.belief(Observation(REFORM, outcome=FAILURE))
         assert b_s == pytest.approx(BELIEF_SUCCESS, abs=1e-12)
@@ -164,12 +159,12 @@ class TestOpaque:
         assert rep.signal_informative.passed and rep.moderate_rent_relaxed.passed
         assert not informativeness_condition(bad)[0]
         with pytest.raises(InformativenessError):
-            opaque_equilibrium(bad)
+            solve(bad, "opaque")
 
 
 class TestTransparentSeparating:
     def test_efforts(self, sanity):
-        eq = transparent_separating_equilibrium(sanity)
+        eq = solve(sanity, "transparent_separating")
         assert separation_effort(sanity) == pytest.approx(SEP_BAR, abs=1e-15)
         # e_H = max(bar, lambda mu+) = lambda mu+ here; e_L = bar
         assert eq.profile.congruent_g.effort == pytest.approx(E_BENCH)
@@ -180,26 +175,26 @@ class TestTransparentSeparating:
     def test_separation_free_when_rent_equals_status_quo(self):
         params = Params(p=0.99, phi=0.75, d=0.05, lam=0.5, R=0.05, pi=0.5)
         assert separation_effort(params.replace(R=params.d)) == 0.0
-        eq = transparent_separating_equilibrium(params.replace(R=params.d), check=False)
+        eq = solve(params.replace(R=params.d), "transparent_separating", check=False)
         post = posteriors(params)
         assert eq.profile.congruent_g.effort == pytest.approx(params.lam * post.mu_plus)
         assert eq.profile.congruent_b.effort == pytest.approx(params.lam * post.mu_minus)
 
     def test_riley_property(self, sanity):
         # best mimicry payoff at or above e_H cannot beat the status quo
-        eq = transparent_separating_equilibrium(sanity)
+        eq = solve(sanity, "transparent_separating")
         e_h = eq.profile.congruent_g.effort
         mimic = sanity.R - e_h**2 / (2 * sanity.lam)
         assert mimic <= sanity.d + sanity.eps_tol
 
     def test_riley_property_sampled(self):
         for params in sample_params(23, 200, "acceptance"):
-            eq = transparent_separating_equilibrium(params)
+            eq = solve(params, "transparent_separating")
             e_h = eq.profile.congruent_g.effort
             assert params.R - e_h**2 / (2 * params.lam) <= params.d + 1e-9
 
     def test_off_path_beliefs(self, sanity):
-        eq = transparent_separating_equilibrium(sanity)
+        eq = solve(sanity, "transparent_separating")
         e_h = eq.profile.congruent_g.effort
         e_l = eq.profile.congruent_b.effort
         mid = (e_l + e_h) / 2
@@ -209,7 +204,7 @@ class TestTransparentSeparating:
 
     def test_pathological_tie(self, part3):
         # separating bar above lambda mu+: both signals pool at the bar
-        eq = transparent_separating_equilibrium(part3)
+        eq = solve(part3, "transparent_separating")
         bar = separation_effort(part3)
         assert bar > part3.lam * posteriors(part3).mu_plus
         assert eq.profile.congruent_g.effort == eq.profile.congruent_b.effort == bar
@@ -220,7 +215,7 @@ class TestTransparentSeparating:
         params = Params(p=0.99, phi=0.3, d=0.01, lam=0.2, R=3.0, pi=0.5)
         assert separation_effort(params) > 1.0
         with pytest.raises(AssumptionError) as exc:
-            transparent_separating_equilibrium(params)
+            solve(params, "transparent_separating")
         assert exc.value.check == "separation_feasible"
 
 
@@ -245,7 +240,7 @@ class TestPoolingFamily:
     def test_pooled_equilibrium_supports_both_constraints(self):
         lo, hi = transparent_pooling_family(POOLING_PARAMS)
         for e_star in (lo, 0.4, hi):
-            eq = transparent_pooling_equilibrium(POOLING_PARAMS, e_star)
+            eq = solve(POOLING_PARAMS, "transparent_pooling", pooling_effort=e_star)
             assert e_star >= POOLING_PARAMS.lam * posteriors(POOLING_PARAMS).mu_plus - 1e-12
             assert POOLING_PARAMS.R - e_star**2 / (2 * POOLING_PARAMS.lam) >= POOLING_PARAMS.d - 1e-12
             assert eq.pooling_effort == e_star
@@ -253,7 +248,7 @@ class TestPoolingFamily:
     def test_outside_family_rejected(self):
         lo, hi = transparent_pooling_family(POOLING_PARAMS)
         with pytest.raises(DomainError):
-            transparent_pooling_equilibrium(POOLING_PARAMS, hi + 0.05)
+            solve(POOLING_PARAMS, "transparent_pooling", pooling_effort=hi + 0.05)
 
 
 class TestCrossRegimeInvariants:
@@ -268,7 +263,7 @@ class TestCrossRegimeInvariants:
                         regime, obs)
             fam = transparent_pooling_family(params)
             if fam is not None and fam[0] <= 1.0:
-                eq = transparent_pooling_equilibrium(params, fam[0])
+                eq = solve(params, "transparent_pooling", pooling_effort=fam[0])
                 for obs in _observations_for(eq, params):
                     retained = eq.decide(obs, params.eps_tol)
                     assert retained == (eq.belief(obs, params.eps_tol) >= params.pi)
@@ -277,7 +272,7 @@ class TestCrossRegimeInvariants:
         fam = transparent_pooling_family(POOLING_PARAMS)
         eqs = [solve(sanity, r) for r in
                ("benchmark", "nontransparent", "opaque", "transparent_separating")]
-        eqs.append(transparent_pooling_equilibrium(POOLING_PARAMS, fam[0]))
+        eqs.append(solve(POOLING_PARAMS, "transparent_pooling", pooling_effort=fam[0]))
         for eq in eqs:
             kinks = [act.effort for _, _, act in eq.profile.cells()]
             grid = np.union1d(np.linspace(0.0, 1.0, 2001), kinks)
@@ -291,7 +286,7 @@ class TestCrossRegimeInvariants:
                     assert type(batch) is bool and [batch] * grid.size == scalar
 
     def test_decide_on_effort_grid_unresolved(self, sanity):
-        eq = transparent_separating_equilibrium(sanity)
+        eq = solve(sanity, "transparent_separating")
         partial = dataclasses.replace(eq, retention=eq.retention[:4])
         grid = np.linspace(0.0, 1.0, 11)
         with pytest.raises(UnresolvedObservationError):
@@ -300,8 +295,8 @@ class TestCrossRegimeInvariants:
     def test_effort_ordering_opaque_above_flat(self):
         for params in sample_params(37, 200, "acceptance"):
             post = posteriors(params)
-            flat = nontransparent_equilibrium(params)
-            opq = opaque_equilibrium(params)
+            flat = solve(params, "nontransparent")
+            opq = solve(params, "opaque")
             for cell in ("congruent_g", "congruent_b"):
                 assert getattr(opq.profile, cell).effort > getattr(flat.profile, cell).effort
 
@@ -313,7 +308,7 @@ class TestCrossRegimeInvariants:
                     assert 0.0 <= act.effort <= 1.0
 
     def test_json_shape(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         blob = eq.to_json()
         assert blob["regime"] == "opaque"
         assert len(blob["profile"]) == 4
@@ -372,7 +367,7 @@ class TestCellOrder:
             assert got == _paper_profile(regime, params, post)
 
     def test_joint_outcome_distribution(self, sanity):
-        profile = nontransparent_equilibrium(sanity).profile  # every cell reforms
+        profile = solve(sanity, "nontransparent").profile  # every cell reforms
         order = [(t, s) for t, s, *_ in joint_outcome_distribution(profile, sanity)]
         assert list(dict.fromkeys(order)) == list(CELLS)
 

@@ -17,8 +17,6 @@ from reformlab import (
     SimConfig,
     convergence_sweep,
     fixture_path,
-    nontransparent_equilibrium,
-    opaque_equilibrium,
     posteriors,
     regime_welfare,
     simulate,
@@ -40,19 +38,19 @@ def _analytic_outcome_probs(eq, params):
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         cfg = SimConfig(n_draws=300_000, seed=12345, regime="opaque", params=sanity)
         assert simulate(cfg, eq) == simulate(cfg, eq)
 
     def test_different_seeds_differ(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         a = simulate(SimConfig(n_draws=100_000, seed=1, regime="opaque", params=sanity), eq)
         b = simulate(SimConfig(n_draws=100_000, seed=2, regime="opaque", params=sanity), eq)
         assert a.mean_payoff != b.mean_payoff
 
     def test_thread_count_invariance(self, sanity, monkeypatch):
         # the block/stream scheme makes results independent of scheduling
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         cfg = SimConfig(n_draws=BLOCK_SIZE * 3 + 17, seed=99, regime="opaque", params=sanity)
         serial = simulate(cfg, eq)
         monkeypatch.setenv("REFORMLAB_THREADS", "4")
@@ -73,7 +71,7 @@ class TestDeterminism:
         assert _thread_count() == 1
 
     def test_convergence_sweep_single_stream(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         cfg = SimConfig(n_draws=1, seed=5, regime="opaque", params=sanity)
         a = convergence_sweep(cfg, eq, [1000, 5000])
         b = convergence_sweep(cfg, eq, [1000, 5000])
@@ -110,7 +108,7 @@ class TestKernel:
 
     def test_block_peak_below_40_bytes_per_draw(self, sanity):
         # the draws take 32 bytes; an n-length float temporary would add 8
-        tables = _cell_tables(opaque_equilibrium(sanity), sanity)
+        tables = _cell_tables(solve(sanity, "opaque"), sanity)
         rng = np.random.default_rng(1)
         tracemalloc.start()
         try:
@@ -126,7 +124,7 @@ class TestKernel:
         monkeypatch.setattr(montecarlo, "_run_block", lambda rng, n, params, tables: (
             np.array([n, 0, 0, 0, 0, 0, 0, 0], dtype=np.int64)))
         monkeypatch.setenv("REFORMLAB_THREADS", "2")
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         simulate(SimConfig(n_draws=2 * BLOCK_SIZE, seed=1, regime="opaque", params=sanity), eq)
         n = 3000 * BLOCK_SIZE + 1  # about 5.8 MB of queued futures if all were submitted
         tracemalloc.start()
@@ -198,7 +196,7 @@ class TestGolden:
 
 class TestStatistics:
     def test_outcome_frequencies_match_joint(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         n = 1_000_000
         stats = simulate(SimConfig(n_draws=n, seed=7, regime="opaque", params=sanity), eq)
         analytic = _analytic_outcome_probs(eq, sanity)
@@ -207,7 +205,7 @@ class TestStatistics:
             assert abs(p_hat - analytic[outcome]) <= 3 * se, outcome
 
     def test_mean_payoff_matches_closed_form(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         n = 1_000_000
         stats = simulate(SimConfig(n_draws=n, seed=17, regime="opaque", params=sanity), eq)
         w = regime_welfare(sanity, "opaque", eq).W
@@ -215,7 +213,7 @@ class TestStatistics:
 
     def test_noncongruent_retention_rate(self, sanity):
         # retained only via a good-signal success: P(g) * mu+ * (lambda R mu+)
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         n = 1_000_000
         stats = simulate(SimConfig(n_draws=n, seed=23, regime="opaque", params=sanity), eq)
         post = posteriors(sanity)
@@ -229,7 +227,7 @@ class TestStatistics:
     def test_posterior_at_retained_set(self, sanity):
         # opaque retention = success, so P(congruent | retained) must match
         # the success belief
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         stats = simulate(SimConfig(n_draws=1_000_000, seed=29, regime="opaque",
                                    params=sanity), eq)
         from reformlab import Observation
@@ -239,7 +237,7 @@ class TestStatistics:
         assert abs(stats.p_congruent_given_retained - belief) <= 3 * se
 
     def test_selection_term_estimate(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         stats = simulate(SimConfig(n_draws=1_000_000, seed=31, regime="opaque",
                                    params=sanity), eq)
         q = regime_welfare(sanity, "opaque", eq).Q
@@ -258,7 +256,7 @@ class TestStatistics:
 
 class TestConvergenceSweep:
     def test_se_shrinks_like_sqrt_n(self, sanity):
-        eq = nontransparent_equilibrium(sanity)
+        eq = solve(sanity, "nontransparent")
         cfg = SimConfig(n_draws=1, seed=11, regime="nontransparent", params=sanity)
         table = convergence_sweep(cfg, eq, [1000, 10_000, 100_000])
         ratio1 = table[0].payoff_se / table[1].payoff_se
@@ -268,20 +266,20 @@ class TestConvergenceSweep:
         assert root10 * 0.8 <= ratio2 <= root10 * 1.2
 
     def test_cumulative_means_consistent(self, sanity):
-        eq = nontransparent_equilibrium(sanity)
+        eq = solve(sanity, "nontransparent")
         cfg = SimConfig(n_draws=1, seed=13, regime="nontransparent", params=sanity)
         table = convergence_sweep(cfg, eq, [1000, 100_000])
         assert abs(table[-1].mean_payoff - table[0].mean_payoff) <= 4 * table[0].payoff_se
 
     def test_single_draw_flags_undefined_se(self, sanity):
-        eq = nontransparent_equilibrium(sanity)
+        eq = solve(sanity, "nontransparent")
         cfg = SimConfig(n_draws=1, seed=19, regime="nontransparent", params=sanity)
         [stats] = convergence_sweep(cfg, eq, [1])
         assert stats.payoff_se is None
         assert stats.n_draws == 1
 
     def test_checkpoint_validation(self, sanity):
-        eq = nontransparent_equilibrium(sanity)
+        eq = solve(sanity, "nontransparent")
         cfg = SimConfig(n_draws=1, seed=19, regime="nontransparent", params=sanity)
         with pytest.raises(DomainError):
             convergence_sweep(cfg, eq, [])
@@ -295,7 +293,7 @@ class TestConvergenceSweep:
             raise AssertionError("drew before checking the cap")
 
         monkeypatch.setattr(montecarlo, "_run_block", no_draws)
-        eq = nontransparent_equilibrium(sanity)
+        eq = solve(sanity, "nontransparent")
         cfg = SimConfig(n_draws=1, seed=19, regime="nontransparent", params=sanity)
         with pytest.raises(DomainError, match="checkpoints"):
             convergence_sweep(cfg, eq, [10, MAX_DRAWS + 1])
@@ -303,7 +301,7 @@ class TestConvergenceSweep:
 
 class TestValidation:
     def test_regime_mismatch(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         cfg = SimConfig(n_draws=10, seed=0, regime="nontransparent", params=sanity)
         with pytest.raises(DomainError, match="regime"):
             simulate(cfg, eq)
@@ -319,7 +317,7 @@ class TestValidation:
             SimConfig(n_draws=10, seed=2**64, regime="opaque", params=sanity)
 
     def test_seed_echoed(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         stats = simulate(SimConfig(n_draws=100, seed=4242, regime="opaque", params=sanity), eq)
         assert stats.seed == 4242
         assert stats.to_json()["seed"] == 4242

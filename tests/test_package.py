@@ -1,5 +1,6 @@
-"""The package's public surface: every exported name resolves, once; and the
-import graph keeps each oracle off the code path it checks."""
+"""The package's public surface: every exported name resolves, once; the
+import graph keeps each oracle off the code path it checks; and equilibria
+are built in one place."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,28 @@ def test_verification_imports_no_welfare_or_monte_carlo():
 
 def test_only_the_entry_points_import_the_cli():
     assert {m for m in MODULES if "cli" in direct_imports(m)} == {"__init__", "__main__"}
+
+
+def equilibrium_builders() -> set[tuple[str, str]]:
+    """(module, enclosing function) of every ``Equilibrium(...)`` call in the
+    package; a call outside any function has the function name ``""``."""
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Equilibrium":
+                found.add((module, function))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for module, path in MODULES.items():
+        visit(ast.parse(path.read_text()), module, "")
+    return found
+
+
+def test_only_solve_builds_equilibria():
+    assert equilibrium_builders() == {("equilibrium", "solve")}

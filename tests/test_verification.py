@@ -14,15 +14,10 @@ from reformlab import (
     divinity_breakeven,
     expected_utility,
     informativeness_condition,
-    benchmark_profile,
     news_classification,
-    nontransparent_equilibrium,
-    opaque_equilibrium,
     posteriors,
     solve,
-    transparent_pooling_equilibrium,
     transparent_pooling_family,
-    transparent_separating_equilibrium,
 )
 from reformlab.equilibrium import CONGRUENT, NONCONGRUENT, REFORM, STATUS_QUO
 from reformlab.verification import documented_opaque_gap
@@ -41,20 +36,20 @@ POOLING_PARAMS = Params(p=0.999, phi=0.999, d=0.05, lam=0.3, R=0.5, pi=0.9)
 
 class TestExpectedUtility:
     def test_noncongruent_reform_formula(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         mu = posteriors(sanity).mu_plus
         for e in (0.0, 0.1, 0.5, 1.0):
             u = expected_utility(NONCONGRUENT, "g", AgentAction(REFORM, e), eq, sanity)
             assert u == pytest.approx(mu * e * sanity.R - e**2 / (2 * sanity.lam), abs=1e-12)
 
     def test_status_quo_with_removal_pays_d(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         for t in (CONGRUENT, NONCONGRUENT):
             for s in ("g", "b"):
                 assert expected_utility(t, s, AgentAction(STATUS_QUO), eq, sanity) == sanity.d
 
     def test_congruent_equilibrium_action_value(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         act = eq.profile.congruent_g
         u = expected_utility(CONGRUENT, "g", act, eq, sanity)
         assert u == pytest.approx(EQ_UTILITY_CG_OPAQUE, abs=1e-12)
@@ -65,12 +60,12 @@ class TestExpectedUtility:
 
     def test_benchmark_office_term_constant(self, sanity):
         # no retention stage: office rent accrues no matter the action
-        eq = benchmark_profile(sanity)
+        eq = solve(sanity, "benchmark")
         u_q = expected_utility(NONCONGRUENT, "b", AgentAction(STATUS_QUO), eq, sanity)
         assert u_q == pytest.approx(sanity.d + sanity.R)
 
     def test_unresolvable_observation(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         partial = dataclasses.replace(eq, retention=eq.retention[:1])
         with pytest.raises(UnresolvedObservationError):
             expected_utility(CONGRUENT, "g", AgentAction(REFORM, 0.5), partial, sanity)
@@ -78,11 +73,11 @@ class TestExpectedUtility:
 
 class TestDeviationCheck:
     def test_nontransparent_sanity_all_pass(self, sanity):
-        report = deviation_check(nontransparent_equilibrium(sanity), sanity, grid_size=100_001)
+        report = deviation_check(solve(sanity, "nontransparent"), sanity, grid_size=100_001)
         assert all(c.verdict == "pass" for c in report.cells.values())
 
     def test_gain_nonnegative_and_zero_at_equilibrium(self, sanity):
-        eq = nontransparent_equilibrium(sanity)
+        eq = solve(sanity, "nontransparent")
         report = deviation_check(eq, sanity, grid_size=5001)
         for (t, s), cell in report.cells.items():
             assert cell.gain >= 0.0
@@ -90,7 +85,7 @@ class TestDeviationCheck:
             assert u_again - cell.eq_utility == 0.0
 
     def test_tampered_opaque_effort_fails(self, sanity):
-        eq = opaque_equilibrium(sanity)
+        eq = solve(sanity, "opaque")
         post = posteriors(sanity)
         lam, R = sanity.lam, sanity.R
         tampered_profile = dataclasses.replace(
@@ -104,7 +99,7 @@ class TestDeviationCheck:
         assert cell.gain == pytest.approx(expected_gain, abs=1e-9)
 
     def test_documented_congruent_b_case(self, sanity):
-        report = deviation_check(opaque_equilibrium(sanity), sanity, grid_size=20_001)
+        report = deviation_check(solve(sanity, "opaque"), sanity, grid_size=20_001)
         cell = report.cells[(CONGRUENT, "b")]
         assert cell.verdict == "fail (documented)"
         assert cell.gain == pytest.approx(documented_opaque_gap(sanity), abs=1e-9)
@@ -113,7 +108,7 @@ class TestDeviationCheck:
         assert report.counts() == {"pass": 3, "fail": 0, "fail (documented)": 1}
 
     def test_separating_mimicry_never_profitable(self, part3):
-        eq = transparent_separating_equilibrium(part3)
+        eq = solve(part3, "transparent_separating")
         e_h = eq.profile.congruent_g.effort
         for s in ("g", "b"):
             eq_u = expected_utility(NONCONGRUENT, s, eq.profile.action(NONCONGRUENT, s), eq, part3)
@@ -132,12 +127,12 @@ class TestDeviationCheck:
 
     def test_grid_size_validation(self, sanity):
         with pytest.raises(Exception):
-            deviation_check(nontransparent_equilibrium(sanity), sanity, grid_size=1)
+            deviation_check(solve(sanity, "nontransparent"), sanity, grid_size=1)
 
 
 class TestBayesConsistency:
     def test_opaque_sanity(self, sanity):
-        report = bayes_consistency(opaque_equilibrium(sanity), sanity)
+        report = bayes_consistency(solve(sanity, "opaque"), sanity)
         assert report.passed
         by_outcome = {e.observation.outcome: e for e in report.entries}
         assert by_outcome["success"].recomputed == pytest.approx(0.9782672070353847, abs=1e-12)
@@ -147,19 +142,19 @@ class TestBayesConsistency:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_nontransparent_pools_to_prior(self, sanity):
-        report = bayes_consistency(nontransparent_equilibrium(sanity), sanity)
+        report = bayes_consistency(solve(sanity, "nontransparent"), sanity)
         assert report.passed
         assert len(report.entries) == 1  # only reform on path
         assert report.entries[0].recomputed == sanity.pi
 
     def test_transparent_separating(self, sanity):
-        report = bayes_consistency(transparent_separating_equilibrium(sanity), sanity)
+        report = bayes_consistency(solve(sanity, "transparent_separating"), sanity)
         assert report.passed
         for e in report.entries:
             assert e.stored in (0.0, 1.0)
 
     def test_benchmark_vacuous(self, sanity):
-        report = bayes_consistency(benchmark_profile(sanity), sanity)
+        report = bayes_consistency(solve(sanity, "benchmark"), sanity)
         assert report.passed and report.entries == ()
 
     def test_sampled_equilibria_consistent(self):
@@ -170,7 +165,7 @@ class TestBayesConsistency:
 
 class TestNewsClassification:
     def test_opaque_profile_at_sanity(self, sanity):
-        report = news_classification(opaque_equilibrium(sanity).profile, sanity)
+        report = news_classification(solve(sanity, "opaque").profile, sanity)
         assert report.entries["success"].classification == "good"
         assert report.entries["failure"].classification == "bad"
         assert report.entries["status_quo"].classification == "bad"
@@ -178,7 +173,7 @@ class TestNewsClassification:
 
     def test_degenerate_prior_is_neutral(self, sanity):
         params = sanity.replace(pi=1 - 1e-9, eps_tol=1e-8)
-        profile = nontransparent_equilibrium(params).profile
+        profile = solve(params, "nontransparent").profile
         report = news_classification(profile, params)
         assert report.entries  # success and failure both on path
         for entry in report.entries.values():
@@ -196,7 +191,7 @@ class TestNewsClassification:
 
 class TestDivinityBreakeven:
     def test_nontransparent_status_quo_deviation(self, sanity):
-        eq = nontransparent_equilibrium(sanity)
+        eq = solve(sanity, "nontransparent")
         report = divinity_breakeven(eq, AgentAction(STATUS_QUO), sanity)
         for cell, expected in PBAR_NONTRANSPARENT.items():
             assert report.p_bar[cell] == pytest.approx(expected, abs=1e-12)
@@ -207,14 +202,14 @@ class TestDivinityBreakeven:
 
     def test_pooling_status_quo_ordering(self):
         lo, hi = transparent_pooling_family(POOLING_PARAMS)
-        eq = transparent_pooling_equilibrium(POOLING_PARAMS, 0.4)
+        eq = solve(POOLING_PARAMS, "transparent_pooling", pooling_effort=0.4)
         report = divinity_breakeven(eq, AgentAction(STATUS_QUO), POOLING_PARAMS)
         cg, cb = report.p_bar[(CONGRUENT, "g")], report.p_bar[(CONGRUENT, "b")]
         ng, nb = report.p_bar[(NONCONGRUENT, "g")], report.p_bar[(NONCONGRUENT, "b")]
         assert cg > cb > ng == nb
 
     def test_pooling_low_effort_deviation_ordering(self):
-        eq = transparent_pooling_equilibrium(POOLING_PARAMS, 0.4)
+        eq = solve(POOLING_PARAMS, "transparent_pooling", pooling_effort=0.4)
         report = divinity_breakeven(eq, AgentAction(REFORM, 0.2), POOLING_PARAMS)
         cg, cb = report.p_bar[(CONGRUENT, "g")], report.p_bar[(CONGRUENT, "b")]
         ng = report.p_bar[(NONCONGRUENT, "g")]
@@ -222,14 +217,14 @@ class TestDivinityBreakeven:
 
     def test_indifferent_deviation_gives_unit_breakeven(self, sanity):
         # deviating to one's own equilibrium action under full retention
-        eq = nontransparent_equilibrium(sanity)
+        eq = solve(sanity, "nontransparent")
         act = eq.profile.congruent_g
         report = divinity_breakeven(eq, act, sanity)
         assert report.p_bar[(CONGRUENT, "g")] == pytest.approx(1.0, abs=1e-15)
 
     def test_sampled_sob_ordering(self):
         for params in sample_params(67, 200, "base"):
-            eq = nontransparent_equilibrium(params)
+            eq = solve(params, "nontransparent")
             report = divinity_breakeven(eq, AgentAction(STATUS_QUO), params)
             assert report.p_bar[(CONGRUENT, "g")] > report.p_bar[(NONCONGRUENT, "g")]
             assert report.p_bar[(CONGRUENT, "b")] > report.p_bar[(NONCONGRUENT, "b")]

@@ -10,11 +10,8 @@ from reformlab import (
     Params,
     PreconditionLossError,
     SimConfig,
-    benchmark_profile,
     comparative_statics,
     formula_welfare,
-    nontransparent_equilibrium,
-    opaque_equilibrium,
     optimal_regime,
     posteriors,
     regime_welfare,
@@ -40,27 +37,27 @@ PART2_PARAMS = Params(p=0.999, phi=0.75, d=0.01, lam=0.5, R=0.22, pi=0.9)
 class TestRegimeWelfare:
     def test_near_zero_congruence_nontransparent(self, sanity):
         params = sanity.replace(pi=1e-9)
-        entry = regime_welfare(params, "nontransparent", nontransparent_equilibrium(params))
+        entry = regime_welfare(params, "nontransparent", solve(params, "nontransparent"))
         assert entry.W == pytest.approx(0.0, abs=1e-8)
 
     def test_near_zero_congruence_benchmark(self, sanity):
         params = sanity.replace(pi=1e-9)
-        entry = regime_welfare(params, "benchmark", benchmark_profile(params))
+        entry = regime_welfare(params, "benchmark", solve(params, "benchmark"))
         assert entry.W == pytest.approx(params.d, abs=1e-8)
 
     def test_full_congruence_nontransparent(self, sanity):
         params = sanity.replace(pi=1 - 1e-12)
-        entry = regime_welfare(params, "nontransparent", nontransparent_equilibrium(params))
+        entry = regime_welfare(params, "nontransparent", solve(params, "nontransparent"))
         assert entry.W == pytest.approx(W_NT_FULL_CONGRUENT, abs=1e-9)
         assert entry.W == pytest.approx(0.3700, abs=2e-4)
 
     def test_opaque_sanity_value(self, sanity):
-        entry = regime_welfare(sanity, "opaque", opaque_equilibrium(sanity))
+        entry = regime_welfare(sanity, "opaque", solve(sanity, "opaque"))
         assert entry.W == pytest.approx(W_OPAQUE_SANITY, abs=1e-12)
 
     def test_regime_mismatch_rejected(self, sanity):
         with pytest.raises(DomainError, match="match"):
-            regime_welfare(sanity, "opaque", nontransparent_equilibrium(sanity))
+            regime_welfare(sanity, "opaque", solve(sanity, "nontransparent"))
 
     def test_bounds_and_mc_agreement(self, sanity):
         for regime in WELFARE_REGIMES:
@@ -81,7 +78,7 @@ class TestRegimeWelfare:
 
     def test_selection_weight_enters_total(self, sanity):
         weighted = sanity.replace(M=0.5)
-        entry = regime_welfare(weighted, "opaque", opaque_equilibrium(weighted))
+        entry = regime_welfare(weighted, "opaque", solve(weighted, "opaque"))
         assert entry.total == pytest.approx(entry.W + 0.5 * entry.Q, abs=1e-15)
 
 
