@@ -9,14 +9,15 @@ A regime fixes what the principal observes before the retention vote:
 plus a no-accountability ``benchmark`` with no retention stage.
 :func:`solve` returns each regime's :class:`Equilibrium`, bundling the pure
 strategy profile, a pure retention rule, and a belief system over observables.
-Retention and beliefs are stored as ordered pattern lists (first match
-wins) so that rules over a continuous effort dimension stay serializable.
+Retention and beliefs are stated as ordered pattern lists (first match wins);
+retention is read from a table compiled from its list, per observation class.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -51,6 +52,9 @@ REGIMES = (BENCHMARK, NONTRANSPARENT, OPAQUE, TRANSPARENT_SEPARATING, TRANSPAREN
 
 RETAIN = "retain"
 REMOVE = "remove"
+
+#: the classes of observation retention is decided on, as (policy, outcome)
+OBSERVATION_CLASSES = ((REFORM, SUCCESS), (REFORM, FAILURE), (STATUS_QUO, SQ_OUTCOME))
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,15 @@ def observe(regime: str, action: AgentAction, outcome: str) -> Observation:
     raise DomainError(f"unknown regime {regime!r}")
 
 
+#: each regime's projection of each observation class, as :func:`observe` makes it
+_CLASS_VIEWS = {r: tuple((c, observe(r, AgentAction(c[0]), c[1])) for c in OBSERVATION_CLASSES)
+                for r in REGIMES}
+
+#: a pattern's eps-buffered effort tests, (effort, value, eps) -> bool or bool array
+_EFFORT_TESTS = {"eq": lambda e, v, eps: abs(e - v) <= eps, "ge": lambda e, v, eps: e >= v - eps,
+                 "gt": lambda e, v, eps: e > v + eps}
+
+
 @dataclass(frozen=True)
 class ObservationPattern:
     """Matcher for a set of observations.
@@ -139,7 +152,7 @@ class ObservationPattern:
     effort_value: Optional[float] = None
 
     def __post_init__(self):
-        if self.effort_op not in (None, "eq", "ge", "gt"):
+        if self.effort_op is not None and self.effort_op not in _EFFORT_TESTS:
             raise DomainError(f"bad effort_op {self.effort_op!r}")
         if (self.effort_op is None) != (self.effort_value is None):
             raise DomainError("effort_op and effort_value must come together")
@@ -147,20 +160,11 @@ class ObservationPattern:
     def matches(self, obs: Observation, eps: float):
         """Whether ``obs`` matches: a bool, or a bool array when the pattern
         tests an ``obs.effort`` that is an array of efforts."""
-        if obs.policy != self.policy:
+        if obs.policy != self.policy or self.outcome not in (None, obs.outcome):
             return False
-        if self.outcome is not None and obs.outcome != self.outcome:
-            return False
-        if self.effort_op is None:
-            return True
-        if obs.effort is None:
-            return False
-        e, v = obs.effort, self.effort_value
-        if self.effort_op == "eq":
-            return abs(e - v) <= eps
-        if self.effort_op == "ge":
-            return e >= v - eps
-        return e > v + eps  # "gt"
+        if self.effort_op is None or obs.effort is None:
+            return self.effort_op is None
+        return _EFFORT_TESTS[self.effort_op](obs.effort, self.effort_value, eps)
 
     def to_json(self) -> dict:
         out: dict = {"policy": self.policy}
@@ -193,26 +197,33 @@ class Equilibrium:
         for _, decision in self.retention:
             if decision not in (RETAIN, REMOVE):
                 raise DomainError(f"bad retention decision {decision!r}")
+        rows = {}  # retention table: by class and by what the regime observes of it
+        for cls, obs in _CLASS_VIEWS[self.regime]:
+            row = _retention_row(self.retention, obs) if self.retention else ((None, None, True),)
+            rows[cls] = rows[obs.policy, obs.outcome] = row
+        object.__setattr__(self, "_rows", rows)
 
     def decide(self, obs: Observation, eps: float = 1e-12):
-        """True iff the agent is retained after ``obs``.
+        """True iff the agent is retained after ``obs`` (see :meth:`retains`)."""
+        return self.retains(obs, obs.outcome, eps)
 
-        ``obs.effort`` may be an array of efforts (the deviation oracle's
-        grid); the result is then a bool array, or a single bool when the
-        deciding pattern does not look at effort.
-        """
-        if not self.retention:
-            return True  # no retention stage
+    def retains(self, action, outcome: Optional[str], eps: float = 1e-12):
+        """``decide(observe(regime, action, outcome), eps)`` without building the
+        observation; ``action`` may be an :class:`Observation`, whose effort None
+        fails every effort test. An array of efforts gives a bool array, or one
+        bool when the deciding test ignores effort."""
         retained, unset = False, True
-        for pattern, decision in self.retention:
-            hit = unset & pattern.matches(obs, eps)
-            if decision == RETAIN:
+        for op, v, keep in self._rows.get((action.policy, outcome), ()):
+            if op is not None and action.effort is None:
+                continue
+            hit = unset if op is None else unset & _EFFORT_TESTS[op](action.effort, v, eps)
+            if keep:
                 retained = retained | hit
             unset = unset ^ hit
             if unset is False:  # a scalar decision is final at its first match
                 return retained
         if np.any(unset):
-            raise UnresolvedObservationError(f"no retention rule matches {obs}")
+            raise UnresolvedObservationError(f"no retention rule matches {action} ({outcome})")
         return retained
 
     def belief(self, obs: Observation, eps: float = 1e-12) -> float:
@@ -236,6 +247,19 @@ class Equilibrium:
             ],
             "pooling_effort": self.pooling_effort,
         }
+
+
+def _retention_row(retention, obs: Observation) -> tuple:
+    """The (effort_op, effort_value, retained) tests of ``retention`` that can match
+    observations shaped as ``obs``, in first-match order up to the first ignoring effort."""
+    row = []
+    for p, d in retention:
+        if p.policy == obs.policy and p.outcome in (None, obs.outcome) and (
+                p.effort_op is None or obs.effort is not None):
+            row.append((p.effort_op, p.effort_value, d == RETAIN))
+            if p.effort_op is None:
+                break
+    return tuple(row)
 
 
 def interior_effort(mu: float, reward_weight: float, params: Params) -> float:
@@ -262,9 +286,16 @@ def separation_effort(params: Params) -> float:
 _CORE_GATES = ("signal_informative", "moderate_rent", "effort_bound")
 
 
+@lru_cache(maxsize=64)
+def _report(params: Params) -> AssumptionReport:
+    """``check_assumptions`` through a bounded memo (about 2 kB a report); its
+    ``detail`` dicts are mutable, so a report read here never leaves :func:`solve`."""
+    return check_assumptions(params)
+
+
 def _require(params: Params, rent_mode: RentMode) -> AssumptionReport:
     """The assumption report of ``params``, once each of ``_CORE_GATES`` holds."""
-    report = check_assumptions(params)
+    report = _report(params)
     for name in _CORE_GATES:
         result = report.rent(rent_mode) if name == "moderate_rent" else report.check(name)
         if not result.passed:
@@ -371,10 +402,12 @@ def solve(
     With ``check`` the core assumptions (rent in its ``rent_mode`` form) and
     the regime's own condition must hold, and a pooled effort must lie in
     the family. Either way the closed-form efforts are clamped to [0, 1],
-    and a pooled effort outside [0, 1] is refused.
+    and a pooled effort outside [0, 1], or given for another regime, is refused.
     """
     if regime not in REGIMES:
         raise DomainError(f"unknown regime {regime!r}")
+    if pooling_effort is not None and regime != TRANSPARENT_POOLING:
+        raise DomainError(f"a pooling effort applies only to transparent_pooling, not {regime}")
     if regime == TRANSPARENT_POOLING and pooling_effort is None:
         pooling_effort = _pooling_family(params)[0]
     if check:

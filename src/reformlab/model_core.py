@@ -60,20 +60,19 @@ class Params:
     eps_tol: float = 1e-12
 
     def __post_init__(self):
-        checks = [
-            (0.5 <= self.p <= 1.0, f"p must be in [1/2, 1], got {self.p}"),
-            (0.0 < self.phi < 1.0, f"phi must be in (0, 1), got {self.phi}"),
-            (0.0 < self.d < 1.0, f"d must be in (0, 1), got {self.d}"),
-            (0.0 < self.lam <= 1.0, f"lambda must be in (0, 1], got {self.lam}"),
-            (0.0 < self.R < math.inf, f"R must be finite and > 0, got {self.R}"),
-            (0.0 < self.pi < 1.0, f"pi must be in (0, 1), got {self.pi}"),
-            (0.0 <= self.M < math.inf, f"M must be finite and >= 0, got {self.M}"),
-            (0.0 <= self.eps_tol < math.inf,
-             f"eps_tol must be finite and >= 0, got {self.eps_tol}"),
-        ]
+        checks = (  # a message is formatted only for a failed condition
+            (0.5 <= self.p <= 1.0, "p must be in [1/2, 1], got {0.p}"),
+            (0.0 < self.phi < 1.0, "phi must be in (0, 1), got {0.phi}"),
+            (0.0 < self.d < 1.0, "d must be in (0, 1), got {0.d}"),
+            (0.0 < self.lam <= 1.0, "lambda must be in (0, 1], got {0.lam}"),
+            (0.0 < self.R < math.inf, "R must be finite and > 0, got {0.R}"),
+            (0.0 < self.pi < 1.0, "pi must be in (0, 1), got {0.pi}"),
+            (0.0 <= self.M < math.inf, "M must be finite and >= 0, got {0.M}"),
+            (0.0 <= self.eps_tol < math.inf, "eps_tol must be finite and >= 0, got {0.eps_tol}"),
+        )
         for ok, msg in checks:
             if not ok:
-                raise DomainError(msg)
+                raise DomainError(msg.format(self))
 
     def replace(self, **kwargs) -> "Params":
         return _replace(self, **kwargs)

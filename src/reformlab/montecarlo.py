@@ -47,7 +47,6 @@ from .equilibrium import (
     SUCCESS,
     TYPES,
     Equilibrium,
-    observe,
 )
 from .model_core import Params, Record
 
@@ -119,7 +118,7 @@ def _cell_tables(eq: Equilibrium, params: Params):
         outcomes = (SUCCESS, FAILURE) if act.policy == REFORM else (SQ_OUTCOME,)
         for outcome in outcomes:
             j = _OUTCOMES.index(outcome)
-            retain[i, j] = eq.decide(observe(eq.regime, act, outcome), params.eps_tol)
+            retain[i, j] = eq.retains(act, outcome, params.eps_tol)
     return reform, effort, retain
 
 

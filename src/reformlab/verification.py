@@ -61,7 +61,7 @@ def _policy_payoff(agent_type: str, outcome: str, params: Params) -> float:
 def _reform_retention(eq: Equilibrium, effort, eps: float) -> tuple:
     """Retention after a successful and after a failed reform at ``effort``."""
     action = AgentAction(REFORM, effort)
-    return tuple(eq.decide(observe(eq.regime, action, o), eps) for o in (SUCCESS, FAILURE))
+    return eq.retains(action, SUCCESS, eps), eq.retains(action, FAILURE, eps)
 
 
 def _retention_runs(eq: Equilibrium, grid_size: int, step: float, eps: float) -> list:
@@ -113,8 +113,8 @@ def expected_utility(
     """
     eps = params.eps_tol
     if action.policy == STATUS_QUO:
-        obs = observe(eq.regime, action, SQ_OUTCOME)
-        return _policy_payoff(agent_type, SQ_OUTCOME, params) + params.R * eq.decide(obs, eps)
+        return (_policy_payoff(agent_type, SQ_OUTCOME, params)
+                + params.R * eq.retains(action, SQ_OUTCOME, eps))
     payoffs = tuple(_policy_payoff(agent_type, o, params) for o in (SUCCESS, FAILURE))
     retained = _reform_retention(eq, action.effort, eps)
     return float(_reform_utility(posteriors(params).mu(signal), np.array([action.effort]),

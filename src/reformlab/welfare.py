@@ -1,5 +1,5 @@
 """Principal welfare per regime, optimal-regime selection, and the
-office-rent thresholds that drive regime switches.
+office-rent roots of :func:`H`.
 
 Two welfare surfaces are exposed deliberately:
 
@@ -39,7 +39,6 @@ from .equilibrium import (
     SUCCESS,
     TRANSPARENT_SEPARATING,
     Equilibrium,
-    observe,
     raw_profile,
     solve,
 )
@@ -88,8 +87,7 @@ def _welfare_and_selection(eq: Equilibrium, params: Params) -> tuple[float, floa
     q = 0.0
     for t, _s, act, outcome, mass in joint_outcome_distribution(eq.profile, params):
         w += mass * (params.d if outcome == SQ_OUTCOME else _OUTCOME_VALUE[outcome])
-        retained = eq.decide(observe(eq.regime, act, outcome), params.eps_tol)
-        if retained:
+        if eq.retains(act, outcome, params.eps_tol):
             q += mass if t == CONGRUENT else 0.0
         else:
             q += mass * params.pi
@@ -156,14 +154,15 @@ def optimal_regime(
 
 
 def H(R: float, lambda_hat: float, d: float) -> float:
-    """Quadratic whose sign compares outcome-driven vs separation-driven
-    effort: nonpositive exactly where the transparent regime elicits more."""
+    """Nonpositive exactly where the separating bar sqrt(2 lambda (R-d)) reaches the
+    opaque good-signal congruent effort lambda (1+R) mu+, at lambda_hat = lambda mu+^2."""
     return lambda_hat * (1 + R) ** 2 - 2 * (R - d)
 
 
 @dataclass(frozen=True)
 class Thresholds(Record):
-    """Roots of H: the office-rent band on which transparency dominates."""
+    """Roots of H: the rents where the separating bar meets the opaque good-signal
+    congruent effort. Welfare weighs more, so the optimal regime can switch elsewhere."""
 
     lambda_hat: float
     exists: bool
@@ -185,7 +184,7 @@ def thresholds_from_lambda_hat(lambda_hat: float, d: float) -> Thresholds:
 
 
 def thresholds(params: Params) -> Thresholds:
-    """Thresholds at lambda_hat = lambda * mu_plus^2 for the given params."""
+    """:class:`Thresholds` at lambda_hat = lambda * mu_plus^2 for the given params."""
     lambda_hat = params.lam * posteriors(params).mu_plus**2
     if lambda_hat == 0.0:
         raise UnderflowError("lambda_hat = lambda * mu_plus^2 underflows to 0")

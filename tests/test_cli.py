@@ -90,6 +90,14 @@ class TestSolve:
     def test_unknown_regime_is_usage_error(self, capsys):
         assert run(["solve", "--regime", "bogus", "--params", "sanity"]) == 2
 
+    def test_pooling_effort_for_another_regime_is_usage_error(self, capsys):
+        assert run(["solve", "--params", "sanity", "--regime", "opaque",
+                    "--pooling-effort", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a pooling effort applies only")
+        assert captured.err.count("\n") == 1
+
     def test_pooling_with_effort(self, tmp_path, capsys):
         path = _write_json(tmp_path, "p.json",
                            {"p": 0.999, "phi": 0.999, "lambda": 0.3, "R": 0.5,

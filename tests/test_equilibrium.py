@@ -15,15 +15,18 @@ from reformlab import (
     UnresolvedObservationError,
     Observation,
     Params,
+    check_assumptions,
     interior_effort,
     posteriors,
     separation_effort,
     solve,
     transparent_pooling_family,
 )
+from reformlab import equilibrium
 from reformlab.equilibrium import (
     CELLS, REFORM, STATUS_QUO, SUCCESS, FAILURE, SQ_OUTCOME, StrategyProfile, raw_profile,
 )
+from reformlab.model_core import ASSUMPTION_CHECKS
 from reformlab.verification import joint_outcome_distribution
 from reformlab.welfare import WELFARE_REGIMES, formula_welfare
 from support import grid_argmax_effort, sample_params
@@ -249,6 +252,46 @@ class TestPoolingFamily:
         lo, hi = transparent_pooling_family(POOLING_PARAMS)
         with pytest.raises(DomainError):
             solve(POOLING_PARAMS, "transparent_pooling", pooling_effort=hi + 0.05)
+
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("regime", ["benchmark", "nontransparent", "opaque",
+                                        "transparent_separating"])
+    def test_effort_for_another_regime_refused(self, regime, check):
+        with pytest.raises(DomainError, match="only to transparent_pooling"):
+            solve(POOLING_PARAMS, regime, check=check, pooling_effort=0.4)
+
+
+class TestGateMemo:
+    def test_cache_stays_bounded(self, sanity):
+        before = equilibrium._report.cache_info()
+        for k in range(10_000):
+            try:
+                solve(sanity.replace(R=0.5 + k * 1e-6), "benchmark")
+            except AssumptionError:
+                pass
+        info = equilibrium._report.cache_info()
+        assert info.misses - before.misses == 10_000
+        assert info.currsize <= info.maxsize == 64
+
+    def test_public_reports_are_fresh(self, sanity):
+        a, b = check_assumptions(sanity), check_assumptions(sanity)
+        assert a == b and a is not b
+        assert a.signal_informative.detail is not b.signal_informative.detail
+
+    def test_mutating_a_report_leaves_solve_alone(self):
+        bad = Params(p=0.5, phi=0.3, d=0.1, lam=0.5, R=1.0, pi=0.5)
+
+        def refusal():
+            with pytest.raises(AssumptionError) as exc:
+                solve(bad, "opaque")
+            return exc.value.check, str(exc.value)
+
+        first = refusal()  # the memo now holds the report of ``bad``
+        report = check_assumptions(bad)
+        for name in ASSUMPTION_CHECKS:
+            report.check(name).detail.clear()
+        assert refusal() == first == ("signal_informative", "assumption failed: signal_informative")
+        assert equilibrium._report(bad) == check_assumptions(bad) != report
 
 
 class TestCrossRegimeInvariants:
