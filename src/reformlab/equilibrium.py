@@ -9,8 +9,8 @@ A regime fixes what the principal observes before the retention vote:
 plus a no-accountability ``benchmark`` with no retention stage.
 :func:`solve` returns each regime's :class:`Equilibrium`, bundling the pure
 strategy profile, a pure retention rule, and a belief system over observables.
-Retention and beliefs are stated as ordered pattern lists (first match wins);
-retention is read from a table compiled from its list, per observation class.
+Retention and beliefs are serialized as ordered pattern lists (first match
+wins); ``decide`` reads retention from a table compiled from its list.
 """
 
 from __future__ import annotations
@@ -129,8 +129,13 @@ def observe(regime: str, action: AgentAction, outcome: str) -> Observation:
     raise DomainError(f"unknown regime {regime!r}")
 
 
-#: each regime's projection of each observation class, as :func:`observe` makes it
-_CLASS_VIEWS = {r: tuple((c, observe(r, AgentAction(c[0]), c[1])) for c in OBSERVATION_CLASSES)
+def _shape(obs: Observation) -> tuple:
+    """The retention table's key for ``obs``: (policy, outcome, whether effort is seen)."""
+    return obs.policy, obs.outcome, obs.effort is not None
+
+
+#: each regime's table key for each observation class, through :func:`observe`'s projection
+_CLASS_VIEWS = {r: {c: _shape(observe(r, AgentAction(c[0]), c[1])) for c in OBSERVATION_CLASSES}
                 for r in REGIMES}
 
 #: a pattern's eps-buffered effort tests, (effort, value, eps) -> bool or bool array
@@ -179,10 +184,9 @@ class ObservationPattern:
 class Equilibrium:
     """A strategy profile, a pure retention rule, and a belief system.
 
-    ``retention`` and ``beliefs`` are ordered (pattern, value) lists; lookups
-    take the first matching pattern. An empty retention list means there is
-    no retention stage (benchmark): the agent keeps office regardless of
-    play, so the office term is constant across actions.
+    ``retention`` and ``beliefs`` are ordered (pattern, value) lists, first match
+    wins. An empty retention list means no retention stage (benchmark): the agent
+    keeps office regardless of play, so the office term is constant across actions.
     """
 
     regime: str
@@ -197,33 +201,31 @@ class Equilibrium:
         for _, decision in self.retention:
             if decision not in (RETAIN, REMOVE):
                 raise DomainError(f"bad retention decision {decision!r}")
-        rows = {}  # retention table: by class and by what the regime observes of it
-        for cls, obs in _CLASS_VIEWS[self.regime]:
-            row = _retention_row(self.retention, obs) if self.retention else ((None, None, True),)
-            rows[cls] = rows[obs.policy, obs.outcome] = row
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_rows", {})  # retention table by shape, rows built on first read
 
     def decide(self, obs: Observation, eps: float = 1e-12):
-        """True iff the agent is retained after ``obs`` (see :meth:`retains`)."""
-        return self.retains(obs, obs.outcome, eps)
+        """True iff retained after ``obs``; a bool array for an array of efforts a test reads."""
+        return self._retained(_shape(obs), obs.effort, eps)
 
-    def retains(self, action, outcome: Optional[str], eps: float = 1e-12):
-        """``decide(observe(regime, action, outcome), eps)`` without building the
-        observation; ``action`` may be an :class:`Observation`, whose effort None
-        fails every effort test. An array of efforts gives a bool array, or one
-        bool when the deciding test ignores effort."""
+    def retains(self, action: AgentAction, outcome: str, eps: float = 1e-12):
+        """``decide(observe(regime, action, outcome), eps)`` without building the observation;
+        (``action.policy``, ``outcome``) is one of ``OBSERVATION_CLASSES``."""
+        return self._retained(_CLASS_VIEWS[self.regime][action.policy, outcome], action.effort, eps)
+
+    def _retained(self, shape: tuple, effort, eps: float):
+        row = self._rows.get(shape)
+        if row is None:
+            row = self._rows[shape] = _retention_row(self.retention, *shape)
         retained, unset = False, True
-        for op, v, keep in self._rows.get((action.policy, outcome), ()):
-            if op is not None and action.effort is None:
-                continue
-            hit = unset if op is None else unset & _EFFORT_TESTS[op](action.effort, v, eps)
+        for op, v, keep in row:
+            hit = unset if op is None else unset & _EFFORT_TESTS[op](effort, v, eps)
             if keep:
                 retained = retained | hit
             unset = unset ^ hit
             if unset is False:  # a scalar decision is final at its first match
                 return retained
         if np.any(unset):
-            raise UnresolvedObservationError(f"no retention rule matches {action} ({outcome})")
+            raise UnresolvedObservationError(f"no retention rule matches {shape}, effort {effort}")
         return retained
 
     def belief(self, obs: Observation, eps: float = 1e-12) -> float:
@@ -249,13 +251,12 @@ class Equilibrium:
         }
 
 
-def _retention_row(retention, obs: Observation) -> tuple:
-    """The (effort_op, effort_value, retained) tests of ``retention`` that can match
-    observations shaped as ``obs``, in first-match order up to the first ignoring effort."""
-    row = []
+def _retention_row(retention, policy: str, outcome: Optional[str], seen: bool) -> tuple:
+    """The (effort_op, effort_value, retained) tests of ``retention`` that can match that shape,
+    in first-match order up to the first ignoring effort; a constant retain if it is empty."""
+    row = [] if retention else [(None, None, True)]
     for p, d in retention:
-        if p.policy == obs.policy and p.outcome in (None, obs.outcome) and (
-                p.effort_op is None or obs.effort is not None):
+        if p.policy == policy and p.outcome in (None, outcome) and (p.effort_op is None or seen):
             row.append((p.effort_op, p.effort_value, d == RETAIN))
             if p.effort_op is None:
                 break
@@ -288,8 +289,7 @@ _CORE_GATES = ("signal_informative", "moderate_rent", "effort_bound")
 
 @lru_cache(maxsize=64)
 def _report(params: Params) -> AssumptionReport:
-    """``check_assumptions`` through a bounded memo (about 2 kB a report); its
-    ``detail`` dicts are mutable, so a report read here never leaves :func:`solve`."""
+    """Memoized ``check_assumptions``, read only by :func:`_require`: reports hold mutable dicts."""
     return check_assumptions(params)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from reformlab import Params
+from reformlab import Params, posteriors
 
 DOMAINS = {
     "p": (0.5, 1.0),
@@ -39,6 +39,19 @@ def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def opaque_failure_mass(params: Params) -> float:
+    """Probability of a failed reform as the opaque beliefs compute it, from the
+    closed-form efforts left unclamped. Where it is exactly 0 (only outside the
+    effort bound) ungated opaque ``solve`` has no belief after a failure and
+    raises ``UnderflowError``; a copy of that formula, so that a test can tell
+    this documented refusal from any other."""
+    lam, R, p, phi, pi = params.lam, params.R, params.p, params.phi, params.pi
+    post = posteriors(params)
+    fail_c = 1.0 - phi * lam * (1 + R) * (p * post.mu_plus + (1 - p) * post.mu_minus)
+    fail_n = phi * p * (1 - lam * R * post.mu_plus) + (1 - phi) * (1 - p)
+    return pi * fail_c + (1 - pi) * fail_n
 
 
 def reference_block_counts(rng: np.random.Generator, n: int, params: Params, tables) -> np.ndarray:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reformlab import (
@@ -36,7 +36,7 @@ from reformlab import (
 from reformlab import verification
 from reformlab.cli import run
 from reformlab.equilibrium import FAILURE, REFORM, SUCCESS, Observation
-from support import DOMAINS
+from support import DOMAINS, opaque_failure_mass
 
 GOLDEN = json.loads(Path(__file__).with_name("deviation_golden.json").read_text())
 NONPOOLING_REGIMES = ("benchmark", "nontransparent", "opaque", "transparent_separating")
@@ -138,17 +138,18 @@ class TestRetentionRuns:
            j=st.integers(0, 10**7))
     @example(params=Params(p=0.8, phi=0.6, d=0.3, lam=1.0, R=0.9, pi=0.5, eps_tol=0.0),
              regime="pooling_on_grid", grid_size=2001, j=700)
-    # a failed reform is off path here, so ungated opaque solve refuses the point
+    # the opaque failed-reform mass is exactly 0 here, so ungated solve refuses the point
     @example(params=Params(p=1.0, phi=0.5, d=0.5, lam=1.0, R=1.0, pi=0.5, eps_tol=0.1),
              regime="opaque", grid_size=2, j=0)
     @settings(max_examples=300, deadline=None)
     def test_runs_match_array_decide(self, params, regime, grid_size, j):
         lin = np.linspace(0.0, 1.0, grid_size)
+        if regime == "opaque" and opaque_failure_mass(params) == 0.0:
+            with pytest.raises(UnderflowError):  # no belief after a failure: refused
+                solve(params, regime, check=False)
+            assume(False)
         if regime in NONPOOLING_REGIMES:
-            try:
-                eq = solve(params, regime, check=False)
-            except UnderflowError:
-                return  # no equilibrium to scan
+            eq = solve(params, regime, check=False)
         else:
             family = transparent_pooling_family(params)
             e_star = {"pooling_lo": family and family[0], "pooling_hi": family and family[1],

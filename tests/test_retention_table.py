@@ -1,12 +1,14 @@
 """Table-driven retention against the pattern interpreter it replaced.
 
 An ``Equilibrium`` compiles its ordered retention patterns into a table
-keyed by observation class; ``decide`` and ``retains`` read that table.
-``_matches`` and ``_interpreted_decide`` below are the first-match
-interpreter that ``ObservationPattern.matches`` and ``Equilibrium.decide``
-ran before the table, copied verbatim, so the property compares the two on
-every regime at grid points and within 4 ulp of every v - eps, v and
-v + eps a pattern tests, on scalar and array efforts. The mutation test
+keyed by observation shape (policy, outcome, whether effort is seen);
+``decide`` and ``retains`` read that table. ``_matches`` and
+``_interpreted_decide`` below are the first-match interpreter that
+``ObservationPattern.matches`` and ``Equilibrium.decide`` ran before the
+table, copied verbatim, so the property compares the two on every regime at
+grid points and within 4 ulp of every v - eps, v and v + eps a pattern
+tests, on scalar and array efforts: ``retains`` on each observation class,
+``decide`` on every shape an ``Observation`` can take. The mutation test
 shows that the comparison notices a table with two rows swapped or with one
 effort value moved by one ulp.
 """
@@ -15,21 +17,25 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reformlab import (
-    AgentAction, Params, UnderflowError, UnresolvedObservationError, solve,
-    transparent_pooling_family,
+    AgentAction, Observation, Params, UnderflowError, UnresolvedObservationError,
+    solve, transparent_pooling_family,
 )
 from reformlab.equilibrium import (
-    FAILURE, OBSERVATION_CLASSES, REFORM, RETAIN, SUCCESS, observe,
+    FAILURE, OBSERVATION_CLASSES, REFORM, RETAIN, SQ_OUTCOME, STATUS_QUO, SUCCESS, observe,
 )
-from support import DOMAINS
+from support import DOMAINS, opaque_failure_mass
 
 NONPOOLING_REGIMES = ("benchmark", "nontransparent", "opaque", "transparent_separating")
 #: the deviation scan's default grid, whose points are probed next to each tested value
 GRID_SIZE = 100_001
+#: every (policy, outcome) an ``Observation`` can carry
+SHAPES = ((REFORM, None), (REFORM, SUCCESS), (REFORM, FAILURE), (STATUS_QUO, None),
+          (STATUS_QUO, SQ_OUTCOME))
 
 
 def _matches(self, obs, eps):
@@ -70,10 +76,11 @@ def _equilibria(params: Params, j: int) -> list:
     grid point ``j``; ungated, so that the tests reach past the gates."""
     eqs = []
     for regime in NONPOOLING_REGIMES:
-        try:
-            eqs.append(solve(params, regime, check=False))
-        except UnderflowError:
-            pass
+        if regime == "opaque" and opaque_failure_mass(params) == 0.0:
+            with pytest.raises(UnderflowError):  # no belief after a failure: refused
+                solve(params, regime, check=False)
+            continue
+        eqs.append(solve(params, regime, check=False))
     pools = [*(transparent_pooling_family(params) or ()), j / (GRID_SIZE - 1)]
     eqs += [solve(params, "transparent_pooling", pooling_effort=e, check=False)
             for e in pools if 0.0 <= e <= 1.0]
@@ -99,26 +106,33 @@ def _probes(eq, eps: float) -> list[float]:
     return sorted(e for e in probes if 0.0 <= e <= 1.0)
 
 
+def _result(decide, *args):
+    """A decision as (type, value), or the class of the error it raised."""
+    try:
+        got = decide(*args)
+    except UnresolvedObservationError as exc:
+        return type(exc)
+    return type(got), got.tolist() if isinstance(got, np.ndarray) else got
+
+
 def _mismatches(eq, eps: float) -> list:
-    """(class, effort) where the table's decision differs from the
-    interpreter's, in value or in type; ``"array"`` marks the array call."""
+    """Where the table's decision differs from the interpreter's, in value,
+    in type or in raising: (class, effort) for ``retains`` on what the
+    regime observes of each class, (policy, outcome, effort) for ``decide``
+    on every observation shape; ``"array"`` marks an array of efforts."""
     found = []
     efforts = _probes(eq, eps)
     for policy, outcome in OBSERVATION_CLASSES:
         for e in efforts if policy == REFORM else [0.0]:
             action = AgentAction(policy, e)
-            obs = observe(eq.regime, action, outcome)
-            want = _interpreted_decide(eq, obs, eps)
-            for got in (eq.retains(action, outcome, eps), eq.decide(obs, eps)):
-                if (type(got), got) != (type(want), want):
-                    found.append(((policy, outcome), e))
-        if policy == REFORM:
-            obs = observe(eq.regime, AgentAction(REFORM), outcome)
-            if obs.effort is not None:
-                obs = dataclasses.replace(obs, effort=np.array(efforts))
-            want, got = _interpreted_decide(eq, obs, eps), eq.decide(obs, eps)
-            if type(got) is not type(want) or not np.array_equal(got, want):
-                found.append(((policy, outcome), "array"))
+            want = _result(_interpreted_decide, eq, observe(eq.regime, action, outcome), eps)
+            if _result(eq.retains, action, outcome, eps) != want:
+                found.append(((policy, outcome), e))
+    for policy, outcome in SHAPES:
+        for effort in (None, *efforts, np.array(efforts)) if policy == REFORM else (None, 0.0):
+            obs = Observation(policy, effort, outcome)
+            if _result(eq.decide, obs, eps) != _result(_interpreted_decide, eq, obs, eps):
+                found.append((policy, outcome, "array" if np.ndim(effort) else effort))
     return found
 
 
@@ -146,23 +160,36 @@ def _with_rows(eq, edit):
     return mutant
 
 
+def test_decide_reads_every_observation_shape(sanity):
+    # shapes no regime's observe produces still get the interpreter's answer
+    separating = solve(sanity, "transparent_separating")
+    assert separating.decide(Observation(REFORM, effort=separating.profile.congruent_g.effort))
+    assert separating.decide(Observation(REFORM, outcome=SUCCESS)) is False
+    opaque = solve(sanity, "opaque")
+    assert opaque.decide(Observation(STATUS_QUO)) is False
+    with pytest.raises(UnresolvedObservationError):
+        opaque.decide(Observation(REFORM))
+
+
 def test_comparison_notices_a_mutated_table(sanity):
     eps = sanity.eps_tol
     opaque = solve(sanity, "opaque")
     separating = solve(sanity, "transparent_separating")
     assert _mismatches(opaque, eps) == [] and _mismatches(separating, eps) == []
-    success, failure = (REFORM, SUCCESS), (REFORM, FAILURE)
+    # table keys: opaque sees the outcome, the transparent regimes also the effort
+    success, failure = (REFORM, SUCCESS, False), (REFORM, FAILURE, False)
+    seen_success = (REFORM, SUCCESS, True)
 
     def swap_classes(rows):
         rows[success], rows[failure] = rows[failure], rows[success]
 
     def swap_tests(rows):  # the "gt" test and the constant that follows it
-        row = rows[success]
-        rows[success] = (*row[:-2], row[-1], row[-2])
+        row = rows[seen_success]
+        rows[seen_success] = (*row[:-2], row[-1], row[-2])
 
     def move_one_ulp(rows):  # the first test, "eq" at e_H, by one ulp up
-        (op, v, keep), *rest = rows[success]
-        rows[success] = ((op, math.nextafter(v, 2.0), keep), *rest)
+        (op, v, keep), *rest = rows[seen_success]
+        rows[seen_success] = ((op, math.nextafter(v, 2.0), keep), *rest)
 
     for eq, edit in ((opaque, swap_classes), (separating, swap_tests),
                      (separating, move_one_ulp)):
