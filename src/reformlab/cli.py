@@ -26,7 +26,6 @@ import contextlib
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ from typing import Iterator, Optional
 
 from .errors import DomainError, ReformLabError
 from .equilibrium import AgentAction, REGIMES, STATUS_QUO, solve
-from .model_core import ASSUMPTION_CHECKS, Params, check_assumptions
+from .model_core import ASSUMPTION_CHECKS, Params, check_assumptions, require_integer
 from .montecarlo import SimConfig, simulate
 from .verification import (MAX_GRID_SIZE, bayes_consistency, deviation_check,
                            divinity_breakeven, news_classification)
@@ -106,12 +105,7 @@ class SweepAxis:
     def __post_init__(self):
         if not isinstance(self.param, str) or self.param not in _AXIS_DOMAINS:
             raise DomainError(f"invalid sweep axis {self.param!r}")
-        try:
-            operator.index(self.steps)
-        except TypeError:
-            raise DomainError(
-                f"axis {self.param}: steps must be an integer, got {self.steps!r}"
-            ) from None
+        require_integer(f"axis {self.param}: steps", self.steps)
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise DomainError(f"axis {self.param}: min and max must be finite")
         if not 2 <= self.steps <= MAX_SWEEP_STEPS:

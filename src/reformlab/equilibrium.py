@@ -10,17 +10,19 @@ plus a no-accountability ``benchmark`` with no retention stage.
 :func:`solve` returns each regime's :class:`Equilibrium`, bundling the pure
 strategy profile, a pure retention rule, and a belief system over observables.
 Retention and beliefs are serialized as ordered pattern lists (first match
-wins); ``decide`` reads retention from a table compiled from its list.
+wins). One first-match reader serves both lists: it compiles each (list,
+observation shape) row on first read, and ``decide``, ``retains`` and
+``belief`` read those rows. Efforts are scalars: an ``AgentAction`` or an
+``Observation`` whose effort is not a real number in [0, 1] is refused.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
-
-import numpy as np
 
 from .errors import (
     AssumptionError, DomainError, InformativenessError, UnderflowError, UnresolvedObservationError,
@@ -57,6 +59,13 @@ REMOVE = "remove"
 OBSERVATION_CLASSES = ((REFORM, SUCCESS), (REFORM, FAILURE), (STATUS_QUO, SQ_OUTCOME))
 
 
+def _check_effort(effort) -> None:
+    """Refuse an effort that is not a real number in [0, 1]: an array, NaN or None among them."""
+    # float first: it passes without the slower ABC check that admits numpy scalars
+    if not (isinstance(effort, (float, numbers.Real)) and 0.0 <= effort <= 1.0):
+        raise DomainError(f"effort must be a real number in [0, 1], got {effort!r}")
+
+
 @dataclass(frozen=True)
 class AgentAction(Record):
     """A policy choice plus implementation effort (zero under the status quo)."""
@@ -67,8 +76,7 @@ class AgentAction(Record):
     def __post_init__(self):
         if self.policy not in (REFORM, STATUS_QUO):
             raise DomainError(f"policy must be 'reform' or 'status_quo', got {self.policy!r}")
-        if not 0.0 <= self.effort <= 1.0:
-            raise DomainError(f"effort must be in [0, 1], got {self.effort}")
+        _check_effort(self.effort)
         if self.policy == STATUS_QUO and self.effort != 0.0:
             raise DomainError("status quo carries zero effort")
 
@@ -108,6 +116,8 @@ class Observation:
     def __post_init__(self):
         if self.policy not in (REFORM, STATUS_QUO):
             raise DomainError(f"bad policy {self.policy!r}")
+        if self.effort is not None:
+            _check_effort(self.effort)
         if self.outcome is not None:
             if self.outcome not in (SUCCESS, FAILURE, SQ_OUTCOME):
                 raise DomainError(f"bad outcome {self.outcome!r}")
@@ -130,15 +140,15 @@ def observe(regime: str, action: AgentAction, outcome: str) -> Observation:
 
 
 def _shape(obs: Observation) -> tuple:
-    """The retention table's key for ``obs``: (policy, outcome, whether effort is seen)."""
+    """The first-match table's shape of ``obs``: (policy, outcome, whether effort is seen)."""
     return obs.policy, obs.outcome, obs.effort is not None
 
 
-#: each regime's table key for each observation class, through :func:`observe`'s projection
-_CLASS_VIEWS = {r: {c: _shape(observe(r, AgentAction(c[0]), c[1])) for c in OBSERVATION_CLASSES}
-                for r in REGIMES}
+#: each regime's retention row key for each observation class, through :func:`observe`'s projection
+_CLASS_VIEWS = {r: {c: ("retention", _shape(observe(r, AgentAction(c[0]), c[1])))
+                    for c in OBSERVATION_CLASSES} for r in REGIMES}
 
-#: a pattern's eps-buffered effort tests, (effort, value, eps) -> bool or bool array
+#: a pattern's eps-buffered effort tests, (effort, value, eps) -> bool
 _EFFORT_TESTS = {"eq": lambda e, v, eps: abs(e - v) <= eps, "ge": lambda e, v, eps: e >= v - eps,
                  "gt": lambda e, v, eps: e > v + eps}
 
@@ -161,15 +171,6 @@ class ObservationPattern:
             raise DomainError(f"bad effort_op {self.effort_op!r}")
         if (self.effort_op is None) != (self.effort_value is None):
             raise DomainError("effort_op and effort_value must come together")
-
-    def matches(self, obs: Observation, eps: float):
-        """Whether ``obs`` matches: a bool, or a bool array when the pattern
-        tests an ``obs.effort`` that is an array of efforts."""
-        if obs.policy != self.policy or self.outcome not in (None, obs.outcome):
-            return False
-        if self.effort_op is None or obs.effort is None:
-            return self.effort_op is None
-        return _EFFORT_TESTS[self.effort_op](obs.effort, self.effort_value, eps)
 
     def to_json(self) -> dict:
         out: dict = {"policy": self.policy}
@@ -201,39 +202,39 @@ class Equilibrium:
         for _, decision in self.retention:
             if decision not in (RETAIN, REMOVE):
                 raise DomainError(f"bad retention decision {decision!r}")
-        object.__setattr__(self, "_rows", {})  # retention table by shape, rows built on first read
+        object.__setattr__(self, "_rows", {})  # first-match rows by (list, shape), built when read
 
-    def decide(self, obs: Observation, eps: float = 1e-12):
-        """True iff retained after ``obs``; a bool array for an array of efforts a test reads."""
-        return self._retained(_shape(obs), obs.effort, eps)
+    def decide(self, obs: Observation, eps: float = 1e-12) -> bool:
+        """True iff retained after ``obs``."""
+        return self._first_match(("retention", _shape(obs)), obs.effort, eps) == RETAIN
 
-    def retains(self, action: AgentAction, outcome: str, eps: float = 1e-12):
+    def retains(self, action: AgentAction, outcome: str, eps: float = 1e-12) -> bool:
         """``decide(observe(regime, action, outcome), eps)`` without building the observation;
         (``action.policy``, ``outcome``) is one of ``OBSERVATION_CLASSES``."""
-        return self._retained(_CLASS_VIEWS[self.regime][action.policy, outcome], action.effort, eps)
-
-    def _retained(self, shape: tuple, effort, eps: float):
-        row = self._rows.get(shape)
-        if row is None:
-            row = self._rows[shape] = _retention_row(self.retention, *shape)
-        retained, unset = False, True
-        for op, v, keep in row:
-            hit = unset if op is None else unset & _EFFORT_TESTS[op](effort, v, eps)
-            if keep:
-                retained = retained | hit
-            unset = unset ^ hit
-            if unset is False:  # a scalar decision is final at its first match
-                return retained
-        if np.any(unset):
-            raise UnresolvedObservationError(f"no retention rule matches {shape}, effort {effort}")
-        return retained
+        key = _CLASS_VIEWS[self.regime][action.policy, outcome]
+        return self._first_match(key, action.effort, eps) == RETAIN
 
     def belief(self, obs: Observation, eps: float = 1e-12) -> float:
         """Posterior probability the agent is congruent after ``obs``."""
-        for pattern, value in self.beliefs:
-            if pattern.matches(obs, eps):
+        return self._first_match(("beliefs", _shape(obs)), obs.effort, eps)
+
+    def _first_match(self, key: tuple, effort: Optional[float], eps: float):
+        """The value of the first entry of list ``key[0]`` ("retention" or "beliefs") whose
+        pattern matches an observation of shape ``key[1]`` carrying ``effort``."""
+        row = self._rows.get(key)
+        if row is None:  # (effort_op, effort_value, value) of the entries that can match the shape
+            rules, (policy, outcome, seen) = key
+            entries = getattr(self, rules)
+            if rules == "retention" and not entries:  # no retention stage: the agent keeps office
+                entries = ((ObservationPattern(policy), RETAIN),)
+            row = self._rows[key] = [
+                (p.effort_op, p.effort_value, value) for p, value in entries
+                if p.policy == policy and p.outcome in (None, outcome)
+                and (p.effort_op is None or seen)]
+        for op, v, value in row:
+            if op is None or _EFFORT_TESTS[op](effort, v, eps):
                 return value
-        raise UnresolvedObservationError(f"no belief entry matches {obs}")
+        raise UnresolvedObservationError(f"no {key[0]} entry matches {key[1]}, effort {effort}")
 
     def to_json(self) -> dict:
         return {
@@ -249,18 +250,6 @@ class Equilibrium:
             ],
             "pooling_effort": self.pooling_effort,
         }
-
-
-def _retention_row(retention, policy: str, outcome: Optional[str], seen: bool) -> tuple:
-    """The (effort_op, effort_value, retained) tests of ``retention`` that can match that shape,
-    in first-match order up to the first ignoring effort; a constant retain if it is empty."""
-    row = [] if retention else [(None, None, True)]
-    for p, d in retention:
-        if p.policy == policy and p.outcome in (None, outcome) and (p.effort_op is None or seen):
-            row.append((p.effort_op, p.effort_value, d == RETAIN))
-            if p.effort_op is None:
-                break
-    return tuple(row)
 
 
 def interior_effort(mu: float, reward_weight: float, params: Params) -> float:

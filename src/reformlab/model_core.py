@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields, replace as _replace
 from typing import Literal
 
@@ -26,6 +27,14 @@ RentMode = Literal["strict", "relaxed"]
 #: JSON keys for Params, in canonical order. ``lambda`` is a Python keyword,
 #: so the attribute is named ``lam``.
 PARAM_KEYS = ("p", "phi", "d", "lambda", "R", "pi", "M", "eps_tol")
+
+
+def require_integer(name: str, value) -> int:
+    """``value`` as an int; a count or seed that is not an integer (1.5, say) is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 class Record:

@@ -48,7 +48,7 @@ from .equilibrium import (
     TYPES,
     Equilibrium,
 )
-from .model_core import Params, Record
+from .model_core import Params, Record, require_integer
 
 BLOCK_SIZE = 1 << 18
 #: most draws one run may ask for (hours of compute); far below 2**53, so
@@ -66,9 +66,9 @@ class SimConfig:
     params: Params
 
     def __post_init__(self):
-        if not 1 <= self.n_draws <= MAX_DRAWS:
+        if not 1 <= require_integer("n_draws", self.n_draws) <= MAX_DRAWS:
             raise DomainError(f"n_draws must be in [1, {MAX_DRAWS}], got {self.n_draws}")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= require_integer("seed", self.seed) < 2**64:
             raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
@@ -253,6 +253,7 @@ def convergence_sweep(
         raise DomainError(f"equilibrium regime {eq.regime!r} != config regime {config.regime!r}")
     if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise DomainError("checkpoints must be strictly increasing and nonempty")
+    checkpoints = [require_integer("checkpoints", c) for c in checkpoints]
     if not (1 <= checkpoints[0] and checkpoints[-1] <= MAX_DRAWS):
         raise DomainError(f"checkpoints must lie in [1, {MAX_DRAWS}]")
     params = config.params

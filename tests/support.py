@@ -3,14 +3,16 @@
 Everything here is deliberately independent of the library's solution path:
 grid maximizers instead of first-order conditions, joint-distribution
 enumeration instead of stored beliefs, dense scans instead of closed-form
-roots.
+roots, and a pattern-by-pattern interpreter instead of the compiled
+first-match table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from reformlab import Params, posteriors
+from reformlab import Params, UnresolvedObservationError, posteriors
+from reformlab.equilibrium import RETAIN
 
 DOMAINS = {
     "p": (0.5, 1.0),
@@ -52,6 +54,52 @@ def opaque_failure_mass(params: Params) -> float:
     fail_c = 1.0 - phi * lam * (1 + R) * (p * post.mu_plus + (1 - p) * post.mu_minus)
     fail_n = phi * p * (1 - lam * R * post.mu_plus) + (1 - phi) * (1 - p)
     return pi * fail_c + (1 - pi) * fail_n
+
+
+# The first-match interpreter that read retention and beliefs before the
+# compiled table, copied verbatim: ``_matches`` was ``ObservationPattern.matches``,
+# ``_interpreted_decide`` and ``_interpreted_belief`` were ``Equilibrium.decide``
+# and ``Equilibrium.belief``. ``obs`` is anything with ``policy``, ``effort`` and
+# ``outcome``; ``_interpreted_decide`` also takes an array of efforts and then
+# returns a bool array, the reference for the deviation scan's retention runs.
+def _matches(self, obs, eps):
+    if obs.policy != self.policy:
+        return False
+    if self.outcome is not None and obs.outcome != self.outcome:
+        return False
+    if self.effort_op is None:
+        return True
+    if obs.effort is None:
+        return False
+    e, v = obs.effort, self.effort_value
+    if self.effort_op == "eq":
+        return abs(e - v) <= eps
+    if self.effort_op == "ge":
+        return e >= v - eps
+    return e > v + eps  # "gt"
+
+
+def _interpreted_decide(self, obs, eps=1e-12):
+    if not self.retention:
+        return True  # no retention stage
+    retained, unset = False, True
+    for pattern, decision in self.retention:
+        hit = unset & _matches(pattern, obs, eps)
+        if decision == RETAIN:
+            retained = retained | hit
+        unset = unset ^ hit
+        if unset is False:  # a scalar decision is final at its first match
+            return retained
+    if np.any(unset):
+        raise UnresolvedObservationError(f"no retention rule matches {obs}")
+    return retained
+
+
+def _interpreted_belief(self, obs, eps=1e-12):
+    for pattern, value in self.beliefs:
+        if _matches(pattern, obs, eps):
+            return value
+    raise UnresolvedObservationError(f"no belief entry matches {obs}")
 
 
 def reference_block_counts(rng: np.random.Generator, n: int, params: Params, tables) -> np.ndarray:

@@ -13,7 +13,8 @@ extras that are not linspace points. Comparisons are exact, on the dumped
 JSON text.
 
 The block-built scan is also checked piece by piece: its retention runs
-against ``Equilibrium.decide`` on the whole linspace, its efforts against
+against the verbatim pattern interpreter of ``support``, which decides a
+whole linspace as one array, its efforts against
 ``np.linspace`` element for element, and its memory against a bound that
 does not grow with the grid.
 """
@@ -23,6 +24,7 @@ import hashlib
 import json
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,8 +37,8 @@ from reformlab import (
 )
 from reformlab import verification
 from reformlab.cli import run
-from reformlab.equilibrium import FAILURE, REFORM, SUCCESS, Observation
-from support import DOMAINS, opaque_failure_mass
+from reformlab.equilibrium import FAILURE, REFORM, SUCCESS
+from support import DOMAINS, _interpreted_decide, opaque_failure_mass
 
 GOLDEN = json.loads(Path(__file__).with_name("deviation_golden.json").read_text())
 NONPOOLING_REGIMES = ("benchmark", "nontransparent", "opaque", "transparent_separating")
@@ -162,7 +164,9 @@ class TestRetentionRuns:
         assert runs[-1][1] == grid_size and all(lo < hi for lo, hi, _ in runs)
         for k, outcome in enumerate((SUCCESS, FAILURE)):
             got = np.concatenate([np.full(hi - lo, kept[k]) for lo, hi, kept in runs])
-            want = eq.decide(Observation(REFORM, lin, outcome), params.eps_tol)
+            # an Observation refuses an array of efforts; the interpreter reads any object
+            obs = SimpleNamespace(policy=REFORM, effort=lin, outcome=outcome)
+            want = _interpreted_decide(eq, obs, params.eps_tol)
             np.testing.assert_array_equal(got, np.broadcast_to(want, lin.shape))
 
 

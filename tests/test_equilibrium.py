@@ -320,20 +320,17 @@ class TestCrossRegimeInvariants:
             kinks = [act.effort for _, _, act in eq.profile.cells()]
             grid = np.union1d(np.linspace(0.0, 1.0, 2001), kinks)
             for outcome in (SUCCESS, FAILURE):
-                batch = eq.decide(Observation(REFORM, grid, outcome))
                 scalar = [eq.decide(Observation(REFORM, float(e), outcome)) for e in grid]
                 assert all(type(v) is bool for v in scalar)
-                if eq.regime.startswith("transparent"):
-                    assert batch.dtype == bool and batch.tolist() == scalar, eq.regime
-                else:  # retention ignores effort: one decision for the grid
-                    assert type(batch) is bool and [batch] * grid.size == scalar
+                if not eq.regime.startswith("transparent"):  # retention ignores effort
+                    assert len(set(scalar)) == 1, eq.regime
 
     def test_decide_on_effort_grid_unresolved(self, sanity):
         eq = solve(sanity, "transparent_separating")
         partial = dataclasses.replace(eq, retention=eq.retention[:4])
-        grid = np.linspace(0.0, 1.0, 11)
+        assert 0.0 < eq.profile.congruent_b.effort  # so effort 0 meets none of the four
         with pytest.raises(UnresolvedObservationError):
-            partial.decide(Observation(REFORM, grid, FAILURE))
+            partial.decide(Observation(REFORM, 0.0, FAILURE))
 
     def test_effort_ordering_opaque_above_flat(self):
         for params in sample_params(37, 200, "acceptance"):
@@ -367,6 +364,25 @@ class TestActionValidation:
     def test_effort_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             AgentAction(REFORM, 1.2)
+
+    # an array of efforts once slipped past Observation, which opaque then decided as one
+    # scalar; AgentAction met it with numpy's ambiguous-truth ValueError
+    @pytest.mark.parametrize("effort", [np.array([0.2, 0.5]), np.array(0.5), 1.5, -0.1,
+                                        math.nan, "0.5"], ids=repr)
+    @pytest.mark.parametrize("make", [lambda e: AgentAction(REFORM, e),
+                                      lambda e: Observation(REFORM, e, SUCCESS)],
+                             ids=["action", "observation"])
+    def test_effort_not_a_real_in_unit_interval_refused(self, make, effort):
+        with pytest.raises(DomainError, match="effort must be a real number in"):
+            make(effort)
+
+    def test_only_an_observation_leaves_effort_unset(self):
+        assert Observation(REFORM, None, SUCCESS).effort is None
+        with pytest.raises(DomainError):
+            AgentAction(REFORM, None)
+        # numpy scalars and integers are real numbers
+        assert AgentAction(REFORM, np.float64(0.5)) == AgentAction(REFORM, 0.5)
+        assert Observation(REFORM, 1).effort == 1
 
     def test_observation_invertibility(self):
         with pytest.raises(DomainError):

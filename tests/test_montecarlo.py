@@ -298,6 +298,13 @@ class TestConvergenceSweep:
         with pytest.raises(DomainError, match="checkpoints"):
             convergence_sweep(cfg, eq, [10, MAX_DRAWS + 1])
 
+    def test_non_integer_checkpoint_refused(self, sanity):
+        # a float checkpoint used to reach numpy and fail there with a bare TypeError
+        eq = solve(sanity, "nontransparent")
+        cfg = SimConfig(n_draws=1, seed=19, regime="nontransparent", params=sanity)
+        with pytest.raises(DomainError, match="checkpoints must be an integer, got 10.5"):
+            convergence_sweep(cfg, eq, [10.5])
+
 
 class TestValidation:
     def test_regime_mismatch(self, sanity):
@@ -315,6 +322,13 @@ class TestValidation:
             SimConfig(n_draws=10, seed=-1, regime="opaque", params=sanity)
         with pytest.raises(DomainError):
             SimConfig(n_draws=10, seed=2**64, regime="opaque", params=sanity)
+
+    # a float count or seed used to pass construction and fail inside numpy with a TypeError
+    @pytest.mark.parametrize("field,kw", [("n_draws", {"n_draws": 1.5, "seed": 0}),
+                                          ("seed", {"n_draws": 10, "seed": 1.5})])
+    def test_non_integer_count_or_seed_refused(self, sanity, field, kw):
+        with pytest.raises(DomainError, match=f"{field} must be an integer, got 1.5"):
+            SimConfig(regime="opaque", params=sanity, **kw)
 
     def test_seed_echoed(self, sanity):
         eq = solve(sanity, "opaque")

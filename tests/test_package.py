@@ -1,6 +1,6 @@
 """The package's public surface: every exported name resolves, once; the
-import graph keeps each oracle off the code path it checks; and equilibria
-are built in one place."""
+import graph keeps each oracle off the code path it checks; equilibria are
+built in one place; and one reader interprets observation patterns."""
 
 import ast
 from pathlib import Path
@@ -64,26 +64,44 @@ def test_only_the_entry_points_import_the_cli():
     assert {m for m in MODULES if "cli" in direct_imports(m)} == {"__init__", "__main__"}
 
 
-def equilibrium_builders() -> set[tuple[str, str]]:
-    """(module, enclosing function) of every ``Equilibrium(...)`` call in the
-    package; a call outside any function has the function name ``""``."""
+def sites(match) -> set[tuple[str, str]]:
+    """(module, enclosing scope) of every syntax node in the package that
+    ``match`` accepts; the scope is the dotted name of the enclosing classes
+    and functions, ``""`` at module level."""
     found = set()
 
-    def visit(node, module, function):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "Equilibrium":
-                found.add((module, function))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+    def visit(node, module, scope):
+        if match(node):
+            found.add((module, scope))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
         for child in ast.iter_child_nodes(node):
-            visit(child, module, function)
+            visit(child, module, scope)
 
     for module, path in MODULES.items():
         visit(ast.parse(path.read_text()), module, "")
     return found
 
 
+def builds_equilibrium(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "Equilibrium"
+
+
+def reads_effort_tests(node) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "_EFFORT_TESTS" and isinstance(node.ctx, ast.Load)
+    return isinstance(node, ast.Attribute) and node.attr == "_EFFORT_TESTS"
+
+
 def test_only_solve_builds_equilibria():
-    assert equilibrium_builders() == {("equilibrium", "solve")}
+    assert sites(builds_equilibrium) == {("equilibrium", "solve")}
+
+
+def test_one_reader_interprets_patterns():
+    # the eps-buffered effort tests are applied in one place, the first-match
+    # reader of retention and beliefs; pattern construction only checks the op name
+    assert sites(reads_effort_tests) == {("equilibrium", "ObservationPattern.__post_init__"),
+                                         ("equilibrium", "Equilibrium._first_match")}

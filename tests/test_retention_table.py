@@ -1,22 +1,20 @@
-"""Table-driven retention against the pattern interpreter it replaced.
+"""Table-driven retention and beliefs against the pattern interpreter they replaced.
 
-An ``Equilibrium`` compiles its ordered retention patterns into a table
-keyed by observation shape (policy, outcome, whether effort is seen);
-``decide`` and ``retains`` read that table. ``_matches`` and
-``_interpreted_decide`` below are the first-match interpreter that
-``ObservationPattern.matches`` and ``Equilibrium.decide`` ran before the
-table, copied verbatim, so the property compares the two on every regime at
-grid points and within 4 ulp of every v - eps, v and v + eps a pattern
-tests, on scalar and array efforts: ``retains`` on each observation class,
-``decide`` on every shape an ``Observation`` can take. The mutation test
-shows that the comparison notices a table with two rows swapped or with one
-effort value moved by one ulp.
+An ``Equilibrium`` compiles its ordered retention and belief patterns into
+one table keyed by (list, observation shape), the shape being policy,
+outcome and whether effort is seen; ``decide``, ``retains`` and ``belief``
+read that table. ``support`` keeps the first-match interpreter that ran
+before the table, copied verbatim, so the property compares the two on
+every regime at grid points and within 4 ulp of every v - eps, v and
+v + eps a pattern tests: ``retains`` on each observation class, ``decide``
+and ``belief`` on every shape an ``Observation`` can take. The mutation
+test shows that the comparison notices a table with two rows swapped or
+with one effort value moved by one ulp, in retention and in beliefs.
 """
 
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,9 +24,9 @@ from reformlab import (
     solve, transparent_pooling_family,
 )
 from reformlab.equilibrium import (
-    FAILURE, OBSERVATION_CLASSES, REFORM, RETAIN, SQ_OUTCOME, STATUS_QUO, SUCCESS, observe,
+    FAILURE, OBSERVATION_CLASSES, REFORM, SQ_OUTCOME, STATUS_QUO, SUCCESS, observe,
 )
-from support import DOMAINS, opaque_failure_mass
+from support import DOMAINS, _interpreted_belief, _interpreted_decide, opaque_failure_mass
 
 NONPOOLING_REGIMES = ("benchmark", "nontransparent", "opaque", "transparent_separating")
 #: the deviation scan's default grid, whose points are probed next to each tested value
@@ -36,39 +34,6 @@ GRID_SIZE = 100_001
 #: every (policy, outcome) an ``Observation`` can carry
 SHAPES = ((REFORM, None), (REFORM, SUCCESS), (REFORM, FAILURE), (STATUS_QUO, None),
           (STATUS_QUO, SQ_OUTCOME))
-
-
-def _matches(self, obs, eps):
-    if obs.policy != self.policy:
-        return False
-    if self.outcome is not None and obs.outcome != self.outcome:
-        return False
-    if self.effort_op is None:
-        return True
-    if obs.effort is None:
-        return False
-    e, v = obs.effort, self.effort_value
-    if self.effort_op == "eq":
-        return abs(e - v) <= eps
-    if self.effort_op == "ge":
-        return e >= v - eps
-    return e > v + eps  # "gt"
-
-
-def _interpreted_decide(self, obs, eps=1e-12):
-    if not self.retention:
-        return True  # no retention stage
-    retained, unset = False, True
-    for pattern, decision in self.retention:
-        hit = unset & _matches(pattern, obs, eps)
-        if decision == RETAIN:
-            retained = retained | hit
-        unset = unset ^ hit
-        if unset is False:  # a scalar decision is final at its first match
-            return retained
-    if np.any(unset):
-        raise UnresolvedObservationError(f"no retention rule matches {obs}")
-    return retained
 
 
 def _equilibria(params: Params, j: int) -> list:
@@ -92,7 +57,7 @@ def _probes(eq, eps: float) -> list[float]:
     {v - eps, v, v + eps} the grid points next to t and every float within
     4 ulp of t."""
     probes = {k / 20 for k in range(21)}
-    for pattern, _ in eq.retention:
+    for pattern, _ in (*eq.retention, *eq.beliefs):
         if pattern.effort_value is None:
             continue
         for t in (pattern.effort_value - eps, pattern.effort_value, pattern.effort_value + eps):
@@ -106,20 +71,20 @@ def _probes(eq, eps: float) -> list[float]:
     return sorted(e for e in probes if 0.0 <= e <= 1.0)
 
 
-def _result(decide, *args):
-    """A decision as (type, value), or the class of the error it raised."""
+def _result(read, *args):
+    """A read as (type, value), or the class of the error it raised."""
     try:
-        got = decide(*args)
+        got = read(*args)
     except UnresolvedObservationError as exc:
         return type(exc)
-    return type(got), got.tolist() if isinstance(got, np.ndarray) else got
+    return type(got), got
 
 
 def _mismatches(eq, eps: float) -> list:
-    """Where the table's decision differs from the interpreter's, in value,
-    in type or in raising: (class, effort) for ``retains`` on what the
-    regime observes of each class, (policy, outcome, effort) for ``decide``
-    on every observation shape; ``"array"`` marks an array of efforts."""
+    """Where the table's answer differs from the interpreter's, in value, in
+    type or in raising: (class, effort) for ``retains`` on what the regime
+    observes of each class, (reader, policy, outcome, effort) for ``decide``
+    and ``belief`` on every observation shape."""
     found = []
     efforts = _probes(eq, eps)
     for policy, outcome in OBSERVATION_CLASSES:
@@ -128,11 +93,14 @@ def _mismatches(eq, eps: float) -> list:
             want = _result(_interpreted_decide, eq, observe(eq.regime, action, outcome), eps)
             if _result(eq.retains, action, outcome, eps) != want:
                 found.append(((policy, outcome), e))
+    readers = (("decide", eq.decide, _interpreted_decide),
+               ("belief", eq.belief, _interpreted_belief))
     for policy, outcome in SHAPES:
-        for effort in (None, *efforts, np.array(efforts)) if policy == REFORM else (None, 0.0):
+        for effort in (None, *efforts) if policy == REFORM else (None, 0.0):
             obs = Observation(policy, effort, outcome)
-            if _result(eq.decide, obs, eps) != _result(_interpreted_decide, eq, obs, eps):
-                found.append((policy, outcome, "array" if np.ndim(effort) else effort))
+            for name, read, reference in readers:
+                if _result(read, obs, eps) != _result(reference, eq, obs, eps):
+                    found.append((name, policy, outcome, effort))
     return found
 
 
@@ -152,7 +120,7 @@ def test_table_matches_pattern_interpreter(params, j):
 
 
 def _with_rows(eq, edit):
-    """A copy of ``eq`` whose retention table ``edit`` changed in place."""
+    """A copy of ``eq`` whose first-match table ``edit`` changed in place."""
     rows = dict(eq._rows)
     edit(rows)
     mutant = dataclasses.replace(eq)
@@ -175,22 +143,35 @@ def test_comparison_notices_a_mutated_table(sanity):
     eps = sanity.eps_tol
     opaque = solve(sanity, "opaque")
     separating = solve(sanity, "transparent_separating")
-    assert _mismatches(opaque, eps) == [] and _mismatches(separating, eps) == []
-    # table keys: opaque sees the outcome, the transparent regimes also the effort
+    pooling = solve(sanity, "transparent_pooling", pooling_effort=0.3, check=False)
+    for eq in (opaque, separating, pooling):
+        assert _mismatches(eq, eps) == [], eq.regime
+    # table keys: (list, shape); opaque sees the outcome, the transparent regimes also the effort
     success, failure = (REFORM, SUCCESS, False), (REFORM, FAILURE, False)
     seen_success = (REFORM, SUCCESS, True)
 
     def swap_classes(rows):
-        rows[success], rows[failure] = rows[failure], rows[success]
+        a, b = ("retention", success), ("retention", failure)
+        rows[a], rows[b] = rows[b], rows[a]
+
+    def swap_belief_classes(rows):
+        a, b = ("beliefs", success), ("beliefs", failure)
+        rows[a], rows[b] = rows[b], rows[a]
 
     def swap_tests(rows):  # the "gt" test and the constant that follows it
-        row = rows[seen_success]
-        rows[seen_success] = (*row[:-2], row[-1], row[-2])
+        row = rows["retention", seen_success]
+        rows["retention", seen_success] = (*row[:-2], row[-1], row[-2])
 
     def move_one_ulp(rows):  # the first test, "eq" at e_H, by one ulp up
-        (op, v, keep), *rest = rows[seen_success]
-        rows[seen_success] = ((op, math.nextafter(v, 2.0), keep), *rest)
+        (op, v, keep), *rest = rows["retention", seen_success]
+        rows["retention", seen_success] = ((op, math.nextafter(v, 2.0), keep), *rest)
 
-    for eq, edit in ((opaque, swap_classes), (separating, swap_tests),
-                     (separating, move_one_ulp)):
+    def move_belief_one_ulp(rows):  # the pooled "eq" belief test by one ulp up
+        (op, v, belief), *rest = rows["beliefs", seen_success]
+        assert op == "eq"
+        rows["beliefs", seen_success] = ((op, math.nextafter(v, 2.0), belief), *rest)
+
+    for eq, edit in ((opaque, swap_classes), (opaque, swap_belief_classes),
+                     (separating, swap_tests), (separating, move_one_ulp),
+                     (pooling, move_belief_one_ulp)):
         assert _mismatches(_with_rows(eq, edit), eps), edit.__name__
