@@ -34,7 +34,8 @@ from typing import Iterator, Optional
 
 from .errors import DomainError, ReformLabError
 from .equilibrium import AgentAction, REGIMES, STATUS_QUO, solve
-from .model_core import ASSUMPTION_CHECKS, Params, check_assumptions, require_integer
+from .model_core import ASSUMPTION_CHECKS, Params, check_assumptions
+from .model_core import require_integer, require_number
 from .montecarlo import SimConfig, simulate
 from .verification import (MAX_GRID_SIZE, bayes_consistency, deviation_check,
                            divinity_breakeven, news_classification)
@@ -75,11 +76,12 @@ def _load_params(value: str) -> Params:
 
 def _read_json(path: str, invalid: str):
     """The JSON document in ``path``; undecodable, non-UTF-8 or too deeply
-    nested text raises ``DomainError`` prefixed with ``invalid``."""
+    nested text, or an integer of more digits than ``int`` parses, raises
+    ``DomainError`` prefixed with ``invalid``."""
     try:
         with open(path) as f:
             return json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # decode errors are ValueErrors
         raise DomainError(f"{invalid}: {exc}") from None
 
 
@@ -193,10 +195,7 @@ class SweepSpec:
             missing = {"param", "min", "max", "steps"} - set(a)
             if missing:
                 raise DomainError(f"sweep axis missing keys: {sorted(missing)}")
-            try:
-                lo, hi = float(a["min"]), float(a["max"])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise DomainError(f"sweep axis {a['param']!r}: non-numeric bound: {exc}") from None
+            lo, hi = (require_number(f"axis {a['param']}: {k}", a[k]) for k in ("min", "max"))
             axes.append(SweepAxis(param=a["param"], min=lo, max=hi, steps=a["steps"]))
         outputs = obj.get("outputs", list(SWEEP_GROUPS))
         if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):

@@ -95,9 +95,13 @@ class StrategyProfile:
             raise DomainError(f"unknown cell ({agent_type!r}, {signal!r})")
         return getattr(self, f"{agent_type}_{signal}")
 
+    def actions(self) -> tuple[AgentAction, AgentAction, AgentAction, AgentAction]:
+        """The four cells' actions in ``CELLS`` order (the field order), no name checked."""
+        return self.congruent_g, self.congruent_b, self.noncongruent_g, self.noncongruent_b
+
     def cells(self) -> Iterator[tuple[str, str, AgentAction]]:
-        for t, s in CELLS:
-            yield t, s, self.action(t, s)
+        for (t, s), act in zip(CELLS, self.actions()):
+            yield t, s, act
 
     def to_json(self) -> list[dict]:
         return [
@@ -179,6 +183,13 @@ class ObservationPattern:
         if self.effort_op is not None:
             out["effort"] = {"op": self.effort_op, "value": self.effort_value}
         return out
+
+
+#: the effort-free patterns and the status-quo action :func:`solve` shares among equilibria
+_ANY_REFORM, _ANY_STATUS_QUO = ObservationPattern(REFORM), ObservationPattern(STATUS_QUO)
+_REFORM_SUCCESS = ObservationPattern(REFORM, outcome=SUCCESS)
+_REFORM_FAILURE = ObservationPattern(REFORM, outcome=FAILURE)
+_SQ_ACTION = AgentAction(STATUS_QUO)
 
 
 @dataclass(frozen=True)
@@ -419,43 +430,43 @@ def solve(
             raise DomainError(f"pooled effort must be feasible, got {pooling_effort}")
         act = AgentAction(REFORM, pooling_effort)
         retention = (
-            (ObservationPattern(STATUS_QUO), REMOVE),
+            (_ANY_STATUS_QUO, REMOVE),
             (ObservationPattern(REFORM, effort_op="ge", effort_value=pooling_effort), RETAIN),
-            (ObservationPattern(REFORM), REMOVE),
+            (_ANY_REFORM, REMOVE),
         )
         beliefs = (
-            (ObservationPattern(STATUS_QUO), 0.0),
+            (_ANY_STATUS_QUO, 0.0),
             (ObservationPattern(REFORM, effort_op="eq", effort_value=pooling_effort), params.pi),
             (ObservationPattern(REFORM, effort_op="gt", effort_value=pooling_effort), 1.0),
-            (ObservationPattern(REFORM), 0.0),
+            (_ANY_REFORM, 0.0),
         )
         return Equilibrium(regime, StrategyProfile(act, act, act, act), retention, beliefs,
                            pooling_effort)
     profile = StrategyProfile(*(
-        AgentAction(policy, min(1.0, max(0.0, effort)))
+        _SQ_ACTION if policy == STATUS_QUO else AgentAction(policy, min(1.0, max(0.0, effort)))
         for policy, effort in raw_profile(regime, params, posteriors(params))
     ))
     rules: tuple = ()  # (pattern, retention decision, belief), first match wins
     if regime == NONTRANSPARENT:
         rules = (
-            (ObservationPattern(REFORM), RETAIN, params.pi),
-            (ObservationPattern(STATUS_QUO), REMOVE, 0.0),
+            (_ANY_REFORM, RETAIN, params.pi),
+            (_ANY_STATUS_QUO, REMOVE, 0.0),
         )
     elif regime == OPAQUE:
         b_succ, b_fail = _opaque_success_beliefs(params)
         rules = (
-            (ObservationPattern(REFORM, outcome=SUCCESS), RETAIN, b_succ),
-            (ObservationPattern(REFORM, outcome=FAILURE), REMOVE, b_fail),
-            (ObservationPattern(STATUS_QUO), REMOVE, 0.0),
+            (_REFORM_SUCCESS, RETAIN, b_succ),
+            (_REFORM_FAILURE, REMOVE, b_fail),
+            (_ANY_STATUS_QUO, REMOVE, 0.0),
         )
     elif regime == TRANSPARENT_SEPARATING:
         e_h, e_l = profile.congruent_g.effort, profile.congruent_b.effort
         rules = (
-            (ObservationPattern(STATUS_QUO), REMOVE, 0.0),
+            (_ANY_STATUS_QUO, REMOVE, 0.0),
             (ObservationPattern(REFORM, effort_op="eq", effort_value=e_h), RETAIN, 1.0),
             (ObservationPattern(REFORM, effort_op="eq", effort_value=e_l), RETAIN, 1.0),
             (ObservationPattern(REFORM, effort_op="gt", effort_value=e_h), RETAIN, 1.0),
-            (ObservationPattern(REFORM), REMOVE, 0.0),
+            (_ANY_REFORM, REMOVE, 0.0),
         )
     return Equilibrium(regime, profile, tuple((pat, dec) for pat, dec, _ in rules),
                        tuple((pat, belief) for pat, _, belief in rules))

@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace as _replace
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -27,6 +29,7 @@ RentMode = Literal["strict", "relaxed"]
 #: JSON keys for Params, in canonical order. ``lambda`` is a Python keyword,
 #: so the attribute is named ``lam``.
 PARAM_KEYS = ("p", "phi", "d", "lambda", "R", "pi", "M", "eps_tol")
+_MAX = sys.float_info.max  # the largest finite float
 
 
 def require_integer(name: str, value) -> int:
@@ -35,6 +38,13 @@ def require_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def require_number(name: str, value) -> float:
+    """``value`` as a float; all but a finite int or float (a string or a bool, say) is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _MAX:
+        raise DomainError(f"{name} must be a finite number, got {value!r:.40}")
+    return float(value)
 
 
 class Record:
@@ -105,10 +115,7 @@ class Params:
         missing = {"p", "phi", "d", "lambda", "R", "pi"} - set(obj)
         if missing:
             raise DomainError(f"missing params keys: {sorted(missing)}")
-        try:
-            vals = {k: float(obj[k]) for k in obj}
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"non-numeric params value: {exc}") from exc
+        vals = {k: require_number(f"params {k!r}", v) for k, v in obj.items()}
         return cls(
             p=vals["p"], phi=vals["phi"], d=vals["d"], lam=vals["lambda"],
             R=vals["R"], pi=vals["pi"], M=vals.get("M", 0.0),
@@ -150,8 +157,12 @@ class Posteriors:
 
 
 def posteriors(params: Params) -> Posteriors:
-    """Exact Bayes posteriors that the reform is good, by signal."""
-    p, phi = params.p, params.phi
+    """Exact Bayes posteriors that the reform is good, by signal; one per (p, phi), memoized."""
+    return _posteriors(params.p, params.phi)
+
+
+@lru_cache(maxsize=64, typed=True)  # typed: a numpy or int p gets no float's entry, nor it theirs
+def _posteriors(p: float, phi: float) -> Posteriors:
     mu_plus = phi * p / (phi * p + (1 - phi) * (1 - p))
     mu_minus = phi * (1 - p) / (phi * (1 - p) + (1 - phi) * p)
     return Posteriors(

@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import DomainError
 from .equilibrium import (
-    CELLS,
     CONGRUENT,
     FAILURE,
     NONCONGRUENT,
@@ -111,8 +110,7 @@ def _cell_tables(eq: Equilibrium, params: Params):
     reform = np.zeros(4, dtype=bool)
     effort = np.zeros(4)
     retain = np.zeros((4, 3), dtype=bool)
-    for i, (t, s) in enumerate(CELLS):
-        act = eq.profile.action(t, s)
+    for i, act in enumerate(eq.profile.actions()):
         reform[i] = act.policy == REFORM
         effort[i] = act.effort
         outcomes = (SUCCESS, FAILURE) if act.policy == REFORM else (SQ_OUTCOME,)

@@ -21,10 +21,8 @@ from .equilibrium import (
     CELLS,
     CONGRUENT,
     FAILURE,
-    NONCONGRUENT,
     OPAQUE,
     REFORM,
-    SIGNALS,
     SQ_OUTCOME,
     STATUS_QUO,
     SUCCESS,
@@ -212,7 +210,7 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
     for mu in (post.mu_plus, post.mu_minus):
         for w in (1.0, R, 1 + R):
             extras.add(min(1.0, max(0.0, lam * w * mu)))
-    for _, _, act in eq.profile.cells():
+    for act in eq.profile.actions():
         if act.policy == REFORM:
             extras.add(act.effort)
     if eq.pooling_effort is not None:
@@ -254,8 +252,7 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
         scan_e[better] = e_max[better]
 
     cells: dict[tuple[str, str], DeviationCell] = {}
-    for k, (t, s) in enumerate(CELLS):
-        eq_action = eq.profile.action(t, s)
+    for k, (t, s, eq_action) in enumerate(eq.profile.cells()):
         eq_u = expected_utility(t, s, eq_action, eq, params)
         sq_u = expected_utility(t, s, AgentAction(STATUS_QUO), eq, params)
         if sq_u >= scan_u[k]:
@@ -287,26 +284,24 @@ def joint_outcome_distribution(
     """Enumerate (type, signal, action, outcome, probability) over the full
     joint distribution of (type, signal, state, outcome) under ``profile``."""
     p, phi = params.p, params.phi
-    type_probs = ((CONGRUENT, params.pi), (NONCONGRUENT, 1 - params.pi))
     signal_state = {
         "g": ((True, phi * p), (False, (1 - phi) * (1 - p))),
         "b": ((True, phi * (1 - p)), (False, (1 - phi) * p)),
     }
-    for t, pt in type_probs:
-        for s in SIGNALS:
-            act = profile.action(t, s)
-            for good, p_sw in signal_state[s]:
-                mass = pt * p_sw
-                if mass == 0.0:
-                    continue
-                if act.policy == STATUS_QUO:
-                    yield t, s, act, SQ_OUTCOME, mass
-                else:
-                    p_succ = act.effort if good else 0.0
-                    if p_succ > 0.0:
-                        yield t, s, act, SUCCESS, mass * p_succ
-                    if p_succ < 1.0:
-                        yield t, s, act, FAILURE, mass * (1.0 - p_succ)
+    for (t, s), act in zip(CELLS, profile.actions()):
+        pt = params.pi if t == CONGRUENT else 1 - params.pi
+        for good, p_sw in signal_state[s]:
+            mass = pt * p_sw
+            if mass == 0.0:
+                continue
+            if act.policy == STATUS_QUO:
+                yield t, s, act, SQ_OUTCOME, mass
+            else:
+                p_succ = act.effort if good else 0.0
+                if p_succ > 0.0:
+                    yield t, s, act, SUCCESS, mass * p_succ
+                if p_succ < 1.0:
+                    yield t, s, act, FAILURE, mass * (1.0 - p_succ)
 
 
 @dataclass(frozen=True)
@@ -419,8 +414,8 @@ def divinity_breakeven(
     post = posteriors(params)
     e = deviation.effort
     p_bar: dict[tuple[str, str], float] = {}
-    for t, s in CELLS:
-        eq_u = expected_utility(t, s, eq.profile.action(t, s), eq, params)
+    for t, s, act in eq.profile.cells():
+        eq_u = expected_utility(t, s, act, eq, params)
         if deviation.policy == STATUS_QUO:
             dev_policy = params.d
         else:

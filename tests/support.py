@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from reformlab import Params, UnresolvedObservationError, posteriors
-from reformlab.equilibrium import RETAIN
+from reformlab.equilibrium import CONGRUENT, FAILURE, RETAIN, SQ_OUTCOME, SUCCESS, Equilibrium
+from reformlab.verification import joint_outcome_distribution
 
 DOMAINS = {
     "p": (0.5, 1.0),
@@ -100,6 +101,30 @@ def _interpreted_belief(self, obs, eps=1e-12):
         if _matches(pattern, obs, eps):
             return value
     raise UnresolvedObservationError(f"no belief entry matches {obs}")
+
+
+# ``welfare._welfare_and_selection`` as it was before it read retention once per
+# (action, outcome), copied verbatim but for its name: one ``retains`` per
+# joint-distribution mass. The reference for W and Q, bit for bit.
+_OUTCOME_VALUE = {SUCCESS: 1.0, FAILURE: 0.0}
+
+
+def per_mass_welfare_and_selection(eq: Equilibrium, params: Params) -> tuple[float, float]:
+    """Exact W and Q under ``eq`` from the joint on-path distribution.
+
+    W weighs outcomes 1 / d / 0; Q is the expected congruence of tomorrow's
+    office-holder, counting the incumbent's posterior when retained and the
+    replacement prior when removed.
+    """
+    w = 0.0
+    q = 0.0
+    for t, _s, act, outcome, mass in joint_outcome_distribution(eq.profile, params):
+        w += mass * (params.d if outcome == SQ_OUTCOME else _OUTCOME_VALUE[outcome])
+        if eq.retains(act, outcome, params.eps_tol):
+            q += mass if t == CONGRUENT else 0.0
+        else:
+            q += mass * params.pi
+    return w, q
 
 
 def reference_block_counts(rng: np.random.Generator, n: int, params: Params, tables) -> np.ndarray:

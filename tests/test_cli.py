@@ -408,6 +408,7 @@ class TestSweepCommand:
         ([{"param": "R", "min": 0.2, "max": 0.5, "steps": 2.5}], None),
         ([{"param": "R", "min": 0.2, "max": 0.5, "steps": "4"}], None),
         ([{"param": "R", "min": "low", "max": 0.5, "steps": 4}], None),
+        ([{"param": "R", "min": "0.2", "max": 0.5, "steps": 4}], None),  # a numeric string
         ([{"param": "R", "min": 0.2, "max": None, "steps": 4}], None),
         ([{"param": "R", "min": 0.2, "max": "Infinity", "steps": 4}], None),
         ([{"param": ["R"], "min": 0.2, "max": 0.5, "steps": 4}], None),
@@ -467,15 +468,21 @@ def _dump(obj) -> bytes:
 DEEP_ARRAY = b"[" * 200_000 + b"]" * 200_000
 HUGE_INT = 10**400
 
-#: inputs that escaped as tracebacks before the one JSON reader
+#: inputs that escaped as tracebacks before the one JSON reader, or passed as numbers
 MALFORMED = {
     "params_not_utf8": (["check", "--params"], b"\xff\xfe"),
     "sweep_not_utf8": (["sweep", "--sweep"], b"\xff\xfe"),
     "params_deep_array": (["check", "--params"], DEEP_ARRAY),
     "sweep_deep_array": (["sweep", "--sweep"], DEEP_ARRAY),
     "params_huge_int": (["check", "--params"], _dump({**SANITY, "R": HUGE_INT})),
+    # more digits than int() parses (sys.get_int_max_str_digits(), 4 300 by default)
+    "params_too_many_digits": (["check", "--params"],
+                               _dump(SANITY).replace(b'"R": 0.25', b'"R": 1' + b"0" * 5000)),
     "sweep_huge_bound": (["sweep", "--sweep"], _dump(
         {"base": SANITY, "axes": [{"param": "R", "min": HUGE_INT, "max": 0.5, "steps": 3}]})),
+    # strings and booleans are not JSON numbers, even where float() would take them
+    "params_string_and_bool": (["check", "--params"], _dump({**SANITY, "p": "0.9", "M": False})),
+    "params_bool_pi": (["check", "--params"], _dump({**SANITY, "pi": True})),
 }
 
 # integers stay <= 50 so that no generated sweep axis has more than 50 steps

@@ -417,6 +417,11 @@ class TestCellOrder:
         names = [f.name for f in dataclasses.fields(StrategyProfile)]
         assert names == [f"{t}_{s}" for t, s in CELLS]
 
+    def test_strategy_profile_actions(self, sanity):
+        profile = solve(sanity, "opaque").profile
+        assert profile.actions() == tuple(profile.action(t, s) for t, s in CELLS)
+        assert [(t, s) for t, s, _ in profile.cells()] == list(CELLS)
+
     @pytest.mark.parametrize("regime", ["benchmark", "nontransparent", "opaque",
                                         "transparent_separating"])
     def test_raw_profile(self, regime):

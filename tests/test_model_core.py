@@ -15,6 +15,7 @@ from reformlab import (
     check_assumptions,
     find_p_bar,
     informativeness_condition,
+    model_core,
     posteriors,
 )
 from support import sample_mon_pairs, sample_params
@@ -54,6 +55,18 @@ class TestParams:
         with pytest.raises(DomainError):
             sanity.replace(**bad)
 
+    @pytest.mark.parametrize("key, value", [
+        ("p", "0.9"), ("M", False), ("pi", True), ("R", None), ("d", [0.1]), ("eps_tol", 10**400),
+        ("lambda", math.inf),
+    ])
+    def test_non_numbers_rejected_by_name(self, sanity, key, value):
+        with pytest.raises(DomainError, match=f"params '{key}' must be a finite number"):
+            Params.from_json({**sanity.to_json(), key: value})
+
+    def test_json_integers_accepted(self, sanity):
+        params = Params.from_json({**sanity.to_json(), "M": 0, "p": 1})
+        assert (params.M, params.p) == (0.0, 1.0) and type(params.M) is type(params.p) is float
+
     def test_replace_unknown_key_rejected(self, sanity):
         with pytest.raises(TypeError):
             sanity.replace(mu=0.5)
@@ -64,6 +77,33 @@ class TestParams:
         params = Params(p=p, phi=phi, d=0.1, lam=0.5, R=1.0, pi=0.5)
         again = Params.from_json(json.loads(json.dumps(params.to_json())))
         assert again == params
+
+
+class TestPosteriorsMemo:
+    """``posteriors`` is memoized on (p, phi), as ``equilibrium._report`` is on ``Params``."""
+
+    def test_cache_stays_bounded_and_exact(self):
+        rng = np.random.default_rng(11)
+        before = model_core._posteriors.cache_info()
+        for p, phi in zip(rng.uniform(0.5, 1.0, 10_000), rng.uniform(0.005, 0.995, 10_000)):
+            p, phi = float(p), float(phi)
+            post = posteriors(Params(p=p, phi=phi, d=0.1, lam=0.5, R=1.0, pi=0.5))
+            assert (post.mu_plus, post.mu_minus, post.gamma, post.z) == (
+                phi * p / (phi * p + (1 - phi) * (1 - p)),
+                phi * (1 - p) / (phi * (1 - p) + (1 - phi) * p),
+                (1 - p) / p,
+                (1 - phi) / phi,
+            )
+        info = model_core._posteriors.cache_info()
+        assert info.misses - before.misses == 10_000
+        assert info.currsize <= info.maxsize == 64
+
+    def test_shared_by_params_that_differ_elsewhere(self, sanity):
+        post = posteriors(sanity)
+        for change in ({"R": 2.0}, {"lam": 0.3}, {"d": 0.2}, {"pi": 0.3}, {"M": 1.5},
+                       {"eps_tol": 0.0}):
+            assert posteriors(sanity.replace(**change)) is post, change
+        assert posteriors(sanity.replace(p=0.98)) is not post
 
 
 class TestPosteriors:

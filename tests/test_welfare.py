@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reformlab import (
+    AssumptionError,
     DomainError,
     Params,
     PreconditionLossError,
@@ -20,9 +21,12 @@ from reformlab import (
     solve,
     thresholds,
     thresholds_from_lambda_hat,
+    transparent_pooling_family,
+    UnderflowError,
 )
-from reformlab.welfare import H, WELFARE_REGIMES
-from support import bisect_root, sample_params
+from reformlab.equilibrium import REFORM
+from reformlab.welfare import H, WELFARE_REGIMES, _welfare_and_selection
+from support import DOMAINS, bisect_root, per_mass_welfare_and_selection, sample_params
 
 W_NT_FULL_CONGRUENT = 0.37011448874851954  # sanity params, pi -> 1
 W_OPAQUE_SANITY = 0.4259476547078562
@@ -281,3 +285,61 @@ class TestComparativeStatics:
     def test_unknown_axis_rejected(self, sanity):
         with pytest.raises(DomainError):
             comparative_statics(sanity, "d", 0.01)
+
+
+#: points the Q-walk property always runs: every gate passing with pooling at
+#: both family ends (part3), p = 1 (zero masses, a reform at effort 0), raw
+#: efforts above 1 (clamped to 1), and the largest eps_tol
+WALK_EXAMPLES = (
+    Params(p=0.999, phi=0.999, d=0.05, lam=0.3, R=1.0, pi=0.999),
+    Params(p=0.99, phi=0.75, d=0.0125, lam=0.5, R=0.25, pi=0.9, eps_tol=0.0),
+    Params(p=1.0, phi=0.75, d=0.0125, lam=0.5, R=0.25, pi=0.9),
+    Params(p=0.8, phi=0.6, d=0.3, lam=1.0, R=0.9, pi=0.5, eps_tol=0.1),
+)
+WALK_PARAMS = st.builds(
+    Params, **{k: st.floats(lo, hi) for k, (lo, hi) in DOMAINS.items() if k != "p"},
+    p=st.floats(0.5, 1.0) | st.just(1.0),
+    eps_tol=st.just(0.0) | st.floats(-15.0, -1.0).map(lambda x: 10.0 ** x),
+)
+
+
+def _walk_equilibria(params):
+    """(gated, equilibrium) for every regime at ``params``, gated and ungated,
+    pooling at both ends of its family; refusals are skipped."""
+    efforts = [(r, None) for r in ("benchmark", "nontransparent", "opaque",
+                                   "transparent_separating")]
+    efforts += [("transparent_pooling", e) for e in transparent_pooling_family(params) or ()]
+    for gated in (True, False):
+        for regime, effort in efforts:
+            try:
+                yield gated, solve(params, regime, check=gated, pooling_effort=effort)
+            except (AssumptionError, UnderflowError, DomainError):
+                pass  # a gate, the opaque failure-mass underflow, or a pooled effort above 1
+
+
+def _bits(pair):
+    return tuple(x.hex() for x in pair)
+
+
+@given(params=WALK_PARAMS)
+@example(params=WALK_EXAMPLES[0])
+@example(params=WALK_EXAMPLES[1])
+@example(params=WALK_EXAMPLES[2])
+@example(params=WALK_EXAMPLES[3])
+@settings(max_examples=200, deadline=None)
+def test_q_walk_matches_per_mass_reference(params):
+    for _, eq in _walk_equilibria(params):
+        want = per_mass_welfare_and_selection(eq, params)
+        assert _bits(_welfare_and_selection(eq, params)) == _bits(want), eq.regime
+
+
+def test_q_walk_examples_reach_the_edges():
+    walked = [(params, gated, eq) for params in WALK_EXAMPLES
+              for gated, eq in _walk_equilibria(params)]
+    efforts = {a.effort for _, _, eq in walked for a in eq.profile.actions() if a.policy == REFORM}
+    assert {0.0, 1.0} <= efforts
+    assert any(params.p == 1.0 for params, _, _ in walked)
+    gated_pools = {eq.pooling_effort for _, gated, eq in walked
+                   if gated and eq.pooling_effort is not None}
+    assert len(gated_pools) == 2  # both ends of part3's family
+    assert {gated for _, gated, _ in walked} == {True, False}
