@@ -3,17 +3,24 @@
 Everything here is deliberately independent of the library's solution path:
 grid maximizers instead of first-order conditions, joint-distribution
 enumeration instead of stored beliefs, dense scans instead of closed-form
-roots, and a pattern-by-pattern interpreter instead of the compiled
-first-match table.
+roots and of the deviation scan's vertex windows, and a pattern-by-pattern
+interpreter instead of the compiled first-match table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from reformlab import Params, UnresolvedObservationError, posteriors
-from reformlab.equilibrium import CONGRUENT, FAILURE, RETAIN, SQ_OUTCOME, SUCCESS, Equilibrium
-from reformlab.verification import joint_outcome_distribution
+from reformlab import DomainError, Params, UnresolvedObservationError, posteriors
+from reformlab.equilibrium import (
+    CELLS, CONGRUENT, FAILURE, OPAQUE, REFORM, RETAIN, SQ_OUTCOME, STATUS_QUO, SUCCESS,
+    AgentAction, Equilibrium,
+)
+from reformlab.verification import (
+    MAX_GRID_SIZE, SCAN_BLOCK, DeviationCell, DeviationReport, _policy_payoff,
+    _reform_retention, _reform_utility, _retention_runs, default_dev_tol, documented_opaque_gap,
+    expected_utility, joint_outcome_distribution,
+)
 
 DOMAINS = {
     "p": (0.5, 1.0),
@@ -125,6 +132,99 @@ def per_mass_welfare_and_selection(eq: Equilibrium, params: Params) -> tuple[flo
         else:
             q += mass * params.pi
     return w, q
+
+
+# ``verification.deviation_check`` as it was before it scanned each retention run
+# only near its utility vertex, copied verbatim but for its name: every point of
+# the grid is evaluated. The reference for the windowed scan's reports, bit for bit.
+def dense_deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -> DeviationReport:
+    """Brute-force no-profitable-deviation check at tolerance
+    :func:`default_dev_tol`.
+
+    For each (type, signal) cell, scans the status quo plus reforms on
+    ``np.linspace(0, 1, grid_size)``, built ``SCAN_BLOCK`` efforts at a time
+    within runs of constant retention, then on the sorted extras (candidate
+    optima, equilibrium efforts, retention breakpoints) as one more block,
+    all four cells per block in preallocated buffers. A cell's best moves on
+    a greater utility, or an equal one at a smaller effort: the first
+    merged, sorted maximum.
+    """
+    if not 2 <= grid_size <= MAX_GRID_SIZE:
+        raise DomainError(f"grid_size must be in [2, {MAX_GRID_SIZE}], got {grid_size}")
+    dev_tol = default_dev_tol(params, grid_size)
+    post = posteriors(params)
+    lam, R, eps = params.lam, params.R, params.eps_tol
+
+    extras = {0.0, 1.0}
+    for mu in (post.mu_plus, post.mu_minus):
+        for w in (1.0, R, 1 + R):
+            extras.add(min(1.0, max(0.0, lam * w * mu)))
+    for act in eq.profile.actions():
+        if act.policy == REFORM:
+            extras.add(act.effort)
+    if eq.pooling_effort is not None:
+        extras.add(eq.pooling_effort)
+    for pattern, _ in eq.retention:
+        if pattern.effort_value is not None and 0.0 <= pattern.effort_value <= 1.0:
+            extras.add(pattern.effort_value)
+    extra = np.array(sorted(extras))
+    extra_kept = np.array([_reform_retention(eq, float(x), eps) for x in extra])
+    step = 1.0 / (grid_size - 1)
+    index = np.arange(SCAN_BLOCK, dtype=float)
+    # 4 success terms, 4 failure terms, cost, grid efforts; wide enough for the extras' block
+    work = np.empty((10, max(SCAN_BLOCK, len(extra))))
+
+    def blocks():
+        # retention does not depend on the deviator's cell: one decision per run
+        for lo, hi, kept in _retention_runs(eq, grid_size, step, eps):
+            for start in range(lo, hi, SCAN_BLOCK):
+                n = min(SCAN_BLOCK, hi - start)
+                e = np.add(index[:n], start, out=work[9, :n])
+                e *= step
+                if start + n == grid_size:
+                    e[-1] = 1.0  # as linspace: i * step, then the exact endpoint
+                yield e, kept
+        yield extra, tuple(extra_kept.T)
+
+    mu = np.array([[post.mu(s)] for _, s in CELLS])
+    pay = np.array([[_policy_payoff(t, o, params) for o in (SUCCESS, FAILURE)] for t, _ in CELLS])
+    rows = np.arange(len(CELLS))
+    scan_u, scan_e = np.full(len(CELLS), -np.inf), np.zeros(len(CELLS))
+    for e, kept in blocks():
+        n = len(e)
+        u = _reform_utility(mu, e, (pay[:, :1], pay[:, 1:]), kept, params,
+                            (work[:4, :n], work[4:8, :n], work[8, :n]))
+        i = np.argmax(u, axis=1)
+        u_max, e_max = u[rows, i], e[i]
+        better = (u_max > scan_u) | ((u_max == scan_u) & (e_max < scan_e))
+        scan_u[better] = u_max[better]
+        scan_e[better] = e_max[better]
+
+    cells: dict[tuple[str, str], DeviationCell] = {}
+    for k, (t, s, eq_action) in enumerate(eq.profile.cells()):
+        eq_u = expected_utility(t, s, eq_action, eq, params)
+        sq_u = expected_utility(t, s, AgentAction(STATUS_QUO), eq, params)
+        if sq_u >= scan_u[k]:
+            best_action, best_u = AgentAction(STATUS_QUO), sq_u
+        else:
+            best_action = AgentAction(REFORM, float(scan_e[k]))
+            best_u = float(scan_u[k])
+        if best_u <= eq_u:
+            # no improving deviation: the equilibrium action is best
+            best_action, best_u = eq_action, eq_u
+        gain = best_u - eq_u
+        if gain <= dev_tol:
+            verdict = "pass"
+        elif (
+            eq.regime == OPAQUE
+            and (t, s) == (CONGRUENT, "b")
+            and documented_opaque_gap(params) > 0
+        ):
+            verdict = "fail (documented)"
+        else:
+            verdict = "fail"
+        cells[(t, s)] = DeviationCell(eq_action, eq_u, best_action, best_u, gain, verdict)
+    return DeviationReport(eq.regime, grid_size, dev_tol, cells)
 
 
 def reference_block_counts(rng: np.random.Generator, n: int, params: Params, tables) -> np.ndarray:

@@ -17,6 +17,11 @@ against the verbatim pattern interpreter of ``support``, which decides a
 whole linspace as one array, its efforts against
 ``np.linspace`` element for element, and its memory against a bound that
 does not grow with the grid.
+
+The scan evaluates each run only near its utility's vertex. The full-grid
+scan it replaced is kept verbatim as ``support.dense_deviation_check``, the
+reference that every report must equal bit for bit, and whose first grid
+maximum per cell must lie among the points the windowed scan evaluates.
 """
 
 import dataclasses
@@ -38,7 +43,8 @@ from reformlab import (
 from reformlab import verification
 from reformlab.cli import run
 from reformlab.equilibrium import FAILURE, REFORM, SUCCESS
-from support import DOMAINS, _interpreted_decide, opaque_failure_mass
+import support
+from support import DOMAINS, _interpreted_decide, dense_deviation_check, opaque_failure_mass
 
 GOLDEN = json.loads(Path(__file__).with_name("deviation_golden.json").read_text())
 NONPOOLING_REGIMES = ("benchmark", "nontransparent", "opaque", "transparent_separating")
@@ -170,23 +176,96 @@ class TestRetentionRuns:
             np.testing.assert_array_equal(got, np.broadcast_to(want, lin.shape))
 
 
+#: lambda and R log-uniform over wide ranges, so that the rounding bound sets the windows
+WIDE_PARAMS = st.builds(
+    Params, **{k: st.floats(lo, hi) for k, (lo, hi) in DOMAINS.items() if k not in ("lam", "R")},
+    lam=st.floats(-6.0, 0.0).map(lambda x: 10.0 ** x),
+    R=st.floats(-2.0, 12.0).map(lambda x: 10.0 ** x),
+    eps_tol=st.one_of(st.just(0.0), st.floats(-15.0, -1.0).map(lambda x: 10.0 ** x)),
+)
+
+
+def _run_regime(params: Params, regime: str, grid_size: int, j: int):
+    """The equilibrium a ``RUN_REGIMES`` name stands for, or None where there is
+    none: opaque without failed-reform mass, or a pool outside [0, 1]."""
+    if regime in NONPOOLING_REGIMES:
+        if regime == "opaque" and opaque_failure_mass(params) == 0.0:
+            return None
+        return solve(params, regime, check=False)
+    family = transparent_pooling_family(params)
+    e_star = {"pooling_lo": family and family[0], "pooling_hi": family and family[1],
+              "pooling_on_grid": float(np.linspace(0.0, 1.0, grid_size)[j])}[regime]
+    if e_star is None or not 0.0 <= e_star <= 1.0:
+        return None
+    return solve(params, "transparent_pooling", pooling_effort=e_star, check=False)
+
+
+def _scan(check, eq, params: Params, grid_size: int):
+    """The report of ``check`` and the (efforts, utilities) of each of its 2-D
+    utility calls: the grid blocks in order, then the extras."""
+    exact, seen = verification._reform_utility, []
+
+    def spy(mu, effort, *rest):
+        u = exact(mu, effort, *rest)
+        if np.ndim(mu) == 2:
+            seen.append((effort.copy(), u.copy()))
+        return u
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verification, "_reform_utility", spy)
+        patch.setattr(support, "_reform_utility", spy)
+        return check(eq, params, grid_size), seen
+
+
+def _assert_windows_hold_argmax(dense: list, windowed: list, grid_size: int) -> None:
+    """The windowed scan's grid efforts are linspace points, among them each
+    cell's first grid maximum in the dense scan."""
+    argmax = np.argmax(np.concatenate([u for _, u in dense[:-1]], axis=1), axis=1)
+    grid = np.concatenate([e for e, _ in windowed[:-1]])
+    index = np.rint(grid * (grid_size - 1)).astype(int)
+    np.testing.assert_array_equal(grid, np.linspace(0.0, 1.0, grid_size)[index])
+    assert set(argmax.tolist()) <= set(index.tolist())
+
+
+class TestWindowedScan:
+    @given(params=WIDE_PARAMS, regime=st.sampled_from(RUN_REGIMES),
+           grid_size=st.sampled_from([2, 3, 50, 2001, verification.SCAN_BLOCK - 1,
+                                      verification.SCAN_BLOCK + 1, 100_001]),
+           j=st.integers(0, 10**7))
+    # at these rents rounding ties the utility over many grid points near the
+    # vertex, and the smallest effort that reaches the maximum beats the equilibrium
+    @example(params=Params(p=0.6867, phi=0.8382, d=0.8857, lam=0.06719370578398318,
+                           R=662676210132.4282, pi=0.5209, eps_tol=0.0),
+             regime="nontransparent", grid_size=100_001, j=0)
+    @example(params=Params(p=0.6065, phi=0.7783, d=0.6523, lam=0.19229034064021353,
+                           R=100443778387.53697, pi=0.6829, eps_tol=0.0),
+             regime="nontransparent", grid_size=verification.SCAN_BLOCK + 1, j=0)
+    # the vertex 101.5 / 2000 lies midway between two grid points, which tie: the
+    # first grid maximum is the lower one, while the vertex rounds to the upper
+    @example(params=Params(p=1.0, phi=0.5, d=0.5, lam=101.5 / 2000, R=1.0, pi=0.5, eps_tol=0.0),
+             regime="benchmark", grid_size=2001, j=0)
+    @settings(max_examples=300, deadline=None)
+    def test_reports_match_dense_scan(self, params, regime, grid_size, j):
+        eq = _run_regime(params, regime, grid_size, j % grid_size)
+        assume(eq is not None)
+        want, dense = _scan(dense_deviation_check, eq, params, grid_size)
+        got, windowed = _scan(deviation_check, eq, params, grid_size)
+        assert _dump(got) == _dump(want)
+        _assert_windows_hold_argmax(dense, windowed, grid_size)
+
+
 class TestGridBlocks:
     # at 50 points (G - 1) * step rounds below 1.0, so the endpoint is set apart
     @pytest.mark.parametrize("grid_size", [2, 3, 50, 8191, 8192, 8193, 100_001, 1_000_003])
-    def test_efforts_equal_linspace(self, sanity, monkeypatch, grid_size):
-        # the scan's 2-D utility calls see the grid blocks in order, then the extras
-        exact, seen = verification._reform_utility, []
-
-        def spy(mu, effort, *rest):
-            if np.ndim(mu) == 2:
-                seen.append(effort.copy())
-            return exact(mu, effort, *rest)
-
-        monkeypatch.setattr(verification, "_reform_utility", spy)
-        deviation_check(solve(sanity, "transparent_separating"), sanity, grid_size)
-        scanned = np.concatenate(seen)
+    def test_efforts_equal_linspace(self, sanity, grid_size):
+        # the dense reference's grid blocks cover the linspace, then come the extras
+        eq = solve(sanity, "transparent_separating")
+        _, dense = _scan(dense_deviation_check, eq, sanity, grid_size)
+        scanned = np.concatenate([e for e, _ in dense])
         assert scanned.size > grid_size
         np.testing.assert_array_equal(scanned[:grid_size], np.linspace(0.0, 1.0, grid_size))
+        _, windowed = _scan(deviation_check, eq, sanity, grid_size)
+        _assert_windows_hold_argmax(dense, windowed, grid_size)
 
     def test_tie_goes_to_the_smaller_effort(self, sanity, monkeypatch):
         # a step utility ties every effort from e_h up; e_h is an extra that lies
@@ -216,4 +295,29 @@ class TestScanMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("regime", ["benchmark", "opaque"])
+    def test_whole_run_windows_match_dense_scan(self, sanity, monkeypatch, regime):
+        # at R = 1e15 the rounding bound outgrows the grid: every window is its
+        # whole run, scanned block by block as the dense reference scans it
+        params, grid_size = sanity.replace(R=1e15), verification.MAX_GRID_SIZE
+        eq = solve(params, regime, check=False)
+        want = _dump(dense_deviation_check(eq, params, grid_size))
+        exact, sizes = verification._reform_utility, []
+
+        def spy(mu, effort, *rest):
+            if np.ndim(mu) == 2:
+                sizes.append(effort.size)
+            return exact(mu, effort, *rest)
+
+        monkeypatch.setattr(verification, "_reform_utility", spy)
+        tracemalloc.start()
+        try:
+            got = _dump(deviation_check(eq, params, grid_size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(sizes[:-1]) == grid_size
+        assert got == want
         assert peak < 2_000_000

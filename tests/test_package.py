@@ -105,3 +105,30 @@ def test_one_reader_interprets_patterns():
     # reader of retention and beliefs; pattern construction only checks the op name
     assert sites(reads_effort_tests) == {("equilibrium", "ObservationPattern.__post_init__"),
                                          ("equilibrium", "Equilibrium._first_match")}
+
+
+#: equilibrium's closed-form efforts and beliefs, which the deviation oracle checks
+CLOSED_FORM = {"interior_effort", "raw_profile", "separation_effort",
+               "transparent_pooling_family", "_opaque_success_beliefs"}
+
+
+def names_used(module: str) -> set[str]:
+    """Names that ``module`` imports, reads or takes as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(MODULES[module].read_text())):
+        if isinstance(node, ast.alias):
+            found.update({node.name, node.asname} - {None})
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_verification_uses_no_closed_form_effort():
+    # the deviation scan places its windows from the oracle's own payoff primitives
+    defined = {node.name for node in ast.parse(MODULES["equilibrium"].read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    assert CLOSED_FORM <= defined
+    assert names_used("verification").isdisjoint(CLOSED_FORM)
+    assert "raw_profile" in names_used("welfare")  # the reader sees a real use
