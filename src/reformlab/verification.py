@@ -2,8 +2,9 @@
 
 Every check here re-derives its target from game primitives rather than
 trusting the equilibrium constructors: expected utilities are integrated
-from the payoff table, deviations are sought on a dense effort grid (each
-run of constant retention evaluated near its utility's vertex only), beliefs
+from the payoff table (any number of cells in one vectorised call), deviations
+are sought on a dense effort grid (each run of constant retention evaluated
+near its utility's vertex only, all runs packed into shared blocks), beliefs
 are recomputed by enumerating the joint distribution, and news
 classifications come from the same enumeration. The primitives are the
 policy payoff of :func:`_policy_payoff`, the effort cost e^2/(2 lambda) and
@@ -34,16 +35,16 @@ from .equilibrium import (
     StrategyProfile,
     observe,
 )
-from .model_core import Params, Record, posteriors
+from .model_core import Params, Record, posteriors, require_integer
 
 #: classification band for neutral news (posterior within this of the prior)
 NEUTRAL_BAND = 1e-9
 #: largest gap between a recomputed and a stored belief that still passes
 BAYES_TOL = 1e-9
 #: largest deviation-scan grid; a check's memory is constant, and this bounds its time where
-#: huge rents widen the scan's windows to whole runs (~0.2 s; under 1 ms otherwise)
+#: huge rents widen the scan's windows to whole runs (~0.25 s; under 0.5 ms otherwise)
 MAX_GRID_SIZE = 10_000_001
-#: efforts per deviation-scan block, so that one block's (10, B) work buffer stays in cache
+#: most efforts per deviation-scan block, so that one block's (12, B) work buffer stays in cache
 SCAN_BLOCK = 1 << 13
 
 
@@ -59,26 +60,36 @@ def _policy_payoff(agent_type: str, outcome: str, params: Params) -> float:
     raise DomainError(f"bad outcome {outcome!r}")
 
 
-def _reform_retention(eq: Equilibrium, effort, eps: float) -> tuple:
-    """Retention after a successful and after a failed reform at ``effort``."""
-    action = AgentAction(REFORM, effort)
-    return eq.retains(action, SUCCESS, eps), eq.retains(action, FAILURE, eps)
+class _Retention(dict):
+    """An equilibrium's retention at a tolerance, each read once: by effort, a reform's
+    (after success, after failure); at ``None``, the status quo's twice."""
+
+    def __init__(self, eq: Equilibrium, eps: float):
+        self.retains = lambda action, outcome: eq.retains(action, outcome, eps)
+
+    def __missing__(self, effort):
+        if effort is None:
+            kept = self[None] = (self.retains(AgentAction(STATUS_QUO), SQ_OUTCOME),) * 2
+        else:
+            action = AgentAction(REFORM, effort)
+            kept = self[effort] = self.retains(action, SUCCESS), self.retains(action, FAILURE)
+        return kept
 
 
-def _retention_runs(eq: Equilibrium, grid_size: int, step: float, eps: float) -> list:
+def _retention_runs(eq: Equilibrium, grid_size: int, step: float, eps: float, reads=None) -> list:
     """(lo, hi, retained) runs of constant reform retention over the grid
     indices [0, G); point i is ``i * step``, the last one 1.0. Retention
     flips only at a pattern's v - eps, v or v + eps; ``i * step`` and the
     comparisons round by under 1e-15, far below a spacing for G <=
-    MAX_GRID_SIZE, so a flip at t lies between i and i + 1 with i within
-    one of floor(t (G - 1)): decisions are taken at that index -1 ... +2."""
+    MAX_GRID_SIZE, so a flip at t lies between i and i + 1 with i within one
+    of floor(t (G - 1)): decisions are read there, -1 ... +2, through ``reads``."""
+    reads = _Retention(eq, eps) if reads is None else reads
     near: set[int] = set()
     for v in {pattern.effort_value for pattern, _ in eq.retention} - {None}:
         for t in (v - eps, v, v + eps):
             k = int(min(max(t, 0.0), 1.0) * (grid_size - 1))
             near.update(range(max(k - 1, 0), min(k + 3, grid_size)))
-    points = {i: 1.0 if i == grid_size - 1 else i * step for i in near | {0}}
-    kept = {i: _reform_retention(eq, e, eps) for i, e in points.items()}
+    kept = {i: reads[1.0 if i == grid_size - 1 else i * step] for i in near | {0}}
     cuts = [i for i in sorted(near) if i - 1 in kept and kept[i - 1] != kept[i]]
     bounds = [0, *cuts, grid_size]
     return [(lo, hi, kept[lo]) for lo, hi in zip(bounds, bounds[1:])]
@@ -103,6 +114,21 @@ def _reform_utility(mu, effort, payoffs: tuple, retained: tuple, params: Params,
     return p_succ
 
 
+def _cell_utilities(cells, params: Params, reads: _Retention) -> list:
+    """Exact expected utilities of the (type, signal, action) ``cells`` in one
+    :func:`_reform_utility` call on 1-D arrays. The status quo is a reform at effort 0
+    whose outcomes both pay d and keep its retention, so 0 * x = 0 and 1 * x = x
+    make it d + R * retained, bit for bit."""
+    post, rows = posteriors(params), []
+    for t, s, action in cells:
+        effort = action.effort if action.policy == REFORM else None
+        outcomes = (SQ_OUTCOME,) * 2 if effort is None else (SUCCESS, FAILURE)
+        pay = [_policy_payoff(t, o, params) for o in outcomes]
+        rows.append((post.mu(s), action.effort, *pay, *reads[effort]))
+    mu, e, *columns = np.array(rows).T
+    return _reform_utility(mu, e, columns[:2], columns[2:], params, np.empty((3, len(e)))).tolist()
+
+
 def expected_utility(
     agent_type: str, signal: str, action: AgentAction, eq: Equilibrium, params: Params
 ) -> float:
@@ -112,14 +138,8 @@ def expected_utility(
     state and action, applying the equilibrium's retention rule to each
     induced observation.
     """
-    eps = params.eps_tol
-    if action.policy == STATUS_QUO:
-        return (_policy_payoff(agent_type, SQ_OUTCOME, params)
-                + params.R * eq.retains(action, SQ_OUTCOME, eps))
-    payoffs = tuple(_policy_payoff(agent_type, o, params) for o in (SUCCESS, FAILURE))
-    retained = _reform_retention(eq, action.effort, eps)
-    return float(_reform_utility(posteriors(params).mu(signal), np.array([action.effort]),
-                                 payoffs, retained, params, np.empty((3, 1)))[0])
+    reads = _Retention(eq, params.eps_tol)
+    return _cell_utilities([(agent_type, signal, action)], params, reads)[0]
 
 
 @dataclass(frozen=True)
@@ -197,25 +217,27 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
     For each (type, signal) cell, finds the best of the status quo and the
     reforms on ``np.linspace(0, 1, grid_size)`` and on the sorted extras
     (candidate optima, equilibrium efforts, retention breakpoints), all four
-    cells per block in preallocated buffers. On a run of constant retention,
-    with success and failure worth a and b, the reform utility
-    m e a + (1 - m e) b - e^2/(2 lambda) is a concave quadratic with vertex
-    lambda m (a - b), computed to within delta = 16 * 2^-53 * (|a| + |b| +
-    1/(2 lambda)). Points over h steps from the run's point nearest the
-    vertex trail it by h (h + 1) step^2/(2 lambda) or more; where that
-    exceeds 2 delta they cannot hold or tie the computed maximum. So a run
-    is evaluated, ``SCAN_BLOCK`` efforts at a time, only on the cells'
-    windows of h + 1 points either side (one for rounding), and the report
-    equals a full-grid scan's bit for bit. A check costs O(runs); rents
-    over about 7e13 / lambda widen a window to its whole run, scanned
-    densely in constant memory. A cell's best moves on a greater utility, or an equal one at a
-    smaller effort: the first merged, sorted maximum.
+    cells per block. On a run of constant retention, with success and failure
+    worth a and b, the reform utility m e a + (1 - m e) b - e^2/(2 lambda) is
+    a concave quadratic with vertex lambda m (a - b), computed to within
+    delta = 16 * 2^-53 * (|a| + |b| + 1/(2 lambda)). Points over h steps from
+    the run's point nearest the vertex trail it by h (h + 1) step^2/(2 lambda)
+    or more; where that exceeds 2 delta they cannot hold or tie the computed
+    maximum. So a run is evaluated only on its cells' merged windows of h + 1
+    points either side (one for rounding), and the report equals a full-grid
+    scan's bit for bit. All runs' windows are packed into blocks of up to
+    ``SCAN_BLOCK`` efforts, each point with its run's retention; the extras
+    make one more block. Retention is read once per effort; rents over about
+    7e13 / lambda widen windows to whole runs. A cell's best moves on a
+    greater utility, or an equal one at a smaller effort: the first merged,
+    sorted maximum.
     """
+    grid_size = require_integer("grid_size", grid_size)
     if not 2 <= grid_size <= MAX_GRID_SIZE:
         raise DomainError(f"grid_size must be in [2, {MAX_GRID_SIZE}], got {grid_size}")
     dev_tol = default_dev_tol(params, grid_size)
     post = posteriors(params)
-    lam, R, eps = params.lam, params.R, params.eps_tol
+    lam, R, reads = params.lam, params.R, _Retention(eq, params.eps_tol)
 
     extras = {0.0, 1.0}
     for mu in (post.mu_plus, post.mu_minus):
@@ -230,38 +252,51 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
         if pattern.effort_value is not None and 0.0 <= pattern.effort_value <= 1.0:
             extras.add(pattern.effort_value)
     extra = np.array(sorted(extras))
-    extra_kept = np.array([_reform_retention(eq, float(x), eps) for x in extra])
+    extra_kept = np.array([reads[float(x)] for x in extra])
     step = 1.0 / (grid_size - 1)
-    index = np.arange(SCAN_BLOCK, dtype=float)
-    # 4 success terms, 4 failure terms, cost, grid efforts; wide enough for the extras' block
-    work = np.empty((10, max(SCAN_BLOCK, len(extra))))
-
-    def blocks():
-        # retention does not depend on the deviator's cell: one decision per run
-        for lo, hi, kept in _retention_runs(eq, grid_size, step, eps):
-            windows = []
-            for m, (pay_succ, pay_fail) in zip(mu[:, 0].tolist(), pay.tolist()):
-                # points over h - 1 steps from the one nearest the vertex trail it by
-                # over 2 delta; one more step covers the rounding of the vertex
-                a, b = pay_succ + R * kept[0], pay_fail + R * kept[1]
-                delta = 16 * 2.0 ** -53 * (abs(a) + abs(b) + 0.5 / lam)
-                h = int(min(2 * math.sqrt(lam * delta) * (grid_size - 1), grid_size)) + 2
-                c = round(min(max(lam * m * (a - b) * (grid_size - 1), lo), hi - 1))
-                windows.append((max(c - h, lo), min(c + h + 1, hi)))
-            done = lo
-            for w_lo, w_hi in sorted(windows):  # each index once: skip what is scanned
-                for start in range(max(w_lo, done), w_hi, SCAN_BLOCK):
-                    n = min(SCAN_BLOCK, w_hi - start)
-                    e = np.add(index[:n], start, out=work[9, :n])
-                    e *= step
-                    if start + n == grid_size:
-                        e[-1] = 1.0  # as linspace: i * step, then the exact endpoint
-                    yield e, kept
-                done = max(done, w_hi)
-        yield extra, tuple(extra_kept.T)
-
     mu = np.array([[post.mu(s)] for _, s in CELLS])
     pay = np.array([[_policy_payoff(t, o, params) for o in (SUCCESS, FAILURE)] for t, _ in CELLS])
+
+    # retention does not depend on the deviator's cell: one decision per run, and the
+    # cells' windows on it merged into (start, stop, retained) spans, each index once
+    spans = []
+    for lo, hi, kept in _retention_runs(eq, grid_size, step, params.eps_tol, reads):
+        windows = []
+        for m, (pay_succ, pay_fail) in zip(mu[:, 0].tolist(), pay.tolist()):
+            # points over h - 1 steps from the one nearest the vertex trail it by
+            # over 2 delta; one more step covers the rounding of the vertex
+            a, b = pay_succ + R * kept[0], pay_fail + R * kept[1]
+            delta = 16 * 2.0 ** -53 * (abs(a) + abs(b) + 0.5 / lam)
+            h = int(min(2 * math.sqrt(lam * delta) * (grid_size - 1), grid_size)) + 2
+            c = round(min(max(lam * m * (a - b) * (grid_size - 1), lo), hi - 1))
+            windows.append((max(c - h, lo), min(c + h + 1, hi)))
+        done = lo
+        for w_lo, w_hi in sorted(windows):
+            if w_hi > done:
+                spans.append((max(w_lo, done), w_hi, kept))
+                done = w_hi
+    width = min(SCAN_BLOCK, sum(stop - start for start, stop, _ in spans))
+    index = np.arange(width, dtype=float)
+    # 4 success and 4 failure terms, cost, efforts, retention after success and after failure
+    work = np.empty((12, max(width, len(extra))))
+
+    def blocks():
+        # the spans packed ``width`` points at a time, each point with its own retention
+        n = 0
+        for start, stop, (kept_succ, kept_fail) in spans:
+            while start < stop:
+                k = min(width - n, stop - start)
+                np.add(index[:k], start, out=work[9, n:n + k])
+                work[10, n:n + k], work[11, n:n + k] = kept_succ, kept_fail
+                start, n = start + k, n + k
+                if n == width or start == spans[-1][1]:  # a full block, or the last
+                    e = np.multiply(work[9, :n], step, out=work[9, :n])
+                    if start == grid_size:
+                        e[-1] = 1.0  # as linspace: i * step, then the exact endpoint
+                    yield e, (work[10, :n], work[11, :n])
+                    n = 0
+        yield extra, tuple(extra_kept.T)
+
     rows = np.arange(len(CELLS))
     scan_u, scan_e = np.full(len(CELLS), -np.inf), np.zeros(len(CELLS))
     for e, kept in blocks():
@@ -274,12 +309,12 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
         scan_u[better] = u_max[better]
         scan_e[better] = e_max[better]
 
+    sq = AgentAction(STATUS_QUO)  # d + R * retained in every cell
+    *eq_us, sq_u = _cell_utilities([*eq.profile.cells(), (CONGRUENT, "g", sq)], params, reads)
     cells: dict[tuple[str, str], DeviationCell] = {}
-    for k, (t, s, eq_action) in enumerate(eq.profile.cells()):
-        eq_u = expected_utility(t, s, eq_action, eq, params)
-        sq_u = expected_utility(t, s, AgentAction(STATUS_QUO), eq, params)
+    for k, ((t, s, eq_action), eq_u) in enumerate(zip(eq.profile.cells(), eq_us)):
         if sq_u >= scan_u[k]:
-            best_action, best_u = AgentAction(STATUS_QUO), sq_u
+            best_action, best_u = sq, sq_u
         else:
             best_action = AgentAction(REFORM, float(scan_e[k]))
             best_u = float(scan_u[k])
@@ -437,8 +472,8 @@ def divinity_breakeven(
     post = posteriors(params)
     e = deviation.effort
     p_bar: dict[tuple[str, str], float] = {}
-    for t, s, act in eq.profile.cells():
-        eq_u = expected_utility(t, s, act, eq, params)
+    eq_us = _cell_utilities(eq.profile.cells(), params, _Retention(eq, params.eps_tol))
+    for (t, s, _), eq_u in zip(eq.profile.cells(), eq_us):
         if deviation.policy == STATUS_QUO:
             dev_policy = params.d
         else:

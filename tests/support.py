@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the library's solution path:
 grid maximizers instead of first-order conditions, joint-distribution
 enumeration instead of stored beliefs, dense scans instead of closed-form
-roots and of the deviation scan's vertex windows, and a pattern-by-pattern
-interpreter instead of the compiled first-match table.
+roots and of the deviation scan's vertex windows, a pattern-by-pattern
+interpreter instead of the compiled first-match table, and one scalar utility
+per cell instead of the cells scored in one call.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from reformlab.equilibrium import (
     AgentAction, Equilibrium,
 )
 from reformlab.verification import (
-    MAX_GRID_SIZE, SCAN_BLOCK, DeviationCell, DeviationReport, _policy_payoff,
-    _reform_retention, _reform_utility, _retention_runs, default_dev_tol, documented_opaque_gap,
-    expected_utility, joint_outcome_distribution,
+    MAX_GRID_SIZE, SCAN_BLOCK, BreakEvenReport, DeviationCell, DeviationReport, _policy_payoff,
+    _reform_utility, _retention_runs, default_dev_tol, documented_opaque_gap,
+    joint_outcome_distribution,
 )
 
 DOMAINS = {
@@ -134,9 +135,63 @@ def per_mass_welfare_and_selection(eq: Equilibrium, params: Params) -> tuple[flo
     return w, q
 
 
+# ``verification._reform_retention``, ``expected_utility`` and ``divinity_breakeven``
+# as they were before a check scored its cells in one call, copied verbatim but for
+# the last two names: one retention read and one one-element ``_reform_utility`` call
+# per reform, the status quo as a scalar sum. The reference for every cell utility
+# and break-even, bit for bit.
+def _reform_retention(eq: Equilibrium, effort, eps: float) -> tuple:
+    """Retention after a successful and after a failed reform at ``effort``."""
+    action = AgentAction(REFORM, effort)
+    return eq.retains(action, SUCCESS, eps), eq.retains(action, FAILURE, eps)
+
+
+def scalar_expected_utility(
+    agent_type: str, signal: str, action: AgentAction, eq: Equilibrium, params: Params
+) -> float:
+    """Agent's exact expected utility from ``action`` after ``signal``.
+
+    Integrates over the state given the signal and the outcome given the
+    state and action, applying the equilibrium's retention rule to each
+    induced observation.
+    """
+    eps = params.eps_tol
+    if action.policy == STATUS_QUO:
+        return (_policy_payoff(agent_type, SQ_OUTCOME, params)
+                + params.R * eq.retains(action, SQ_OUTCOME, eps))
+    payoffs = tuple(_policy_payoff(agent_type, o, params) for o in (SUCCESS, FAILURE))
+    retained = _reform_retention(eq, action.effort, eps)
+    return float(_reform_utility(posteriors(params).mu(signal), np.array([action.effort]),
+                                 payoffs, retained, params, np.empty((3, 1)))[0])
+
+
+def scalar_divinity_breakeven(
+    eq: Equilibrium, deviation: AgentAction, params: Params
+) -> BreakEvenReport:
+    """Solve p * R + (deviation policy payoff) = equilibrium utility per cell.
+
+    Higher break-evens mark types with less to gain from the deviation; the
+    refinement attributes the deviation to the lowest break-even type(s).
+    """
+    post = posteriors(params)
+    e = deviation.effort
+    p_bar: dict[tuple[str, str], float] = {}
+    for t, s, act in eq.profile.cells():
+        eq_u = scalar_expected_utility(t, s, act, eq, params)
+        if deviation.policy == STATUS_QUO:
+            dev_policy = params.d
+        else:
+            weight = post.mu(s) if t == CONGRUENT else 0.0
+            dev_policy = weight * e - e * e / (2.0 * params.lam)
+        p_bar[(t, s)] = (eq_u - dev_policy) / params.R
+    ordering = tuple(sorted(p_bar, key=lambda cell: -p_bar[cell]))
+    return BreakEvenReport(deviation=deviation, p_bar=p_bar, ordering=ordering)
+
+
 # ``verification.deviation_check`` as it was before it scanned each retention run
-# only near its utility vertex, copied verbatim but for its name: every point of
-# the grid is evaluated. The reference for the windowed scan's reports, bit for bit.
+# only near its utility vertex, copied verbatim but for its name and for scoring
+# its cells with ``scalar_expected_utility``: every point of the grid is evaluated.
+# The reference for the windowed scan's reports, bit for bit.
 def dense_deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -> DeviationReport:
     """Brute-force no-profitable-deviation check at tolerance
     :func:`default_dev_tol`.
@@ -202,8 +257,8 @@ def dense_deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_
 
     cells: dict[tuple[str, str], DeviationCell] = {}
     for k, (t, s, eq_action) in enumerate(eq.profile.cells()):
-        eq_u = expected_utility(t, s, eq_action, eq, params)
-        sq_u = expected_utility(t, s, AgentAction(STATUS_QUO), eq, params)
+        eq_u = scalar_expected_utility(t, s, eq_action, eq, params)
+        sq_u = scalar_expected_utility(t, s, AgentAction(STATUS_QUO), eq, params)
         if sq_u >= scan_u[k]:
             best_action, best_u = AgentAction(STATUS_QUO), sq_u
         else:

@@ -22,6 +22,12 @@ The scan evaluates each run only near its utility's vertex. The full-grid
 scan it replaced is kept verbatim as ``support.dense_deviation_check``, the
 reference that every report must equal bit for bit, and whose first grid
 maximum per cell must lie among the points the windowed scan evaluates.
+
+The windows of all runs are packed into shared blocks, and a check scores its
+cells in one call. The scalar one-cell utility and break-even they replaced
+are kept verbatim in ``support`` as the references for every cell utility,
+and the packed scan's shape (one grid block at the fixtures) and its peak
+memory are pinned.
 """
 
 import dataclasses
@@ -42,9 +48,12 @@ from reformlab import (
 )
 from reformlab import verification
 from reformlab.cli import run
-from reformlab.equilibrium import FAILURE, REFORM, SUCCESS
+from reformlab.equilibrium import FAILURE, REFORM, STATUS_QUO, SUCCESS
 import support
-from support import DOMAINS, _interpreted_decide, dense_deviation_check, opaque_failure_mass
+from support import (
+    DOMAINS, _interpreted_decide, dense_deviation_check, opaque_failure_mass,
+    scalar_divinity_breakeven, scalar_expected_utility,
+)
 
 GOLDEN = json.loads(Path(__file__).with_name("deviation_golden.json").read_text())
 NONPOOLING_REGIMES = ("benchmark", "nontransparent", "opaque", "transparent_separating")
@@ -321,3 +330,74 @@ class TestScanMemory:
         assert sum(sizes[:-1]) == grid_size
         assert got == want
         assert peak < 2_000_000
+
+
+class TestGridSizeInteger:
+    @pytest.mark.parametrize("grid_size", [2.5, 101.0])
+    def test_non_integer_refused(self, sanity, grid_size):
+        with pytest.raises(DomainError, match="grid_size must be an integer"):
+            deviation_check(solve(sanity, "opaque"), sanity, grid_size)
+
+    def test_numpy_integer_stored_as_int(self, sanity):
+        eq = solve(sanity, "opaque")
+        report = deviation_check(eq, sanity, np.int64(101))
+        assert type(report.grid_size) is int
+        assert '"grid_size": 101,' in _dump(report)
+        assert _dump(report) == _dump(deviation_check(eq, sanity, 101))
+
+
+#: the test domains, with the tolerance 0 or log-uniform over [1e-15, 0.1]
+CELL_PARAMS = st.builds(
+    Params, **{k: st.floats(lo, hi) for k, (lo, hi) in DOMAINS.items()},
+    eps_tol=st.one_of(st.just(0.0), st.floats(-15.0, -1.0).map(lambda x: 10.0 ** x)),
+)
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()  # tells -0.0 from 0.0, as == does not
+
+
+class TestCellUtilities:
+    # every cell utility the library reports equals the scalar one-cell reference:
+    # at the equilibrium action, the status quo, and each retention threshold +-1 ulp
+    @given(params=CELL_PARAMS, regime=st.sampled_from(NONPOOLING_REGIMES + ("pooling_lo",
+                                                                          "pooling_hi")),
+           effort=st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_match_scalar_reference(self, params, regime, effort):
+        eq = _run_regime(params, regime, 2, 0)
+        assume(eq is not None)
+        eps = params.eps_tol
+        values = {v for pattern, _ in eq.retention if (v := pattern.effort_value) is not None}
+        efforts = {min(max(float(x), 0.0), 1.0) for v in values for t in (v - eps, v, v + eps)
+                   for x in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf))}
+        probes = [AgentAction(STATUS_QUO), *(AgentAction(REFORM, e) for e in sorted(efforts))]
+        for t, s, act in eq.profile.cells():
+            for action in (act, *probes):
+                got = verification.expected_utility(t, s, action, eq, params)
+                assert _bits(got) == _bits(scalar_expected_utility(t, s, action, eq, params))
+        report = deviation_check(eq, params, 2001)
+        for (t, s), cell in report.cells.items():
+            want = scalar_expected_utility(t, s, cell.eq_action, eq, params)
+            assert _bits(cell.eq_utility) == _bits(want)
+        for deviation in (AgentAction(STATUS_QUO), AgentAction(REFORM, effort)):
+            got = json.dumps(verification.divinity_breakeven(eq, deviation, params).to_json())
+            assert got == json.dumps(scalar_divinity_breakeven(eq, deviation, params).to_json())
+
+
+class TestScanShape:
+    @pytest.mark.parametrize("name", ["sanity", "part3"])
+    def test_one_grid_block_and_small_peak(self, name, request):
+        # at the fixtures every regime's windows fit one packed grid block, scored in
+        # one 2-D utility call before the extras' one, in buffers sized to the work
+        params = request.getfixturevalue(name)
+        for eq in _equilibria(params):
+            _, seen = _scan(deviation_check, eq, params, 100_001)
+            assert len(seen) == 2, eq.regime
+            tracemalloc.start()
+            try:
+                deviation_check(eq, params, 100_001)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, eq.regime

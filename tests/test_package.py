@@ -132,3 +132,29 @@ def test_verification_uses_no_closed_form_effort():
     assert CLOSED_FORM <= defined
     assert names_used("verification").isdisjoint(CLOSED_FORM)
     assert "raw_profile" in names_used("welfare")  # the reader sees a real use
+
+
+def calls(name: str):
+    """A matcher of calls to the bare name ``name``."""
+    return lambda node: (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                         and node.func.id == name)
+
+
+def calls_numpy(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    while isinstance(func, ast.Attribute):
+        func = func.value
+    return isinstance(func, ast.Name) and func.id in ("np", "numpy")
+
+
+def test_one_utility_path():
+    # the reform utility is evaluated by the scan and by the one cell scorer; the
+    # public one-cell and break-even entry points score through that scorer only
+    assert sites(calls("_reform_utility")) == {("verification", "deviation_check"),
+                                               ("verification", "_cell_utilities")}
+    numpy_scopes = {scope.split(".")[0] for module, scope in sites(calls_numpy)
+                    if module == "verification"}
+    assert numpy_scopes.isdisjoint({"expected_utility", "divinity_breakeven"})
+    assert {"_cell_utilities", "deviation_check"} <= numpy_scopes  # the reader sees real uses
