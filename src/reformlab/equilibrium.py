@@ -28,7 +28,8 @@ from .errors import (
     AssumptionError, DomainError, InformativenessError, UnderflowError, UnresolvedObservationError,
 )
 from .model_core import (
-    AssumptionReport, Params, Posteriors, Record, RentMode, check_assumptions, posteriors,
+    ASSUMPTION_CHECKS, Params, Posteriors, Record, RentMode, assumption_values, posteriors,
+    check_assumptions, require_rent_mode,  # check_assumptions: re-exported, not called here
 )
 
 CONGRUENT = "congruent"
@@ -284,29 +285,7 @@ def separation_effort(params: Params) -> float:
     return math.sqrt(max(0.0, 2.0 * params.lam * (params.R - params.d)))
 
 
-_CORE_GATES = ("signal_informative", "moderate_rent", "effort_bound")
-
-
-@lru_cache(maxsize=64)
-def _report(params: Params) -> AssumptionReport:
-    """Memoized ``check_assumptions``, read only by :func:`_require`: reports hold mutable dicts."""
-    return check_assumptions(params)
-
-
-def _require(params: Params, rent_mode: RentMode) -> AssumptionReport:
-    """The assumption report of ``params``, once each of ``_CORE_GATES`` holds."""
-    report = _report(params)
-    for name in _CORE_GATES:
-        result = report.rent(rent_mode) if name == "moderate_rent" else report.check(name)
-        if not result.passed:
-            label = f"moderate_rent_{rent_mode}" if name == "moderate_rent" else name
-            raise AssumptionError(label)
-    return report
-
-
-def raw_profile(
-    regime: str, params: Params, post: Posteriors
-) -> tuple[tuple[str, float], ...]:
+def raw_profile(regime: str, params: Params, post: Posteriors) -> tuple[tuple[str, float], ...]:
     """Closed-form (policy, effort) of the four (type, signal) cells, in
     ``TYPES x SIGNALS`` order, with efforts left unclamped.
 
@@ -358,12 +337,30 @@ def transparent_pooling_family(params: Params) -> Optional[tuple[float, float]]:
     return None
 
 
-def _pooling_family(params: Params) -> tuple[float, float]:
-    """:func:`transparent_pooling_family`, refused by name when it is empty."""
-    family = transparent_pooling_family(params)
-    if family is None:
-        raise AssumptionError("pooling_family_nonempty", "no pooling equilibrium survives")
-    return family
+#: the refusal of ``transparent_pooling`` where its family is empty, as (exception class, args)
+_NO_POOLING = AssumptionError, ("pooling_family_nonempty", "no pooling equilibrium survives")
+
+
+@lru_cache(maxsize=64)
+def gate_refusals(params: Params, rent_mode: RentMode) -> dict[str, tuple[type, tuple]]:
+    """Each regime's refusal by gated :func:`solve` at ``params``, as (exception class,
+    args); a regime that is built has no entry. A failed core gate (signal, rent in its
+    ``rent_mode`` form, effort bound) refuses all; past them each regime's own condition
+    decides. One bounded memo entry per (params, rent_mode); readers build fresh exceptions."""
+    passed = {name: ok for name, (ok, _) in zip(ASSUMPTION_CHECKS, assumption_values(params))}
+    for name in ("signal_informative", f"moderate_rent_{rent_mode}", "effort_bound"):
+        if not passed[name]:
+            return dict.fromkeys(REGIMES, (AssumptionError, (name,)))
+    refusals = {}
+    if not passed["informativeness"]:
+        refusals[OPAQUE] = InformativenessError, ()
+    bar = separation_effort(params)
+    if bar > 1.0 + params.eps_tol:  # no feasible effort deters mimicry
+        refusals[TRANSPARENT_SEPARATING] = AssumptionError, (
+            "separation_feasible", f"separating effort sqrt(2 lambda (R-d)) = {bar:.6g} exceeds 1")
+    if transparent_pooling_family(params) is None:
+        refusals[TRANSPARENT_POOLING] = _NO_POOLING
+    return refusals
 
 
 def solve(
@@ -399,30 +396,30 @@ def solve(
       retained; efforts below the pool (or the status quo) are attributed to
       the noncongruent type, efforts above to a good-signal congruent type.
 
-    With ``check`` the core assumptions (rent in its ``rent_mode`` form) and
-    the regime's own condition must hold, and a pooled effort must lie in
-    the family. Either way the closed-form efforts are clamped to [0, 1],
-    and a pooled effort outside [0, 1], or given for another regime, is refused.
+    A ``rent_mode`` other than "strict" or "relaxed" is refused first. With
+    ``check`` the core assumptions (rent in its ``rent_mode`` form) and the
+    regime's own condition must hold, as read from :func:`gate_refusals`,
+    and a pooled effort must lie in the family. Either way the closed-form
+    efforts are clamped to [0, 1], and a pooled effort outside [0, 1], or
+    given for another regime, is refused.
     """
+    require_rent_mode(rent_mode)
     if regime not in REGIMES:
         raise DomainError(f"unknown regime {regime!r}")
     if pooling_effort is not None and regime != TRANSPARENT_POOLING:
         raise DomainError(f"a pooling effort applies only to transparent_pooling, not {regime}")
     if regime == TRANSPARENT_POOLING and pooling_effort is None:
-        pooling_effort = _pooling_family(params)[0]
+        family = transparent_pooling_family(params)
+        if family is None:
+            raise AssumptionError(*_NO_POOLING[1])
+        pooling_effort = family[0]
     if check:
-        report = _require(params, rent_mode)
-        if regime == OPAQUE and not report.informativeness.passed:
-            raise InformativenessError()
-        if regime == TRANSPARENT_SEPARATING:
-            bar = separation_effort(params)
-            if bar > 1.0 + params.eps_tol:  # no feasible effort deters mimicry
-                raise AssumptionError(
-                    "separation_feasible",
-                    f"separating effort sqrt(2 lambda (R-d)) = {bar:.6g} exceeds 1",
-                )
+        refusal = gate_refusals(params, rent_mode).get(regime)
+        if refusal is not None:
+            cls, args = refusal
+            raise cls(*args)
         if regime == TRANSPARENT_POOLING:
-            lo, hi = _pooling_family(params)
+            lo, hi = transparent_pooling_family(params)
             if not (lo - params.eps_tol <= pooling_effort <= hi + params.eps_tol):
                 raise DomainError(f"e_star {pooling_effort} outside pooling family [{lo}, {hi}]")
     if regime == TRANSPARENT_POOLING:

@@ -204,57 +204,56 @@ class AssumptionReport(Record):
         return getattr(self, name)
 
     def rent(self, mode: RentMode) -> CheckResult:
-        if mode not in ("strict", "relaxed"):
-            raise DomainError(f"rent_mode must be 'strict' or 'relaxed', got {mode!r}")
-        return self.moderate_rent_strict if mode == "strict" else self.moderate_rent_relaxed
+        return getattr(self, f"moderate_rent_{require_rent_mode(mode)}")
 
 
 #: the assumption checks of :class:`AssumptionReport`, in report and sweep-column order
 ASSUMPTION_CHECKS = tuple(f.name for f in fields(AssumptionReport))
 
 
+def require_rent_mode(mode) -> RentMode:
+    """``mode`` if it names a form of the moderate-rent restriction, else a refusal."""
+    if mode not in ("strict", "relaxed"):
+        raise DomainError(f"rent_mode must be 'strict' or 'relaxed', got {mode!r}")
+    return mode
+
+
 def check_assumptions(params: Params) -> AssumptionReport:
-    """Evaluate every assumption with signed margins; nothing short-circuits."""
+    """Evaluate every assumption with signed margins; nothing short-circuits. The report
+    is built fresh from :func:`assumption_values` on each call, so it may be mutated."""
+    return AssumptionReport(*[CheckResult(ok, detail.copy())
+                              for ok, detail in assumption_values(params)])
+
+
+def assumption_values(params: Params) -> tuple[tuple[bool, dict[str, float]], ...]:
+    """Each assumption's (passed, detail), in ``ASSUMPTION_CHECKS`` order, from one bounded
+    memo that the report and the gates of :func:`~reformlab.equilibrium.solve` read; a
+    reader copies a detail before handing it out."""
+    # the fields the checks read are typed key parts: an int or numpy field gets no float's entry
+    return _assumption_values(params, params.p, params.phi, params.d, params.lam, params.R,
+                              params.eps_tol)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _assumption_values(params: Params, *_fields) -> tuple:
     eps = params.eps_tol
     post = posteriors(params)
     root = params.effort_root
     R = params.R
-
-    signal = CheckResult(
-        passed=(post.mu_plus > root + eps) and (root > post.mu_minus + eps),
-        detail={
-            "mu_plus_minus_root": post.mu_plus - root,
-            "root_minus_mu_minus": root - post.mu_minus,
-        },
-    )
     lo_strict = min((1 + R) * post.mu_minus, R * post.mu_plus)
     lo_relaxed = max((1 + R) * post.mu_minus, R * post.mu_plus)
     rent_common = root > R * post.mu_minus + eps
-    strict = CheckResult(
-        passed=(lo_strict > root + eps) and rent_common,
-        detail={"lower_bound": lo_strict, "root": root, "R_mu_minus": R * post.mu_minus},
-    )
-    relaxed = CheckResult(
-        passed=(lo_relaxed > root + eps) and rent_common,
-        detail={"lower_bound": lo_relaxed, "root": root, "R_mu_minus": R * post.mu_minus},
-    )
-    effort = CheckResult(
-        passed=params.lam * (1 + R) <= 1.0 + eps,
-        detail={"lambda_times_one_plus_R": params.lam * (1 + R)},
-    )
     holds, lhs, rhs = informativeness_condition(params)
-    info = CheckResult(passed=holds, detail={"lhs": lhs, "rhs": rhs})
-    rent2d = CheckResult(
-        passed=R > 2 * params.d + eps,
-        detail={"R": R, "two_d": 2 * params.d},
-    )
-    return AssumptionReport(
-        signal_informative=signal,
-        moderate_rent_strict=strict,
-        moderate_rent_relaxed=relaxed,
-        effort_bound=effort,
-        informativeness=info,
-        rent_exceeds_2d=rent2d,
+    return (
+        ((post.mu_plus > root + eps) and (root > post.mu_minus + eps),
+         {"mu_plus_minus_root": post.mu_plus - root, "root_minus_mu_minus": root - post.mu_minus}),
+        ((lo_strict > root + eps) and rent_common,
+         {"lower_bound": lo_strict, "root": root, "R_mu_minus": R * post.mu_minus}),
+        ((lo_relaxed > root + eps) and rent_common,
+         {"lower_bound": lo_relaxed, "root": root, "R_mu_minus": R * post.mu_minus}),
+        (params.lam * (1 + R) <= 1.0 + eps, {"lambda_times_one_plus_R": params.lam * (1 + R)}),
+        (holds, {"lhs": lhs, "rhs": rhs}),
+        (R > 2 * params.d + eps, {"R": R, "two_d": 2 * params.d}),
     )
 
 

@@ -12,9 +12,12 @@ Two welfare surfaces are exposed deliberately:
   rent-threshold analysis lives on this algebraic surface: the upper switch
   point R_high sits where the raw efforts exceed one, so gated welfare
   cannot reach it. Sweeps take their welfare columns from
-  ``optimal_regime(params, strict=False)``, which ranks this surface, and
-  report them next to the assumption flags so consumers can see where the
-  model's restrictions stop holding.
+  ``optimal_regime(params, strict=False)``, which ranks this surface through
+  the same derivation: posteriors, the four cell masses and their beliefs once
+  a call, each regime's raw profile once. They report them next to the
+  assumption flags so consumers can see where the model's restrictions stop
+  holding. Strict ranking reads its exclusions from the refusal table of
+  :func:`~reformlab.equilibrium.gate_refusals` that gated ``solve`` raises from.
 
 The rent thresholds are the closed-form roots of :func:`H`; the test suite
 checks them against bisection.
@@ -26,23 +29,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    AssumptionError, DomainError, NonFiniteError, PreconditionLossError, UnderflowError,
-)
+from .errors import DomainError, NonFiniteError, PreconditionLossError, UnderflowError
 from .equilibrium import (
-    CONGRUENT,
-    FAILURE,
-    NONTRANSPARENT,
-    OPAQUE,
-    REFORM,
-    SQ_OUTCOME,
-    SUCCESS,
-    TRANSPARENT_SEPARATING,
-    Equilibrium,
-    raw_profile,
-    solve,
+    CONGRUENT, FAILURE, NONTRANSPARENT, OPAQUE, REFORM, SQ_OUTCOME, SUCCESS, TRANSPARENT_SEPARATING,
+    Equilibrium, gate_refusals, raw_profile, solve,
 )
-from .model_core import Params, Record, RentMode, posteriors
+from .model_core import Params, Record, RentMode, posteriors, require_rent_mode
 from .verification import joint_outcome_distribution
 
 WELFARE_REGIMES = (NONTRANSPARENT, OPAQUE, TRANSPARENT_SEPARATING)
@@ -111,15 +103,24 @@ def formula_welfare(params: Params, regime: str) -> float:
     """Closed-form W on raw (unclamped) effort expressions; see module note."""
     if regime not in WELFARE_REGIMES:
         raise DomainError(f"no closed-form welfare for regime {regime!r}")
+    return _formula_welfare(params, (regime,))[regime]
+
+
+def _formula_welfare(params: Params, regimes) -> dict[str, float]:
+    """:func:`formula_welfare` by regime: posteriors, cell masses and beliefs are derived
+    once for all of ``regimes``, and each regime's raw profile once."""
     post = posteriors(params)
     pi = params.pi
     p_g = params.phi * params.p + (1 - params.phi) * (1 - params.p)
     masses = (pi * p_g, pi * (1 - p_g), (1 - pi) * p_g, (1 - pi) * (1 - p_g))
     mus = (post.mu_plus, post.mu_minus) * 2
-    w = 0.0
-    for mass, mu, (policy, effort) in zip(masses, mus, raw_profile(regime, params, post)):
-        w += mass * (effort * mu if policy == REFORM else params.d)
-    return w
+    ws = {}
+    for regime in regimes:
+        w = 0.0
+        for mass, mu, (policy, effort) in zip(masses, mus, raw_profile(regime, params, post)):
+            w += mass * (effort * mu if policy == REFORM else params.d)
+        ws[regime] = w
+    return ws
 
 
 def optimal_regime(
@@ -127,24 +128,30 @@ def optimal_regime(
 ) -> WelfareReport:
     """Welfare table over the three retention regimes with the optimum.
 
-    With ``strict=True`` each regime is constructed under its assumption
-    gates and excluded (with the failed check noted) when they do not hold.
-    With ``strict=False`` the gates are skipped and all three W values come
-    from the raw closed forms, extending the comparison across the whole
-    rent axis; Q is always read from the constructed equilibrium. A total
-    that overflows is refused with :class:`NonFiniteError`, never ranked.
+    A ``rent_mode`` other than "strict" or "relaxed" is refused first. With
+    ``strict=True`` a regime whose gates fail is excluded, with the failed
+    check noted from :func:`~reformlab.equilibrium.gate_refusals` (nothing is
+    raised), and the others are constructed under their gates. With
+    ``strict=False`` the gates are skipped and all three W values come from
+    the raw closed forms, derived as in :func:`formula_welfare`, extending
+    the comparison across the whole rent axis; Q is always read from the
+    constructed equilibrium. A total that overflows is refused with
+    :class:`NonFiniteError`, never ranked.
     """
+    require_rent_mode(rent_mode)
+    refusals = gate_refusals(params, rent_mode) if strict else {}
+    raw_w = None if strict else _formula_welfare(params, WELFARE_REGIMES)
     entries: dict[str, WelfareEntry] = {}
     excluded: dict[str, str] = {}
     for regime in WELFARE_REGIMES:
-        try:
-            eq = solve(params, regime, rent_mode=rent_mode, check=strict)
-        except AssumptionError as exc:
-            excluded[regime] = exc.check
+        if regime in refusals:
+            cls, args = refusals[regime]
+            excluded[regime] = cls(*args).check
             continue
+        eq = solve(params, regime, rent_mode=rent_mode, check=strict)
         w, q = _welfare_and_selection(eq, params)
         if not strict:
-            w = formula_welfare(params, regime)
+            w = raw_w[regime]
         total = w + params.M * q
         if not math.isfinite(total):
             raise NonFiniteError(f"{regime}: the welfare total W + M*Q = {total} is not finite")
@@ -235,10 +242,7 @@ def comparative_statics(
             f"regime {regime} no longer constructible after bumping {which} "
             f"by {delta} (failed check: {bumped.excluded.get(regime)})",
         )
-    deltas = {
-        regime: bumped.entries[regime].W - baseline.entries[regime].W
-        for regime in baseline.entries
-    }
+    deltas = {r: bumped.entries[r].W - baseline.entries[r].W for r in baseline.entries}
     return ComparativeStaticsReport(
         which=which, delta=delta, baseline=baseline, bumped=bumped,
         welfare_deltas=deltas, persisted=baseline.optimal == bumped.optimal,

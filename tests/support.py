@@ -4,19 +4,25 @@ Everything here is deliberately independent of the library's solution path:
 grid maximizers instead of first-order conditions, joint-distribution
 enumeration instead of stored beliefs, dense scans instead of closed-form
 roots and of the deviation scan's vertex windows, a pattern-by-pattern
-interpreter instead of the compiled first-match table, and one scalar utility
-per cell instead of the cells scored in one call.
+interpreter instead of the compiled first-match table, one scalar utility
+per cell instead of the cells scored in one call, and assumption reports
+and ``solve`` gates evaluated afresh on every call instead of read from one
+memoized refusal table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from reformlab import DomainError, Params, UnresolvedObservationError, posteriors
-from reformlab.equilibrium import (
-    CELLS, CONGRUENT, FAILURE, OPAQUE, REFORM, RETAIN, SQ_OUTCOME, STATUS_QUO, SUCCESS,
-    AgentAction, Equilibrium,
+from reformlab import (
+    AssumptionError, DomainError, InformativenessError, Params, UnresolvedObservationError,
+    informativeness_condition, posteriors, separation_effort, solve, transparent_pooling_family,
 )
+from reformlab.equilibrium import (
+    CELLS, CONGRUENT, FAILURE, NONTRANSPARENT, OPAQUE, REFORM, REGIMES, RETAIN, SQ_OUTCOME,
+    STATUS_QUO, SUCCESS, TRANSPARENT_POOLING, TRANSPARENT_SEPARATING, AgentAction, Equilibrium,
+)
+from reformlab.model_core import AssumptionReport, CheckResult
 from reformlab.verification import (
     MAX_GRID_SIZE, SCAN_BLOCK, BreakEvenReport, DeviationCell, DeviationReport, _policy_payoff,
     _reform_utility, _retention_runs, default_dev_tol, documented_opaque_gap,
@@ -400,3 +406,115 @@ def sample_mon_pairs(seed: int, n: int) -> list[tuple[Params, Params]]:
             if len(pairs) >= n:
                 break
     return pairs
+
+
+# ``check_assumptions``, ``_pooling_family``, ``_require`` and the gate block of
+# ``solve`` as they were before the gates read one refusal table per point, kept
+# verbatim (``_require`` read a memo of ``check_assumptions``; here it calls the
+# copy) as the reference that the table must refuse exactly as.
+
+
+def reference_check_assumptions(params: Params) -> AssumptionReport:
+    """Evaluate every assumption with signed margins; nothing short-circuits."""
+    eps = params.eps_tol
+    post = posteriors(params)
+    root = params.effort_root
+    R = params.R
+
+    signal = CheckResult(
+        passed=(post.mu_plus > root + eps) and (root > post.mu_minus + eps),
+        detail={
+            "mu_plus_minus_root": post.mu_plus - root,
+            "root_minus_mu_minus": root - post.mu_minus,
+        },
+    )
+    lo_strict = min((1 + R) * post.mu_minus, R * post.mu_plus)
+    lo_relaxed = max((1 + R) * post.mu_minus, R * post.mu_plus)
+    rent_common = root > R * post.mu_minus + eps
+    strict = CheckResult(
+        passed=(lo_strict > root + eps) and rent_common,
+        detail={"lower_bound": lo_strict, "root": root, "R_mu_minus": R * post.mu_minus},
+    )
+    relaxed = CheckResult(
+        passed=(lo_relaxed > root + eps) and rent_common,
+        detail={"lower_bound": lo_relaxed, "root": root, "R_mu_minus": R * post.mu_minus},
+    )
+    effort = CheckResult(
+        passed=params.lam * (1 + R) <= 1.0 + eps,
+        detail={"lambda_times_one_plus_R": params.lam * (1 + R)},
+    )
+    holds, lhs, rhs = informativeness_condition(params)
+    info = CheckResult(passed=holds, detail={"lhs": lhs, "rhs": rhs})
+    rent2d = CheckResult(
+        passed=R > 2 * params.d + eps,
+        detail={"R": R, "two_d": 2 * params.d},
+    )
+    return AssumptionReport(
+        signal_informative=signal,
+        moderate_rent_strict=strict,
+        moderate_rent_relaxed=relaxed,
+        effort_bound=effort,
+        informativeness=info,
+        rent_exceeds_2d=rent2d,
+    )
+
+
+def _pooling_family(params: Params) -> tuple[float, float]:
+    """:func:`transparent_pooling_family`, refused by name when it is empty."""
+    family = transparent_pooling_family(params)
+    if family is None:
+        raise AssumptionError("pooling_family_nonempty", "no pooling equilibrium survives")
+    return family
+
+
+_CORE_GATES = ("signal_informative", "moderate_rent", "effort_bound")
+
+
+def _require(params: Params, rent_mode) -> AssumptionReport:
+    """The assumption report of ``params``, once each of ``_CORE_GATES`` holds."""
+    report = reference_check_assumptions(params)
+    for name in _CORE_GATES:
+        result = report.rent(rent_mode) if name == "moderate_rent" else report.check(name)
+        if not result.passed:
+            label = f"moderate_rent_{rent_mode}" if name == "moderate_rent" else name
+            raise AssumptionError(label)
+    return report
+
+
+def reference_solve(params: Params, regime: str, *, rent_mode="relaxed", check: bool = True,
+                    pooling_effort=None) -> Equilibrium:
+    """``solve`` with the verbatim gate block in front of its ungated construction."""
+    if regime not in REGIMES:
+        raise DomainError(f"unknown regime {regime!r}")
+    if pooling_effort is not None and regime != TRANSPARENT_POOLING:
+        raise DomainError(f"a pooling effort applies only to transparent_pooling, not {regime}")
+    if regime == TRANSPARENT_POOLING and pooling_effort is None:
+        pooling_effort = _pooling_family(params)[0]
+    if check:
+        report = _require(params, rent_mode)
+        if regime == OPAQUE and not report.informativeness.passed:
+            raise InformativenessError()
+        if regime == TRANSPARENT_SEPARATING:
+            bar = separation_effort(params)
+            if bar > 1.0 + params.eps_tol:  # no feasible effort deters mimicry
+                raise AssumptionError(
+                    "separation_feasible",
+                    f"separating effort sqrt(2 lambda (R-d)) = {bar:.6g} exceeds 1",
+                )
+        if regime == TRANSPARENT_POOLING:
+            lo, hi = _pooling_family(params)
+            if not (lo - params.eps_tol <= pooling_effort <= hi + params.eps_tol):
+                raise DomainError(f"e_star {pooling_effort} outside pooling family [{lo}, {hi}]")
+    return solve(params, regime, rent_mode=rent_mode, check=False, pooling_effort=pooling_effort)
+
+
+def reference_excluded(params: Params, rent_mode="relaxed") -> dict[str, str]:
+    """``optimal_regime(strict=True).excluded`` as it was: each welfare regime's
+    reference ``solve``, its ``AssumptionError`` caught and named."""
+    excluded = {}
+    for regime in (NONTRANSPARENT, OPAQUE, TRANSPARENT_SEPARATING):
+        try:
+            reference_solve(params, regime, rent_mode=rent_mode)
+        except AssumptionError as exc:
+            excluded[regime] = exc.check
+    return excluded

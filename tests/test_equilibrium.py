@@ -1,11 +1,15 @@
 """Tests for the regime equilibrium constructors."""
 
 import dataclasses
+import json
 import math
+import traceback
 from collections import defaultdict
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from reformlab import (
     AgentAction,
@@ -15,21 +19,27 @@ from reformlab import (
     UnresolvedObservationError,
     Observation,
     Params,
+    ReformLabError,
     check_assumptions,
     interior_effort,
+    optimal_regime,
     posteriors,
     separation_effort,
     solve,
     transparent_pooling_family,
 )
-from reformlab import equilibrium
+from reformlab import equilibrium, model_core
 from reformlab.equilibrium import (
-    CELLS, REFORM, STATUS_QUO, SUCCESS, FAILURE, SQ_OUTCOME, StrategyProfile, raw_profile,
+    CELLS, REFORM, REGIMES, STATUS_QUO, SUCCESS, FAILURE, SQ_OUTCOME, StrategyProfile,
+    raw_profile,
 )
 from reformlab.model_core import ASSUMPTION_CHECKS
 from reformlab.verification import joint_outcome_distribution
 from reformlab.welfare import WELFARE_REGIMES, formula_welfare
-from support import grid_argmax_effort, sample_params
+from support import (
+    DOMAINS, grid_argmax_effort, reference_check_assumptions, reference_excluded,
+    reference_solve, sample_params,
+)
 
 # frozen effort levels at the sanity-check parameters
 E_CG_OPAQUE = 0.6229026845637584     # lambda (1+R) mu+
@@ -263,13 +273,13 @@ class TestPoolingFamily:
 
 class TestGateMemo:
     def test_cache_stays_bounded(self, sanity):
-        before = equilibrium._report.cache_info()
+        before = equilibrium.gate_refusals.cache_info()
         for k in range(10_000):
             try:
                 solve(sanity.replace(R=0.5 + k * 1e-6), "benchmark")
             except AssumptionError:
                 pass
-        info = equilibrium._report.cache_info()
+        info = equilibrium.gate_refusals.cache_info()
         assert info.misses - before.misses == 10_000
         assert info.currsize <= info.maxsize == 64
 
@@ -286,12 +296,118 @@ class TestGateMemo:
                 solve(bad, "opaque")
             return exc.value.check, str(exc.value)
 
-        first = refusal()  # the memo now holds the report of ``bad``
-        report = check_assumptions(bad)
+        first = refusal()  # the memo now holds the assumption values of ``bad``
+        report, untouched = check_assumptions(bad), check_assumptions(bad)
         for name in ASSUMPTION_CHECKS:
             report.check(name).detail.clear()
         assert refusal() == first == ("signal_informative", "assumption failed: signal_informative")
-        assert equilibrium._report(bad) == check_assumptions(bad) != report
+        assert check_assumptions(bad) == untouched != report
+
+
+def _outcome(call):
+    """The equilibrium JSON ``call`` returns, or the class, check and message of its refusal."""
+    try:
+        return json.dumps(call().to_json())
+    except ReformLabError as exc:
+        return type(exc), getattr(exc, "check", None), str(exc)
+
+
+@lru_cache(maxsize=1)
+def _gated_points() -> list:
+    """Seeded points where the relaxed core gates hold, so each regime's own condition decides."""
+    return sample_params(17, 100, "base")
+
+
+#: domain points, uniform or past the core gates, with eps_tol 0 or log-uniform
+GATE_PARAMS = st.builds(
+    lambda params, eps: params.replace(eps_tol=eps),
+    st.builds(Params, **{k: st.floats(lo, hi) for k, (lo, hi) in DOMAINS.items()})
+    | st.integers(0, 99).map(lambda i: _gated_points()[i]),
+    st.just(0.0) | st.floats(-15.0, -1.0).map(lambda x: 10.0 ** x),
+)
+
+
+class TestRefusalTable:
+    # the one refusal table per point refuses exactly as the gates it replaced
+    @given(params=GATE_PARAMS)
+    # the separating bar 1.004 exceeds one by less than eps_tol: the regime is built
+    @example(params=Params(p=0.9549578421884989, phi=0.07493276627792972, d=0.004984632699809924,
+                           lam=0.3785980744241498, R=1.336104295571204, pi=0.6500122015200215,
+                           eps_tol=0.01))
+    @settings(max_examples=100, deadline=None)
+    def test_refuses_as_the_reference(self, params):
+        family = transparent_pooling_family(params)
+        efforts = [None, 0.4] + ([] if family is None else list(family))
+        for rent_mode in ("strict", "relaxed"):
+            for check in (True, False):
+                for regime in REGIMES:
+                    for effort in efforts if regime == "transparent_pooling" else [None]:
+                        kw = {"rent_mode": rent_mode, "check": check, "pooling_effort": effort}
+                        want = _outcome(lambda: reference_solve(params, regime, **kw))
+                        assert _outcome(lambda: solve(params, regime, **kw)) == want, kw
+            excluded = optimal_regime(params, rent_mode=rent_mode).excluded
+            assert excluded == reference_excluded(params, rent_mode)
+        got = json.dumps(check_assumptions(params).to_json())
+        assert got == json.dumps(reference_check_assumptions(params).to_json())
+
+    @pytest.mark.parametrize("mode", ["bogus", "Relaxed", "", None])
+    def test_bad_rent_mode_is_refused_first(self, mode, sanity):
+        # before, a failed gate named itself first and check=False took any string
+        message = f"rent_mode must be 'strict' or 'relaxed', got {mode!r}"
+        bad = Params(p=0.5, phi=0.3, d=0.1, lam=0.5, R=1.0, pi=0.5)
+        for params in (bad, sanity):
+            for check in (True, False):
+                for regime in REGIMES + ("bogus",):
+                    with pytest.raises(DomainError) as exc:
+                        solve(params, regime, rent_mode=mode, check=check)
+                    assert str(exc.value) == message
+                with pytest.raises(DomainError) as exc:
+                    optimal_regime(params, rent_mode=mode, strict=check)
+                assert str(exc.value) == message
+
+    @pytest.mark.parametrize("case", ["core", "informativeness", "separation", "no_pool",
+                                      "no_pool_gated"])
+    def test_every_refusal_is_a_fresh_exception(self, case):
+        empty_family = next(p for p in _gated_points() if transparent_pooling_family(p) is None)
+        params, regime, kw = {
+            "core": (Params(p=0.5, phi=0.3, d=0.1, lam=0.5, R=1.0, pi=0.5), "opaque", {}),
+            "informativeness": (Params(p=0.6, phi=0.4, d=0.03, lam=0.5, R=0.9, pi=0.5),
+                                "opaque", {}),
+            "separation": (Params(p=0.99, phi=0.3, d=0.01, lam=0.2, R=3.0, pi=0.5),
+                           "transparent_separating", {}),
+            "no_pool": (empty_family, "transparent_pooling", {}),
+            "no_pool_gated": (empty_family, "transparent_pooling", {"pooling_effort": 0.4}),
+        }[case]
+
+        def refusal():
+            with pytest.raises(AssumptionError) as exc:
+                solve(params, regime, **kw)
+            return exc.value
+
+        first, second = refusal(), refusal()
+        assert first is not second
+        assert (type(first), first.check, str(first)) == (type(second), second.check, str(second))
+        for _ in range(997):
+            refusal()
+        depth = len(traceback.extract_tb(first.__traceback__))
+        assert len(traceback.extract_tb(refusal().__traceback__)) == depth
+
+    def test_assumption_memo_stays_bounded(self, sanity):
+        before = model_core._assumption_values.cache_info()
+        for k in range(10_000):
+            check_assumptions(sanity.replace(R=0.5 + k * 1e-6))
+        info = model_core._assumption_values.cache_info()
+        assert info.misses - before.misses == 10_000
+        assert info.currsize <= info.maxsize == 64
+
+    def test_equal_params_of_other_field_types_keep_their_own_values(self):
+        floats = Params(p=1.0, phi=0.5, d=0.5, lam=1.0, R=1.0, pi=0.5)
+        ints = Params(p=1, phi=0.5, d=0.5, lam=1, R=1, pi=0.5)
+        assert floats == ints
+        dumps = [json.dumps(check_assumptions(params).to_json()) for params in (floats, ints)]
+        assert dumps == [json.dumps(reference_check_assumptions(params).to_json())
+                         for params in (floats, ints)]
+        assert dumps[0] != dumps[1]  # an int R is reported as the int it is
 
 
 class TestCrossRegimeInvariants:
