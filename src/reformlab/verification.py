@@ -42,9 +42,9 @@ NEUTRAL_BAND = 1e-9
 #: largest gap between a recomputed and a stored belief that still passes
 BAYES_TOL = 1e-9
 #: largest deviation-scan grid; a check's memory is constant, and this bounds its time where
-#: huge rents widen the scan's windows to whole runs (~0.25 s; under 0.5 ms otherwise)
+#: huge rents widen the scan's windows to whole runs (~0.15 s; under 0.4 ms otherwise)
 MAX_GRID_SIZE = 10_000_001
-#: most efforts per deviation-scan block, so that one block's (12, B) work buffer stays in cache
+#: most efforts per deviation-scan block, so that one block's (12, B) work buffers stay in cache
 SCAN_BLOCK = 1 << 13
 
 
@@ -226,11 +226,15 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
     maximum. So a run is evaluated only on its cells' merged windows of h + 1
     points either side (one for rounding), and the report equals a full-grid
     scan's bit for bit. All runs' windows are packed into blocks of up to
-    ``SCAN_BLOCK`` efforts, each point with its run's retention; the extras
-    make one more block. Retention is read once per effort; rents over about
-    7e13 / lambda widen windows to whole runs. A cell's best moves on a
-    greater utility, or an equal one at a smaller effort: the first merged,
-    sorted maximum.
+    ``SCAN_BLOCK`` efforts, each point with its run's retention (two floats
+    where one run fills a block). The extras join the last block, each with
+    its own retention, and a stable sort by effort puts each after its grid
+    twin. Every reform equilibrium effort is an extra, so the cells'
+    equilibrium utilities are read off that block; the status quo is worth
+    d + R * retained, as :func:`_cell_utilities` gives it. Retention is read
+    once per effort; rents over about 7e13 / lambda widen windows to whole
+    runs. A cell's best moves on a greater utility, or an equal one at a
+    smaller effort: the first merged, sorted maximum.
     """
     grid_size = require_integer("grid_size", grid_size)
     if not 2 <= grid_size <= MAX_GRID_SIZE:
@@ -251,8 +255,8 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
     for pattern, _ in eq.retention:
         if pattern.effort_value is not None and 0.0 <= pattern.effort_value <= 1.0:
             extras.add(pattern.effort_value)
-    extra = np.array(sorted(extras))
-    extra_kept = np.array([reads[float(x)] for x in extra])
+    # each extra's effort, then its retention after success and after failure
+    extra = np.array([(x, *reads[float(x)]) for x in sorted(extras)]).T
     step = 1.0 / (grid_size - 1)
     mu = np.array([[post.mu(s)] for _, s in CELLS])
     pay = np.array([[_policy_payoff(t, o, params) for o in (SUCCESS, FAILURE)] for t, _ in CELLS])
@@ -277,42 +281,54 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
                 done = w_hi
     width = min(SCAN_BLOCK, sum(stop - start for start, stop, _ in spans))
     index = np.arange(width, dtype=float)
-    # 4 success and 4 failure terms, cost, efforts, retention after success and after failure
-    work = np.empty((12, max(width, len(extra))))
+    # efforts, then retention after success and after failure; a block's 4 success and 4
+    # failure terms and its cost are laid out (9, n) in ``terms``, C-contiguous for argmax
+    pack, terms = np.empty((3, width + extra.shape[1])), np.empty(9 * (width + extra.shape[1]))
 
     def blocks():
-        # the spans packed ``width`` points at a time, each point with its own retention
+        # the spans packed ``width`` points at a time, each point with its own retention;
+        # the last block takes the extras too, sorted in stably, so each follows its grid twin
         n = 0
-        for start, stop, (kept_succ, kept_fail) in spans:
+        for start, stop, kept in spans:
             while start < stop:
                 k = min(width - n, stop - start)
-                np.add(index[:k], start, out=work[9, n:n + k])
-                work[10, n:n + k], work[11, n:n + k] = kept_succ, kept_fail
+                np.add(index[:k], start, out=pack[0, n:n + k])
                 start, n = start + k, n + k
-                if n == width or start == spans[-1][1]:  # a full block, or the last
-                    e = np.multiply(work[9, :n], step, out=work[9, :n])
+                last = start == spans[-1][1]
+                one_run = n == k == width and not last  # its retention is passed as two floats
+                if not one_run:
+                    pack[1, n - k:n], pack[2, n - k:n] = kept
+                if n == width or last:
+                    e = np.multiply(pack[0, :n], step, out=pack[0, :n])
                     if start == grid_size:
                         e[-1] = 1.0  # as linspace: i * step, then the exact endpoint
-                    yield e, (work[10, :n], work[11, :n])
+                    if last:
+                        pack[:, n:n + extra.shape[1]] = extra
+                        n += extra.shape[1]
+                        pack[:, :n] = pack[:, np.argsort(pack[0, :n], kind="stable")]
+                    # two floats for one run's block build no (4, n) temporaries
+                    yield pack[0, :n], kept if one_run else (pack[1, :n], pack[2, :n])
                     n = 0
-        yield extra, tuple(extra_kept.T)
 
     rows = np.arange(len(CELLS))
     scan_u, scan_e = np.full(len(CELLS), -np.inf), np.zeros(len(CELLS))
     for e, kept in blocks():
-        n = len(e)
+        out = terms[:9 * len(e)].reshape(9, len(e))
         u = _reform_utility(mu, e, (pay[:, :1], pay[:, 1:]), kept, params,
-                            (work[:4, :n], work[4:8, :n], work[8, :n]))
+                            (out[:4], out[4:8], out[8]))
         i = np.argmax(u, axis=1)
         u_max, e_max = u[rows, i], e[i]
         better = (u_max > scan_u) | ((u_max == scan_u) & (e_max < scan_e))
         scan_u[better] = u_max[better]
         scan_e[better] = e_max[better]
 
-    sq = AgentAction(STATUS_QUO)  # d + R * retained in every cell
-    *eq_us, sq_u = _cell_utilities([*eq.profile.cells(), (CONGRUENT, "g", sq)], params, reads)
+    sq = AgentAction(STATUS_QUO)  # d + R * retained in every cell, as _cell_utilities gives it
+    sq_u = float(params.d) + float(R) * reads[None][0]
     cells: dict[tuple[str, str], DeviationCell] = {}
-    for k, ((t, s, eq_action), eq_u) in enumerate(zip(eq.profile.cells(), eq_us)):
+    for k, (t, s, eq_action) in enumerate(eq.profile.cells()):
+        # a reform equilibrium effort is an extra: the last block's last point at that effort
+        eq_u = sq_u if eq_action.policy == STATUS_QUO else float(
+            u[k, np.searchsorted(e, eq_action.effort, side="right") - 1])
         if sq_u >= scan_u[k]:
             best_action, best_u = sq, sq_u
         else:

@@ -23,17 +23,18 @@ scan it replaced is kept verbatim as ``support.dense_deviation_check``, the
 reference that every report must equal bit for bit, and whose first grid
 maximum per cell must lie among the points the windowed scan evaluates.
 
-The windows of all runs are packed into shared blocks, and a check scores its
-cells in one call. The scalar one-cell utility and break-even they replaced
-are kept verbatim in ``support`` as the references for every cell utility,
-and the packed scan's shape (one grid block at the fixtures) and its peak
-memory are pinned.
+The windows of all runs are packed into shared blocks, the extras sorted
+into the last one, and a check reads its cell utilities off that pass. The
+scalar one-cell utility and break-even are kept verbatim in ``support`` as
+the references for every cell utility, and the packed scan's shape (one
+block and one utility call at the fixtures) and its peak memory are pinned.
 """
 
 import dataclasses
 import hashlib
 import json
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -109,18 +110,22 @@ class TestScanBlocks:
     @pytest.mark.parametrize("block", [1, 3, 7])
     @pytest.mark.parametrize("plateau", [False, True], ids=["exact", "rounded"])
     def test_matches_single_block(self, sanity, part3, monkeypatch, block, plateau):
+        cases = [(params, eq) for params in (sanity, part3) for eq in _equilibria(params)]
         if plateau:
             # scan utilities rounded up to 0.01 tie at their maximum across many
-            # blocks and exceed the exact equilibrium utility, so the reported
-            # deviation is the scan's pick
+            # blocks and exceed the exact equilibrium utility, read off the same
+            # pass at the equilibrium efforts, so the reported deviation is the scan's pick
             exact = verification._reform_utility
+            eq_efforts = [a.effort for _, eq in cases for a in eq.profile.actions()
+                          if a.policy == REFORM]
 
-            def rounded(*args):
-                u = exact(*args)
-                return np.ceil(u * 100) / 100 if np.ndim(u) == 2 else u
+            def rounded(mu, effort, *rest):
+                u = exact(mu, effort, *rest)
+                if np.ndim(u) < 2:
+                    return u
+                return np.where(np.isin(effort, eq_efforts), u, np.ceil(u * 100) / 100)
 
             monkeypatch.setattr(verification, "_reform_utility", rounded)
-        cases = [(params, eq) for params in (sanity, part3) for eq in _equilibria(params)]
         want = [_dump(deviation_check(eq, params, 2001)) for params, eq in cases]
         monkeypatch.setattr(verification, "SCAN_BLOCK", block)
         assert [_dump(deviation_check(eq, params, 2001)) for params, eq in cases] == want
@@ -211,7 +216,9 @@ def _run_regime(params: Params, regime: str, grid_size: int, j: int):
 
 def _scan(check, eq, params: Params, grid_size: int):
     """The report of ``check`` and the (efforts, utilities) of each of its 2-D
-    utility calls: the grid blocks in order, then the extras."""
+    utility calls: the grid blocks in order, then the extras. The dense
+    reference scans the extras as one more block; the windowed scan sorts them
+    into its last grid block."""
     exact, seen = verification._reform_utility, []
 
     def spy(mu, effort, *rest):
@@ -227,12 +234,20 @@ def _scan(check, eq, params: Params, grid_size: int):
 
 
 def _assert_windows_hold_argmax(dense: list, windowed: list, grid_size: int) -> None:
-    """The windowed scan's grid efforts are linspace points, among them each
-    cell's first grid maximum in the dense scan."""
+    """Each block of the windowed scan is sorted by effort, so that its first
+    maximum lies at its smallest effort, and the blocks scan every extra (the
+    dense scan's last block). Less one copy of each extra, told apart from a
+    grid point of equal effort by count, the scanned efforts are distinct
+    linspace points, among them each cell's first grid maximum in the dense scan."""
     argmax = np.argmax(np.concatenate([u for _, u in dense[:-1]], axis=1), axis=1)
-    grid = np.concatenate([e for e, _ in windowed[:-1]])
+    assert all(np.all(e[:-1] <= e[1:]) for e, _ in windowed)
+    left = Counter(np.concatenate([e for e, _ in windowed]).tolist())
+    left.subtract(dense[-1][0].tolist())
+    assert min(left.values()) >= 0
+    grid = np.array(sorted(left.elements()))
     index = np.rint(grid * (grid_size - 1)).astype(int)
     np.testing.assert_array_equal(grid, np.linspace(0.0, 1.0, grid_size)[index])
+    assert np.unique(index).size == index.size
     assert set(argmax.tolist()) <= set(index.tolist())
 
 
@@ -309,16 +324,19 @@ class TestScanMemory:
     @pytest.mark.parametrize("regime", ["benchmark", "opaque"])
     def test_whole_run_windows_match_dense_scan(self, sanity, monkeypatch, regime):
         # at R = 1e15 the rounding bound outgrows the grid: every window is its
-        # whole run, scanned block by block as the dense reference scans it
+        # whole run, scanned block by block as the dense reference scans it; each
+        # block but the last, which takes the extras, lies on one run and gets its
+        # retention as two floats
         params, grid_size = sanity.replace(R=1e15), verification.MAX_GRID_SIZE
         eq = solve(params, regime, check=False)
         want = _dump(dense_deviation_check(eq, params, grid_size))
+        extras = _scan(dense_deviation_check, eq, params, 2)[1][-1][0]  # grid-free
         exact, sizes = verification._reform_utility, []
 
-        def spy(mu, effort, *rest):
+        def spy(mu, effort, payoffs, retained, *rest):
             if np.ndim(mu) == 2:
-                sizes.append(effort.size)
-            return exact(mu, effort, *rest)
+                sizes.append((effort.size, np.ndim(retained[0])))
+            return exact(mu, effort, payoffs, retained, *rest)
 
         monkeypatch.setattr(verification, "_reform_utility", spy)
         tracemalloc.start()
@@ -327,7 +345,8 @@ class TestScanMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(sizes[:-1]) == grid_size
+        assert sum(size for size, _ in sizes) == grid_size + extras.size
+        assert [ndim for _, ndim in sizes] == [0] * (len(sizes) - 1) + [1]
         assert got == want
         assert peak < 2_000_000
 
@@ -384,16 +403,41 @@ class TestCellUtilities:
             got = json.dumps(verification.divinity_breakeven(eq, deviation, params).to_json())
             assert got == json.dumps(scalar_divinity_breakeven(eq, deviation, params).to_json())
 
+    @given(params=CELL_PARAMS, regime=st.sampled_from(NONPOOLING_REGIMES + ("pooling_lo",
+                                                                          "pooling_hi")))
+    @settings(max_examples=100, deadline=None)
+    def test_status_quo_matches_scalar_reference(self, params, regime):
+        # with every scanned reform sunk to -inf, each cell's best is the status quo,
+        # scored as d + R * retained outside the pass: the scalar reference, bit for bit
+        eq = _run_regime(params, regime, 2, 0)
+        assume(eq is not None)
+        exact = verification._reform_utility
+
+        def sunk(mu, effort, *rest):
+            u = exact(mu, effort, *rest)
+            return u - np.inf if np.ndim(u) == 2 else u
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verification, "_reform_utility", sunk)
+            report = deviation_check(eq, params, 2001)
+        for (t, s), cell in report.cells.items():
+            assert cell.best_action == AgentAction(STATUS_QUO)
+            want = scalar_expected_utility(t, s, AgentAction(STATUS_QUO), eq, params)
+            assert _bits(cell.best_utility) == _bits(want)
+
 
 class TestScanShape:
     @pytest.mark.parametrize("name", ["sanity", "part3"])
     def test_one_grid_block_and_small_peak(self, name, request):
-        # at the fixtures every regime's windows fit one packed grid block, scored in
-        # one 2-D utility call before the extras' one, in buffers sized to the work
+        # at the fixtures every regime's windows and extras fit one packed block, scored
+        # in one 2-D utility call that also gives the cell utilities, in buffers sized
+        # to the work
         params = request.getfixturevalue(name)
         for eq in _equilibria(params):
-            _, seen = _scan(deviation_check, eq, params, 100_001)
-            assert len(seen) == 2, eq.regime
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(verification, "_cell_utilities", None)  # not called
+                _, seen = _scan(deviation_check, eq, params, 100_001)
+            assert len(seen) == 1, eq.regime
             tracemalloc.start()
             try:
                 deviation_check(eq, params, 100_001)

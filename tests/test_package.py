@@ -151,9 +151,12 @@ def calls_numpy(node) -> bool:
 
 def test_one_utility_path():
     # the reform utility is evaluated by the scan and by the one cell scorer; the
-    # public one-cell and break-even entry points score through that scorer only
+    # public one-cell and break-even entry points score through that scorer only,
+    # and the scan reads its cell utilities off its own pass
     assert sites(calls("_reform_utility")) == {("verification", "deviation_check"),
                                                ("verification", "_cell_utilities")}
+    assert sites(calls("_cell_utilities")) == {("verification", "expected_utility"),
+                                               ("verification", "divinity_breakeven")}
     numpy_scopes = {scope.split(".")[0] for module, scope in sites(calls_numpy)
                     if module == "verification"}
     assert numpy_scopes.isdisjoint({"expected_utility", "divinity_breakeven"})
