@@ -12,14 +12,15 @@ strategy profile, a pure retention rule, and a belief system over observables.
 Retention and beliefs are serialized as ordered pattern lists (first match
 wins). One first-match reader serves both lists: it compiles each (list,
 observation shape) row on first read, and ``decide``, ``retains`` and
-``belief`` read those rows. Efforts are scalars: an ``AgentAction`` or an
-``Observation`` whose effort is not a real number in [0, 1] is refused.
+``belief`` read those rows, as ``retention_pieces`` does. An ``AgentAction`` or
+``Observation`` effort that is not a real number in [0, 1], or is a bool, is refused.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -61,9 +62,10 @@ OBSERVATION_CLASSES = ((REFORM, SUCCESS), (REFORM, FAILURE), (STATUS_QUO, SQ_OUT
 
 
 def _check_effort(effort) -> None:
-    """Refuse an effort that is not a real number in [0, 1]: an array, NaN or None among them."""
-    # float first: it passes without the slower ABC check that admits numpy scalars
-    if not (isinstance(effort, (float, numbers.Real)) and 0.0 <= effort <= 1.0):
+    """Refuse an effort that is not a real number in [0, 1]: an array, NaN, None or a bool."""
+    # a float passes at once; the slower ABC check admits numpy scalars, and a bool (a Real) not
+    if not ((isinstance(effort, float) or isinstance(effort, numbers.Real)
+             and not isinstance(effort, bool)) and 0.0 <= effort <= 1.0):
         raise DomainError(f"effort must be a real number in [0, 1], got {effort!r}")
 
 
@@ -156,6 +158,8 @@ _CLASS_VIEWS = {r: {c: ("retention", _shape(observe(r, AgentAction(c[0]), c[1]))
 #: a pattern's eps-buffered effort tests, (effort, value, eps) -> bool
 _EFFORT_TESTS = {"eq": lambda e, v, eps: abs(e - v) <= eps, "ge": lambda e, v, eps: e >= v - eps,
                  "gt": lambda e, v, eps: e > v + eps}
+#: a float and a 64-bit integer with the same bits; floats >= 0 sort as their bit patterns do
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,7 @@ class Equilibrium:
         for _, decision in self.retention:
             if decision not in (RETAIN, REMOVE):
                 raise DomainError(f"bad retention decision {decision!r}")
-        object.__setattr__(self, "_rows", {})  # first-match rows by (list, shape), built when read
+        object.__setattr__(self, "_rows", {})  # first-match rows by (list, shape), pieces by eps
 
     def decide(self, obs: Observation, eps: float = 1e-12) -> bool:
         """True iff retained after ``obs``."""
@@ -229,6 +233,37 @@ class Equilibrium:
     def belief(self, obs: Observation, eps: float = 1e-12) -> float:
         """Posterior probability the agent is congruent after ``obs``."""
         return self._first_match(("beliefs", _shape(obs)), obs.effort, eps)
+
+    def retention_pieces(self, eps: float = 1e-12) -> tuple[list, list]:
+        """Reform retention by effort, memoised per ``eps``: sorted piece ``starts`` from -inf and
+        each piece's (kept after success, kept after failure), read by :meth:`_first_match` at its
+        start. Each start is exact: fl(v - eps) for "ge", the float after fl(v + eps) for "gt", and
+        for "eq" the first float >= 0 that passes and the first float above v that fails."""
+        def least(holds, guess):  # the least float >= 0 from which on ``holds`` (true at inf),
+            at = lambda bits: _DOUBLE.unpack(_INT64.pack(bits))[0]  # galloped out from ``guess``
+            hi = _INT64.unpack(_DOUBLE.pack(max(0.0, guess)))[0]  # over bit patterns, bisected
+            lo, step = hi - 1, 1  # once galloped, holds at hi and fails at lo, or lo is -1
+            while not holds(at(hi)):
+                lo, hi, step = hi, hi + step, 2 * step
+            while lo >= 0 and holds(at(lo)):
+                lo, hi, step = max(lo - step, -1), lo, 2 * step
+            while hi - lo > 1:
+                lo, hi = (lo, (lo + hi) // 2) if holds(at((lo + hi) // 2)) else ((lo + hi) // 2, hi)
+            return at(hi)
+
+        if (pieces := self._rows.get(eps)) is None:
+            starts, test = {-math.inf}, _EFFORT_TESTS["eq"]
+            for op, v in {(p.effort_op, p.effort_value) for p, _ in self.retention if p.effort_op}:
+                if op == "eq":  # monotone in e on either side of v
+                    starts.update((least(lambda e: e >= v or test(e, v, eps), v - eps),
+                                   least(lambda e: e > v and not test(e, v, eps), v + eps)))
+                else:
+                    starts.add(v - eps if op == "ge" else math.nextafter(v + eps, math.inf))
+            starts = sorted(starts)
+            keys = [_CLASS_VIEWS[self.regime][REFORM, outcome] for outcome in (SUCCESS, FAILURE)]
+            pieces = self._rows[eps] = starts, [
+                tuple(self._first_match(k, s, eps) == RETAIN for k in keys) for s in starts]
+        return pieces
 
     def _first_match(self, key: tuple, effort: Optional[float], eps: float):
         """The value of the first entry of list ``key[0]`` ("retention" or "beliefs") whose
@@ -354,6 +389,8 @@ def gate_refusals(params: Params, rent_mode: RentMode) -> dict[str, tuple[type, 
     refusals = {}
     if not passed["informativeness"]:
         refusals[OPAQUE] = InformativenessError, ()
+    elif params.R * posteriors(params).mu_plus <= params.effort_root + params.eps_tol:
+        refusals[OPAQUE] = AssumptionError, ("gamble_participation", "R mu+ <= sqrt(2d/lambda)")
     bar = separation_effort(params)
     if bar > 1.0 + params.eps_tol:  # no feasible effort deters mimicry
         refusals[TRANSPARENT_SEPARATING] = AssumptionError, (
@@ -380,9 +417,9 @@ def solve(
       retention is pivotal on a successful reform, so reformers internalize
       the office rent. The congruent type reforms on both signals at
       lambda(1+R)mu, the noncongruent type gambles for resurrection only on
-      a good signal at lambda*R*mu+. Requires the informativeness condition
-      (otherwise a failed reform need not be bad news and the retention rule
-      unravels).
+      a good signal at lambda*R*mu+. Requires informativeness (else a failed
+      reform need not be bad news and the retention rule unravels) and R*mu+
+      above the effort root sqrt(2d/lambda) (else the gamble does not pay).
     * ``transparent_separating`` (policy, effort and outcome observed), the
       least-cost separating equilibrium: the congruent type reforms with
       effort e_H = max{sqrt(2 lambda (R-d)), lambda mu+} on a good signal

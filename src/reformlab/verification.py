@@ -14,6 +14,7 @@ the office rent R paid on retention.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -44,7 +45,7 @@ BAYES_TOL = 1e-9
 #: largest deviation-scan grid; a check's memory is constant, and this bounds its time where
 #: huge rents widen the scan's windows to whole runs (~0.15 s; under 0.4 ms otherwise)
 MAX_GRID_SIZE = 10_000_001
-#: most efforts per deviation-scan block, so that one block's (12, B) work buffers stay in cache
+#: most efforts per deviation-scan block, so that one block's (10, B) work buffers stay in cache
 SCAN_BLOCK = 1 << 13
 
 
@@ -60,39 +61,23 @@ def _policy_payoff(agent_type: str, outcome: str, params: Params) -> float:
     raise DomainError(f"bad outcome {outcome!r}")
 
 
-class _Retention(dict):
-    """An equilibrium's retention at a tolerance, each read once: by effort, a reform's
-    (after success, after failure); at ``None``, the status quo's twice."""
-
-    def __init__(self, eq: Equilibrium, eps: float):
-        self.retains = lambda action, outcome: eq.retains(action, outcome, eps)
-
-    def __missing__(self, effort):
-        if effort is None:
-            kept = self[None] = (self.retains(AgentAction(STATUS_QUO), SQ_OUTCOME),) * 2
-        else:
-            action = AgentAction(REFORM, effort)
-            kept = self[effort] = self.retains(action, SUCCESS), self.retains(action, FAILURE)
-        return kept
-
-
-def _retention_runs(eq: Equilibrium, grid_size: int, step: float, eps: float, reads=None) -> list:
-    """(lo, hi, retained) runs of constant reform retention over the grid
-    indices [0, G); point i is ``i * step``, the last one 1.0. Retention
-    flips only at a pattern's v - eps, v or v + eps; ``i * step`` and the
-    comparisons round by under 1e-15, far below a spacing for G <=
-    MAX_GRID_SIZE, so a flip at t lies between i and i + 1 with i within one
-    of floor(t (G - 1)): decisions are read there, -1 ... +2, through ``reads``."""
-    reads = _Retention(eq, eps) if reads is None else reads
-    near: set[int] = set()
-    for v in {pattern.effort_value for pattern, _ in eq.retention} - {None}:
-        for t in (v - eps, v, v + eps):
-            k = int(min(max(t, 0.0), 1.0) * (grid_size - 1))
-            near.update(range(max(k - 1, 0), min(k + 3, grid_size)))
-    kept = {i: reads[1.0 if i == grid_size - 1 else i * step] for i in near | {0}}
-    cuts = [i for i in sorted(near) if i - 1 in kept and kept[i - 1] != kept[i]]
-    bounds = [0, *cuts, grid_size]
-    return [(lo, hi, kept[lo]) for lo, hi in zip(bounds, bounds[1:])]
+def _retention_runs(eq: Equilibrium, grid_size: int, step: float, eps: float) -> list:
+    """(lo, hi, retained) runs of constant reform retention over the grid indices [0, G);
+    point i is ``i * step``, the last one 1.0. An effort piece's run starts at the first
+    index whose effort reaches its exact start, found by arithmetic and confirmed by exact
+    comparison; pieces with no grid point drop out, and neighbours kept alike join."""
+    effort, firsts = lambda i: 1.0 if i == grid_size - 1 else i * step, []
+    for start, pair in zip(*eq.retention_pieces(eps)):
+        i = math.ceil(min(max(start, 0.0), 1.0) * (grid_size - 1))
+        while i > 0 and effort(i - 1) >= start:
+            i -= 1
+        while i < grid_size and effort(i) < start:
+            i += 1
+        if firsts and firsts[-1][0] == i:  # the piece before has no grid point
+            firsts.pop()
+        if i < grid_size and (not firsts or firsts[-1][1] != pair):
+            firsts.append((i, pair))
+    return [(lo, hi, pair) for (lo, pair), (hi, _) in zip(firsts, firsts[1:] + [(grid_size, 0)])]
 
 
 def _reform_utility(mu, effort, payoffs: tuple, retained: tuple, params: Params, out: tuple):
@@ -114,17 +99,21 @@ def _reform_utility(mu, effort, payoffs: tuple, retained: tuple, params: Params,
     return p_succ
 
 
-def _cell_utilities(cells, params: Params, reads: _Retention) -> list:
+def _cell_utilities(cells, params: Params, eq: Equilibrium) -> list:
     """Exact expected utilities of the (type, signal, action) ``cells`` in one
-    :func:`_reform_utility` call on 1-D arrays. The status quo is a reform at effort 0
-    whose outcomes both pay d and keep its retention, so 0 * x = 0 and 1 * x = x
-    make it d + R * retained, bit for bit."""
-    post, rows = posteriors(params), []
+    :func:`_reform_utility` call on 1-D arrays, a reform's retention looked up in the
+    equilibrium's effort pieces. The status quo is a reform at effort 0 whose outcomes
+    both pay d and keep its retention, so 0 * x = 0 and 1 * x = x make it
+    d + R * retained, bit for bit."""
+    post, rows, (starts, kept) = posteriors(params), [], eq.retention_pieces(params.eps_tol)
     for t, s, action in cells:
-        effort = action.effort if action.policy == REFORM else None
-        outcomes = (SQ_OUTCOME,) * 2 if effort is None else (SUCCESS, FAILURE)
+        if action.policy == REFORM:
+            outcomes, pair = (SUCCESS, FAILURE), kept[bisect_right(starts, action.effort) - 1]
+        else:
+            outcomes = (SQ_OUTCOME,) * 2
+            pair = (eq.retains(action, SQ_OUTCOME, params.eps_tol),) * 2
         pay = [_policy_payoff(t, o, params) for o in outcomes]
-        rows.append((post.mu(s), action.effort, *pay, *reads[effort]))
+        rows.append((post.mu(s), action.effort, *pay, *pair))
     mu, e, *columns = np.array(rows).T
     return _reform_utility(mu, e, columns[:2], columns[2:], params, np.empty((3, len(e)))).tolist()
 
@@ -138,8 +127,7 @@ def expected_utility(
     state and action, applying the equilibrium's retention rule to each
     induced observation.
     """
-    reads = _Retention(eq, params.eps_tol)
-    return _cell_utilities([(agent_type, signal, action)], params, reads)[0]
+    return _cell_utilities([(agent_type, signal, action)], params, eq)[0]
 
 
 @dataclass(frozen=True)
@@ -225,38 +213,34 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
     or more; where that exceeds 2 delta they cannot hold or tie the computed
     maximum. So a run is evaluated only on its cells' merged windows of h + 1
     points either side (one for rounding), and the report equals a full-grid
-    scan's bit for bit. All runs' windows are packed into blocks of up to
-    ``SCAN_BLOCK`` efforts, each point with its run's retention (two floats
-    where one run fills a block). The extras join the last block, each with
-    its own retention, and a stable sort by effort puts each after its grid
-    twin. Every reform equilibrium effort is an extra, so the cells'
-    equilibrium utilities are read off that block; the status quo is worth
-    d + R * retained, as :func:`_cell_utilities` gives it. Retention is read
-    once per effort; rents over about 7e13 / lambda widen windows to whole
-    runs. A cell's best moves on a greater utility, or an equal one at a
-    smaller effort: the first merged, sorted maximum.
+    scan's bit for bit. Runs are cut where the grid reaches the exact starts of
+    the equilibrium's effort pieces, with no rounding argument. All runs'
+    windows are packed into blocks of up to ``SCAN_BLOCK`` efforts, the extras
+    sorted into the last; equal efforts have equal retention, so a plain sort
+    will do, and one lookup of a block's efforts in the pieces gives its
+    retention (two floats where one run fills a block). Every reform
+    equilibrium effort is an extra, so the cells' equilibrium utilities are
+    read off that block; the status quo is worth d + R * retained, as
+    :func:`_cell_utilities` gives it. Rents over about 7e13 / lambda widen
+    windows to whole runs. A cell's best moves on a greater utility, or an
+    equal one at a smaller effort: the first merged, sorted maximum.
     """
     grid_size = require_integer("grid_size", grid_size)
     if not 2 <= grid_size <= MAX_GRID_SIZE:
         raise DomainError(f"grid_size must be in [2, {MAX_GRID_SIZE}], got {grid_size}")
     dev_tol = default_dev_tol(params, grid_size)
     post = posteriors(params)
-    lam, R, reads = params.lam, params.R, _Retention(eq, params.eps_tol)
+    lam, R, eps = params.lam, params.R, params.eps_tol
 
     extras = {0.0, 1.0}
     for mu in (post.mu_plus, post.mu_minus):
         for w in (1.0, R, 1 + R):
             extras.add(min(1.0, max(0.0, lam * w * mu)))
-    for act in eq.profile.actions():
-        if act.policy == REFORM:
-            extras.add(act.effort)
+    extras.update(act.effort for act in eq.profile.actions() if act.policy == REFORM)
     if eq.pooling_effort is not None:
         extras.add(eq.pooling_effort)
-    for pattern, _ in eq.retention:
-        if pattern.effort_value is not None and 0.0 <= pattern.effort_value <= 1.0:
-            extras.add(pattern.effort_value)
-    # each extra's effort, then its retention after success and after failure
-    extra = np.array([(x, *reads[float(x)]) for x in sorted(extras)]).T
+    extras.update(v for p, _ in eq.retention if (v := p.effort_value) is not None and 0 <= v <= 1)
+    extra = np.array(list(extras), dtype=float)
     step = 1.0 / (grid_size - 1)
     mu = np.array([[post.mu(s)] for _, s in CELLS])
     pay = np.array([[_policy_payoff(t, o, params) for o in (SUCCESS, FAILURE)] for t, _ in CELLS])
@@ -264,7 +248,7 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
     # retention does not depend on the deviator's cell: one decision per run, and the
     # cells' windows on it merged into (start, stop, retained) spans, each index once
     spans = []
-    for lo, hi, kept in _retention_runs(eq, grid_size, step, params.eps_tol, reads):
+    for lo, hi, kept in _retention_runs(eq, grid_size, step, eps):
         windows = []
         for m, (pay_succ, pay_fail) in zip(mu[:, 0].tolist(), pay.tolist()):
             # points over h - 1 steps from the one nearest the vertex trail it by
@@ -281,33 +265,32 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
                 done = w_hi
     width = min(SCAN_BLOCK, sum(stop - start for start, stop, _ in spans))
     index = np.arange(width, dtype=float)
-    # efforts, then retention after success and after failure; a block's 4 success and 4
-    # failure terms and its cost are laid out (9, n) in ``terms``, C-contiguous for argmax
-    pack, terms = np.empty((3, width + extra.shape[1])), np.empty(9 * (width + extra.shape[1]))
+    starts, kept_at = (np.array(x, dtype=float) for x in eq.retention_pieces(eps))  # (P,), (P, 2)
+    # a block's efforts; its 4 success and 4 failure terms and its cost are laid out (9, n)
+    # in ``terms``, C-contiguous for argmax
+    pack, terms = np.empty(width + extra.size), np.empty(9 * (width + extra.size))
 
     def blocks():
-        # the spans packed ``width`` points at a time, each point with its own retention;
-        # the last block takes the extras too, sorted in stably, so each follows its grid twin
+        # the spans packed ``width`` points at a time; the last block takes the extras too,
+        # sorted in. A block gets its retention in one lookup of its efforts in the pieces
         n = 0
         for start, stop, kept in spans:
             while start < stop:
                 k = min(width - n, stop - start)
-                np.add(index[:k], start, out=pack[0, n:n + k])
+                np.add(index[:k], start, out=pack[n:n + k])
                 start, n = start + k, n + k
                 last = start == spans[-1][1]
-                one_run = n == k == width and not last  # its retention is passed as two floats
-                if not one_run:
-                    pack[1, n - k:n], pack[2, n - k:n] = kept
                 if n == width or last:
-                    e = np.multiply(pack[0, :n], step, out=pack[0, :n])
+                    e = np.multiply(pack[:n], step, out=pack[:n])
                     if start == grid_size:
                         e[-1] = 1.0  # as linspace: i * step, then the exact endpoint
-                    if last:
-                        pack[:, n:n + extra.shape[1]] = extra
-                        n += extra.shape[1]
-                        pack[:, :n] = pack[:, np.argsort(pack[0, :n], kind="stable")]
-                    # two floats for one run's block build no (4, n) temporaries
-                    yield pack[0, :n], kept if one_run else (pack[1, :n], pack[2, :n])
+                    if last:  # equal efforts have equal retention: no stable sort is needed
+                        pack[n:n + extra.size] = extra
+                        e = pack[:n + extra.size]
+                        e.sort()
+                    # a block one run fills gets two floats, which build no (4, n) temporaries
+                    yield e, kept if n == k == width and not last else kept_at[
+                        np.searchsorted(starts, e, side="right") - 1].T
                     n = 0
 
     rows = np.arange(len(CELLS))
@@ -323,7 +306,7 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
         scan_e[better] = e_max[better]
 
     sq = AgentAction(STATUS_QUO)  # d + R * retained in every cell, as _cell_utilities gives it
-    sq_u = float(params.d) + float(R) * reads[None][0]
+    sq_u = float(params.d) + float(R) * eq.retains(sq, SQ_OUTCOME, eps)
     cells: dict[tuple[str, str], DeviationCell] = {}
     for k, (t, s, eq_action) in enumerate(eq.profile.cells()):
         # a reform equilibrium effort is an extra: the last block's last point at that effort
@@ -488,7 +471,7 @@ def divinity_breakeven(
     post = posteriors(params)
     e = deviation.effort
     p_bar: dict[tuple[str, str], float] = {}
-    eq_us = _cell_utilities(eq.profile.cells(), params, _Retention(eq, params.eps_tol))
+    eq_us = _cell_utilities(eq.profile.cells(), params, eq)
     for (t, s, _), eq_u in zip(eq.profile.cells(), eq_us):
         if deviation.policy == STATUS_QUO:
             dev_policy = params.d

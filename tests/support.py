@@ -4,10 +4,11 @@ Everything here is deliberately independent of the library's solution path:
 grid maximizers instead of first-order conditions, joint-distribution
 enumeration instead of stored beliefs, dense scans instead of closed-form
 roots and of the deviation scan's vertex windows, a pattern-by-pattern
-interpreter instead of the compiled first-match table, one scalar utility
-per cell instead of the cells scored in one call, and assumption reports
-and ``solve`` gates evaluated afresh on every call instead of read from one
-memoized refusal table.
+interpreter instead of the compiled first-match table, retention runs found
+by probing grid indices instead of cut at exact effort-piece starts, one
+scalar utility per cell instead of the cells scored in one call, and
+assumption reports and ``solve`` gates evaluated afresh on every call
+instead of read from one memoized refusal table.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from reformlab.equilibrium import (
 from reformlab.model_core import AssumptionReport, CheckResult
 from reformlab.verification import (
     MAX_GRID_SIZE, SCAN_BLOCK, BreakEvenReport, DeviationCell, DeviationReport, _policy_payoff,
-    _reform_utility, _retention_runs, default_dev_tol, documented_opaque_gap,
-    joint_outcome_distribution,
+    _reform_utility, default_dev_tol, documented_opaque_gap, joint_outcome_distribution,
 )
 
 DOMAINS = {
@@ -194,9 +194,50 @@ def scalar_divinity_breakeven(
     return BreakEvenReport(deviation=deviation, p_bar=p_bar, ordering=ordering)
 
 
+# ``verification._Retention`` and ``_retention_runs`` as they were before the runs
+# were cut at the equilibrium's exact effort-piece starts, copied verbatim: retention
+# read one scalar at a time, and run boundaries found by probing four grid indices
+# around each v - eps, v and v + eps. The reference for the runs, and the runs of
+# ``dense_deviation_check``.
+class _Retention(dict):
+    """An equilibrium's retention at a tolerance, each read once: by effort, a reform's
+    (after success, after failure); at ``None``, the status quo's twice."""
+
+    def __init__(self, eq: Equilibrium, eps: float):
+        self.retains = lambda action, outcome: eq.retains(action, outcome, eps)
+
+    def __missing__(self, effort):
+        if effort is None:
+            kept = self[None] = (self.retains(AgentAction(STATUS_QUO), SQ_OUTCOME),) * 2
+        else:
+            action = AgentAction(REFORM, effort)
+            kept = self[effort] = self.retains(action, SUCCESS), self.retains(action, FAILURE)
+        return kept
+
+
+def _retention_runs(eq: Equilibrium, grid_size: int, step: float, eps: float, reads=None) -> list:
+    """(lo, hi, retained) runs of constant reform retention over the grid
+    indices [0, G); point i is ``i * step``, the last one 1.0. Retention
+    flips only at a pattern's v - eps, v or v + eps; ``i * step`` and the
+    comparisons round by under 1e-15, far below a spacing for G <=
+    MAX_GRID_SIZE, so a flip at t lies between i and i + 1 with i within one
+    of floor(t (G - 1)): decisions are read there, -1 ... +2, through ``reads``."""
+    reads = _Retention(eq, eps) if reads is None else reads
+    near: set[int] = set()
+    for v in {pattern.effort_value for pattern, _ in eq.retention} - {None}:
+        for t in (v - eps, v, v + eps):
+            k = int(min(max(t, 0.0), 1.0) * (grid_size - 1))
+            near.update(range(max(k - 1, 0), min(k + 3, grid_size)))
+    kept = {i: reads[1.0 if i == grid_size - 1 else i * step] for i in near | {0}}
+    cuts = [i for i in sorted(near) if i - 1 in kept and kept[i - 1] != kept[i]]
+    bounds = [0, *cuts, grid_size]
+    return [(lo, hi, kept[lo]) for lo, hi in zip(bounds, bounds[1:])]
+
+
 # ``verification.deviation_check`` as it was before it scanned each retention run
 # only near its utility vertex, copied verbatim but for its name and for scoring
-# its cells with ``scalar_expected_utility``: every point of the grid is evaluated.
+# its cells with ``scalar_expected_utility``: every point of the grid is evaluated,
+# in the runs of the verbatim ``_retention_runs`` above.
 # The reference for the windowed scan's reports, bit for bit.
 def dense_deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -> DeviationReport:
     """Brute-force no-profitable-deviation check at tolerance
@@ -411,7 +452,8 @@ def sample_mon_pairs(seed: int, n: int) -> list[tuple[Params, Params]]:
 # ``check_assumptions``, ``_pooling_family``, ``_require`` and the gate block of
 # ``solve`` as they were before the gates read one refusal table per point, kept
 # verbatim (``_require`` read a memo of ``check_assumptions``; here it calls the
-# copy) as the reference that the table must refuse exactly as.
+# copy) as the reference that the table must refuse exactly as; the opaque
+# gamble-participation gate was added to both later.
 
 
 def reference_check_assumptions(params: Params) -> AssumptionReport:
@@ -494,6 +536,13 @@ def reference_solve(params: Params, regime: str, *, rent_mode="relaxed", check: 
         report = _require(params, rent_mode)
         if regime == OPAQUE and not report.informativeness.passed:
             raise InformativenessError()
+        # added with the gate: the noncongruent good-signal gamble must beat the status quo
+        if regime == OPAQUE and (params.R * posteriors(params).mu_plus
+                                 <= params.effort_root + params.eps_tol):
+            raise AssumptionError(
+                "gamble_participation",
+                "R mu+ <= sqrt(2d/lambda)",
+            )
         if regime == TRANSPARENT_SEPARATING:
             bar = separation_effort(params)
             if bar > 1.0 + params.eps_tol:  # no feasible effort deters mimicry

@@ -14,7 +14,9 @@ JSON text.
 
 The block-built scan is also checked piece by piece: its retention runs
 against the verbatim pattern interpreter of ``support``, which decides a
-whole linspace as one array, its efforts against
+whole linspace as one array, and against the runs ``support`` keeps from
+before they were cut at exact effort-piece starts, on grids of up to
+``MAX_GRID_SIZE`` points; its efforts against
 ``np.linspace`` element for element, and its memory against a bound that
 does not grow with the grid.
 
@@ -212,6 +214,29 @@ def _run_regime(params: Params, regime: str, grid_size: int, j: int):
     if e_star is None or not 0.0 <= e_star <= 1.0:
         return None
     return solve(params, "transparent_pooling", pooling_effort=e_star, check=False)
+
+
+class TestRunsAtPieceStarts:
+    # runs cut where the grid reaches each exact piece start equal the runs found by
+    # probing grid indices around each v - eps, v and v + eps, as they were before
+    @given(params=WIDE_PARAMS, regime=st.sampled_from(RUN_REGIMES),
+           grid_size=st.integers(2, verification.MAX_GRID_SIZE), j=st.integers(0, 10**7))
+    @example(params=Params(p=0.8, phi=0.6, d=0.3, lam=1.0, R=0.9, pi=0.5, eps_tol=0.0),
+             regime="pooling_on_grid", grid_size=verification.MAX_GRID_SIZE, j=7_000_000)
+    @example(params=Params(p=0.9, phi=0.75, d=0.05, lam=0.3, R=0.5, pi=0.9, eps_tol=0.1),
+             regime="transparent_separating", grid_size=verification.MAX_GRID_SIZE, j=0)
+    @settings(max_examples=300, deadline=None)
+    def test_runs_equal_probed_runs(self, params, regime, grid_size, j):
+        step = 1.0 / (grid_size - 1)
+        if regime == "pooling_on_grid":  # grid point j, as the scan computes it
+            j %= grid_size
+            eq = solve(params, "transparent_pooling", check=False,
+                       pooling_effort=1.0 if j == grid_size - 1 else j * step)
+        else:
+            eq = _run_regime(params, regime, 2, 0)
+        assume(eq is not None)
+        want = support._retention_runs(eq, grid_size, step, params.eps_tol)
+        assert verification._retention_runs(eq, grid_size, step, params.eps_tol) == want
 
 
 def _scan(check, eq, params: Params, grid_size: int):

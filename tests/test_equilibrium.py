@@ -334,6 +334,9 @@ class TestRefusalTable:
     @example(params=Params(p=0.9549578421884989, phi=0.07493276627792972, d=0.004984632699809924,
                            lam=0.3785980744241498, R=1.336104295571204, pi=0.6500122015200215,
                            eps_tol=0.01))
+    # R mu+ = 0.516 is under the effort root 0.959: opaque is refused as gamble_participation
+    @example(params=Params(p=0.75053, phi=0.93618, d=0.24054, lam=0.52291, R=0.52790,
+                           pi=0.37552))
     @settings(max_examples=100, deadline=None)
     def test_refuses_as_the_reference(self, params):
         family = transparent_pooling_family(params)
@@ -491,6 +494,16 @@ class TestActionValidation:
     def test_effort_not_a_real_in_unit_interval_refused(self, make, effort):
         with pytest.raises(DomainError, match="effort must be a real number in"):
             make(effort)
+
+    # a bool is a numbers.Real: once accepted, it was written to JSON as true or false
+    @pytest.mark.parametrize("effort", [True, False])
+    def test_boolean_effort_refused(self, sanity, effort):
+        for make in (lambda: AgentAction(REFORM, effort),
+                     lambda: Observation(REFORM, effort, SUCCESS),
+                     lambda: solve(sanity, "transparent_pooling", pooling_effort=effort,
+                                   check=False)):
+            with pytest.raises(DomainError, match="effort must be a real number in"):
+                make()
 
     def test_only_an_observation_leaves_effort_unset(self):
         assert Observation(REFORM, None, SUCCESS).effort is None

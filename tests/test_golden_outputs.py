@@ -164,6 +164,7 @@ REFUSAL_KINDS = {
     "moderate_rent_relaxed": r"AssumptionError:moderate_rent_relaxed:",
     "effort_bound": r"AssumptionError:effort_bound:",
     "informativeness": r"InformativenessError:informativeness:",
+    "gamble_participation": r"AssumptionError:gamble_participation:R mu\+ <= sqrt",
     "separation_feasible": r"AssumptionError:separation_feasible:separating effort",
     "pooling_family_nonempty": r"AssumptionError:pooling_family_nonempty:no pooling",
     "outside_family": r"DomainError::e_star .* outside pooling family",

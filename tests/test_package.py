@@ -101,10 +101,13 @@ def test_only_solve_builds_equilibria():
 
 
 def test_one_reader_interprets_patterns():
-    # the eps-buffered effort tests are applied in one place, the first-match
-    # reader of retention and beliefs; pattern construction only checks the op name
+    # the eps-buffered effort tests are applied by the first-match reader of retention
+    # and beliefs, and by the piece builder, which finds where an "eq" test turns with
+    # the test itself and labels each piece through that reader; pattern construction
+    # only checks the op name
     assert sites(reads_effort_tests) == {("equilibrium", "ObservationPattern.__post_init__"),
-                                         ("equilibrium", "Equilibrium._first_match")}
+                                         ("equilibrium", "Equilibrium._first_match"),
+                                         ("equilibrium", "Equilibrium.retention_pieces")}
 
 
 #: equilibrium's closed-form efforts and beliefs, which the deviation oracle checks

@@ -10,10 +10,16 @@ v + eps a pattern tests: ``retains`` on each observation class, ``decide``
 and ``belief`` on every shape an ``Observation`` can take. The mutation
 test shows that the comparison notices a table with two rows swapped or
 with one effort value moved by one ulp, in retention and in beliefs.
+
+``retention_pieces`` states reform retention as effort pieces, each start
+the exact float where one effort test turns. A lookup in the pieces must
+equal ``retains`` at every start, within 4 ulp of it and at the grid points
+next to it, and at the probes above; a start moved by one ulp must fail that.
 """
 
 import dataclasses
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import example, given, settings
@@ -108,6 +114,75 @@ PARAMS = st.builds(
     Params, **{k: st.floats(lo, hi) for k, (lo, hi) in DOMAINS.items()},
     eps_tol=st.one_of(st.just(0.0), st.floats(-15.0, -1.0).map(lambda x: 10.0 ** x)),
 )
+
+
+def _ulps_and_grid(t: float) -> set[float]:
+    """The floats within 4 ulp of ``t`` and the grid points next to it."""
+    k = int(min(max(t, 0.0), 1.0) * (GRID_SIZE - 1))
+    near = {i * (1.0 / (GRID_SIZE - 1)) for i in range(k - 1, k + 3)} | {t}
+    lo = hi = t
+    for _ in range(4):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        near.update((lo, hi))
+    return near
+
+
+def _piece_mismatches(eq, eps: float, pieces=None) -> list[float]:
+    """Efforts in [0, 1] where a lookup in the retention pieces (``eq``'s own, or
+    ``pieces``) differs from ``retains`` after success or after failure: at each
+    piece start, within 4 ulp of it and at the grid points next to it, and at
+    :func:`_probes`."""
+    starts, kept = pieces or eq.retention_pieces(eps)
+    efforts = set(_probes(eq, eps)).union(*(_ulps_and_grid(t) for t in starts[1:]))
+    found = []
+    for e in sorted(e for e in efforts if 0.0 <= e <= 1.0):
+        action = AgentAction(REFORM, e)
+        if kept[bisect_right(starts, e) - 1] != tuple(eq.retains(action, outcome, eps)
+                                                      for outcome in (SUCCESS, FAILURE)):
+            found.append(e)
+    return found
+
+
+@given(params=PARAMS, j=st.integers(0, GRID_SIZE - 1))
+@example(params=Params(p=0.8, phi=0.6, d=0.3, lam=1.0, R=0.9, pi=0.5, eps_tol=0.0), j=70_000)
+@example(params=Params(p=0.9, phi=0.75, d=0.05, lam=0.3, R=0.5, pi=0.9, eps_tol=0.1), j=0)
+@settings(max_examples=200, deadline=None)
+def test_pieces_match_retains(params, j):
+    for eq in _equilibria(params, j):
+        starts, _ = eq.retention_pieces(params.eps_tol)
+        assert starts[0] == -math.inf and starts == sorted(set(starts)), eq.regime
+        assert _piece_mismatches(eq, params.eps_tol) == [], eq.regime
+
+
+@pytest.mark.parametrize("cell", ["congruent_g", "congruent_b"])
+def test_pieces_exact_far_from_the_guess(sanity, cell):
+    # with eps one ulp under v = e_H or e_L, v - eps is one ulp of v, and |e - v|
+    # rounds to eps down to an effort of about half that: the "eq" test starts to pass
+    # one binade, 2^52 floats, below fl(v - eps), which the search gallops to
+    eq = solve(sanity, "transparent_separating")
+    v = getattr(eq.profile, cell).effort
+    eps = math.nextafter(v, 0.0)
+    starts, _ = eq.retention_pieces(eps)
+    assert 0.0 < min(t for t in starts if t > 0.0) < (v - eps) / 1.5
+    assert _piece_mismatches(eq, eps) == []
+
+
+def test_comparison_notices_a_moved_start(sanity, part3):
+    # every start in (0, 1] where retention changes, moved by one ulp either way
+    moved = 0
+    for params in (sanity, part3):
+        eps = params.eps_tol
+        for eq in (solve(params, "transparent_separating"),
+                   solve(params, "transparent_pooling", pooling_effort=0.3, check=False)):
+            starts, kept = eq.retention_pieces(eps)
+            for i in range(1, len(starts)):
+                if not 0.0 < starts[i] <= 1.0 or kept[i] == kept[i - 1]:
+                    continue
+                for direction in (-math.inf, math.inf):
+                    mutant = [*starts[:i], math.nextafter(starts[i], direction), *starts[i + 1:]]
+                    assert _piece_mismatches(eq, eps, (mutant, kept)), (eq.regime, i, direction)
+                    moved += 1
+    assert moved >= 8
 
 
 @given(params=PARAMS, j=st.integers(0, GRID_SIZE - 1))

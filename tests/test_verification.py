@@ -7,6 +7,7 @@ import pytest
 
 from reformlab import (
     AgentAction,
+    AssumptionError,
     Params,
     UnresolvedObservationError,
     bayes_consistency,
@@ -19,7 +20,8 @@ from reformlab import (
     solve,
     transparent_pooling_family,
 )
-from reformlab.equilibrium import CONGRUENT, NONCONGRUENT, REFORM, STATUS_QUO
+from reformlab.equilibrium import CONGRUENT, NONCONGRUENT, REFORM, REGIMES, STATUS_QUO
+from reformlab.model_core import ASSUMPTION_CHECKS
 from reformlab.verification import documented_opaque_gap
 from support import grid_argmax_effort, sample_params
 
@@ -128,6 +130,42 @@ class TestDeviationCheck:
     def test_grid_size_validation(self, sanity):
         with pytest.raises(Exception):
             deviation_check(solve(sanity, "nontransparent"), sanity, grid_size=1)
+
+
+#: every name a gated ``solve`` refuses by: a core assumption or a regime's own gate
+REFUSAL_NAMES = {*ASSUMPTION_CHECKS, "separation_feasible", "pooling_family_nonempty",
+                 "gamble_participation"}
+
+
+class TestCensus:
+    # every gated solve at seeded points where the assumptions may fail is either refused
+    # by name or an equilibrium: no plain deviation failure, Bayes-consistent beliefs. The
+    # base points include opaque profiles whose noncongruent g gamble pays less than the
+    # status quo; gated solve refuses those as gamble_participation
+    @pytest.mark.parametrize("predicate,seed,n", [("base", 6, 300), ("news", 6, 200),
+                                                  ("domain", 5, 300)])
+    def test_refused_by_name_or_an_equilibrium(self, predicate, seed, n):
+        for params in sample_params(seed, n, predicate):
+            for regime in REGIMES:
+                try:
+                    eq = solve(params, regime)
+                except AssumptionError as exc:
+                    assert exc.check in REFUSAL_NAMES, (params, regime)
+                    continue
+                assert deviation_check(eq, params).counts()["fail"] == 0, (params, regime)
+                assert bayes_consistency(eq, params).passed, (params, regime)
+
+    def test_gamble_below_the_effort_root_is_refused(self):
+        # solve once returned this opaque profile, whose noncongruent g cell gains 0.171
+        # by keeping the status quo
+        params = Params(p=0.75053, phi=0.93618, d=0.24054, lam=0.52291, R=0.52790, pi=0.37552)
+        with pytest.raises(AssumptionError) as exc:
+            solve(params, "opaque")
+        assert exc.value.check == "gamble_participation"
+        report = deviation_check(solve(params, "opaque", check=False), params)
+        cell = report.cells[(NONCONGRUENT, "g")]
+        assert cell.verdict == "fail" and cell.best_action == AgentAction(STATUS_QUO)
+        assert cell.gain == pytest.approx(0.171, abs=5e-4)
 
 
 class TestBayesConsistency:
