@@ -34,7 +34,7 @@ from typing import Iterator, Optional
 
 from .errors import DomainError, ReformLabError
 from .equilibrium import AgentAction, REGIMES, STATUS_QUO, solve
-from .model_core import ASSUMPTION_CHECKS, Params, check_assumptions
+from .model_core import ASSUMPTION_CHECKS, Params, assumption_values, check_assumptions
 from .model_core import require_integer, require_number
 from .montecarlo import SimConfig, simulate
 from .verification import (MAX_GRID_SIZE, bayes_consistency, deviation_check,
@@ -130,8 +130,7 @@ class SweepAxis:
 
 
 def _assumption_cells(params: Params) -> list:
-    report = check_assumptions(params)
-    return [report.check(name).passed for name in ASSUMPTION_CHECKS]
+    return [passed for passed, _ in assumption_values(params)]
 
 
 _WELFARE_TERMS = ("W", "Q", "total")

@@ -10,9 +10,9 @@ plus a no-accountability ``benchmark`` with no retention stage.
 :func:`solve` returns each regime's :class:`Equilibrium`, bundling the pure
 strategy profile, a pure retention rule, and a belief system over observables.
 Retention and beliefs are serialized as ordered pattern lists (first match
-wins). One first-match reader serves both lists: it compiles each (list,
-observation shape) row on first read, and ``decide``, ``retains`` and
-``belief`` read those rows, as ``retention_pieces`` does. An ``AgentAction`` or
+wins). One first-match reader serves both lists: it walks the list on each
+read, and ``decide``, ``retains`` and ``belief`` call it, as
+``retention_pieces`` does at each piece start. An ``AgentAction`` or
 ``Observation`` effort that is not a real number in [0, 1], or is a bool, is refused.
 """
 
@@ -147,11 +147,11 @@ def observe(regime: str, action: AgentAction, outcome: str) -> Observation:
 
 
 def _shape(obs: Observation) -> tuple:
-    """The first-match table's shape of ``obs``: (policy, outcome, whether effort is seen)."""
+    """The first-match reader's shape of ``obs``: (policy, outcome, whether effort is seen)."""
     return obs.policy, obs.outcome, obs.effort is not None
 
 
-#: each regime's retention row key for each observation class, through :func:`observe`'s projection
+#: each regime's retention read key per observation class, through :func:`observe`'s projection
 _CLASS_VIEWS = {r: {c: ("retention", _shape(observe(r, AgentAction(c[0]), c[1])))
                     for c in OBSERVATION_CLASSES} for r in REGIMES}
 
@@ -218,7 +218,7 @@ class Equilibrium:
         for _, decision in self.retention:
             if decision not in (RETAIN, REMOVE):
                 raise DomainError(f"bad retention decision {decision!r}")
-        object.__setattr__(self, "_rows", {})  # first-match rows by (list, shape), pieces by eps
+        object.__setattr__(self, "_pieces", {})  # retention pieces by eps
 
     def decide(self, obs: Observation, eps: float = 1e-12) -> bool:
         """True iff retained after ``obs``."""
@@ -251,7 +251,7 @@ class Equilibrium:
                 lo, hi = (lo, (lo + hi) // 2) if holds(at((lo + hi) // 2)) else ((lo + hi) // 2, hi)
             return at(hi)
 
-        if (pieces := self._rows.get(eps)) is None:
+        if (pieces := self._pieces.get(eps)) is None:
             starts, test = {-math.inf}, _EFFORT_TESTS["eq"]
             for op, v in {(p.effort_op, p.effort_value) for p, _ in self.retention if p.effort_op}:
                 if op == "eq":  # monotone in e on either side of v
@@ -261,27 +261,24 @@ class Equilibrium:
                     starts.add(v - eps if op == "ge" else math.nextafter(v + eps, math.inf))
             starts = sorted(starts)
             keys = [_CLASS_VIEWS[self.regime][REFORM, outcome] for outcome in (SUCCESS, FAILURE)]
-            pieces = self._rows[eps] = starts, [
+            pieces = self._pieces[eps] = starts, [
                 tuple(self._first_match(k, s, eps) == RETAIN for k in keys) for s in starts]
         return pieces
 
     def _first_match(self, key: tuple, effort: Optional[float], eps: float):
         """The value of the first entry of list ``key[0]`` ("retention" or "beliefs") whose
-        pattern matches an observation of shape ``key[1]`` carrying ``effort``."""
-        row = self._rows.get(key)
-        if row is None:  # (effort_op, effort_value, value) of the entries that can match the shape
-            rules, (policy, outcome, seen) = key
-            entries = getattr(self, rules)
-            if rules == "retention" and not entries:  # no retention stage: the agent keeps office
-                entries = ((ObservationPattern(policy), RETAIN),)
-            row = self._rows[key] = [
-                (p.effort_op, p.effort_value, value) for p, value in entries
-                if p.policy == policy and p.outcome in (None, outcome)
-                and (p.effort_op is None or seen)]
-        for op, v, value in row:
-            if op is None or _EFFORT_TESTS[op](effort, v, eps):
+        pattern matches an observation of shape ``key[1]`` carrying ``effort``, walked on each
+        read: nothing is stored."""
+        rules, (policy, outcome, seen) = key
+        entries = getattr(self, rules)
+        if rules == "retention" and not entries:  # no retention stage: the agent keeps office
+            return RETAIN
+        for p, value in entries:
+            if p.policy == policy and p.outcome in (None, outcome) and (
+                    p.effort_op is None
+                    or seen and _EFFORT_TESTS[p.effort_op](effort, p.effort_value, eps)):
                 return value
-        raise UnresolvedObservationError(f"no {key[0]} entry matches {key[1]}, effort {effort}")
+        raise UnresolvedObservationError(f"no {rules} entry matches {key[1]}, effort {effort}")
 
     def to_json(self) -> dict:
         return {
@@ -424,10 +421,11 @@ def solve(
       least-cost separating equilibrium: the congruent type reforms with
       effort e_H = max{sqrt(2 lambda (R-d)), lambda mu+} on a good signal
       and e_L = max{sqrt(2 lambda (R-d)), lambda mu-} on a bad one; the
-      noncongruent type always keeps the status quo. Retention rewards
-      reforms at or above the separating bar (or at exactly e_L); any other
-      effort is attributed to a noncongruent deviator. Requires the bar to
-      be a feasible effort.
+      noncongruent type always keeps the status quo. Retention rewards a
+      reform at exactly e_H, at exactly e_L, or strictly above e_H (each
+      eps-buffered); any other effort, such as one between e_L and e_H or
+      at a bar below e_L, is attributed to a noncongruent deviator.
+      Requires the bar to be a feasible effort.
     * ``transparent_pooling``: everyone reforms at ``pooling_effort`` (by
       default the lower end of :func:`transparent_pooling_family`) and is
       retained; efforts below the pool (or the status quo) are attributed to

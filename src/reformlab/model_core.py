@@ -219,23 +219,14 @@ def require_rent_mode(mode) -> RentMode:
 
 
 def check_assumptions(params: Params) -> AssumptionReport:
-    """Evaluate every assumption with signed margins; nothing short-circuits. The report
-    is built fresh from :func:`assumption_values` on each call, so it may be mutated."""
-    return AssumptionReport(*[CheckResult(ok, detail.copy())
-                              for ok, detail in assumption_values(params)])
+    """Evaluate every assumption with signed margins; nothing short-circuits."""
+    return AssumptionReport(*[CheckResult(ok, detail) for ok, detail in assumption_values(params)])
 
 
 def assumption_values(params: Params) -> tuple[tuple[bool, dict[str, float]], ...]:
-    """Each assumption's (passed, detail), in ``ASSUMPTION_CHECKS`` order, from one bounded
-    memo that the report and the gates of :func:`~reformlab.equilibrium.solve` read; a
-    reader copies a detail before handing it out."""
-    # the fields the checks read are typed key parts: an int or numpy field gets no float's entry
-    return _assumption_values(params, params.p, params.phi, params.d, params.lam, params.R,
-                              params.eps_tol)
-
-
-@lru_cache(maxsize=64, typed=True)
-def _assumption_values(params: Params, *_fields) -> tuple:
+    """Each assumption's (passed, detail), in ``ASSUMPTION_CHECKS`` order, computed on each
+    call: the report, the sweep's flags and the gates of :func:`~reformlab.equilibrium.solve`
+    read it."""
     eps = params.eps_tol
     post = posteriors(params)
     root = params.effort_root

@@ -73,18 +73,13 @@ def _welfare_and_selection(eq: Equilibrium, params: Params) -> tuple[float, floa
 
     W weighs outcomes 1 / d / 0; Q is the expected congruence of tomorrow's
     office-holder, counting the incumbent's posterior when retained and the
-    replacement prior when removed; retention is read once per (action, outcome).
+    replacement prior when removed.
     """
     w = 0.0
     q = 0.0
-    kept = {}
     for t, _s, act, outcome, mass in joint_outcome_distribution(eq.profile, params):
         w += mass * (params.d if outcome == SQ_OUTCOME else _OUTCOME_VALUE[outcome])
-        key = act.policy, act.effort, outcome
-        retained = kept.get(key)
-        if retained is None:
-            retained = kept[key] = eq.retains(act, outcome, params.eps_tol)
-        if retained:
+        if eq.retains(act, outcome, params.eps_tol):
             q += mass if t == CONGRUENT else 0.0
         else:
             q += mass * params.pi

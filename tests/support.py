@@ -117,9 +117,8 @@ def _interpreted_belief(self, obs, eps=1e-12):
     raise UnresolvedObservationError(f"no belief entry matches {obs}")
 
 
-# ``welfare._welfare_and_selection`` as it was before it read retention once per
-# (action, outcome), copied verbatim but for its name: one ``retains`` per
-# joint-distribution mass. The reference for W and Q, bit for bit.
+# ``welfare._welfare_and_selection`` copied verbatim but for its name: one
+# ``retains`` per joint-distribution mass. The reference for W and Q, bit for bit.
 _OUTCOME_VALUE = {SUCCESS: 1.0, FAILURE: 0.0}
 
 

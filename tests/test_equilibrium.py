@@ -28,7 +28,7 @@ from reformlab import (
     solve,
     transparent_pooling_family,
 )
-from reformlab import equilibrium, model_core
+from reformlab import equilibrium
 from reformlab.equilibrium import (
     CELLS, REFORM, REGIMES, STATUS_QUO, SUCCESS, FAILURE, SQ_OUTCOME, StrategyProfile,
     raw_profile,
@@ -223,6 +223,18 @@ class TestTransparentSeparating:
         assert eq.profile.congruent_g.effort == eq.profile.congruent_b.effort == bar
         assert eq.belief(Observation(REFORM, effort=bar, outcome=FAILURE)) == 1.0
 
+    def test_retains_at_e_h_at_e_l_or_above_e_h(self):
+        # lambda mu- above the bar: a reform at the bar, or between e_L and e_H, is removed
+        params = Params(p=0.69867, phi=0.81276, d=0.17578, lam=0.76984, R=0.18414, pi=0.15029)
+        eq = solve(params, "transparent_separating")
+        bar, e_l, e_h = (separation_effort(params), eq.profile.congruent_b.effort,
+                         eq.profile.congruent_g.effort)
+        assert (bar, e_l, e_h) == pytest.approx((0.11345, 0.50180, 0.70026), abs=5e-6)
+        for effort, kept in ((bar, False), (e_l, True), (0.6, False), (e_h, True), (0.8, True)):
+            action = AgentAction(REFORM, effort)
+            assert [eq.retains(action, outcome, params.eps_tol)
+                    for outcome in (SUCCESS, FAILURE)] == [kept, kept], effort
+
     def test_infeasible_separation_is_gated(self):
         # R big enough that even maximal effort cannot deter mimicry
         params = Params(p=0.99, phi=0.3, d=0.01, lam=0.2, R=3.0, pi=0.5)
@@ -296,7 +308,7 @@ class TestGateMemo:
                 solve(bad, "opaque")
             return exc.value.check, str(exc.value)
 
-        first = refusal()  # the memo now holds the assumption values of ``bad``
+        first = refusal()  # the refusal table now holds the refusals of ``bad``
         report, untouched = check_assumptions(bad), check_assumptions(bad)
         for name in ASSUMPTION_CHECKS:
             report.check(name).detail.clear()
@@ -394,14 +406,6 @@ class TestRefusalTable:
             refusal()
         depth = len(traceback.extract_tb(first.__traceback__))
         assert len(traceback.extract_tb(refusal().__traceback__)) == depth
-
-    def test_assumption_memo_stays_bounded(self, sanity):
-        before = model_core._assumption_values.cache_info()
-        for k in range(10_000):
-            check_assumptions(sanity.replace(R=0.5 + k * 1e-6))
-        info = model_core._assumption_values.cache_info()
-        assert info.misses - before.misses == 10_000
-        assert info.currsize <= info.maxsize == 64
 
     def test_equal_params_of_other_field_types_keep_their_own_values(self):
         floats = Params(p=1.0, phi=0.5, d=0.5, lam=1.0, R=1.0, pi=0.5)

@@ -80,7 +80,7 @@ class TestParams:
 
 
 class TestPosteriorsMemo:
-    """``posteriors`` is memoized on (p, phi), as ``equilibrium._report`` is on ``Params``."""
+    """``posteriors`` is memoized on (p, phi), as ``equilibrium.gate_refusals`` is on ``Params``."""
 
     def test_cache_stays_bounded_and_exact(self):
         rng = np.random.default_rng(11)

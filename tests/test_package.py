@@ -1,6 +1,7 @@
 """The package's public surface: every exported name resolves, once; the
 import graph keeps each oracle off the code path it checks; equilibria are
-built in one place; and one reader interprets observation patterns."""
+built in one place; one reader interprets observation patterns; and the
+library keeps only the memos named here."""
 
 import ast
 from pathlib import Path
@@ -108,6 +109,42 @@ def test_one_reader_interprets_patterns():
     assert sites(reads_effort_tests) == {("equilibrium", "ObservationPattern.__post_init__"),
                                          ("equilibrium", "Equilibrium._first_match"),
                                          ("equilibrium", "Equilibrium.retention_pieces")}
+
+
+MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+
+def names_a_memo_decorator(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in MEMO_DECORATORS
+            or isinstance(node, ast.Attribute) and node.attr in MEMO_DECORATORS)
+
+
+def self_attribute(node) -> bool:
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "self")
+
+
+def writes_instance_state(node) -> bool:
+    """``self.x[k] = ...``, ``self.x.setdefault/update/__setitem__(...)`` or
+    ``object.__setattr__(...)``: a write past a frozen dataclass's fields."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+        return self_attribute(node.value)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        func = node.func
+        if func.attr == "__setattr__":
+            return isinstance(func.value, ast.Name) and func.value.id == "object"
+        return func.attr in {"setdefault", "update", "__setitem__"} and self_attribute(func.value)
+    return False
+
+
+def test_only_the_memos_that_pay_are_kept():
+    # a memo stays where its readers mostly hit it: the posteriors per (p, phi), the
+    # refusal table per point, and an equilibrium's retention pieces per eps, which
+    # ``__post_init__`` creates empty; a new memo comes with a case here
+    assert sites(names_a_memo_decorator) == {("model_core", "_posteriors"),
+                                             ("equilibrium", "gate_refusals")}
+    assert sites(writes_instance_state) == {("equilibrium", "Equilibrium.__post_init__"),
+                                            ("equilibrium", "Equilibrium.retention_pieces")}
 
 
 #: equilibrium's closed-form efforts and beliefs, which the deviation oracle checks

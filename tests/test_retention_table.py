@@ -1,15 +1,16 @@
-"""Table-driven retention and beliefs against the pattern interpreter they replaced.
+"""The first-match reader of retention and beliefs against the pattern interpreter.
 
-An ``Equilibrium`` compiles its ordered retention and belief patterns into
-one table keyed by (list, observation shape), the shape being policy,
-outcome and whether effort is seen; ``decide``, ``retains`` and ``belief``
-read that table. ``support`` keeps the first-match interpreter that ran
-before the table, copied verbatim, so the property compares the two on
-every regime at grid points and within 4 ulp of every v - eps, v and
-v + eps a pattern tests: ``retains`` on each observation class, ``decide``
-and ``belief`` on every shape an ``Observation`` can take. The mutation
-test shows that the comparison notices a table with two rows swapped or
-with one effort value moved by one ulp, in retention and in beliefs.
+An ``Equilibrium``'s ``decide``, ``retains`` and ``belief`` read its ordered
+retention and belief patterns through one reader, which takes an
+observation's shape (policy, outcome and whether effort is seen) and its
+effort. ``support`` keeps the interpreter that ran before that reader,
+copied verbatim, so the property compares the two on every regime at grid
+points and within 4 ulp of every v - eps, v and v + eps a pattern tests:
+``retains`` on each observation class, ``decide`` and ``belief`` on every
+shape an ``Observation`` can take. The mutation test shows that the
+comparison notices the reader with two outcome classes swapped, in
+retention and in beliefs, with a "gt" test that stops passing above its
+value, or with each "eq" value moved by one ulp.
 
 ``retention_pieces`` states reform retention as effort pieces, each start
 the exact float where one effort test turns. A lookup in the pieces must
@@ -17,7 +18,6 @@ equal ``retains`` at every start, within 4 ulp of it and at the grid points
 next to it, and at the probes above; a start moved by one ulp must fail that.
 """
 
-import dataclasses
 import math
 from bisect import bisect_right
 
@@ -29,8 +29,9 @@ from reformlab import (
     AgentAction, Observation, Params, UnderflowError, UnresolvedObservationError,
     solve, transparent_pooling_family,
 )
+from reformlab import equilibrium
 from reformlab.equilibrium import (
-    FAILURE, OBSERVATION_CLASSES, REFORM, SQ_OUTCOME, STATUS_QUO, SUCCESS, observe,
+    FAILURE, OBSERVATION_CLASSES, OPAQUE, REFORM, SQ_OUTCOME, STATUS_QUO, SUCCESS, observe,
 )
 from support import DOMAINS, _interpreted_belief, _interpreted_decide, opaque_failure_mass
 
@@ -194,15 +195,6 @@ def test_table_matches_pattern_interpreter(params, j):
         assert _mismatches(eq, params.eps_tol) == [], eq.regime
 
 
-def _with_rows(eq, edit):
-    """A copy of ``eq`` whose first-match table ``edit`` changed in place."""
-    rows = dict(eq._rows)
-    edit(rows)
-    mutant = dataclasses.replace(eq)
-    object.__setattr__(mutant, "_rows", rows)
-    return mutant
-
-
 def test_decide_reads_every_observation_shape(sanity):
     # shapes no regime's observe produces still get the interpreter's answer
     separating = solve(sanity, "transparent_separating")
@@ -214,6 +206,11 @@ def test_decide_reads_every_observation_shape(sanity):
         opaque.decide(Observation(REFORM))
 
 
+def _readers(found: list) -> set[str]:
+    """The readers named in :func:`_mismatches`'s list, ``retains`` for a class."""
+    return {"retains" if isinstance(where[0], tuple) else where[0] for where in found}
+
+
 def test_comparison_notices_a_mutated_table(sanity):
     eps = sanity.eps_tol
     opaque = solve(sanity, "opaque")
@@ -221,32 +218,35 @@ def test_comparison_notices_a_mutated_table(sanity):
     pooling = solve(sanity, "transparent_pooling", pooling_effort=0.3, check=False)
     for eq in (opaque, separating, pooling):
         assert _mismatches(eq, eps) == [], eq.regime
-    # table keys: (list, shape); opaque sees the outcome, the transparent regimes also the effort
-    success, failure = (REFORM, SUCCESS, False), (REFORM, FAILURE, False)
-    seen_success = (REFORM, SUCCESS, True)
+    # each edit patches what the first-match reader consults; the interpreter in
+    # ``support`` has its own ``_matches``, so no patch reaches the reference
+    views, tests = equilibrium._CLASS_VIEWS[OPAQUE], equilibrium._EFFORT_TESTS
+    shape = equilibrium._shape
+    other = {SUCCESS: FAILURE, FAILURE: SUCCESS}
 
-    def swap_classes(rows):
-        a, b = ("retention", success), ("retention", failure)
-        rows[a], rows[b] = rows[b], rows[a]
+    def swap_classes(patch):  # opaque's retention after success read as after failure, and back
+        patch.setitem(views, (REFORM, SUCCESS), views[REFORM, FAILURE])
+        patch.setitem(views, (REFORM, FAILURE), views[REFORM, SUCCESS])
 
-    def swap_belief_classes(rows):
-        a, b = ("beliefs", success), ("beliefs", failure)
-        rows[a], rows[b] = rows[b], rows[a]
+    def swap_belief_classes(patch):  # an observed success read as a failure, and back
+        def swapped(obs):
+            policy, outcome, seen = shape(obs)
+            return policy, other.get(outcome, outcome), seen
+        patch.setattr(equilibrium, "_shape", swapped)
 
-    def swap_tests(rows):  # the "gt" test and the constant that follows it
-        row = rows["retention", seen_success]
-        rows["retention", seen_success] = (*row[:-2], row[-1], row[-2])
+    def gt_as_eq(patch):  # "gt" as "ge" passes nothing new: each "gt" follows an "eq" at its value
+        patch.setitem(tests, "gt", tests["eq"])
 
-    def move_one_ulp(rows):  # the first test, "eq" at e_H, by one ulp up
-        (op, v, keep), *rest = rows["retention", seen_success]
-        rows["retention", seen_success] = ((op, math.nextafter(v, 2.0), keep), *rest)
+    def move_eq_one_ulp(patch):  # each "eq" test's value by one ulp up
+        eq_test = tests["eq"]
+        patch.setitem(tests, "eq", lambda e, v, eps: eq_test(e, math.nextafter(v, 2.0), eps))
 
-    def move_belief_one_ulp(rows):  # the pooled "eq" belief test by one ulp up
-        (op, v, belief), *rest = rows["beliefs", seen_success]
-        assert op == "eq"
-        rows["beliefs", seen_success] = ((op, math.nextafter(v, 2.0), belief), *rest)
-
-    for eq, edit in ((opaque, swap_classes), (opaque, swap_belief_classes),
-                     (separating, swap_tests), (separating, move_one_ulp),
-                     (pooling, move_belief_one_ulp)):
-        assert _mismatches(_with_rows(eq, edit), eps), edit.__name__
+    for eq, edit, reader in ((opaque, swap_classes, "retains"),
+                             (opaque, swap_belief_classes, "belief"),
+                             (separating, gt_as_eq, "retains"),
+                             (separating, move_eq_one_ulp, "retains"),
+                             (pooling, move_eq_one_ulp, "belief")):
+        with pytest.MonkeyPatch.context() as patch:
+            edit(patch)
+            found = _mismatches(eq, eps)
+        assert reader in _readers(found), (eq.regime, edit.__name__)
