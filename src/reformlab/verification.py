@@ -27,6 +27,7 @@ from .equilibrium import (
     FAILURE,
     OPAQUE,
     REFORM,
+    REGIMES,
     SQ_OUTCOME,
     STATUS_QUO,
     SUCCESS,
@@ -47,6 +48,9 @@ BAYES_TOL = 1e-9
 MAX_GRID_SIZE = 10_000_001
 #: most efforts per deviation-scan block, so that one block's (10, B) work buffers stay in cache
 SCAN_BLOCK = 1 << 13
+#: whether each regime sees a reform's effort and its outcome, read once off :func:`observe`
+_SEES = {r: (o.effort is not None, o.outcome is not None)
+         for r in REGIMES for o in [observe(r, AgentAction(REFORM), SUCCESS)]}
 
 
 def _policy_payoff(agent_type: str, outcome: str, params: Params) -> float:
@@ -87,16 +91,15 @@ def _reform_utility(mu, effort, payoffs: tuple, retained: tuple, params: Params,
     term, failure term, cost); the first one is returned holding the sum."""
     pay_succ, pay_fail = payoffs
     kept_succ, kept_fail = retained
-    p_succ, p_fail, cost = out
-    np.multiply(mu, effort, out=p_succ)
-    np.subtract(1.0, p_succ, out=p_fail)
-    np.multiply(p_fail, pay_fail + params.R * kept_fail, out=p_fail)
-    np.multiply(p_succ, pay_succ + params.R * kept_succ, out=p_succ)
-    np.multiply(effort, effort, out=cost)
-    np.divide(cost, 2.0 * params.lam, out=cost)
-    np.subtract(p_succ, cost, out=p_succ)  # -cost + success term, bit for bit
-    p_succ += p_fail
-    return p_succ
+    p_succ, p_fail, cost = out  # each ufunc's third argument is its output
+    np.multiply(mu, effort, p_succ)
+    np.subtract(1.0, p_succ, p_fail)
+    np.multiply(p_fail, pay_fail + params.R * kept_fail, p_fail)
+    np.multiply(p_succ, pay_succ + params.R * kept_succ, p_succ)
+    np.multiply(effort, effort, cost)
+    np.divide(cost, 2.0 * params.lam, cost)
+    np.subtract(p_succ, cost, p_succ)  # -cost + success term, bit for bit
+    return np.add(p_succ, p_fail, p_succ)
 
 
 def _cell_utilities(cells, params: Params, eq: Equilibrium) -> list:
@@ -112,10 +115,11 @@ def _cell_utilities(cells, params: Params, eq: Equilibrium) -> list:
         else:
             outcomes = (SQ_OUTCOME,) * 2
             pair = (eq.retains(action, SQ_OUTCOME, params.eps_tol),) * 2
-        pay = [_policy_payoff(t, o, params) for o in outcomes]
-        rows.append((post.mu(s), action.effort, *pay, *pair))
-    mu, e, *columns = np.array(rows).T
-    return _reform_utility(mu, e, columns[:2], columns[2:], params, np.empty((3, len(e)))).tolist()
+        rows.append((post.mu(s), action.effort, _policy_payoff(t, outcomes[0], params),
+                     _policy_payoff(t, outcomes[1], params), *pair))
+    cols = np.array(rows).T  # (6, n): mu, effort, the two payoffs, the two retentions
+    return _reform_utility(cols[0], cols[1], cols[2:4], cols[4:], params,
+                           np.empty((3, len(rows)))).tolist()
 
 
 def expected_utility(
@@ -218,12 +222,13 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
     windows are packed into blocks of up to ``SCAN_BLOCK`` efforts, the extras
     sorted into the last; equal efforts have equal retention, so a plain sort
     will do, and one lookup of a block's efforts in the pieces gives its
-    retention (two floats where one run fills a block). Every reform
-    equilibrium effort is an extra, so the cells' equilibrium utilities are
-    read off that block; the status quo is worth d + R * retained, as
-    :func:`_cell_utilities` gives it. Rents over about 7e13 / lambda widen
-    windows to whole runs. A cell's best moves on a greater utility, or an
-    equal one at a smaller effort: the first merged, sorted maximum.
+    retention (two floats where one run fills a block, or all share one
+    piece). Every reform equilibrium effort is an extra, so the cells'
+    equilibrium utilities are read off that block; the status quo is worth
+    d + R * retained, as :func:`_cell_utilities` gives it. Rents over about
+    7e13 / lambda widen windows to whole runs. A cell's best moves on a
+    greater utility, or an equal one at a smaller effort: the first merged,
+    sorted maximum.
     """
     grid_size = require_integer("grid_size", grid_size)
     if not 2 <= grid_size <= MAX_GRID_SIZE:
@@ -242,21 +247,23 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
     extras.update(v for p, _ in eq.retention if (v := p.effort_value) is not None and 0 <= v <= 1)
     extra = np.array(list(extras), dtype=float)
     step = 1.0 / (grid_size - 1)
-    mu = np.array([[post.mu(s)] for _, s in CELLS])
-    pay = np.array([[_policy_payoff(t, o, params) for o in (SUCCESS, FAILURE)] for t, _ in CELLS])
+    rows = [(post.mu(s), _policy_payoff(t, SUCCESS, params), _policy_payoff(t, FAILURE, params))
+            for t, s in CELLS]
+    cols = np.array(rows)  # (4, 3): mu, success payoff, failure payoff
+    mu, pay = cols[:, :1], (cols[:, 1:2], cols[:, 2:])
 
     # retention does not depend on the deviator's cell: one decision per run, and the
     # cells' windows on it merged into (start, stop, retained) spans, each index once
-    spans = []
+    spans, steps, cost_term = [], grid_size - 1, 0.5 / lam
     for lo, hi, kept in _retention_runs(eq, grid_size, step, eps):
-        windows = []
-        for m, (pay_succ, pay_fail) in zip(mu[:, 0].tolist(), pay.tolist()):
+        windows, rent_succ, rent_fail = [], R * kept[0], R * kept[1]
+        for m, pay_succ, pay_fail in rows:
             # points over h - 1 steps from the one nearest the vertex trail it by
             # over 2 delta; one more step covers the rounding of the vertex
-            a, b = pay_succ + R * kept[0], pay_fail + R * kept[1]
-            delta = 16 * 2.0 ** -53 * (abs(a) + abs(b) + 0.5 / lam)
-            h = int(min(2 * math.sqrt(lam * delta) * (grid_size - 1), grid_size)) + 2
-            c = round(min(max(lam * m * (a - b) * (grid_size - 1), lo), hi - 1))
+            a, b = pay_succ + rent_succ, pay_fail + rent_fail
+            delta = 16 * 2.0 ** -53 * (abs(a) + abs(b) + cost_term)
+            h = int(min(2 * math.sqrt(lam * delta) * steps, grid_size)) + 2
+            c = round(min(max(lam * m * (a - b) * steps, lo), hi - 1))
             windows.append((max(c - h, lo), min(c + h + 1, hi)))
         done = lo
         for w_lo, w_hi in sorted(windows):
@@ -265,14 +272,16 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
                 done = w_hi
     width = min(SCAN_BLOCK, sum(stop - start for start, stop, _ in spans))
     index = np.arange(width, dtype=float)
-    starts, kept_at = (np.array(x, dtype=float) for x in eq.retention_pieces(eps))  # (P,), (P, 2)
+    starts, pairs = eq.retention_pieces(eps)  # with one piece, no effort needs a lookup
+    lookup = len(starts) > 1 and (np.array(starts), np.array(pairs, dtype=float))  # (P,), (P, 2)
     # a block's efforts; its 4 success and 4 failure terms and its cost are laid out (9, n)
     # in ``terms``, C-contiguous for argmax
     pack, terms = np.empty(width + extra.size), np.empty(9 * (width + extra.size))
 
     def blocks():
         # the spans packed ``width`` points at a time; the last block takes the extras too,
-        # sorted in. A block gets its retention in one lookup of its efforts in the pieces
+        # sorted in. A block gets its retention in one lookup of its efforts in the pieces,
+        # or two floats where it lies in one piece, which build no (4, n) temporaries
         n = 0
         for start, stop, kept in spans:
             while start < stop:
@@ -288,35 +297,34 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
                         pack[n:n + extra.size] = extra
                         e = pack[:n + extra.size]
                         e.sort()
-                    # a block one run fills gets two floats, which build no (4, n) temporaries
-                    yield e, kept if n == k == width and not last else kept_at[
-                        np.searchsorted(starts, e, side="right") - 1].T
+                    one_run = n == k == width and not last  # a full block one span filled
+                    yield e, kept if one_run or not lookup else lookup[1][
+                        np.searchsorted(lookup[0], e, side="right") - 1].T
                     n = 0
 
-    rows = np.arange(len(CELLS))
-    scan_u, scan_e = np.full(len(CELLS), -np.inf), np.zeros(len(CELLS))
+    scan = [(-math.inf, 0.0)] * len(CELLS)  # each cell's best (utility, effort) so far
     for e, kept in blocks():
         out = terms[:9 * len(e)].reshape(9, len(e))
-        u = _reform_utility(mu, e, (pay[:, :1], pay[:, 1:]), kept, params,
-                            (out[:4], out[4:8], out[8]))
-        i = np.argmax(u, axis=1)
-        u_max, e_max = u[rows, i], e[i]
-        better = (u_max > scan_u) | ((u_max == scan_u) & (e_max < scan_e))
-        scan_u[better] = u_max[better]
-        scan_e[better] = e_max[better]
+        u = _reform_utility(mu, e, pay, kept, params, (out[:4], out[4:8], out[8]))
+        for k, i in enumerate(u.argmax(axis=1).tolist()):
+            u_k, e_k = u.item(k, i), e.item(i)
+            if u_k > scan[k][0] or u_k == scan[k][0] and e_k < scan[k][1]:
+                scan[k] = u_k, e_k
 
     sq = AgentAction(STATUS_QUO)  # d + R * retained in every cell, as _cell_utilities gives it
     sq_u = float(params.d) + float(R) * eq.retains(sq, SQ_OUTCOME, eps)
+    # a reform equilibrium effort is an extra: the last block's last point at that effort
+    acts = eq.profile.actions()
+    ends = np.searchsorted(e, [a.effort for a in acts], side="right").tolist()
+    eq_us = [u.item(k, i - 1) for k, i in enumerate(ends)]
     cells: dict[tuple[str, str], DeviationCell] = {}
-    for k, (t, s, eq_action) in enumerate(eq.profile.cells()):
-        # a reform equilibrium effort is an extra: the last block's last point at that effort
-        eq_u = sq_u if eq_action.policy == STATUS_QUO else float(
-            u[k, np.searchsorted(e, eq_action.effort, side="right") - 1])
-        if sq_u >= scan_u[k]:
+    for (t, s), eq_action, eq_u, (scan_u, scan_e) in zip(CELLS, acts, eq_us, scan):
+        if eq_action.policy == STATUS_QUO:
+            eq_u = sq_u
+        if sq_u >= scan_u:
             best_action, best_u = sq, sq_u
         else:
-            best_action = AgentAction(REFORM, float(scan_e[k]))
-            best_u = float(scan_u[k])
+            best_action, best_u = AgentAction(REFORM, scan_e), scan_u
         if best_u <= eq_u:
             # no improving deviation: the equilibrium action is best
             best_action, best_u = eq_action, eq_u
@@ -385,16 +393,21 @@ class BayesReport:
 def bayes_consistency(eq: Equilibrium, params: Params) -> BayesReport:
     """Recompute P(congruent | observation) for every positive-probability
     observation under the profile and compare with the stored beliefs, to
-    within ``BAYES_TOL``."""
+    within ``BAYES_TOL``. Masses are tallied by observed class: the policy, plus
+    the effort and the outcome where :func:`observe` shows them to the regime."""
     if not eq.beliefs:
         return BayesReport(entries=())  # no belief system (benchmark)
-    acc: dict[Observation, tuple[float, float]] = {}
+    sees_effort, sees_outcome = _SEES[eq.regime]
+    acc: dict[tuple, tuple[float, float]] = {}
     for t, _s, act, outcome, mass in joint_outcome_distribution(eq.profile, params):
-        obs = observe(eq.regime, act, outcome)
-        tot, cong = acc.get(obs, (0.0, 0.0))
-        acc[obs] = (tot + mass, cong + (mass if t == CONGRUENT else 0.0))
+        key = act.policy, act.effort if sees_effort else None, outcome if sees_outcome else None
+        tot, cong = acc.get(key, (0.0, 0.0))
+        acc[key] = (tot + mass, cong + (mass if t == CONGRUENT else 0.0))
     entries = []
-    for obs, (tot, cong) in sorted(acc.items(), key=lambda kv: -kv[1][0]):
+    for key, (tot, cong) in sorted(acc.items(), key=lambda kv: -kv[1][0]):
+        if tot == 0.0:  # every mass of the class underflowed: not a positive-probability class
+            continue
+        obs = Observation(*key)
         recomputed = cong / tot
         stored = eq.belief(obs, params.eps_tol)
         entries.append(
@@ -429,6 +442,8 @@ def news_classification(profile: StrategyProfile, params: Params) -> NewsReport:
         total += mass
     entries = {}
     for event, (tot, cong) in acc.items():
+        if tot == 0.0:  # every mass of the event underflowed: not a positive-probability event
+            continue
         posterior = cong / tot
         if abs(posterior - params.pi) <= band:
             cls = "neutral"

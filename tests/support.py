@@ -6,7 +6,8 @@ enumeration instead of stored beliefs, dense scans instead of closed-form
 roots and of the deviation scan's vertex windows, a pattern-by-pattern
 interpreter instead of the compiled first-match table, retention runs found
 by probing grid indices instead of cut at exact effort-piece starts, one
-scalar utility per cell instead of the cells scored in one call, and
+scalar utility per cell instead of the cells scored in one call, one
+observation per joint mass instead of one per observed class, and
 assumption reports and ``solve`` gates evaluated afresh on every call
 instead of read from one memoized refusal table.
 """
@@ -22,11 +23,13 @@ from reformlab import (
 from reformlab.equilibrium import (
     CELLS, CONGRUENT, FAILURE, NONTRANSPARENT, OPAQUE, REFORM, REGIMES, RETAIN, SQ_OUTCOME,
     STATUS_QUO, SUCCESS, TRANSPARENT_POOLING, TRANSPARENT_SEPARATING, AgentAction, Equilibrium,
+    Observation, observe,
 )
 from reformlab.model_core import AssumptionReport, CheckResult
 from reformlab.verification import (
-    MAX_GRID_SIZE, SCAN_BLOCK, BreakEvenReport, DeviationCell, DeviationReport, _policy_payoff,
-    _reform_utility, default_dev_tol, documented_opaque_gap, joint_outcome_distribution,
+    BAYES_TOL, MAX_GRID_SIZE, SCAN_BLOCK, BayesEntry, BayesReport, BreakEvenReport,
+    DeviationCell, DeviationReport, _policy_payoff, _reform_utility, default_dev_tol,
+    documented_opaque_gap, joint_outcome_distribution,
 )
 
 DOMAINS = {
@@ -138,6 +141,31 @@ def per_mass_welfare_and_selection(eq: Equilibrium, params: Params) -> tuple[flo
         else:
             q += mass * params.pi
     return w, q
+
+
+# ``verification.bayes_consistency`` as it was before masses were tallied by observed
+# class, copied verbatim but for its name: one ``observe`` and one hashed
+# ``Observation`` per joint-distribution mass. The reference for every Bayes report,
+# bit for bit, wherever no class's mass underflows to 0.
+def per_mass_bayes_consistency(eq: Equilibrium, params: Params) -> BayesReport:
+    """Recompute P(congruent | observation) for every positive-probability
+    observation under the profile and compare with the stored beliefs, to
+    within ``BAYES_TOL``."""
+    if not eq.beliefs:
+        return BayesReport(entries=())  # no belief system (benchmark)
+    acc: dict[Observation, tuple[float, float]] = {}
+    for t, _s, act, outcome, mass in joint_outcome_distribution(eq.profile, params):
+        obs = observe(eq.regime, act, outcome)
+        tot, cong = acc.get(obs, (0.0, 0.0))
+        acc[obs] = (tot + mass, cong + (mass if t == CONGRUENT else 0.0))
+    entries = []
+    for obs, (tot, cong) in sorted(acc.items(), key=lambda kv: -kv[1][0]):
+        recomputed = cong / tot
+        stored = eq.belief(obs, params.eps_tol)
+        entries.append(
+            BayesEntry(obs, tot, recomputed, stored, passed=abs(recomputed - stored) <= BAYES_TOL)
+        )
+    return BayesReport(entries=tuple(entries))
 
 
 # ``verification._reform_retention``, ``expected_utility`` and ``divinity_breakeven``

@@ -349,9 +349,9 @@ class TestScanMemory:
     @pytest.mark.parametrize("regime", ["benchmark", "opaque"])
     def test_whole_run_windows_match_dense_scan(self, sanity, monkeypatch, regime):
         # at R = 1e15 the rounding bound outgrows the grid: every window is its
-        # whole run, scanned block by block as the dense reference scans it; each
-        # block but the last, which takes the extras, lies on one run and gets its
-        # retention as two floats
+        # whole run, scanned block by block as the dense reference scans it; these
+        # equilibria have one retention piece, so every block, the last with the
+        # extras too, gets its retention as two floats
         params, grid_size = sanity.replace(R=1e15), verification.MAX_GRID_SIZE
         eq = solve(params, regime, check=False)
         want = _dump(dense_deviation_check(eq, params, grid_size))
@@ -371,7 +371,7 @@ class TestScanMemory:
         finally:
             tracemalloc.stop()
         assert sum(size for size, _ in sizes) == grid_size + extras.size
-        assert [ndim for _, ndim in sizes] == [0] * (len(sizes) - 1) + [1]
+        assert [ndim for _, ndim in sizes] == [0] * len(sizes)
         assert got == want
         assert peak < 2_000_000
 

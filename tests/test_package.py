@@ -61,6 +61,20 @@ def test_verification_imports_no_welfare_or_monte_carlo():
     assert imports("verification").isdisjoint({"welfare", "montecarlo"})
 
 
+def test_verification_reads_nothing_private_of_equilibrium():
+    # the oracles derive what they check from public names: no private helper or table
+    # of the equilibrium module (its observation-class views, say) is imported, and no
+    # underscore attribute of any object is read
+    tree = ast.parse(MODULES["verification"].read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module in ("equilibrium", "reformlab.equilibrium")
+                for alias in node.names}
+    assert {"Equilibrium", "observe"} <= imported  # the reader sees a real import
+    assert {name for name in imported if name.startswith("_")} == set()
+    assert {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")} == set()
+
+
 def test_only_the_entry_points_import_the_cli():
     assert {m for m in MODULES if "cli" in direct_imports(m)} == {"__init__", "__main__"}
 

@@ -4,11 +4,13 @@ and break-even orderings."""
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from reformlab import (
     AgentAction,
     AssumptionError,
     Params,
+    ReformLabError,
     UnresolvedObservationError,
     bayes_consistency,
     deviation_check,
@@ -20,10 +22,12 @@ from reformlab import (
     solve,
     transparent_pooling_family,
 )
-from reformlab.equilibrium import CONGRUENT, NONCONGRUENT, REFORM, REGIMES, STATUS_QUO
+from reformlab.equilibrium import (
+    CONGRUENT, FAILURE, NONCONGRUENT, REFORM, REGIMES, STATUS_QUO, SUCCESS, Observation,
+)
 from reformlab.model_core import ASSUMPTION_CHECKS
-from reformlab.verification import documented_opaque_gap
-from support import grid_argmax_effort, sample_params
+from reformlab.verification import documented_opaque_gap, joint_outcome_distribution
+from support import DOMAINS, grid_argmax_effort, per_mass_bayes_consistency, sample_params
 
 EQ_UTILITY_CG_OPAQUE = 0.38800775443673713  # (lambda/2)(1+R)^2 mu+^2 at sanity
 PBAR_NONTRANSPARENT = {
@@ -34,6 +38,24 @@ PBAR_NONTRANSPARENT = {
 }
 
 POOLING_PARAMS = Params(p=0.999, phi=0.999, d=0.05, lam=0.3, R=0.5, pi=0.9)
+
+#: the test domains, with the tolerance 0 or log-uniform over [1e-15, 0.1]
+BAYES_PARAMS = st.builds(
+    Params, **{k: st.floats(lo, hi) for k, (lo, hi) in DOMAINS.items()},
+    eps_tol=st.one_of(st.just(0.0), st.floats(-15.0, -1.0).map(lambda x: 10.0 ** x)),
+)
+#: (params, check): ungated solve on the whole test domain, gated solve on points it
+#: accepts, so that the gated draws are not mostly refused
+SOLVES = st.one_of(st.tuples(BAYES_PARAMS, st.just(False)),
+                   st.tuples(st.sampled_from(sample_params(73, 40, "acceptance")), st.just(True)))
+#: every regime, pooling at each end of its family
+BAYES_REGIMES = REGIMES[:-1] + ("pooling_lo", "pooling_hi")
+
+
+def _entry_bits(entry) -> tuple:
+    """A Bayes entry with each float as its hex bits, which tell -0.0 from 0.0."""
+    return (entry.observation, float(entry.probability).hex(), float(entry.recomputed).hex(),
+            float(entry.stored).hex(), entry.passed)
 
 
 class TestExpectedUtility:
@@ -200,6 +222,29 @@ class TestBayesConsistency:
             for regime in ("nontransparent", "opaque", "transparent_separating"):
                 assert bayes_consistency(solve(params, regime), params).passed
 
+    @given(point=SOLVES, regime=st.sampled_from(BAYES_REGIMES))
+    @example(point=(POOLING_PARAMS, True), regime="pooling_hi")
+    @example(point=(Params(p=0.9, phi=0.75, d=0.05, lam=0.3, R=0.5, pi=0.9, eps_tol=0.1), False),
+             regime="transparent_separating")
+    @settings(max_examples=300, deadline=None)
+    def test_class_tally_equals_per_mass_reference(self, point, regime):
+        # the report tallied by observed class equals the one built from one observation
+        # per joint mass, entry for entry and bit for bit, on every equilibrium solve builds
+        (params, check), pooling_effort = point, None
+        if regime in ("pooling_lo", "pooling_hi"):
+            family = transparent_pooling_family(params)
+            if family is None:
+                return
+            pooling_effort = family[1] if regime == "pooling_hi" else family[0]
+            regime = "transparent_pooling"
+        try:
+            eq = solve(params, regime, check=check, pooling_effort=pooling_effort)
+        except ReformLabError:
+            return  # refused: there is no equilibrium to check
+        got = bayes_consistency(eq, params).entries
+        want = per_mass_bayes_consistency(eq, params).entries
+        assert [_entry_bits(e) for e in got] == [_entry_bits(e) for e in want]
+
 
 class TestNewsClassification:
     def test_opaque_profile_at_sanity(self, sanity):
@@ -225,6 +270,37 @@ class TestNewsClassification:
             if cls == "neutral":
                 continue
             assert (cls == "bad") == holds, params
+
+
+class TestZeroProbabilityEvents:
+    # at phi = 1e-300 a reform's success mass, phi * p * effort, underflows to 0.0;
+    # the joint distribution still yields it, and both oracles leave it out, as their
+    # docstrings promise, instead of dividing 0 by 0
+    PARAMS = Params(p=0.5, phi=1e-300, d=0.5, lam=1.0, R=1.0, pi=0.5)
+
+    @pytest.mark.parametrize("regime", ["benchmark", "nontransparent", "transparent_pooling"])
+    def test_news_leaves_out_an_underflowed_event(self, regime):
+        profile = solve(self.PARAMS, regime, check=False).profile
+        masses = [(o, m) for *_, o, m in joint_outcome_distribution(profile, self.PARAMS)]
+        assert (SUCCESS, 0.0) in masses and all(m == 0.0 for o, m in masses if o == SUCCESS)
+        report = news_classification(profile, self.PARAMS)
+        assert SUCCESS not in report.entries
+        assert report.entries[FAILURE].probability > 0.0
+        assert report.total_probability == 1.0
+
+    def test_bayes_leaves_out_an_underflowed_class(self):
+        eq = solve(self.PARAMS, "transparent_pooling", check=False)
+        report = bayes_consistency(eq, self.PARAMS)
+        assert report.passed
+        assert [e.observation for e in report.entries] == [
+            Observation(REFORM, eq.pooling_effort, FAILURE)]
+
+    def test_positive_masses_are_kept(self):
+        # a success mass of 5e-301 is positive: its event and class stay in the reports
+        eq = solve(self.PARAMS, "transparent_separating", check=False)
+        assert news_classification(eq.profile, self.PARAMS).entries[SUCCESS].probability > 0.0
+        observations = [e.observation for e in bayes_consistency(eq, self.PARAMS).entries]
+        assert Observation(REFORM, 1.0, SUCCESS) in observations
 
 
 class TestDivinityBreakeven:
