@@ -273,7 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the numerical checks on an equilibrium")
     add_common(sp, regime=True)
-    sp.add_argument("--grid", type=int, default=100_001, help="deviation-scan grid size")
+    sp.add_argument("--grid", type=int, default=100_001,
+                    help="resolution of the deviation tolerance")
 
     sp = sub.add_parser("welfare", help="welfare table, optimal regime, thresholds")
     add_common(sp)
@@ -316,7 +317,7 @@ def _cmd_verify(args) -> int:
     eq = solve(params, args.regime, rent_mode=args.rent_mode,
                pooling_effort=args.pooling_effort)
     dev = deviation_check(eq, params, grid_size=args.grid)
-    sys.stdout.write(dev.format_table() + "\n")
+    sys.stderr.write(dev.format_table() + "\n")
     bayes = bayes_consistency(eq, params)
     news = news_classification(eq.profile, params)
     breakeven = divinity_breakeven(eq, AgentAction(STATUS_QUO), params)

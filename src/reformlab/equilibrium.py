@@ -61,12 +61,12 @@ REMOVE = "remove"
 OBSERVATION_CLASSES = ((REFORM, SUCCESS), (REFORM, FAILURE), (STATUS_QUO, SQ_OUTCOME))
 
 
-def _check_effort(effort) -> None:
+def _check_effort(effort, name: str = "effort") -> None:
     """Refuse an effort that is not a real number in [0, 1]: an array, NaN, None or a bool."""
     # a float passes at once; the slower ABC check admits numpy scalars, and a bool (a Real) not
     if not ((isinstance(effort, float) or isinstance(effort, numbers.Real)
              and not isinstance(effort, bool)) and 0.0 <= effort <= 1.0):
-        raise DomainError(f"effort must be a real number in [0, 1], got {effort!r}")
+        raise DomainError(f"{name} must be a real number in [0, 1], got {effort!r}")
 
 
 @dataclass(frozen=True)
@@ -431,23 +431,25 @@ def solve(
       retained; efforts below the pool (or the status quo) are attributed to
       the noncongruent type, efforts above to a good-signal congruent type.
 
-    A ``rent_mode`` other than "strict" or "relaxed" is refused first. With
-    ``check`` the core assumptions (rent in its ``rent_mode`` form) and the
-    regime's own condition must hold, as read from :func:`gate_refusals`,
-    and a pooled effort must lie in the family. Either way the closed-form
-    efforts are clamped to [0, 1], and a pooled effort outside [0, 1], or
-    given for another regime, is refused.
+    A ``rent_mode`` other than "strict" or "relaxed" is refused first, and a
+    pooled effort that is not a real number in [0, 1], or given for another
+    regime, is refused before any gate. With ``check`` the core assumptions
+    (rent in its ``rent_mode`` form) and the regime's own condition must
+    hold, as read from :func:`gate_refusals`, and a pooled effort must lie
+    in the family. Either way the closed-form efforts are clamped to [0, 1].
     """
     require_rent_mode(rent_mode)
     if regime not in REGIMES:
         raise DomainError(f"unknown regime {regime!r}")
     if pooling_effort is not None and regime != TRANSPARENT_POOLING:
         raise DomainError(f"a pooling effort applies only to transparent_pooling, not {regime}")
-    if regime == TRANSPARENT_POOLING and pooling_effort is None:
-        family = transparent_pooling_family(params)
-        if family is None:
-            raise AssumptionError(*_NO_POOLING[1])
-        pooling_effort = family[0]
+    if regime == TRANSPARENT_POOLING:
+        if pooling_effort is None:
+            family = transparent_pooling_family(params)
+            if family is None:
+                raise AssumptionError(*_NO_POOLING[1])
+            pooling_effort = family[0]
+        _check_effort(pooling_effort, "pooled effort")  # before any gate
     if check:
         refusal = gate_refusals(params, rent_mode).get(regime)
         if refusal is not None:
@@ -458,8 +460,6 @@ def solve(
             if not (lo - params.eps_tol <= pooling_effort <= hi + params.eps_tol):
                 raise DomainError(f"e_star {pooling_effort} outside pooling family [{lo}, {hi}]")
     if regime == TRANSPARENT_POOLING:
-        if not 0.0 <= pooling_effort <= 1.0:
-            raise DomainError(f"pooled effort must be feasible, got {pooling_effort}")
         act = AgentAction(REFORM, pooling_effort)
         retention = (
             (_ANY_STATUS_QUO, REMOVE),

@@ -2,13 +2,13 @@
 
 Every check here re-derives its target from game primitives rather than
 trusting the equilibrium constructors: expected utilities are integrated
-from the payoff table (any number of cells in one vectorised call), deviations
-are sought on a dense effort grid (each run of constant retention evaluated
-near its utility's vertex only, all runs packed into shared blocks), beliefs
-are recomputed by enumerating the joint distribution, and news
-classifications come from the same enumeration. The primitives are the
-policy payoff of :func:`_policy_payoff`, the effort cost e^2/(2 lambda) and
-the office rent R paid on retention.
+from the payoff table (any number of cells in one vectorised call), the best
+deviation is found exactly on each effort piece of constant retention, where
+the reform utility is a concave quadratic, beliefs are recomputed by
+enumerating the joint distribution, and news classifications come from the
+same enumeration. The primitives are the policy payoff of
+:func:`_policy_payoff`, the effort cost e^2/(2 lambda) and the office rent R
+paid on retention.
 """
 
 from __future__ import annotations
@@ -43,11 +43,8 @@ from .model_core import Params, Record, posteriors, require_integer
 NEUTRAL_BAND = 1e-9
 #: largest gap between a recomputed and a stored belief that still passes
 BAYES_TOL = 1e-9
-#: largest deviation-scan grid; a check's memory is constant, and this bounds its time where
-#: huge rents widen the scan's windows to whole runs (~0.15 s; under 0.4 ms otherwise)
+#: largest ``grid_size`` whose resolution sets the deviation tolerance
 MAX_GRID_SIZE = 10_000_001
-#: most efforts per deviation-scan block, so that one block's (10, B) work buffers stay in cache
-SCAN_BLOCK = 1 << 13
 #: whether each regime sees a reform's effort and its outcome, read once off :func:`observe`
 _SEES = {r: (o.effort is not None, o.outcome is not None)
          for r in REGIMES for o in [observe(r, AgentAction(REFORM), SUCCESS)]}
@@ -65,41 +62,14 @@ def _policy_payoff(agent_type: str, outcome: str, params: Params) -> float:
     raise DomainError(f"bad outcome {outcome!r}")
 
 
-def _retention_runs(eq: Equilibrium, grid_size: int, step: float, eps: float) -> list:
-    """(lo, hi, retained) runs of constant reform retention over the grid indices [0, G);
-    point i is ``i * step``, the last one 1.0. An effort piece's run starts at the first
-    index whose effort reaches its exact start, found by arithmetic and confirmed by exact
-    comparison; pieces with no grid point drop out, and neighbours kept alike join."""
-    effort, firsts = lambda i: 1.0 if i == grid_size - 1 else i * step, []
-    for start, pair in zip(*eq.retention_pieces(eps)):
-        i = math.ceil(min(max(start, 0.0), 1.0) * (grid_size - 1))
-        while i > 0 and effort(i - 1) >= start:
-            i -= 1
-        while i < grid_size and effort(i) < start:
-            i += 1
-        if firsts and firsts[-1][0] == i:  # the piece before has no grid point
-            firsts.pop()
-        if i < grid_size and (not firsts or firsts[-1][1] != pair):
-            firsts.append((i, pair))
-    return [(lo, hi, pair) for (lo, pair), (hi, _) in zip(firsts, firsts[1:] + [(grid_size, 0)])]
-
-
-def _reform_utility(mu, effort, payoffs: tuple, retained: tuple, params: Params, out: tuple):
-    """Expected utility of reforming at the 1-D array ``effort`` with state
-    posterior ``mu``, given the policy payoffs of success and of failure and
-    the retention after each, broadcast into the buffers ``out`` = (success
-    term, failure term, cost); the first one is returned holding the sum."""
-    pay_succ, pay_fail = payoffs
-    kept_succ, kept_fail = retained
-    p_succ, p_fail, cost = out  # each ufunc's third argument is its output
-    np.multiply(mu, effort, p_succ)
-    np.subtract(1.0, p_succ, p_fail)
-    np.multiply(p_fail, pay_fail + params.R * kept_fail, p_fail)
-    np.multiply(p_succ, pay_succ + params.R * kept_succ, p_succ)
-    np.multiply(effort, effort, cost)
-    np.divide(cost, 2.0 * params.lam, cost)
-    np.subtract(p_succ, cost, p_succ)  # -cost + success term, bit for bit
-    return np.add(p_succ, p_fail, p_succ)
+def _reform_utility(mu, effort, payoffs: tuple, retained: tuple, params: Params):
+    """Expected utility of reforming at ``effort`` with state posterior ``mu``, given
+    the policy payoffs of success and of failure and the retention after each,
+    broadcast."""
+    (pay_succ, pay_fail), (kept_succ, kept_fail) = payoffs, retained
+    p_succ = mu * effort
+    return (p_succ * (pay_succ + params.R * kept_succ) - effort * effort / (2.0 * params.lam)
+            + (1.0 - p_succ) * (pay_fail + params.R * kept_fail))
 
 
 def _cell_utilities(cells, params: Params, eq: Equilibrium) -> list:
@@ -118,8 +88,7 @@ def _cell_utilities(cells, params: Params, eq: Equilibrium) -> list:
         rows.append((post.mu(s), action.effort, _policy_payoff(t, outcomes[0], params),
                      _policy_payoff(t, outcomes[1], params), *pair))
     cols = np.array(rows).T  # (6, n): mu, effort, the two payoffs, the two retentions
-    return _reform_utility(cols[0], cols[1], cols[2:4], cols[4:], params,
-                           np.empty((3, len(rows)))).tolist()
+    return _reform_utility(cols[0], cols[1], cols[2:4], cols[4:], params).tolist()
 
 
 def expected_utility(
@@ -198,133 +167,64 @@ def documented_opaque_gap(params: Params) -> float:
 
 
 def default_dev_tol(params: Params, grid_size: int) -> float:
-    """1e-9 plus the grid-resolution bound on the missed gain; the utility's
-    effort derivative is bounded by 1 + R + 1/lambda."""
+    """1e-9 plus the bound on the gain that an effort grid of ``grid_size`` points can
+    miss; the utility's effort derivative is bounded by 1 + R + 1/lambda."""
     return 1e-9 + (1.0 + params.R + 1.0 / params.lam) / (2.0 * grid_size)
 
 
 def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -> DeviationReport:
-    """Grid no-profitable-deviation check at tolerance :func:`default_dev_tol`.
+    """Exact no-profitable-deviation check at tolerance :func:`default_dev_tol`, the
+    only thing ``grid_size`` sets.
 
-    For each (type, signal) cell, finds the best of the status quo and the
-    reforms on ``np.linspace(0, 1, grid_size)`` and on the sorted extras
-    (candidate optima, equilibrium efforts, retention breakpoints), all four
-    cells per block. On a run of constant retention, with success and failure
-    worth a and b, the reform utility m e a + (1 - m e) b - e^2/(2 lambda) is
-    a concave quadratic with vertex lambda m (a - b), computed to within
-    delta = 16 * 2^-53 * (|a| + |b| + 1/(2 lambda)). Points over h steps from
-    the run's point nearest the vertex trail it by h (h + 1) step^2/(2 lambda)
-    or more; where that exceeds 2 delta they cannot hold or tie the computed
-    maximum. So a run is evaluated only on its cells' merged windows of h + 1
-    points either side (one for rounding), and the report equals a full-grid
-    scan's bit for bit. Runs are cut where the grid reaches the exact starts of
-    the equilibrium's effort pieces, with no rounding argument. All runs'
-    windows are packed into blocks of up to ``SCAN_BLOCK`` efforts, the extras
-    sorted into the last; equal efforts have equal retention, so a plain sort
-    will do, and one lookup of a block's efforts in the pieces gives its
-    retention (two floats where one run fills a block, or all share one
-    piece). Every reform equilibrium effort is an extra, so the cells'
-    equilibrium utilities are read off that block; the status quo is worth
-    d + R * retained, as :func:`_cell_utilities` gives it. Rents over about
-    7e13 / lambda widen windows to whole runs. A cell's best moves on a
-    greater utility, or an equal one at a smaller effort: the first merged,
-    sorted maximum.
+    For each (type, signal) cell, finds the best of the status quo and every reform
+    effort in [0, 1]. Reform retention is constant on each of the equilibrium's
+    effort pieces. On a piece, with success and failure worth a and b (the policy
+    payoff, plus R where kept), the reform utility m e a + (1 - m e) b - e^2/(2 lambda)
+    is a concave quadratic with vertex lambda m (a - b). So its supremum over the piece's
+    floats in [0, 1], from lo to hi (the float below the next start), is attained at lo,
+    at hi or at the vertex clamped to them, and the report needs no open end. These
+    three candidates of every piece and cell, and the cells' reform equilibrium
+    efforts, are scored in one :func:`_reform_utility` call. The candidates never
+    decrease in piece order, so a cell's best reform is its first maximum, the smaller
+    effort on a tie. The status quo is worth d + R * retained, as
+    :func:`_cell_utilities` gives it, and wins a tie with a reform.
     """
     grid_size = require_integer("grid_size", grid_size)
     if not 2 <= grid_size <= MAX_GRID_SIZE:
         raise DomainError(f"grid_size must be in [2, {MAX_GRID_SIZE}], got {grid_size}")
     dev_tol = default_dev_tol(params, grid_size)
-    post = posteriors(params)
-    lam, R, eps = params.lam, params.R, params.eps_tol
-
-    extras = {0.0, 1.0}
-    for mu in (post.mu_plus, post.mu_minus):
-        for w in (1.0, R, 1 + R):
-            extras.add(min(1.0, max(0.0, lam * w * mu)))
-    extras.update(act.effort for act in eq.profile.actions() if act.policy == REFORM)
-    if eq.pooling_effort is not None:
-        extras.add(eq.pooling_effort)
-    extras.update(v for p, _ in eq.retention if (v := p.effort_value) is not None and 0 <= v <= 1)
-    extra = np.array(list(extras), dtype=float)
-    step = 1.0 / (grid_size - 1)
-    rows = [(post.mu(s), _policy_payoff(t, SUCCESS, params), _policy_payoff(t, FAILURE, params))
-            for t, s in CELLS]
-    cols = np.array(rows)  # (4, 3): mu, success payoff, failure payoff
-    mu, pay = cols[:, :1], (cols[:, 1:2], cols[:, 2:])
-
-    # retention does not depend on the deviator's cell: one decision per run, and the
-    # cells' windows on it merged into (start, stop, retained) spans, each index once
-    spans, steps, cost_term = [], grid_size - 1, 0.5 / lam
-    for lo, hi, kept in _retention_runs(eq, grid_size, step, eps):
-        windows, rent_succ, rent_fail = [], R * kept[0], R * kept[1]
-        for m, pay_succ, pay_fail in rows:
-            # points over h - 1 steps from the one nearest the vertex trail it by
-            # over 2 delta; one more step covers the rounding of the vertex
-            a, b = pay_succ + rent_succ, pay_fail + rent_fail
-            delta = 16 * 2.0 ** -53 * (abs(a) + abs(b) + cost_term)
-            h = int(min(2 * math.sqrt(lam * delta) * steps, grid_size)) + 2
-            c = round(min(max(lam * m * (a - b) * steps, lo), hi - 1))
-            windows.append((max(c - h, lo), min(c + h + 1, hi)))
-        done = lo
-        for w_lo, w_hi in sorted(windows):
-            if w_hi > done:
-                spans.append((max(w_lo, done), w_hi, kept))
-                done = w_hi
-    width = min(SCAN_BLOCK, sum(stop - start for start, stop, _ in spans))
-    index = np.arange(width, dtype=float)
-    starts, pairs = eq.retention_pieces(eps)  # with one piece, no effort needs a lookup
-    lookup = len(starts) > 1 and (np.array(starts), np.array(pairs, dtype=float))  # (P,), (P, 2)
-    # a block's efforts; its 4 success and 4 failure terms and its cost are laid out (9, n)
-    # in ``terms``, C-contiguous for argmax
-    pack, terms = np.empty(width + extra.size), np.empty(9 * (width + extra.size))
-
-    def blocks():
-        # the spans packed ``width`` points at a time; the last block takes the extras too,
-        # sorted in. A block gets its retention in one lookup of its efforts in the pieces,
-        # or two floats where it lies in one piece, which build no (4, n) temporaries
-        n = 0
-        for start, stop, kept in spans:
-            while start < stop:
-                k = min(width - n, stop - start)
-                np.add(index[:k], start, out=pack[n:n + k])
-                start, n = start + k, n + k
-                last = start == spans[-1][1]
-                if n == width or last:
-                    e = np.multiply(pack[:n], step, out=pack[:n])
-                    if start == grid_size:
-                        e[-1] = 1.0  # as linspace: i * step, then the exact endpoint
-                    if last:  # equal efforts have equal retention: no stable sort is needed
-                        pack[n:n + extra.size] = extra
-                        e = pack[:n + extra.size]
-                        e.sort()
-                    one_run = n == k == width and not last  # a full block one span filled
-                    yield e, kept if one_run or not lookup else lookup[1][
-                        np.searchsorted(lookup[0], e, side="right") - 1].T
-                    n = 0
-
-    scan = [(-math.inf, 0.0)] * len(CELLS)  # each cell's best (utility, effort) so far
-    for e, kept in blocks():
-        out = terms[:9 * len(e)].reshape(9, len(e))
-        u = _reform_utility(mu, e, pay, kept, params, (out[:4], out[4:8], out[8]))
-        for k, i in enumerate(u.argmax(axis=1).tolist()):
-            u_k, e_k = u.item(k, i), e.item(i)
-            if u_k > scan[k][0] or u_k == scan[k][0] and e_k < scan[k][1]:
-                scan[k] = u_k, e_k
+    post, lam, R, eps = posteriors(params), params.lam, params.R, params.eps_tol
+    starts, kept = eq.retention_pieces(eps)
+    pieces = [(max(0.0, start), min(math.nextafter(end, -math.inf), 1.0), pair)
+              for start, end, pair in zip(starts, starts[1:] + [math.inf], kept)
+              if start <= 1.0 and end > 0.0]  # each piece that meets [0, 1], as float ranges
+    # each cell's state posterior and its payoffs after success and after failure
+    terms = [(post.mu(s), _policy_payoff(t, SUCCESS, params), _policy_payoff(t, FAILURE, params))
+             for t, s in CELLS]
+    # the efforts each cell scores, three candidates a piece and then every cell's equilibrium
+    # effort, and each column's retention after success and after failure
+    efforts, retained, acts = [[] for _ in CELLS], [], eq.profile.actions()
+    for lo, hi, (kept_succ, kept_fail) in pieces:
+        retained += [(kept_succ, kept_fail)] * 3
+        for row, (mu, pay_succ, pay_fail) in zip(efforts, terms):
+            top = lam * mu * (pay_succ + R * kept_succ - (pay_fail + R * kept_fail))  # the vertex
+            row += lo, min(max(top, lo), hi), hi
+    n = len(retained)
+    retained += [kept[bisect_right(starts, a.effort) - 1] for a in acts]
+    cols = np.array(terms).T[:, :, None]  # (3, 4, 1)
+    us = _reform_utility(cols[0], np.array([row + [a.effort for a in acts] for row in efforts]),
+                         cols[1:], np.array(retained, dtype=float).T, params).tolist()
 
     sq = AgentAction(STATUS_QUO)  # d + R * retained in every cell, as _cell_utilities gives it
     sq_u = float(params.d) + float(R) * eq.retains(sq, SQ_OUTCOME, eps)
-    # a reform equilibrium effort is an extra: the last block's last point at that effort
-    acts = eq.profile.actions()
-    ends = np.searchsorted(e, [a.effort for a in acts], side="right").tolist()
-    eq_us = [u.item(k, i - 1) for k, i in enumerate(ends)]
     cells: dict[tuple[str, str], DeviationCell] = {}
-    for (t, s), eq_action, eq_u, (scan_u, scan_e) in zip(CELLS, acts, eq_us, scan):
-        if eq_action.policy == STATUS_QUO:
-            eq_u = sq_u
-        if sq_u >= scan_u:
+    for k, ((t, s), eq_action, row) in enumerate(zip(CELLS, acts, us)):
+        eq_u = row[n + k] if eq_action.policy == REFORM else sq_u
+        i = row.index(reform_u := max(row[:n]))  # the first maximum
+        if sq_u >= reform_u:
             best_action, best_u = sq, sq_u
         else:
-            best_action, best_u = AgentAction(REFORM, scan_e), scan_u
+            best_action, best_u = AgentAction(REFORM, efforts[k][i]), reform_u
         if best_u <= eq_u:
             # no improving deviation: the equilibrium action is best
             best_action, best_u = eq_action, eq_u

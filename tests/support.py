@@ -3,16 +3,17 @@
 Everything here is deliberately independent of the library's solution path:
 grid maximizers instead of first-order conditions, joint-distribution
 enumeration instead of stored beliefs, dense scans instead of closed-form
-roots and of the deviation scan's vertex windows, a pattern-by-pattern
-interpreter instead of the compiled first-match table, retention runs found
-by probing grid indices instead of cut at exact effort-piece starts, one
-scalar utility per cell instead of the cells scored in one call, one
-observation per joint mass instead of one per observed class, and
-assumption reports and ``solve`` gates evaluated afresh on every call
-instead of read from one memoized refusal table.
+roots and of the deviation oracle's exact per-piece candidates, a
+pattern-by-pattern interpreter instead of the compiled first-match table and
+its effort pieces, one scalar utility per cell instead of the cells scored
+in one call, one observation per joint mass instead of one per observed
+class, and assumption reports and ``solve`` gates evaluated afresh on every
+call instead of read from one memoized refusal table.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,11 +24,11 @@ from reformlab import (
 from reformlab.equilibrium import (
     CELLS, CONGRUENT, FAILURE, NONTRANSPARENT, OPAQUE, REFORM, REGIMES, RETAIN, SQ_OUTCOME,
     STATUS_QUO, SUCCESS, TRANSPARENT_POOLING, TRANSPARENT_SEPARATING, AgentAction, Equilibrium,
-    Observation, observe,
+    Observation, _check_effort, observe,
 )
 from reformlab.model_core import AssumptionReport, CheckResult
 from reformlab.verification import (
-    BAYES_TOL, MAX_GRID_SIZE, SCAN_BLOCK, BayesEntry, BayesReport, BreakEvenReport,
+    BAYES_TOL, MAX_GRID_SIZE, BayesEntry, BayesReport, BreakEvenReport,
     DeviationCell, DeviationReport, _policy_payoff, _reform_utility, default_dev_tol,
     documented_opaque_gap, joint_outcome_distribution,
 )
@@ -79,7 +80,7 @@ def opaque_failure_mass(params: Params) -> float:
 # ``_interpreted_decide`` and ``_interpreted_belief`` were ``Equilibrium.decide``
 # and ``Equilibrium.belief``. ``obs`` is anything with ``policy``, ``effort`` and
 # ``outcome``; ``_interpreted_decide`` also takes an array of efforts and then
-# returns a bool array, the reference for the deviation scan's retention runs.
+# returns a bool array, the retention of ``dense_deviation_check``'s grid blocks.
 def _matches(self, obs, eps):
     if obs.policy != self.policy:
         return False
@@ -195,7 +196,7 @@ def scalar_expected_utility(
     payoffs = tuple(_policy_payoff(agent_type, o, params) for o in (SUCCESS, FAILURE))
     retained = _reform_retention(eq, action.effort, eps)
     return float(_reform_utility(posteriors(params).mu(signal), np.array([action.effort]),
-                                 payoffs, retained, params, np.empty((3, 1)))[0])
+                                 payoffs, retained, params)[0])
 
 
 def scalar_divinity_breakeven(
@@ -221,62 +222,26 @@ def scalar_divinity_breakeven(
     return BreakEvenReport(deviation=deviation, p_bar=p_bar, ordering=ordering)
 
 
-# ``verification._Retention`` and ``_retention_runs`` as they were before the runs
-# were cut at the equilibrium's exact effort-piece starts, copied verbatim: retention
-# read one scalar at a time, and run boundaries found by probing four grid indices
-# around each v - eps, v and v + eps. The reference for the runs, and the runs of
-# ``dense_deviation_check``.
-class _Retention(dict):
-    """An equilibrium's retention at a tolerance, each read once: by effort, a reform's
-    (after success, after failure); at ``None``, the status quo's twice."""
-
-    def __init__(self, eq: Equilibrium, eps: float):
-        self.retains = lambda action, outcome: eq.retains(action, outcome, eps)
-
-    def __missing__(self, effort):
-        if effort is None:
-            kept = self[None] = (self.retains(AgentAction(STATUS_QUO), SQ_OUTCOME),) * 2
-        else:
-            action = AgentAction(REFORM, effort)
-            kept = self[effort] = self.retains(action, SUCCESS), self.retains(action, FAILURE)
-        return kept
+#: most efforts per block of the dense scan
+SCAN_BLOCK = 1 << 13
 
 
-def _retention_runs(eq: Equilibrium, grid_size: int, step: float, eps: float, reads=None) -> list:
-    """(lo, hi, retained) runs of constant reform retention over the grid
-    indices [0, G); point i is ``i * step``, the last one 1.0. Retention
-    flips only at a pattern's v - eps, v or v + eps; ``i * step`` and the
-    comparisons round by under 1e-15, far below a spacing for G <=
-    MAX_GRID_SIZE, so a flip at t lies between i and i + 1 with i within one
-    of floor(t (G - 1)): decisions are read there, -1 ... +2, through ``reads``."""
-    reads = _Retention(eq, eps) if reads is None else reads
-    near: set[int] = set()
-    for v in {pattern.effort_value for pattern, _ in eq.retention} - {None}:
-        for t in (v - eps, v, v + eps):
-            k = int(min(max(t, 0.0), 1.0) * (grid_size - 1))
-            near.update(range(max(k - 1, 0), min(k + 3, grid_size)))
-    kept = {i: reads[1.0 if i == grid_size - 1 else i * step] for i in near | {0}}
-    cuts = [i for i in sorted(near) if i - 1 in kept and kept[i - 1] != kept[i]]
-    bounds = [0, *cuts, grid_size]
-    return [(lo, hi, kept[lo]) for lo, hi in zip(bounds, bounds[1:])]
-
-
-# ``verification.deviation_check`` as it was before it scanned each retention run
-# only near its utility vertex, copied verbatim but for its name and for scoring
-# its cells with ``scalar_expected_utility``: every point of the grid is evaluated,
-# in the runs of the verbatim ``_retention_runs`` above.
-# The reference for the windowed scan's reports, bit for bit.
+# ``verification.deviation_check`` as it was while it scanned a grid, before it
+# scored each retention piece's exact candidates: every point of the grid is
+# evaluated, scored with ``scalar_expected_utility`` for the cells, and a grid
+# block's retention is decided point by point by the verbatim interpreter above.
+# The independent reference that the exact oracle must match to within the grid's
+# resolution, and never fall below.
 def dense_deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -> DeviationReport:
     """Brute-force no-profitable-deviation check at tolerance
     :func:`default_dev_tol`.
 
     For each (type, signal) cell, scans the status quo plus reforms on
-    ``np.linspace(0, 1, grid_size)``, built ``SCAN_BLOCK`` efforts at a time
-    within runs of constant retention, then on the sorted extras (candidate
-    optima, equilibrium efforts, retention breakpoints) as one more block,
-    all four cells per block in preallocated buffers. A cell's best moves on
-    a greater utility, or an equal one at a smaller effort: the first
-    merged, sorted maximum.
+    ``np.linspace(0, 1, grid_size)``, built ``SCAN_BLOCK`` efforts at a time,
+    then on the sorted extras (candidate optima, equilibrium efforts,
+    retention breakpoints) as one more block, all four cells per block. A
+    cell's best moves on a greater utility, or an equal one at a smaller
+    effort: the first merged, sorted maximum.
     """
     if not 2 <= grid_size <= MAX_GRID_SIZE:
         raise DomainError(f"grid_size must be in [2, {MAX_GRID_SIZE}], got {grid_size}")
@@ -296,33 +261,25 @@ def dense_deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_
     for pattern, _ in eq.retention:
         if pattern.effort_value is not None and 0.0 <= pattern.effort_value <= 1.0:
             extras.add(pattern.effort_value)
-    extra = np.array(sorted(extras))
-    extra_kept = np.array([_reform_retention(eq, float(x), eps) for x in extra])
     step = 1.0 / (grid_size - 1)
-    index = np.arange(SCAN_BLOCK, dtype=float)
-    # 4 success terms, 4 failure terms, cost, grid efforts; wide enough for the extras' block
-    work = np.empty((10, max(SCAN_BLOCK, len(extra))))
 
     def blocks():
-        # retention does not depend on the deviator's cell: one decision per run
-        for lo, hi, kept in _retention_runs(eq, grid_size, step, eps):
-            for start in range(lo, hi, SCAN_BLOCK):
-                n = min(SCAN_BLOCK, hi - start)
-                e = np.add(index[:n], start, out=work[9, :n])
-                e *= step
-                if start + n == grid_size:
-                    e[-1] = 1.0  # as linspace: i * step, then the exact endpoint
-                yield e, kept
-        yield extra, tuple(extra_kept.T)
+        for start in range(0, grid_size, SCAN_BLOCK):
+            e = np.arange(start, min(start + SCAN_BLOCK, grid_size), dtype=float) * step
+            if start + e.size == grid_size:
+                e[-1] = 1.0  # as linspace: i * step, then the exact endpoint
+            yield e
+        yield np.array(sorted(extras))
 
     mu = np.array([[post.mu(s)] for _, s in CELLS])
     pay = np.array([[_policy_payoff(t, o, params) for o in (SUCCESS, FAILURE)] for t, _ in CELLS])
     rows = np.arange(len(CELLS))
     scan_u, scan_e = np.full(len(CELLS), -np.inf), np.zeros(len(CELLS))
-    for e, kept in blocks():
-        n = len(e)
-        u = _reform_utility(mu, e, (pay[:, :1], pay[:, 1:]), kept, params,
-                            (work[:4, :n], work[4:8, :n], work[8, :n]))
+    for e in blocks():
+        # an Observation refuses an array of efforts; the interpreter reads any object
+        kept = [np.broadcast_to(_interpreted_decide(eq, SimpleNamespace(
+            policy=REFORM, effort=e, outcome=o), eps), e.shape) for o in (SUCCESS, FAILURE)]
+        u = _reform_utility(mu, e, (pay[:, :1], pay[:, 1:]), kept, params)
         i = np.argmax(u, axis=1)
         u_max, e_max = u[rows, i], e[i]
         better = (u_max > scan_u) | ((u_max == scan_u) & (e_max < scan_e))
@@ -557,8 +514,11 @@ def reference_solve(params: Params, regime: str, *, rent_mode="relaxed", check: 
         raise DomainError(f"unknown regime {regime!r}")
     if pooling_effort is not None and regime != TRANSPARENT_POOLING:
         raise DomainError(f"a pooling effort applies only to transparent_pooling, not {regime}")
-    if regime == TRANSPARENT_POOLING and pooling_effort is None:
-        pooling_effort = _pooling_family(params)[0]
+    if regime == TRANSPARENT_POOLING:
+        if pooling_effort is None:
+            pooling_effort = _pooling_family(params)[0]
+        # added later: a pooled effort that is not a real number in [0, 1] is refused first
+        _check_effort(pooling_effort, "pooled effort")
     if check:
         report = _require(params, rent_mode)
         if regime == OPAQUE and not report.informativeness.passed:

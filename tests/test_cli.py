@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from reformlab import DomainError, Params, SweepAxis, SweepSpec, run_sweep
 from reformlab.cli import MAX_SWEEP_STEPS, SWEEP_GROUPS, _json_dumps, run
+from reformlab.equilibrium import REGIMES
 from reformlab.montecarlo import MAX_DRAWS
 
 SANITY = {"p": 0.99, "phi": 0.75, "lambda": 0.5, "R": 0.25, "d": 0.0125, "pi": 0.9, "M": 0}
@@ -114,8 +115,9 @@ class TestVerify:
         rc = run(["verify", "--regime", "nontransparent", "--params", "sanity",
                   "--grid", "5001", "--out", str(out)])
         assert rc == 0
-        table = capsys.readouterr().out
-        assert "verdict" in table and "pass" in table
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verdict" in captured.err and "pass" in captured.err  # the table
         blob = json.loads(out.read_text())
         assert set(blob) == {"deviation", "bayes", "news", "breakeven_status_quo"}
         assert blob["deviation"]["passed"] is True
@@ -124,7 +126,17 @@ class TestVerify:
     def test_documented_failure_does_not_fail_exit(self, capsys):
         rc = run(["verify", "--regime", "opaque", "--params", "sanity", "--grid", "5001"])
         assert rc == 0
-        assert "fail (documented)" in capsys.readouterr().out
+        assert "fail (documented)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_stdout_is_one_json_document(self, capsys, regime):
+        # the table goes to stderr, so stdout parses; before, the table came first
+        rc = run(["verify", "--regime", regime, "--params", "part3", "--grid", "5001"])
+        captured = capsys.readouterr()
+        blob = json.loads(captured.out)
+        assert set(blob) == {"deviation", "bayes", "news", "breakeven_status_quo"}
+        assert rc == (0 if blob["deviation"]["passed"] and blob["bayes"]["passed"] else 1)
+        assert captured.err.startswith("type ")  # the deviation table's header
 
 
 class TestWelfare:
@@ -533,6 +545,18 @@ class TestMalformedInput:
         code, out, err = _run_on_file(argv, content)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("effort", ["nan", "5", "-0.5"])
+    @pytest.mark.parametrize("fixture", ["sanity", "part3"])
+    def test_bad_pooled_effort_is_usage_error(self, capsys, fixture, effort):
+        # before, sanity's empty pooling family was named first, with exit 1
+        argv = ["solve", "--params", fixture, "--regime", "transparent_pooling",
+                "--pooling-effort", effort]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: pooled effort must be a real number in [0, 1]")
+        assert captured.err.count("\n") == 1
 
     @settings(max_examples=60, deadline=None)
     @given(command=_PARAMS_COMMANDS, content=_PARAMS.map(_dump))

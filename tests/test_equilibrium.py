@@ -380,6 +380,17 @@ class TestRefusalTable:
                     optimal_regime(params, rent_mode=mode, strict=check)
                 assert str(exc.value) == message
 
+    @pytest.mark.parametrize("effort", [math.nan, math.inf, 5.0, -0.5, 1.5])
+    def test_bad_pooled_effort_is_refused_before_any_gate(self, effort, sanity, part3):
+        # before, the gates ran first: at sanity, whose pooling family is empty, a gated
+        # solve refused such an effort as pooling_family_nonempty, at part3 as infeasible
+        message = f"pooled effort must be a real number in [0, 1], got {effort!r}"
+        for params in (sanity, part3):
+            for check in (True, False):
+                with pytest.raises(DomainError) as exc:
+                    solve(params, "transparent_pooling", pooling_effort=effort, check=check)
+                assert str(exc.value) == message, (params, check)
+
     @pytest.mark.parametrize("case", ["core", "informativeness", "separation", "no_pool",
                                       "no_pool_gated"])
     def test_every_refusal_is_a_fresh_exception(self, case):

@@ -168,7 +168,7 @@ REFUSAL_KINDS = {
     "separation_feasible": r"AssumptionError:separation_feasible:separating effort",
     "pooling_family_nonempty": r"AssumptionError:pooling_family_nonempty:no pooling",
     "outside_family": r"DomainError::e_star .* outside pooling family",
-    "infeasible_pooled_effort": r"DomainError::pooled effort must be feasible",
+    "infeasible_pooled_effort": r"DomainError::pooled effort must be a real number in \[0, 1\]",
     "unknown_regime": r"DomainError::unknown regime",
     "underflow": r"UnderflowError::opaque: the probability of an on-path reform outcome",
 }

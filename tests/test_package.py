@@ -180,12 +180,23 @@ def names_used(module: str) -> set[str]:
 
 
 def test_verification_uses_no_closed_form_effort():
-    # the deviation scan places its windows from the oracle's own payoff primitives
+    # the deviation oracle takes each piece's vertex from its own payoff primitives: it
+    # imports, reads and calls none of these, under any alias
     defined = {node.name for node in ast.parse(MODULES["equilibrium"].read_text()).body
                if isinstance(node, ast.FunctionDef)}
     assert CLOSED_FORM <= defined
     assert names_used("verification").isdisjoint(CLOSED_FORM)
     assert "raw_profile" in names_used("welfare")  # the reader sees a real use
+
+
+def test_verification_imports_no_closed_form_effort():
+    # the oracle's independence at its import statements: the vertex it scores comes
+    # from the payoff primitives, never from the profile builder or the interior effort
+    imported = {name for node in ast.walk(ast.parse(MODULES["verification"].read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names for name in (alias.name, alias.asname)}
+    assert imported.isdisjoint({"raw_profile", "interior_effort"})
+    assert "posteriors" in imported  # the reader sees real imports
 
 
 def calls(name: str):
@@ -204,9 +215,9 @@ def calls_numpy(node) -> bool:
 
 
 def test_one_utility_path():
-    # the reform utility is evaluated by the scan and by the one cell scorer; the
-    # public one-cell and break-even entry points score through that scorer only,
-    # and the scan reads its cell utilities off its own pass
+    # the reform utility is evaluated by the deviation oracle and by the one cell
+    # scorer; the public one-cell and break-even entry points score through that
+    # scorer only, and the oracle scores its cells' utilities in its own call
     assert sites(calls("_reform_utility")) == {("verification", "deviation_check"),
                                                ("verification", "_cell_utilities")}
     assert sites(calls("_cell_utilities")) == {("verification", "expected_utility"),

@@ -36,7 +36,7 @@ from reformlab.equilibrium import (
 from support import DOMAINS, _interpreted_belief, _interpreted_decide, opaque_failure_mass
 
 NONPOOLING_REGIMES = ("benchmark", "nontransparent", "opaque", "transparent_separating")
-#: the deviation scan's default grid, whose points are probed next to each tested value
+#: ``deviation_check``'s default grid size, whose points are probed next to each tested value
 GRID_SIZE = 100_001
 #: every (policy, outcome) an ``Observation`` can carry
 SHAPES = ((REFORM, None), (REFORM, SUCCESS), (REFORM, FAILURE), (STATUS_QUO, None),
