@@ -2,8 +2,8 @@
 
 Every check here re-derives its target from game primitives rather than
 trusting the equilibrium constructors: expected utilities are integrated
-from the payoff table (any number of cells in one vectorised call), the best
-deviation is found exactly on each effort piece of constant retention, where
+from the payoff table (one expression on Python floats per scored effort), the
+best deviation is found exactly on each effort piece of constant retention, where
 the reform utility is a concave quadratic, beliefs are recomputed by
 enumerating the joint distribution, and news classifications come from the
 same enumeration. The primitives are the policy payoff of
@@ -17,8 +17,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator
-
-import numpy as np
 
 from .errors import DomainError
 from .equilibrium import (
@@ -48,6 +46,8 @@ MAX_GRID_SIZE = 10_000_001
 #: whether each regime sees a reform's effort and its outcome, read once off :func:`observe`
 _SEES = {r: (o.effort is not None, o.outcome is not None)
          for r in REGIMES for o in [observe(r, AgentAction(REFORM), SUCCESS)]}
+#: the status quo, worth d + R * retained in every cell
+_SQ_ACTION = AgentAction(STATUS_QUO)
 
 
 def _policy_payoff(agent_type: str, outcome: str, params: Params) -> float:
@@ -64,8 +64,8 @@ def _policy_payoff(agent_type: str, outcome: str, params: Params) -> float:
 
 def _reform_utility(mu, effort, payoffs: tuple, retained: tuple, params: Params):
     """Expected utility of reforming at ``effort`` with state posterior ``mu``, given
-    the policy payoffs of success and of failure and the retention after each,
-    broadcast."""
+    the policy payoffs of success and of failure and the retention after each, in one
+    expression that floats and numpy arrays evaluate alike, operation for operation."""
     (pay_succ, pay_fail), (kept_succ, kept_fail) = payoffs, retained
     p_succ = mu * effort
     return (p_succ * (pay_succ + params.R * kept_succ) - effort * effort / (2.0 * params.lam)
@@ -73,22 +73,21 @@ def _reform_utility(mu, effort, payoffs: tuple, retained: tuple, params: Params)
 
 
 def _cell_utilities(cells, params: Params, eq: Equilibrium) -> list:
-    """Exact expected utilities of the (type, signal, action) ``cells`` in one
-    :func:`_reform_utility` call on 1-D arrays, a reform's retention looked up in the
+    """Exact expected utilities of the (type, signal, action) ``cells``, one
+    :func:`_reform_utility` call on floats a cell, a reform's retention looked up in the
     equilibrium's effort pieces. The status quo is a reform at effort 0 whose outcomes
     both pay d and keep its retention, so 0 * x = 0 and 1 * x = x make it
     d + R * retained, bit for bit."""
-    post, rows, (starts, kept) = posteriors(params), [], eq.retention_pieces(params.eps_tol)
+    post, out, (starts, kept) = posteriors(params), [], eq.retention_pieces(params.eps_tol)
     for t, s, action in cells:
         if action.policy == REFORM:
-            outcomes, pair = (SUCCESS, FAILURE), kept[bisect_right(starts, action.effort) - 1]
+            payoffs = _policy_payoff(t, SUCCESS, params), _policy_payoff(t, FAILURE, params)
+            pair = kept[bisect_right(starts, action.effort) - 1]
         else:
-            outcomes = (SQ_OUTCOME,) * 2
+            payoffs = (_policy_payoff(t, SQ_OUTCOME, params),) * 2
             pair = (eq.retains(action, SQ_OUTCOME, params.eps_tol),) * 2
-        rows.append((post.mu(s), action.effort, _policy_payoff(t, outcomes[0], params),
-                     _policy_payoff(t, outcomes[1], params), *pair))
-    cols = np.array(rows).T  # (6, n): mu, effort, the two payoffs, the two retentions
-    return _reform_utility(cols[0], cols[1], cols[2:4], cols[4:], params).tolist()
+        out.append(_reform_utility(post.mu(s), action.effort, payoffs, pair, params))
+    return out
 
 
 def expected_utility(
@@ -100,6 +99,8 @@ def expected_utility(
     state and action, applying the equilibrium's retention rule to each
     induced observation.
     """
+    if (agent_type, signal) not in CELLS:
+        raise DomainError(f"unknown cell ({agent_type!r}, {signal!r})")
     return _cell_utilities([(agent_type, signal, action)], params, eq)[0]
 
 
@@ -182,9 +183,9 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
     payoff, plus R where kept), the reform utility m e a + (1 - m e) b - e^2/(2 lambda)
     is a concave quadratic with vertex lambda m (a - b). So its supremum over the piece's
     floats in [0, 1], from lo to hi (the float below the next start), is attained at lo,
-    at hi or at the vertex clamped to them, and the report needs no open end. These
-    three candidates of every piece and cell, and the cells' reform equilibrium
-    efforts, are scored in one :func:`_reform_utility` call. The candidates never
+    at hi or at the vertex clamped to them, and the report needs no open end. Each of
+    these three candidates of every piece and cell, and each cell's reform equilibrium
+    effort, is scored by one :func:`_reform_utility` call on floats. The candidates never
     decrease in piece order, so a cell's best reform is its first maximum, the smaller
     effort on a tie. The status quo is worth d + R * retained, as
     :func:`_cell_utilities` gives it, and wins a tie with a reform.
@@ -198,33 +199,26 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
     pieces = [(max(0.0, start), min(math.nextafter(end, -math.inf), 1.0), pair)
               for start, end, pair in zip(starts, starts[1:] + [math.inf], kept)
               if start <= 1.0 and end > 0.0]  # each piece that meets [0, 1], as float ranges
-    # each cell's state posterior and its payoffs after success and after failure
-    terms = [(post.mu(s), _policy_payoff(t, SUCCESS, params), _policy_payoff(t, FAILURE, params))
-             for t, s in CELLS]
-    # the efforts each cell scores, three candidates a piece and then every cell's equilibrium
-    # effort, and each column's retention after success and after failure
-    efforts, retained, acts = [[] for _ in CELLS], [], eq.profile.actions()
-    for lo, hi, (kept_succ, kept_fail) in pieces:
-        retained += [(kept_succ, kept_fail)] * 3
-        for row, (mu, pay_succ, pay_fail) in zip(efforts, terms):
-            top = lam * mu * (pay_succ + R * kept_succ - (pay_fail + R * kept_fail))  # the vertex
-            row += lo, min(max(top, lo), hi), hi
-    n = len(retained)
-    retained += [kept[bisect_right(starts, a.effort) - 1] for a in acts]
-    cols = np.array(terms).T[:, :, None]  # (3, 4, 1)
-    us = _reform_utility(cols[0], np.array([row + [a.effort for a in acts] for row in efforts]),
-                         cols[1:], np.array(retained, dtype=float).T, params).tolist()
-
-    sq = AgentAction(STATUS_QUO)  # d + R * retained in every cell, as _cell_utilities gives it
-    sq_u = float(params.d) + float(R) * eq.retains(sq, SQ_OUTCOME, eps)
+    sq_u = float(params.d) + float(R) * eq.retains(_SQ_ACTION, SQ_OUTCOME, eps)
     cells: dict[tuple[str, str], DeviationCell] = {}
-    for k, ((t, s), eq_action, row) in enumerate(zip(CELLS, acts, us)):
-        eq_u = row[n + k] if eq_action.policy == REFORM else sq_u
-        i = row.index(reform_u := max(row[:n]))  # the first maximum
-        if sq_u >= reform_u:
-            best_action, best_u = sq, sq_u
+    for (t, s), eq_action in zip(CELLS, eq.profile.actions()):
+        pay_succ, pay_fail = _policy_payoff(t, SUCCESS, params), _policy_payoff(t, FAILURE, params)
+        mu, payoffs, efforts, us = post.mu(s), (pay_succ, pay_fail), [], []
+        for lo, hi, pair in pieces:  # three candidates a piece: its ends and its clamped vertex
+            top = lam * mu * (pay_succ + R * pair[0] - (pay_fail + R * pair[1]))
+            for e in (lo, min(max(top, lo), hi), hi):
+                efforts.append(e)
+                us.append(_reform_utility(mu, e, payoffs, pair, params))
+        if eq_action.policy == REFORM:
+            eq_pair = kept[bisect_right(starts, eq_action.effort) - 1]
+            eq_u = _reform_utility(mu, eq_action.effort, payoffs, eq_pair, params)
         else:
-            best_action, best_u = AgentAction(REFORM, efforts[k][i]), reform_u
+            eq_u = sq_u
+        i = us.index(reform_u := max(us))  # the first maximum
+        if sq_u >= reform_u:
+            best_action, best_u = _SQ_ACTION, sq_u
+        else:
+            best_action, best_u = AgentAction(REFORM, efforts[i]), reform_u
         if best_u <= eq_u:
             # no improving deviation: the equilibrium action is best
             best_action, best_u = eq_action, eq_u
@@ -383,11 +377,9 @@ def divinity_breakeven(
     Higher break-evens mark types with less to gain from the deviation; the
     refinement attributes the deviation to the lowest break-even type(s).
     """
-    post = posteriors(params)
-    e = deviation.effort
+    post, e, cells = posteriors(params), deviation.effort, tuple(eq.profile.cells())
     p_bar: dict[tuple[str, str], float] = {}
-    eq_us = _cell_utilities(eq.profile.cells(), params, eq)
-    for (t, s, _), eq_u in zip(eq.profile.cells(), eq_us):
+    for (t, s, _), eq_u in zip(cells, _cell_utilities(cells, params, eq)):
         if deviation.policy == STATUS_QUO:
             dev_policy = params.d
         else:

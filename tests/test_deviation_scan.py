@@ -18,8 +18,8 @@ retention with the verbatim pattern interpreter. The exact gain must reach
 the dense gain, less rounding, and exceed it by no more than the grid's
 resolution bound: the argument behind ``default_dev_tol``. The scalar
 one-cell utility and break-even are kept verbatim in ``support`` as the
-references for every cell utility, and a check's one utility call and its
-peak memory are pinned.
+references for every cell utility, and a check's utility calls (one per
+candidate, on Python floats) and its peak memory are pinned.
 """
 
 import dataclasses
@@ -307,8 +307,9 @@ class TestCellUtilities:
 class TestScanShape:
     @pytest.mark.parametrize("name", ["sanity", "part3"])
     def test_one_utility_call_and_small_peak(self, name, request):
-        # a check scores every candidate and its cells' equilibrium utilities in one
-        # utility call, and calls no other scorer; its memory is small
+        # a check scores each candidate in one utility call on Python floats and bools:
+        # per cell, three a piece that meets [0, 1] and one for its reform equilibrium
+        # effort; it calls no other scorer, and its memory is small
         params = request.getfixturevalue(name)
         exact = verification._reform_utility
         for eq in _equilibria(params):
@@ -318,7 +319,14 @@ class TestScanShape:
                 patch.setattr(verification, "_reform_utility",
                               lambda *args: calls.append(args) or exact(*args))
                 deviation_check(eq, params, 100_001)
-            assert len(calls) == 1, eq.regime
+            starts = eq.retention_pieces(params.eps_tol)[0]
+            pieces = sum(start <= 1.0 and end > 0.0
+                         for start, end in zip(starts, starts[1:] + [np.inf]))
+            reforms = sum(a.policy == REFORM for a in eq.profile.actions())
+            assert len(calls) == len(CELLS) * 3 * pieces + reforms, eq.regime
+            for mu, effort, payoffs, retained, _params in calls:
+                assert {type(x) for x in (mu, effort, *payoffs)} <= {float}, eq.regime
+                assert {type(x) for x in retained} <= {bool}, eq.regime
             tracemalloc.start()
             try:
                 deviation_check(eq, params, 100_001)

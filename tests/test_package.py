@@ -214,15 +214,28 @@ def calls_numpy(node) -> bool:
     return isinstance(func, ast.Name) and func.id in ("np", "numpy")
 
 
+def imported_roots(module: str) -> set[str]:
+    """Top-level names of the absolute imports in ``module``."""
+    found = set()
+    for node in ast.walk(ast.parse(MODULES[module].read_text())):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
 def test_one_utility_path():
     # the reform utility is evaluated by the deviation oracle and by the one cell
     # scorer; the public one-cell and break-even entry points score through that
-    # scorer only, and the oracle scores its cells' utilities in its own call
+    # scorer only, and the oracle scores its cells' utilities in its own calls.
+    # Both score Python floats: the oracles neither import nor call numpy
     assert sites(calls("_reform_utility")) == {("verification", "deviation_check"),
                                                ("verification", "_cell_utilities")}
     assert sites(calls("_cell_utilities")) == {("verification", "expected_utility"),
                                                ("verification", "divinity_breakeven")}
-    numpy_scopes = {scope.split(".")[0] for module, scope in sites(calls_numpy)
-                    if module == "verification"}
-    assert numpy_scopes.isdisjoint({"expected_utility", "divinity_breakeven"})
-    assert {"_cell_utilities", "deviation_check"} <= numpy_scopes  # the reader sees real uses
+    assert "numpy" not in imported_roots("verification")
+    assert {"math", "bisect"} <= imported_roots("verification")  # the reader sees real imports
+    numpy_modules = {module for module, _ in sites(calls_numpy)}
+    assert "verification" not in numpy_modules
+    assert {"model_core", "montecarlo"} <= numpy_modules  # the reader sees real uses

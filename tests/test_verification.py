@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from reformlab import (
     AgentAction,
     AssumptionError,
+    DomainError,
     Params,
     ReformLabError,
     UnresolvedObservationError,
@@ -93,6 +94,15 @@ class TestExpectedUtility:
         partial = dataclasses.replace(eq, retention=eq.retention[:1])
         with pytest.raises(UnresolvedObservationError):
             expected_utility(CONGRUENT, "g", AgentAction(REFORM, 0.5), partial, sanity)
+
+    @pytest.mark.parametrize("cell", [("nobody", "g"), ("Congruent", "b"), (CONGRUENT, "x"),
+                                      (NONCONGRUENT, None)])
+    @pytest.mark.parametrize("action", [AgentAction(REFORM, 0.5), AgentAction(STATUS_QUO)])
+    def test_unknown_cell_is_refused(self, sanity, cell, action):
+        # an unknown type is not scored as noncongruent, nor a bad signal as anything
+        eq = solve(sanity, "opaque")
+        with pytest.raises(DomainError, match=r"^unknown cell \("):
+            expected_utility(*cell, action, eq, sanity)
 
 
 class TestDeviationCheck:
