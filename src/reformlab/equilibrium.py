@@ -7,13 +7,13 @@ A regime fixes what the principal observes before the retention vote:
 * ``transparent``: policy choice, implementation effort, and outcome
 
 plus a no-accountability ``benchmark`` with no retention stage.
-:func:`solve` returns each regime's :class:`Equilibrium`, bundling the pure
-strategy profile, a pure retention rule, and a belief system over observables.
-Retention and beliefs are serialized as ordered pattern lists (first match
-wins). One first-match reader serves both lists: it walks the list on each
-read, and ``decide``, ``retains`` and ``belief`` call it, as
-``retention_pieces`` does at each piece start. An ``AgentAction`` or
-``Observation`` effort that is not a real number in [0, 1], or is a bool, is refused.
+:func:`solve` returns each regime's :class:`Equilibrium`, bundling the pure strategy
+profile, a pure retention rule, and a belief system over observables. Retention and
+beliefs are serialized as ordered pattern lists (first match wins), their effort tests
+buffered by the equilibrium's own ``eps_tol``. One first-match reader serves both lists:
+it walks the list on each read, and ``decide``, ``retains`` and ``belief`` call it, as
+``retention_pieces`` does at each piece start. An ``AgentAction`` or ``Observation``
+effort that is not a real number in [0, 1], or is a bool, is refused.
 """
 
 from __future__ import annotations
@@ -204,12 +204,15 @@ class Equilibrium:
     ``retention`` and ``beliefs`` are ordered (pattern, value) lists, first match
     wins. An empty retention list means no retention stage (benchmark): the agent
     keeps office regardless of play, so the office term is constant across actions.
+    ``eps_tol`` buffers the patterns' effort tests for every reader; :func:`solve` sets it
+    from ``params.eps_tol``, and ``dataclasses.replace(eq, eps_tol=x)`` reads at ``x``.
     """
 
     regime: str
     profile: StrategyProfile
     retention: tuple[tuple[ObservationPattern, str], ...]
     beliefs: tuple[tuple[ObservationPattern, float], ...]
+    eps_tol: float
     pooling_effort: Optional[float] = None
 
     def __post_init__(self):
@@ -218,24 +221,26 @@ class Equilibrium:
         for _, decision in self.retention:
             if decision not in (RETAIN, REMOVE):
                 raise DomainError(f"bad retention decision {decision!r}")
-        object.__setattr__(self, "_pieces", {})  # retention pieces by eps
+        if not 0.0 <= self.eps_tol < math.inf:
+            raise DomainError(f"eps_tol must be finite and >= 0, got {self.eps_tol}")
+        object.__setattr__(self, "_pieces", None)  # retention pieces, built on first read
 
-    def decide(self, obs: Observation, eps: float = 1e-12) -> bool:
+    def decide(self, obs: Observation) -> bool:
         """True iff retained after ``obs``."""
-        return self._first_match(("retention", _shape(obs)), obs.effort, eps) == RETAIN
+        return self._first_match(("retention", _shape(obs)), obs.effort) == RETAIN
 
-    def retains(self, action: AgentAction, outcome: str, eps: float = 1e-12) -> bool:
-        """``decide(observe(regime, action, outcome), eps)`` without building the observation;
+    def retains(self, action: AgentAction, outcome: str) -> bool:
+        """``decide(observe(regime, action, outcome))`` without building the observation;
         (``action.policy``, ``outcome``) is one of ``OBSERVATION_CLASSES``."""
         key = _CLASS_VIEWS[self.regime][action.policy, outcome]
-        return self._first_match(key, action.effort, eps) == RETAIN
+        return self._first_match(key, action.effort) == RETAIN
 
-    def belief(self, obs: Observation, eps: float = 1e-12) -> float:
+    def belief(self, obs: Observation) -> float:
         """Posterior probability the agent is congruent after ``obs``."""
-        return self._first_match(("beliefs", _shape(obs)), obs.effort, eps)
+        return self._first_match(("beliefs", _shape(obs)), obs.effort)
 
-    def retention_pieces(self, eps: float = 1e-12) -> tuple[list, list]:
-        """Reform retention by effort, memoised per ``eps``: sorted piece ``starts`` from -inf and
+    def retention_pieces(self) -> tuple[list, list]:
+        """Reform retention by effort, built on first read: sorted piece ``starts`` from -inf and
         each piece's (kept after success, kept after failure), read by :meth:`_first_match` at its
         start. Each start is exact: fl(v - eps) for "ge", the float after fl(v + eps) for "gt", and
         for "eq" the first float >= 0 that passes and the first float above v that fails."""
@@ -251,8 +256,8 @@ class Equilibrium:
                 lo, hi = (lo, (lo + hi) // 2) if holds(at((lo + hi) // 2)) else ((lo + hi) // 2, hi)
             return at(hi)
 
-        if (pieces := self._pieces.get(eps)) is None:
-            starts, test = {-math.inf}, _EFFORT_TESTS["eq"]
+        if self._pieces is None:
+            starts, test, eps = {-math.inf}, _EFFORT_TESTS["eq"], self.eps_tol
             for op, v in {(p.effort_op, p.effort_value) for p, _ in self.retention if p.effort_op}:
                 if op == "eq":  # monotone in e on either side of v
                     starts.update((least(lambda e: e >= v or test(e, v, eps), v - eps),
@@ -261,14 +266,14 @@ class Equilibrium:
                     starts.add(v - eps if op == "ge" else math.nextafter(v + eps, math.inf))
             starts = sorted(starts)
             keys = [_CLASS_VIEWS[self.regime][REFORM, outcome] for outcome in (SUCCESS, FAILURE)]
-            pieces = self._pieces[eps] = starts, [
-                tuple(self._first_match(k, s, eps) == RETAIN for k in keys) for s in starts]
-        return pieces
+            object.__setattr__(self, "_pieces", (starts, [
+                tuple(self._first_match(k, s) == RETAIN for k in keys) for s in starts]))
+        return self._pieces
 
-    def _first_match(self, key: tuple, effort: Optional[float], eps: float):
+    def _first_match(self, key: tuple, effort: Optional[float]):
         """The value of the first entry of list ``key[0]`` ("retention" or "beliefs") whose
-        pattern matches an observation of shape ``key[1]`` carrying ``effort``, walked on each
-        read: nothing is stored."""
+        pattern matches an observation of shape ``key[1]`` carrying ``effort``, the effort
+        tests buffered by ``eps_tol``, walked on each read: nothing is stored."""
         rules, (policy, outcome, seen) = key
         entries = getattr(self, rules)
         if rules == "retention" and not entries:  # no retention stage: the agent keeps office
@@ -276,7 +281,7 @@ class Equilibrium:
         for p, value in entries:
             if p.policy == policy and p.outcome in (None, outcome) and (
                     p.effort_op is None
-                    or seen and _EFFORT_TESTS[p.effort_op](effort, p.effort_value, eps)):
+                    or seen and _EFFORT_TESTS[p.effort_op](effort, p.effort_value, self.eps_tol)):
                 return value
         raise UnresolvedObservationError(f"no {rules} entry matches {key[1]}, effort {effort}")
 
@@ -444,8 +449,8 @@ def solve(
     if pooling_effort is not None and regime != TRANSPARENT_POOLING:
         raise DomainError(f"a pooling effort applies only to transparent_pooling, not {regime}")
     if regime == TRANSPARENT_POOLING:
+        family = transparent_pooling_family(params) if check or pooling_effort is None else None
         if pooling_effort is None:
-            family = transparent_pooling_family(params)
             if family is None:
                 raise AssumptionError(*_NO_POOLING[1])
             pooling_effort = family[0]
@@ -456,7 +461,7 @@ def solve(
             cls, args = refusal
             raise cls(*args)
         if regime == TRANSPARENT_POOLING:
-            lo, hi = transparent_pooling_family(params)
+            lo, hi = family  # the gate has refused an empty family
             if not (lo - params.eps_tol <= pooling_effort <= hi + params.eps_tol):
                 raise DomainError(f"e_star {pooling_effort} outside pooling family [{lo}, {hi}]")
     if regime == TRANSPARENT_POOLING:
@@ -473,7 +478,7 @@ def solve(
             (_ANY_REFORM, 0.0),
         )
         return Equilibrium(regime, StrategyProfile(act, act, act, act), retention, beliefs,
-                           pooling_effort)
+                           params.eps_tol, pooling_effort)
     profile = StrategyProfile(*(
         _SQ_ACTION if policy == STATUS_QUO else AgentAction(policy, min(1.0, max(0.0, effort)))
         for policy, effort in raw_profile(regime, params, posteriors(params))
@@ -501,4 +506,4 @@ def solve(
             (_ANY_REFORM, REMOVE, 0.0),
         )
     return Equilibrium(regime, profile, tuple((pat, dec) for pat, dec, _ in rules),
-                       tuple((pat, belief) for pat, _, belief in rules))
+                       tuple((pat, belief) for pat, _, belief in rules), params.eps_tol)

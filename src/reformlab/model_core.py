@@ -105,8 +105,8 @@ class Params:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Params":
-        """Parse the flat JSON object. Missing M defaults to 0, missing
-        eps_tol to 1e-12; unknown keys are rejected."""
+        """Parse the flat JSON object. Missing M and eps_tol take the field
+        defaults; unknown keys are rejected."""
         if not isinstance(obj, dict):
             raise DomainError(f"params JSON must be an object, got {type(obj).__name__}")
         unknown = set(obj) - set(PARAM_KEYS)
@@ -115,12 +115,8 @@ class Params:
         missing = {"p", "phi", "d", "lambda", "R", "pi"} - set(obj)
         if missing:
             raise DomainError(f"missing params keys: {sorted(missing)}")
-        vals = {k: require_number(f"params {k!r}", v) for k, v in obj.items()}
-        return cls(
-            p=vals["p"], phi=vals["phi"], d=vals["d"], lam=vals["lambda"],
-            R=vals["R"], pi=vals["pi"], M=vals.get("M", 0.0),
-            eps_tol=vals.get("eps_tol", 1e-12),
-        )
+        return cls(**{"lam" if k == "lambda" else k: require_number(f"params {k!r}", v)
+                      for k, v in obj.items()})
 
     @classmethod
     def load(cls, path) -> "Params":

@@ -105,7 +105,7 @@ class SimStats(Record):
 _OUTCOMES = (SUCCESS, FAILURE, SQ_OUTCOME)
 
 
-def _cell_tables(eq: Equilibrium, params: Params):
+def _cell_tables(eq: Equilibrium):
     """Per-cell policy/effort arrays and the 4x3 retention table D[cell, outcome]."""
     reform = np.zeros(4, dtype=bool)
     effort = np.zeros(4)
@@ -113,10 +113,8 @@ def _cell_tables(eq: Equilibrium, params: Params):
     for i, act in enumerate(eq.profile.actions()):
         reform[i] = act.policy == REFORM
         effort[i] = act.effort
-        outcomes = (SUCCESS, FAILURE) if act.policy == REFORM else (SQ_OUTCOME,)
-        for outcome in outcomes:
-            j = _OUTCOMES.index(outcome)
-            retain[i, j] = eq.retains(act, outcome, params.eps_tol)
+        for outcome in (SUCCESS, FAILURE) if act.policy == REFORM else (SQ_OUTCOME,):
+            retain[i, _OUTCOMES.index(outcome)] = eq.retains(act, outcome)
     return reform, effort, retain
 
 
@@ -221,7 +219,7 @@ def simulate(config: SimConfig, eq: Equilibrium) -> SimStats:
     if eq.regime != config.regime:
         raise DomainError(f"equilibrium regime {eq.regime!r} != config regime {config.regime!r}")
     params = config.params
-    tables = _cell_tables(eq, params)
+    tables = _cell_tables(eq)
     n_blocks = -(-config.n_draws // BLOCK_SIZE)
 
     def block(i):
@@ -255,7 +253,7 @@ def convergence_sweep(
     if not (1 <= checkpoints[0] and checkpoints[-1] <= MAX_DRAWS):
         raise DomainError(f"checkpoints must lie in [1, {MAX_DRAWS}]")
     params = config.params
-    tables = _cell_tables(eq, params)
+    tables = _cell_tables(eq)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     counts = np.zeros(8, dtype=np.int64)
     done = 0

@@ -78,14 +78,14 @@ def _cell_utilities(cells, params: Params, eq: Equilibrium) -> list:
     equilibrium's effort pieces. The status quo is a reform at effort 0 whose outcomes
     both pay d and keep its retention, so 0 * x = 0 and 1 * x = x make it
     d + R * retained, bit for bit."""
-    post, out, (starts, kept) = posteriors(params), [], eq.retention_pieces(params.eps_tol)
+    post, out, (starts, kept) = posteriors(params), [], eq.retention_pieces()
     for t, s, action in cells:
         if action.policy == REFORM:
             payoffs = _policy_payoff(t, SUCCESS, params), _policy_payoff(t, FAILURE, params)
             pair = kept[bisect_right(starts, action.effort) - 1]
         else:
             payoffs = (_policy_payoff(t, SQ_OUTCOME, params),) * 2
-            pair = (eq.retains(action, SQ_OUTCOME, params.eps_tol),) * 2
+            pair = (eq.retains(action, SQ_OUTCOME),) * 2
         out.append(_reform_utility(post.mu(s), action.effort, payoffs, pair, params))
     return out
 
@@ -194,12 +194,12 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
     if not 2 <= grid_size <= MAX_GRID_SIZE:
         raise DomainError(f"grid_size must be in [2, {MAX_GRID_SIZE}], got {grid_size}")
     dev_tol = default_dev_tol(params, grid_size)
-    post, lam, R, eps = posteriors(params), params.lam, params.R, params.eps_tol
-    starts, kept = eq.retention_pieces(eps)
+    post, lam, R = posteriors(params), params.lam, params.R
+    starts, kept = eq.retention_pieces()
     pieces = [(max(0.0, start), min(math.nextafter(end, -math.inf), 1.0), pair)
               for start, end, pair in zip(starts, starts[1:] + [math.inf], kept)
               if start <= 1.0 and end > 0.0]  # each piece that meets [0, 1], as float ranges
-    sq_u = float(params.d) + float(R) * eq.retains(_SQ_ACTION, SQ_OUTCOME, eps)
+    sq_u = float(params.d) + float(R) * eq.retains(_SQ_ACTION, SQ_OUTCOME)
     cells: dict[tuple[str, str], DeviationCell] = {}
     for (t, s), eq_action in zip(CELLS, eq.profile.actions()):
         pay_succ, pay_fail = _policy_payoff(t, SUCCESS, params), _policy_payoff(t, FAILURE, params)
@@ -303,7 +303,7 @@ def bayes_consistency(eq: Equilibrium, params: Params) -> BayesReport:
             continue
         obs = Observation(*key)
         recomputed = cong / tot
-        stored = eq.belief(obs, params.eps_tol)
+        stored = eq.belief(obs)
         entries.append(
             BayesEntry(obs, tot, recomputed, stored, passed=abs(recomputed - stored) <= BAYES_TOL)
         )

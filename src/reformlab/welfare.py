@@ -79,7 +79,7 @@ def _welfare_and_selection(eq: Equilibrium, params: Params) -> tuple[float, floa
     q = 0.0
     for t, _s, act, outcome, mass in joint_outcome_distribution(eq.profile, params):
         w += mass * (params.d if outcome == SQ_OUTCOME else _OUTCOME_VALUE[outcome])
-        if eq.retains(act, outcome, params.eps_tol):
+        if eq.retains(act, outcome):
             q += mass if t == CONGRUENT else 0.0
         else:
             q += mass * params.pi

@@ -76,7 +76,8 @@ def opaque_failure_mass(params: Params) -> float:
 
 
 # The first-match interpreter that read retention and beliefs before the
-# compiled table, copied verbatim: ``_matches`` was ``ObservationPattern.matches``,
+# compiled table, copied verbatim but for reading the buffer from the equilibrium's
+# ``eps_tol``, as its readers now do: ``_matches`` was ``ObservationPattern.matches``,
 # ``_interpreted_decide`` and ``_interpreted_belief`` were ``Equilibrium.decide``
 # and ``Equilibrium.belief``. ``obs`` is anything with ``policy``, ``effort`` and
 # ``outcome``; ``_interpreted_decide`` also takes an array of efforts and then
@@ -98,12 +99,12 @@ def _matches(self, obs, eps):
     return e > v + eps  # "gt"
 
 
-def _interpreted_decide(self, obs, eps=1e-12):
+def _interpreted_decide(self, obs):
     if not self.retention:
         return True  # no retention stage
     retained, unset = False, True
     for pattern, decision in self.retention:
-        hit = unset & _matches(pattern, obs, eps)
+        hit = unset & _matches(pattern, obs, self.eps_tol)
         if decision == RETAIN:
             retained = retained | hit
         unset = unset ^ hit
@@ -114,9 +115,9 @@ def _interpreted_decide(self, obs, eps=1e-12):
     return retained
 
 
-def _interpreted_belief(self, obs, eps=1e-12):
+def _interpreted_belief(self, obs):
     for pattern, value in self.beliefs:
-        if _matches(pattern, obs, eps):
+        if _matches(pattern, obs, self.eps_tol):
             return value
     raise UnresolvedObservationError(f"no belief entry matches {obs}")
 
@@ -137,7 +138,7 @@ def per_mass_welfare_and_selection(eq: Equilibrium, params: Params) -> tuple[flo
     q = 0.0
     for t, _s, act, outcome, mass in joint_outcome_distribution(eq.profile, params):
         w += mass * (params.d if outcome == SQ_OUTCOME else _OUTCOME_VALUE[outcome])
-        if eq.retains(act, outcome, params.eps_tol):
+        if eq.retains(act, outcome):
             q += mass if t == CONGRUENT else 0.0
         else:
             q += mass * params.pi
@@ -162,7 +163,7 @@ def per_mass_bayes_consistency(eq: Equilibrium, params: Params) -> BayesReport:
     entries = []
     for obs, (tot, cong) in sorted(acc.items(), key=lambda kv: -kv[1][0]):
         recomputed = cong / tot
-        stored = eq.belief(obs, params.eps_tol)
+        stored = eq.belief(obs)
         entries.append(
             BayesEntry(obs, tot, recomputed, stored, passed=abs(recomputed - stored) <= BAYES_TOL)
         )
@@ -174,10 +175,10 @@ def per_mass_bayes_consistency(eq: Equilibrium, params: Params) -> BayesReport:
 # the last two names: one retention read and one one-element ``_reform_utility`` call
 # per reform, the status quo as a scalar sum. The reference for every cell utility
 # and break-even, bit for bit.
-def _reform_retention(eq: Equilibrium, effort, eps: float) -> tuple:
+def _reform_retention(eq: Equilibrium, effort) -> tuple:
     """Retention after a successful and after a failed reform at ``effort``."""
     action = AgentAction(REFORM, effort)
-    return eq.retains(action, SUCCESS, eps), eq.retains(action, FAILURE, eps)
+    return eq.retains(action, SUCCESS), eq.retains(action, FAILURE)
 
 
 def scalar_expected_utility(
@@ -189,12 +190,11 @@ def scalar_expected_utility(
     state and action, applying the equilibrium's retention rule to each
     induced observation.
     """
-    eps = params.eps_tol
     if action.policy == STATUS_QUO:
         return (_policy_payoff(agent_type, SQ_OUTCOME, params)
-                + params.R * eq.retains(action, SQ_OUTCOME, eps))
+                + params.R * eq.retains(action, SQ_OUTCOME))
     payoffs = tuple(_policy_payoff(agent_type, o, params) for o in (SUCCESS, FAILURE))
-    retained = _reform_retention(eq, action.effort, eps)
+    retained = _reform_retention(eq, action.effort)
     return float(_reform_utility(posteriors(params).mu(signal), np.array([action.effort]),
                                  payoffs, retained, params)[0])
 
@@ -247,7 +247,7 @@ def dense_deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_
         raise DomainError(f"grid_size must be in [2, {MAX_GRID_SIZE}], got {grid_size}")
     dev_tol = default_dev_tol(params, grid_size)
     post = posteriors(params)
-    lam, R, eps = params.lam, params.R, params.eps_tol
+    lam, R = params.lam, params.R
 
     extras = {0.0, 1.0}
     for mu in (post.mu_plus, post.mu_minus):
@@ -278,7 +278,7 @@ def dense_deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_
     for e in blocks():
         # an Observation refuses an array of efforts; the interpreter reads any object
         kept = [np.broadcast_to(_interpreted_decide(eq, SimpleNamespace(
-            policy=REFORM, effort=e, outcome=o), eps), e.shape) for o in (SUCCESS, FAILURE)]
+            policy=REFORM, effort=e, outcome=o)), e.shape) for o in (SUCCESS, FAILURE)]
         u = _reform_utility(mu, e, (pay[:, :1], pay[:, 1:]), kept, params)
         i = np.argmax(u, axis=1)
         u_max, e_max = u[rows, i], e[i]

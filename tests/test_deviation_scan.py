@@ -213,7 +213,7 @@ class TestTieRule:
         # clamped vertex and 1.0) and nothing below it, and no equilibrium effort
         # reaches it: each cell's best is the first maximum, the top piece's start
         eq = solve(sanity, "transparent_separating")
-        top = eq.retention_pieces(sanity.eps_tol)[0][-1]
+        top = eq.retention_pieces()[0][-1]
         assert max(a.effort for a in eq.profile.actions()) < top < 1.0
 
         def step(mu, effort, *rest):
@@ -319,7 +319,7 @@ class TestScanShape:
                 patch.setattr(verification, "_reform_utility",
                               lambda *args: calls.append(args) or exact(*args))
                 deviation_check(eq, params, 100_001)
-            starts = eq.retention_pieces(params.eps_tol)[0]
+            starts = eq.retention_pieces()[0]
             pieces = sum(start <= 1.0 and end > 0.0
                          for start, end in zip(starts, starts[1:] + [np.inf]))
             reforms = sum(a.policy == REFORM for a in eq.profile.actions())

@@ -232,7 +232,7 @@ class TestTransparentSeparating:
         assert (bar, e_l, e_h) == pytest.approx((0.11345, 0.50180, 0.70026), abs=5e-6)
         for effort, kept in ((bar, False), (e_l, True), (0.6, False), (e_h, True), (0.8, True)):
             action = AgentAction(REFORM, effort)
-            assert [eq.retains(action, outcome, params.eps_tol)
+            assert [eq.retains(action, outcome)
                     for outcome in (SUCCESS, FAILURE)] == [kept, kept], effort
 
     def test_infeasible_separation_is_gated(self):
@@ -274,6 +274,34 @@ class TestPoolingFamily:
         lo, hi = transparent_pooling_family(POOLING_PARAMS)
         with pytest.raises(DomainError):
             solve(POOLING_PARAMS, "transparent_pooling", pooling_effort=hi + 0.05)
+
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("pooling_effort", [None, 0.4])
+    def test_family_computed_at_most_once(self, monkeypatch, check, pooling_effort):
+        # the gate's own read of the family is memoised with the refusal table, so it is
+        # warmed first; what is counted is solve's reads, for the default effort and the range
+        solve(POOLING_PARAMS, "transparent_pooling")
+        family, calls = transparent_pooling_family(POOLING_PARAMS), []
+        monkeypatch.setattr(equilibrium, "transparent_pooling_family",
+                            lambda params: calls.append(params) or family)
+        eq = solve(POOLING_PARAMS, "transparent_pooling", check=check, pooling_effort=pooling_effort)
+        assert len(calls) <= 1
+        assert eq.pooling_effort == (family[0] if pooling_effort is None else pooling_effort)
+
+    def test_refusals_keep_their_order(self):
+        # at an uninformative signal with an empty family: the empty family refuses a
+        # default effort before any gate, a bad effort is refused before the gate, and
+        # an effort outside a nonempty family after it
+        bad = Params(p=0.5, phi=0.3, d=0.1, lam=0.5, R=0.1, pi=0.5)
+        assert transparent_pooling_family(bad) is None
+        with pytest.raises(AssumptionError, match="no pooling equilibrium survives"):
+            solve(bad, "transparent_pooling")
+        with pytest.raises(DomainError, match="pooled effort"):
+            solve(bad, "transparent_pooling", pooling_effort=1.5)
+        with pytest.raises(AssumptionError, match="signal_informative"):
+            solve(bad, "transparent_pooling", pooling_effort=0.4)
+        with pytest.raises(DomainError, match="outside pooling family"):
+            solve(POOLING_PARAMS, "transparent_pooling", pooling_effort=0.9)
 
     @pytest.mark.parametrize("check", [True, False])
     @pytest.mark.parametrize("regime", ["benchmark", "nontransparent", "opaque",
@@ -435,15 +463,15 @@ class TestCrossRegimeInvariants:
             for regime in regimes:
                 eq = solve(params, regime)
                 for obs in _observations_for(eq, params):
-                    retained = eq.decide(obs, params.eps_tol)
-                    assert retained == (eq.belief(obs, params.eps_tol) >= params.pi), (
+                    retained = eq.decide(obs)
+                    assert retained == (eq.belief(obs) >= params.pi), (
                         regime, obs)
             fam = transparent_pooling_family(params)
             if fam is not None and fam[0] <= 1.0:
                 eq = solve(params, "transparent_pooling", pooling_effort=fam[0])
                 for obs in _observations_for(eq, params):
-                    retained = eq.decide(obs, params.eps_tol)
-                    assert retained == (eq.belief(obs, params.eps_tol) >= params.pi)
+                    retained = eq.decide(obs)
+                    assert retained == (eq.belief(obs) >= params.pi)
 
     def test_decide_on_effort_grid_matches_scalar(self, sanity):
         fam = transparent_pooling_family(POOLING_PARAMS)

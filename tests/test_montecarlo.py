@@ -108,7 +108,7 @@ class TestKernel:
 
     def test_block_peak_below_40_bytes_per_draw(self, sanity):
         # the draws take 32 bytes; an n-length float temporary would add 8
-        tables = _cell_tables(solve(sanity, "opaque"), sanity)
+        tables = _cell_tables(solve(sanity, "opaque"))
         rng = np.random.default_rng(1)
         tracemalloc.start()
         try:

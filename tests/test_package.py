@@ -125,6 +125,31 @@ def test_one_reader_interprets_patterns():
                                          ("equilibrium", "Equilibrium.retention_pieces")}
 
 
+#: each reader of an equilibrium and the positional arguments it takes: the observation,
+#: or the action and the outcome; the tolerance is the equilibrium's own ``eps_tol``
+READER_ARITY = {"decide": 1, "retains": 2, "belief": 1, "retention_pieces": 0}
+
+
+def reader_calls(paths) -> list[tuple[str, int, int]]:
+    """(reader, positional arguments, keyword arguments) of each call, in the files
+    ``paths``, of a method named in ``READER_ARITY``."""
+    return [(node.func.attr, len(node.args), len(node.keywords))
+            for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in READER_ARITY]
+
+
+def test_no_reader_is_passed_a_tolerance():
+    # no call in the package or in its tests passes a reader anything beyond the
+    # observation or the (action, outcome); the package calls three of the readers and
+    # the tests call all four, so the reader sees real calls
+    package = reader_calls(MODULES.values())
+    tests = reader_calls(Path(__file__).parent.glob("*.py"))
+    assert [c for c in package + tests if c[1:] != (READER_ARITY[c[0]], 0)] == []
+    assert {name for name, _, _ in package} == {"retains", "belief", "retention_pieces"}
+    assert {name for name, _, _ in tests} == set(READER_ARITY)
+
+
 MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
 
 
@@ -153,8 +178,8 @@ def writes_instance_state(node) -> bool:
 
 def test_only_the_memos_that_pay_are_kept():
     # a memo stays where its readers mostly hit it: the posteriors per (p, phi), the
-    # refusal table per point, and an equilibrium's retention pieces per eps, which
-    # ``__post_init__`` creates empty; a new memo comes with a case here
+    # refusal table per point, and an equilibrium's retention pieces, one slot that
+    # ``__post_init__`` empties and the first read fills; a new memo comes with a case here
     assert sites(names_a_memo_decorator) == {("model_core", "_posteriors"),
                                              ("equilibrium", "gate_refusals")}
     assert sites(writes_instance_state) == {("equilibrium", "Equilibrium.__post_init__"),

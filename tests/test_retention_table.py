@@ -18,6 +18,8 @@ equal ``retains`` at every start, within 4 ulp of it and at the grid points
 next to it, and at the probes above; a start moved by one ulp must fail that.
 """
 
+import dataclasses
+import itertools
 import math
 from bisect import bisect_right
 
@@ -26,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reformlab import (
-    AgentAction, Observation, Params, UnderflowError, UnresolvedObservationError,
+    AgentAction, DomainError, Observation, Params, UnderflowError, UnresolvedObservationError,
     solve, transparent_pooling_family,
 )
 from reformlab import equilibrium
@@ -59,11 +61,11 @@ def _equilibria(params: Params, j: int) -> list:
     return eqs
 
 
-def _probes(eq, eps: float) -> list[float]:
+def _probes(eq) -> list[float]:
     """Efforts in [0, 1]: a coarse grid, and for each tested value t in
-    {v - eps, v, v + eps} the grid points next to t and every float within
-    4 ulp of t."""
-    probes = {k / 20 for k in range(21)}
+    {v - eps, v, v + eps}, eps the equilibrium's ``eps_tol``, the grid points
+    next to t and every float within 4 ulp of t."""
+    probes, eps = {k / 20 for k in range(21)}, eq.eps_tol
     for pattern, _ in (*eq.retention, *eq.beliefs):
         if pattern.effort_value is None:
             continue
@@ -87,18 +89,18 @@ def _result(read, *args):
     return type(got), got
 
 
-def _mismatches(eq, eps: float) -> list:
+def _mismatches(eq) -> list:
     """Where the table's answer differs from the interpreter's, in value, in
     type or in raising: (class, effort) for ``retains`` on what the regime
     observes of each class, (reader, policy, outcome, effort) for ``decide``
     and ``belief`` on every observation shape."""
     found = []
-    efforts = _probes(eq, eps)
+    efforts = _probes(eq)
     for policy, outcome in OBSERVATION_CLASSES:
         for e in efforts if policy == REFORM else [0.0]:
             action = AgentAction(policy, e)
-            want = _result(_interpreted_decide, eq, observe(eq.regime, action, outcome), eps)
-            if _result(eq.retains, action, outcome, eps) != want:
+            want = _result(_interpreted_decide, eq, observe(eq.regime, action, outcome))
+            if _result(eq.retains, action, outcome) != want:
                 found.append(((policy, outcome), e))
     readers = (("decide", eq.decide, _interpreted_decide),
                ("belief", eq.belief, _interpreted_belief))
@@ -106,7 +108,7 @@ def _mismatches(eq, eps: float) -> list:
         for effort in (None, *efforts) if policy == REFORM else (None, 0.0):
             obs = Observation(policy, effort, outcome)
             for name, read, reference in readers:
-                if _result(read, obs, eps) != _result(reference, eq, obs, eps):
+                if _result(read, obs) != _result(reference, eq, obs):
                     found.append((name, policy, outcome, effort))
     return found
 
@@ -128,17 +130,17 @@ def _ulps_and_grid(t: float) -> set[float]:
     return near
 
 
-def _piece_mismatches(eq, eps: float, pieces=None) -> list[float]:
+def _piece_mismatches(eq, pieces=None) -> list[float]:
     """Efforts in [0, 1] where a lookup in the retention pieces (``eq``'s own, or
     ``pieces``) differs from ``retains`` after success or after failure: at each
     piece start, within 4 ulp of it and at the grid points next to it, and at
     :func:`_probes`."""
-    starts, kept = pieces or eq.retention_pieces(eps)
-    efforts = set(_probes(eq, eps)).union(*(_ulps_and_grid(t) for t in starts[1:]))
+    starts, kept = pieces or eq.retention_pieces()
+    efforts = set(_probes(eq)).union(*(_ulps_and_grid(t) for t in starts[1:]))
     found = []
     for e in sorted(e for e in efforts if 0.0 <= e <= 1.0):
         action = AgentAction(REFORM, e)
-        if kept[bisect_right(starts, e) - 1] != tuple(eq.retains(action, outcome, eps)
+        if kept[bisect_right(starts, e) - 1] != tuple(eq.retains(action, outcome)
                                                       for outcome in (SUCCESS, FAILURE)):
             found.append(e)
     return found
@@ -150,9 +152,9 @@ def _piece_mismatches(eq, eps: float, pieces=None) -> list[float]:
 @settings(max_examples=200, deadline=None)
 def test_pieces_match_retains(params, j):
     for eq in _equilibria(params, j):
-        starts, _ = eq.retention_pieces(params.eps_tol)
+        starts, _ = eq.retention_pieces()
         assert starts[0] == -math.inf and starts == sorted(set(starts)), eq.regime
-        assert _piece_mismatches(eq, params.eps_tol) == [], eq.regime
+        assert _piece_mismatches(eq) == [], eq.regime
 
 
 @pytest.mark.parametrize("cell", ["congruent_g", "congruent_b"])
@@ -162,26 +164,25 @@ def test_pieces_exact_far_from_the_guess(sanity, cell):
     # one binade, 2^52 floats, below fl(v - eps), which the search gallops to
     eq = solve(sanity, "transparent_separating")
     v = getattr(eq.profile, cell).effort
-    eps = math.nextafter(v, 0.0)
-    starts, _ = eq.retention_pieces(eps)
-    assert 0.0 < min(t for t in starts if t > 0.0) < (v - eps) / 1.5
-    assert _piece_mismatches(eq, eps) == []
+    eq = dataclasses.replace(eq, eps_tol=math.nextafter(v, 0.0))
+    starts, _ = eq.retention_pieces()
+    assert 0.0 < min(t for t in starts if t > 0.0) < (v - eq.eps_tol) / 1.5
+    assert _piece_mismatches(eq) == []
 
 
 def test_comparison_notices_a_moved_start(sanity, part3):
     # every start in (0, 1] where retention changes, moved by one ulp either way
     moved = 0
     for params in (sanity, part3):
-        eps = params.eps_tol
         for eq in (solve(params, "transparent_separating"),
                    solve(params, "transparent_pooling", pooling_effort=0.3, check=False)):
-            starts, kept = eq.retention_pieces(eps)
+            starts, kept = eq.retention_pieces()
             for i in range(1, len(starts)):
                 if not 0.0 < starts[i] <= 1.0 or kept[i] == kept[i - 1]:
                     continue
                 for direction in (-math.inf, math.inf):
                     mutant = [*starts[:i], math.nextafter(starts[i], direction), *starts[i + 1:]]
-                    assert _piece_mismatches(eq, eps, (mutant, kept)), (eq.regime, i, direction)
+                    assert _piece_mismatches(eq, (mutant, kept)), (eq.regime, i, direction)
                     moved += 1
     assert moved >= 8
 
@@ -192,7 +193,7 @@ def test_comparison_notices_a_moved_start(sanity, part3):
 @settings(max_examples=200, deadline=None)
 def test_table_matches_pattern_interpreter(params, j):
     for eq in _equilibria(params, j):
-        assert _mismatches(eq, params.eps_tol) == [], eq.regime
+        assert _mismatches(eq) == [], eq.regime
 
 
 def test_decide_reads_every_observation_shape(sanity):
@@ -212,12 +213,11 @@ def _readers(found: list) -> set[str]:
 
 
 def test_comparison_notices_a_mutated_table(sanity):
-    eps = sanity.eps_tol
     opaque = solve(sanity, "opaque")
     separating = solve(sanity, "transparent_separating")
     pooling = solve(sanity, "transparent_pooling", pooling_effort=0.3, check=False)
     for eq in (opaque, separating, pooling):
-        assert _mismatches(eq, eps) == [], eq.regime
+        assert _mismatches(eq) == [], eq.regime
     # each edit patches what the first-match reader consults; the interpreter in
     # ``support`` has its own ``_matches``, so no patch reaches the reference
     views, tests = equilibrium._CLASS_VIEWS[OPAQUE], equilibrium._EFFORT_TESTS
@@ -248,5 +248,53 @@ def test_comparison_notices_a_mutated_table(sanity):
                              (pooling, move_eq_one_ulp, "belief")):
         with pytest.MonkeyPatch.context() as patch:
             edit(patch)
-            found = _mismatches(eq, eps)
+            found = _mismatches(eq)
         assert reader in _readers(found), (eq.regime, edit.__name__)
+
+
+class TestOwnBuffer:
+    """An equilibrium reads its retention and beliefs at its own ``eps_tol``, the one
+    it was solved at, with no tolerance passed; ``dataclasses.replace`` reads at another."""
+
+    def test_readers_take_the_solving_tolerance(self, sanity):
+        params = sanity.replace(eps_tol=1e-3)
+        eq = solve(params, "transparent_separating")
+        e = eq.profile.congruent_g.effort - 5e-4  # inside e_H's buffer, outside 1e-12's
+        observed = Observation(REFORM, e, FAILURE)
+        starts, kept = eq.retention_pieces()
+        assert eq.decide(observed) is True
+        assert eq.retains(AgentAction(REFORM, e), FAILURE) is True
+        assert eq.belief(observed) == 1.0
+        assert kept[bisect_right(starts, e) - 1] == (True, True)
+        assert _piece_mismatches(eq) == []
+        assert dataclasses.replace(eq, eps_tol=1e-12).decide(observed) is False
+
+    @pytest.mark.parametrize("eps_tol", [0.0, 1e-12, 1e-3, 0.1])
+    def test_solve_sets_the_buffer(self, sanity, part3, eps_tol):
+        for params in (sanity.replace(eps_tol=eps_tol), part3.replace(eps_tol=eps_tol)):
+            for eq in _equilibria(params, 30_000):
+                assert eq.eps_tol == params.eps_tol, eq.regime
+
+    @pytest.mark.parametrize("eps_tol", [0.0, 1e-12, 5e-4, 1e-3, 0.1])
+    def test_replace_reads_as_solving_there(self, sanity, part3, eps_tol):
+        for params in (sanity, part3):
+            there = _equilibria(params.replace(eps_tol=eps_tol), 30_000)
+            for eq, want in zip(_equilibria(params, 30_000), there, strict=True):
+                eq.retention_pieces()  # a memo built at the old buffer is not carried over
+                moved = dataclasses.replace(eq, eps_tol=eps_tol)
+                assert moved == want and moved.retention_pieces() == want.retention_pieces()
+                assert _piece_mismatches(moved) == [], eq.regime
+                starts = want.retention_pieces()[0]
+                efforts = [0.0, 1.0, *(s for s in starts if 0.0 <= s <= 1.0)]
+                for (policy, outcome), e in itertools.product(OBSERVATION_CLASSES, efforts):
+                    action = AgentAction(policy, e if policy == REFORM else 0.0)
+                    obs = observe(eq.regime, action, outcome)
+                    assert moved.retains(action, outcome) == want.retains(action, outcome)
+                    assert _result(moved.decide, obs) == _result(want.decide, obs)
+                    if want.beliefs:
+                        assert _result(moved.belief, obs) == _result(want.belief, obs)
+
+    @pytest.mark.parametrize("eps_tol", [-1e-12, math.inf, math.nan])
+    def test_bad_buffer_refused(self, sanity, eps_tol):
+        with pytest.raises(DomainError, match="eps_tol"):
+            dataclasses.replace(solve(sanity, "opaque"), eps_tol=eps_tol)
