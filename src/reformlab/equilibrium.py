@@ -8,19 +8,18 @@ A regime fixes what the principal observes before the retention vote:
 
 plus a no-accountability ``benchmark`` with no retention stage.
 :func:`solve` returns each regime's :class:`Equilibrium`, bundling the pure strategy
-profile, a pure retention rule, and a belief system over observables. Retention and
-beliefs are serialized as ordered pattern lists (first match wins), their effort tests
-buffered by the equilibrium's own ``eps_tol``. One first-match reader serves both lists:
-it walks the list on each read, and ``decide``, ``retains`` and ``belief`` call it, as
-``retention_pieces`` does at each piece start. An ``AgentAction`` or ``Observation``
-effort that is not a real number in [0, 1], or is a bool, is refused.
+profile, a pure retention rule, and a belief system over observables. Retention and beliefs
+are ordered pattern lists (first match wins), each effort test a comparison with fl(v - eps)
+or fl(v + eps), eps the equilibrium's own ``eps_tol``. One first-match reader serves both
+lists: it walks the list on each read, and ``decide``, ``retains`` and ``belief`` call it, as
+``retention_pieces`` does at each piece start. An ``AgentAction`` or ``Observation`` effort
+that is not a real number in [0, 1], or is a bool, is refused.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -156,18 +155,17 @@ _CLASS_VIEWS = {r: {c: ("retention", _shape(observe(r, AgentAction(c[0]), c[1]))
                     for c in OBSERVATION_CLASSES} for r in REGIMES}
 
 #: a pattern's eps-buffered effort tests, (effort, value, eps) -> bool
-_EFFORT_TESTS = {"eq": lambda e, v, eps: abs(e - v) <= eps, "ge": lambda e, v, eps: e >= v - eps,
-                 "gt": lambda e, v, eps: e > v + eps}
-#: a float and a 64-bit integer with the same bits; floats >= 0 sort as their bit patterns do
-_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
+_EFFORT_TESTS = {"eq": lambda e, v, eps: v - eps <= e <= v + eps,
+                 "ge": lambda e, v, eps: e >= v - eps, "gt": lambda e, v, eps: e > v + eps}
 
 
 @dataclass(frozen=True)
 class ObservationPattern:
     """Matcher for a set of observations.
 
-    ``outcome=None`` matches any outcome. ``effort_op`` is one of
-    None (any), "eq", "ge", "gt"; comparisons are eps-buffered.
+    ``outcome=None`` matches any outcome. ``effort_op`` is None (any effort), "eq" (the
+    closed range fl(v - eps) <= e <= fl(v + eps)), "ge" (e >= fl(v - eps)) or "gt"
+    (e > fl(v + eps)), for v ``effort_value`` and eps the reading equilibrium's ``eps_tol``.
     """
 
     policy: str
@@ -242,28 +240,15 @@ class Equilibrium:
     def retention_pieces(self) -> tuple[list, list]:
         """Reform retention by effort, built on first read: sorted piece ``starts`` from -inf and
         each piece's (kept after success, kept after failure), read by :meth:`_first_match` at its
-        start. Each start is exact: fl(v - eps) for "ge", the float after fl(v + eps) for "gt", and
-        for "eq" the first float >= 0 that passes and the first float above v that fails."""
-        def least(holds, guess):  # the least float >= 0 from which on ``holds`` (true at inf),
-            at = lambda bits: _DOUBLE.unpack(_INT64.pack(bits))[0]  # galloped out from ``guess``
-            hi = _INT64.unpack(_DOUBLE.pack(max(0.0, guess)))[0]  # over bit patterns, bisected
-            lo, step = hi - 1, 1  # once galloped, holds at hi and fails at lo, or lo is -1
-            while not holds(at(hi)):
-                lo, hi, step = hi, hi + step, 2 * step
-            while lo >= 0 and holds(at(lo)):
-                lo, hi, step = max(lo - step, -1), lo, 2 * step
-            while hi - lo > 1:
-                lo, hi = (lo, (lo + hi) // 2) if holds(at((lo + hi) // 2)) else ((lo + hi) // 2, hi)
-            return at(hi)
-
+        start. Each start is exact: fl(v - eps) where "eq" and "ge" start to pass, and the float
+        after fl(v + eps) where "eq" stops and "gt" starts to pass."""
         if self._pieces is None:
-            starts, test, eps = {-math.inf}, _EFFORT_TESTS["eq"], self.eps_tol
+            starts, eps = {-math.inf}, self.eps_tol
             for op, v in {(p.effort_op, p.effort_value) for p, _ in self.retention if p.effort_op}:
-                if op == "eq":  # monotone in e on either side of v
-                    starts.update((least(lambda e: e >= v or test(e, v, eps), v - eps),
-                                   least(lambda e: e > v and not test(e, v, eps), v + eps)))
-                else:
-                    starts.add(v - eps if op == "ge" else math.nextafter(v + eps, math.inf))
+                if op != "gt":
+                    starts.add(v - eps)
+                if op != "ge":
+                    starts.add(math.nextafter(v + eps, math.inf))
             starts = sorted(starts)
             keys = [_CLASS_VIEWS[self.regime][REFORM, outcome] for outcome in (SUCCESS, FAILURE)]
             object.__setattr__(self, "_pieces", (starts, [

@@ -16,6 +16,7 @@ import json
 import math
 import operator
 import sys
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields, replace as _replace
 from functools import lru_cache
 from typing import Literal
@@ -33,11 +34,11 @@ _MAX = sys.float_info.max  # the largest finite float
 
 
 def require_integer(name: str, value) -> int:
-    """``value`` as an int; a count or seed that is not an integer (1.5, say) is refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; a count or seed that is not an integer (1.5 or True, say) is refused."""
+    if not isinstance(value, bool):
+        with suppress(TypeError):
+            return operator.index(value)
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def require_number(name: str, value) -> float:

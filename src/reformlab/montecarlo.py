@@ -247,9 +247,9 @@ def convergence_sweep(
     """Cumulative statistics at each checkpoint along a single stream."""
     if eq.regime != config.regime:
         raise DomainError(f"equilibrium regime {eq.regime!r} != config regime {config.regime!r}")
+    checkpoints = [require_integer("checkpoints", c) for c in checkpoints or ()]
     if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise DomainError("checkpoints must be strictly increasing and nonempty")
-    checkpoints = [require_integer("checkpoints", c) for c in checkpoints]
     if not (1 <= checkpoints[0] and checkpoints[-1] <= MAX_DRAWS):
         raise DomainError(f"checkpoints must lie in [1, {MAX_DRAWS}]")
     params = config.params

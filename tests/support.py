@@ -77,7 +77,8 @@ def opaque_failure_mass(params: Params) -> float:
 
 # The first-match interpreter that read retention and beliefs before the
 # compiled table, copied verbatim but for reading the buffer from the equilibrium's
-# ``eps_tol``, as its readers now do: ``_matches`` was ``ObservationPattern.matches``,
+# ``eps_tol`` and for stating "eq" as the closed range [fl(v - eps), fl(v + eps)],
+# as its readers now do: ``_matches`` was ``ObservationPattern.matches``,
 # ``_interpreted_decide`` and ``_interpreted_belief`` were ``Equilibrium.decide``
 # and ``Equilibrium.belief``. ``obs`` is anything with ``policy``, ``effort`` and
 # ``outcome``; ``_interpreted_decide`` also takes an array of efforts and then
@@ -93,7 +94,7 @@ def _matches(self, obs, eps):
         return False
     e, v = obs.effort, self.effort_value
     if self.effort_op == "eq":
-        return abs(e - v) <= eps
+        return (v - eps <= e) & (e <= v + eps)
     if self.effort_op == "ge":
         return e >= v - eps
     return e > v + eps  # "gt"

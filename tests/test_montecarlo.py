@@ -281,8 +281,9 @@ class TestConvergenceSweep:
     def test_checkpoint_validation(self, sanity):
         eq = solve(sanity, "nontransparent")
         cfg = SimConfig(n_draws=1, seed=19, regime="nontransparent", params=sanity)
-        with pytest.raises(DomainError):
-            convergence_sweep(cfg, eq, [])
+        for empty in ([], None):
+            with pytest.raises(DomainError, match="nonempty"):
+                convergence_sweep(cfg, eq, empty)
         with pytest.raises(DomainError):
             convergence_sweep(cfg, eq, [100, 100])
         with pytest.raises(DomainError):
@@ -304,6 +305,12 @@ class TestConvergenceSweep:
         cfg = SimConfig(n_draws=1, seed=19, regime="nontransparent", params=sanity)
         with pytest.raises(DomainError, match="checkpoints must be an integer, got 10.5"):
             convergence_sweep(cfg, eq, [10.5])
+        # each checkpoint is converted before the order is checked, which compared 1 < "a"
+        # and raised a bare TypeError, and a bool is no checkpoint
+        with pytest.raises(DomainError, match="checkpoints must be an integer, got 'a'"):
+            convergence_sweep(cfg, eq, [1, "a"])
+        with pytest.raises(DomainError, match="checkpoints must be an integer, got True"):
+            convergence_sweep(cfg, eq, [True, 5])
 
 
 class TestValidation:
@@ -324,10 +331,15 @@ class TestValidation:
             SimConfig(n_draws=10, seed=2**64, regime="opaque", params=sanity)
 
     # a float count or seed used to pass construction and fail inside numpy with a TypeError
-    @pytest.mark.parametrize("field,kw", [("n_draws", {"n_draws": 1.5, "seed": 0}),
-                                          ("seed", {"n_draws": 10, "seed": 1.5})])
-    def test_non_integer_count_or_seed_refused(self, sanity, field, kw):
-        with pytest.raises(DomainError, match=f"{field} must be an integer, got 1.5"):
+    # and a bool, an int to Python, used to run as 1 (or 0) draws or seed 1 (or 0)
+    @pytest.mark.parametrize("field,kw,got", [
+        ("n_draws", {"n_draws": 1.5, "seed": 0}, "1.5"),
+        ("seed", {"n_draws": 10, "seed": 1.5}, "1.5"),
+        ("n_draws", {"n_draws": True, "seed": 0}, "True"),
+        ("seed", {"n_draws": 10, "seed": True}, "True"),
+        ("seed", {"n_draws": 10, "seed": False}, "False")])
+    def test_non_integer_count_or_seed_refused(self, sanity, field, kw, got):
+        with pytest.raises(DomainError, match=f"{field} must be an integer, got {got}"):
             SimConfig(regime="opaque", params=sanity, **kw)
 
     def test_seed_echoed(self, sanity):

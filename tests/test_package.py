@@ -117,12 +117,11 @@ def test_only_solve_builds_equilibria():
 
 def test_one_reader_interprets_patterns():
     # the eps-buffered effort tests are applied by the first-match reader of retention
-    # and beliefs, and by the piece builder, which finds where an "eq" test turns with
-    # the test itself and labels each piece through that reader; pattern construction
+    # and beliefs alone: the piece builder states each start as fl(v - eps) or the float
+    # after fl(v + eps) and labels each piece through that reader; pattern construction
     # only checks the op name
     assert sites(reads_effort_tests) == {("equilibrium", "ObservationPattern.__post_init__"),
-                                         ("equilibrium", "Equilibrium._first_match"),
-                                         ("equilibrium", "Equilibrium.retention_pieces")}
+                                         ("equilibrium", "Equilibrium._first_match")}
 
 
 #: each reader of an equilibrium and the positional arguments it takes: the observation,

@@ -158,16 +158,23 @@ def test_pieces_match_retains(params, j):
 
 
 @pytest.mark.parametrize("cell", ["congruent_g", "congruent_b"])
-def test_pieces_exact_far_from_the_guess(sanity, cell):
-    # with eps one ulp under v = e_H or e_L, v - eps is one ulp of v, and |e - v|
-    # rounds to eps down to an effort of about half that: the "eq" test starts to pass
-    # one binade, 2^52 floats, below fl(v - eps), which the search gallops to
+def test_each_start_is_a_buffered_bound(sanity, cell):
+    # every effort test compares with fl(v - eps) or fl(v + eps), so past -inf each start is
+    # fl(v - eps) for "eq" and "ge" and the float after fl(v + eps) for "eq" and "gt"; eps one
+    # ulp under v = e_H or e_L puts fl(v - eps) at one ulp of v, next to 0 and far from v
     eq = solve(sanity, "transparent_separating")
     v = getattr(eq.profile, cell).effort
-    eq = dataclasses.replace(eq, eps_tol=math.nextafter(v, 0.0))
-    starts, _ = eq.retention_pieces()
-    assert 0.0 < min(t for t in starts if t > 0.0) < (v - eq.eps_tol) / 1.5
-    assert _piece_mismatches(eq) == []
+    for eps in (eq.eps_tol, math.nextafter(v, 0.0)):
+        moved = dataclasses.replace(eq, eps_tol=eps)
+        want = {-math.inf}
+        for pattern, _ in moved.retention:
+            w = pattern.effort_value
+            if pattern.effort_op in ("eq", "ge"):
+                want.add(w - eps)
+            if pattern.effort_op in ("eq", "gt"):
+                want.add(math.nextafter(w + eps, math.inf))
+        assert moved.retention_pieces()[0] == sorted(want), eps
+        assert _piece_mismatches(moved) == [], eps
 
 
 def test_comparison_notices_a_moved_start(sanity, part3):
@@ -298,3 +305,24 @@ class TestOwnBuffer:
     def test_bad_buffer_refused(self, sanity, eps_tol):
         with pytest.raises(DomainError, match="eps_tol"):
             dataclasses.replace(solve(sanity, "opaque"), eps_tol=eps_tol)
+
+
+class TestClosedRange:
+    """An "eq" test passes the closed float range [fl(v - eps), fl(v + eps)], so no effort
+    between two that pass fails it. Where fl(v + eps) rounds above v + eps, |e - v| <= eps
+    fails that one float: separating would remove a reform there, and pooling believe 0."""
+
+    @pytest.mark.parametrize("eps_tol", [1e-9, 1e-3])
+    def test_separating_keeps_the_top_of_e_h_buffer(self, sanity, eps_tol):
+        eq = solve(sanity.replace(eps_tol=eps_tol), "transparent_separating")
+        e_h = eq.profile.congruent_g.effort
+        assert eq.retains(AgentAction(REFORM, e_h + eps_tol), FAILURE) is True
+        starts, _ = eq.retention_pieces()
+        assert [s for s, t in zip(starts, starts[1:]) if math.nextafter(s, math.inf) == t] == []
+        assert _piece_mismatches(eq) == []
+
+    @pytest.mark.parametrize("eps_tol", [1e-9, 1e-3])
+    def test_pooling_believes_the_prior_at_the_top_of_the_pool(self, sanity, eps_tol):
+        params = sanity.replace(eps_tol=eps_tol)
+        eq = solve(params, "transparent_pooling", pooling_effort=0.3, check=False)
+        assert eq.belief(Observation(REFORM, 0.3 + eps_tol, SUCCESS)) == params.pi
