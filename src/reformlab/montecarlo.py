@@ -15,9 +15,13 @@ computations. Reproducibility contract:
 
 Within a draw the generator is consumed in a fixed order: type, state,
 signal, outcome (one uniform each, drawn for every draw even when the
-policy is the status quo). A block of ``n`` draws takes them as one
-``random((4, n))`` call, whose rows are the same stream as four sequential
-``random(n)`` calls.
+policy is the status quo). A block of ``n`` draws takes its four rows in
+stream order, ``CHUNK`` uniforms at a time into one chunk buffer, which
+consumes the generator exactly as one ``random((4, n))`` call, or four
+sequential ``random(n)`` calls, would. Each chunk is reduced to its
+block-length mask while it is in cache. The chunk buffer and the masks are
+per-worker scratch, allocated by the worker's first block and reused by
+every later one.
 
 A block's count table holds the draws per (type, signal) cell and the
 good-state successes per cell; status-quo cells have none, and every other
@@ -50,6 +54,9 @@ from .equilibrium import (
 from .model_core import Params, Record, require_integer
 
 BLOCK_SIZE = 1 << 18
+#: uniforms per ``random`` call in a block: a 256 KiB chunk, reduced to its
+#: mask while it is still in cache
+CHUNK = 1 << 15
 #: most draws one run may ask for (hours of compute); far below 2**53, so
 #: every count converts to float exactly
 MAX_DRAWS = 10**12
@@ -118,27 +125,57 @@ def _cell_tables(eq: Equilibrium):
     return reform, effort, retain
 
 
-def _run_block(rng: np.random.Generator, n: int, params: Params, tables) -> np.ndarray:
+def _run_block(
+    rng: np.random.Generator, n: int, params: Params, tables, scratch: dict
+) -> np.ndarray:
     """Count table of one block: the draws in each cell of :func:`_cell_tables`
     (2*noncongruent + bad_signal), then the good-state draws in each reform
-    cell whose outcome uniform is below the cell's effort (8 int64 entries)."""
+    cell whose outcome uniform is below the cell's effort (8 int64 entries).
+
+    ``scratch`` is the calling worker's, empty before its first block, which
+    fills it with the chunk buffer and the masks that later blocks reuse."""
+    if not scratch:
+        scratch.update(u=np.empty(CHUNK), below=np.empty(CHUNK, dtype=bool),
+                       masks=np.empty((4, BLOCK_SIZE), dtype=bool))
     reform, effort, _ = tables
-    u = rng.random((4, n))  # rows: type, state, signal, outcome
-    nc = u[0] >= params.pi
-    good = u[1] < params.phi
-    bad = u[2] < params.p
+    nc, good, bad, both = scratch["masks"][:, :n]
+
+    def row():  # the next row's uniforms in stream order, as (draw slice, chunk)
+        for a in range(0, n, CHUNK):
+            u = scratch["u"][:min(CHUNK, n - a)]
+            rng.random(out=u)
+            yield slice(a, a + len(u)), u
+
+    for s, u in row():  # type
+        np.greater_equal(u, params.pi, out=nc[s])
+    for s, u in row():  # state
+        np.less(u, params.phi, out=good[s])
+    for s, u in row():  # signal
+        np.less(u, params.p, out=bad[s])
     bad ^= good  # signal b iff it missed the state
-    n_nc, n_bad, n_both = (np.count_nonzero(m) for m in (nc, bad, nc & bad))
+    np.logical_and(nc, bad, out=both)
+    n_nc, n_bad, n_both = (np.count_nonzero(m) for m in (nc, bad, both))
     counts = np.zeros(8, dtype=np.int64)
     counts[:4] = n - n_nc - n_bad + n_both, n_bad - n_both, n_nc - n_both, n_both
-    good_nc = np.logical_and(good, nc, out=nc)
-    good_by_type = (np.logical_xor(good, good_nc, out=good), good_nc)
-    for c in np.flatnonzero(reform & (effort > 0)):
-        good_type = good_by_type[c >> 1]
-        hits = good_type & bad if c & 1 else good_type > bad  # x > y is x & ~y on booleans
-        if effort[c] < 1:  # otherwise every good draw succeeds: u < 1
-            hits &= u[3] < effort[c]
-        counts[4 + c] = np.count_nonzero(hits)
+    # each mask becomes the good-state draws of one cell, in place
+    both &= good  # cell 3
+    bad &= good
+    bad ^= both  # cell 1: the good bad-signal draws, less cell 3's
+    nc &= good
+    nc ^= both  # cell 2: the good noncongruent draws, less cell 3's
+    good ^= bad
+    good ^= nc
+    good ^= both  # cell 0: the good draws, less those of cells 1-3
+    cell_good = (good, bad, nc, both)
+    cells = np.flatnonzero(reform & (effort > 0))
+    interior = [c for c in cells if effort[c] < 1]  # others: every good draw succeeds
+    for s, u in row():  # outcome
+        below = scratch["below"][:len(u)]
+        for c in interior:
+            hits = cell_good[c][s]
+            np.logical_and(hits, np.less(u, effort[c], out=below), out=hits)
+    for c in cells:
+        counts[4 + c] = np.count_nonzero(cell_good[c])
     return counts
 
 
@@ -212,9 +249,9 @@ def simulate(config: SimConfig, eq: Equilibrium) -> SimStats:
     action, a good reform succeeds with probability equal to the effort,
     and the retention rule is applied to the regime's observables.
 
-    With ``threads`` workers, worker ``w`` sums blocks ``w, w + threads, ...``,
-    so at most ``threads`` blocks are in memory whatever ``n_draws`` is. The
-    sums are of integers, hence exact in any order.
+    With ``threads`` workers, worker ``w`` sums blocks ``w, w + threads, ...``
+    through its own scratch, so memory is ``threads`` scratches whatever
+    ``n_draws`` is. The sums are of integers, hence exact in any order.
     """
     if eq.regime != config.regime:
         raise DomainError(f"equilibrium regime {eq.regime!r} != config regime {config.regime!r}")
@@ -222,16 +259,18 @@ def simulate(config: SimConfig, eq: Equilibrium) -> SimStats:
     tables = _cell_tables(eq)
     n_blocks = -(-config.n_draws // BLOCK_SIZE)
 
-    def block(i):
+    def block(i, scratch):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=config.seed, spawn_key=(i,)))
         )
-        return _run_block(rng, min(BLOCK_SIZE, config.n_draws - i * BLOCK_SIZE), params, tables)
+        return _run_block(rng, min(BLOCK_SIZE, config.n_draws - i * BLOCK_SIZE), params, tables,
+                          scratch)
 
     threads = min(_thread_count(), n_blocks)
 
     def worker(w):
-        return sum(block(i) for i in range(w, n_blocks, threads))
+        scratch = {}
+        return sum(block(i, scratch) for i in range(w, n_blocks, threads))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -256,13 +295,14 @@ def convergence_sweep(
     tables = _cell_tables(eq)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     counts = np.zeros(8, dtype=np.int64)
+    scratch = {}
     done = 0
     out = []
     for target in checkpoints:
         remaining = target - done
         while remaining > 0:
             take = min(BLOCK_SIZE, remaining)
-            counts += _run_block(rng, take, params, tables)
+            counts += _run_block(rng, take, params, tables, scratch)
             remaining -= take
         done = target
         out.append(_stats_from_counts(counts, config.seed, params, tables))

@@ -23,7 +23,8 @@ from reformlab import (
     solve,
 )
 from reformlab import montecarlo
-from reformlab.montecarlo import BLOCK_SIZE, MAX_DRAWS, _cell_tables, _run_block, _thread_count
+from reformlab.montecarlo import (
+    BLOCK_SIZE, CHUNK, MAX_DRAWS, _cell_tables, _run_block, _thread_count)
 from reformlab.verification import joint_outcome_distribution
 
 from support import reference_block_counts
@@ -85,6 +86,15 @@ EFFORTS = st.sampled_from([0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0]) | st.flo
 OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
+def _assert_matches_reference(seed, n, params, tables, scratch):
+    got = _run_block(np.random.default_rng(seed), n, params, tables, scratch)
+    ref = reference_block_counts(np.random.default_rng(seed), n, params, tables)
+    ref = ref.reshape(4, 2, 2)  # [cell, good state, hit]
+    np.testing.assert_array_equal(got[:4], ref.sum(axis=(1, 2)))
+    np.testing.assert_array_equal(got[4:], np.where(tables[0], ref[:, 1, 1], 0))
+    assert got.dtype == np.int64
+
+
 class TestKernel:
     """``_run_block`` counts per cell what the 16-bin gather + ``bincount``
     reference counts on the same draws."""
@@ -93,35 +103,58 @@ class TestKernel:
            effort=st.lists(EFFORTS, min_size=4, max_size=4),
            p=st.floats(0.5, 1.0), phi=OPEN_UNIT, pi=OPEN_UNIT,
            n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    # every chunk boundary: one short of a chunk, exactly one, one over and a
+    # short last chunk after two full ones, and a full block
     @example(reform=[True, True, True, False], effort=[0.62, 1.0, 5e-324, 0.3],
              p=0.9, phi=0.5, pi=0.7, n=BLOCK_SIZE, seed=0)
+    @example(reform=[True, True, True, True], effort=[0.3, 0.9, 0.5, 1.0],
+             p=0.8, phi=0.4, pi=0.6, n=CHUNK - 1, seed=1)
+    @example(reform=[True, False, True, True], effort=[0.7, 0.2, 1.0, 0.05],
+             p=0.7, phi=0.6, pi=0.3, n=CHUNK, seed=2)
+    @example(reform=[False, True, True, True], effort=[0.4, 0.6, 0.2, 0.8],
+             p=0.95, phi=0.5, pi=0.5, n=CHUNK + 1, seed=3)
+    @example(reform=[True, True, False, True], effort=[1.0, 0.1, 0.3, 0.45],
+             p=0.6, phi=0.7, pi=0.8, n=2 * CHUNK + 3, seed=4)
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, reform, effort, p, phi, pi, n, seed):
         params = Params(p=p, phi=phi, d=0.5, lam=0.5, R=1.0, pi=pi)
         tables = (np.array(reform), np.array(effort), np.zeros((4, 3), dtype=bool))
-        got = _run_block(np.random.default_rng(seed), n, params, tables)
-        ref = reference_block_counts(np.random.default_rng(seed), n, params, tables)
-        ref = ref.reshape(4, 2, 2)  # [cell, good state, hit]
-        np.testing.assert_array_equal(got[:4], ref.sum(axis=(1, 2)))
-        np.testing.assert_array_equal(got[4:], np.where(tables[0], ref[:, 1, 1], 0))
-        assert got.dtype == np.int64
+        _assert_matches_reference(seed, n, params, tables, {})
 
-    def test_block_peak_below_40_bytes_per_draw(self, sanity):
-        # the draws take 32 bytes; an n-length float temporary would add 8
+    def test_reused_scratch_matches_reference(self):
+        # a smaller block after a larger one must read none of the masks the
+        # larger one left past its own draws
+        params = Params(p=0.9, phi=0.5, d=0.5, lam=0.5, R=1.0, pi=0.7)
+        tables = (np.array([True, True, True, False]), np.array([0.62, 1.0, 0.3, 0.0]),
+                  np.zeros((4, 3), dtype=bool))
+        scratch = {}
+        for seed, n in enumerate([BLOCK_SIZE, 1, CHUNK + 1, BLOCK_SIZE]):
+            _assert_matches_reference(seed, n, params, tables, scratch)
+
+    def test_block_peak_below_6_bytes_per_draw(self, sanity):
+        # the scratch holds four mask bytes a draw and a 256 KiB chunk buffer,
+        # one byte a draw at BLOCK_SIZE: a block-length bool temporary would
+        # add a byte a draw. Later blocks allocate no block-length array at all.
         tables = _cell_tables(solve(sanity, "opaque"))
         rng = np.random.default_rng(1)
         tracemalloc.start()
         try:
-            _run_block(rng, BLOCK_SIZE, sanity, tables)
-            peak = tracemalloc.get_traced_memory()[1]
+            scratch = {}
+            _run_block(rng, BLOCK_SIZE, sanity, tables, scratch)
+            first = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            _run_block(rng, BLOCK_SIZE, sanity, tables, scratch)
+            later = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert peak < 40 * BLOCK_SIZE
+        assert first < 6 * BLOCK_SIZE
+        assert later < CHUNK
 
     def test_threaded_memory_independent_of_block_count(self, sanity, monkeypatch):
         # a stub kernel keeps this to seeding: every block counts its draws as
         # congruent good-signal, so the totals check that each block ran once
-        monkeypatch.setattr(montecarlo, "_run_block", lambda rng, n, params, tables: (
+        monkeypatch.setattr(montecarlo, "_run_block", lambda rng, n, params, tables, scratch: (
             np.array([n, 0, 0, 0, 0, 0, 0, 0], dtype=np.int64)))
         monkeypatch.setenv("REFORMLAB_THREADS", "2")
         eq = solve(sanity, "opaque")
@@ -137,15 +170,21 @@ class TestKernel:
         assert peak < 100_000
 
 
-class TestDrawOrder:
-    """A block takes its uniforms as one ``random((4, n))`` call. The seeded
-    results rely on its rows being the same stream as four sequential
-    ``random(n)`` calls (type, state, signal, outcome)."""
+STREAMS = pytest.mark.parametrize("seed_seq, takes", [
+    (np.random.SeedSequence(entropy=99, spawn_key=(3,)), [1001, 2 * CHUNK + 3]),
+    (np.random.SeedSequence(5), [1, 17, 1000, 4099, CHUNK - 1, CHUNK, CHUNK + 1]),
+], ids=["spawned_block", "sequential_uneven_takes"])
 
-    @pytest.mark.parametrize("seed_seq, takes", [
-        (np.random.SeedSequence(entropy=99, spawn_key=(3,)), [1001]),
-        (np.random.SeedSequence(5), [1, 17, 1000, 4099]),
-    ], ids=["spawned_block", "sequential_uneven_takes"])
+
+class TestDrawOrder:
+    """A block of ``n`` draws takes its four rows (type, state, signal,
+    outcome) in stream order, each ``CHUNK`` uniforms at a time into one
+    reused buffer, the last chunk of a row short. The seeded results rely on
+    that giving the rows of one ``random((4, n))`` call and leaving the
+    generator where that call leaves it, which in turn gives the rows of four
+    sequential ``random(n)`` calls."""
+
+    @STREAMS
     def test_rows_match_sequential_draws(self, seed_seq, takes):
         block = np.random.Generator(np.random.PCG64(seed_seq))
         sequential = np.random.Generator(np.random.PCG64(seed_seq))
@@ -153,6 +192,19 @@ class TestDrawOrder:
             for row in block.random((4, n)):
                 np.testing.assert_array_equal(row, sequential.random(n))
         assert block.random() == sequential.random()
+
+    @STREAMS
+    def test_chunked_rows_match_one_call(self, seed_seq, takes):
+        whole = np.random.Generator(np.random.PCG64(seed_seq))
+        chunked = np.random.Generator(np.random.PCG64(seed_seq))
+        buf = np.empty(CHUNK)
+        for n in takes:
+            for row in whole.random((4, n)):
+                for a in range(0, n, CHUNK):
+                    u = buf[:min(CHUNK, n - a)]
+                    chunked.random(out=u)
+                    np.testing.assert_array_equal(u, row[a:a + len(u)])
+        assert whole.random() == chunked.random()
 
 
 # Statistics of the per-draw payoff-array kernel, captured before the count
