@@ -211,22 +211,26 @@ def run_sweep(spec: SweepSpec) -> Iterator[str]:
     groups = [group for name, group in SWEEP_GROUPS.items() if name in spec.outputs]
     yield ",".join([*_PARAM_COLS, *(c for columns, _ in groups for c in columns)])
     base = spec.base.to_json()
-    names = [a.param for a in spec.axes]
-    for values in itertools.product(*(a.values() for a in spec.axes)):
-        point = dict(zip(names, values))
-        cols = {**base, **point}
-        row = [cols[k] for k in _PARAM_COLS]
+    head = [_format_cell(base[k]) for k in _PARAM_COLS]  # the base columns, formatted once
+    slots = [_PARAM_COLS.index(a.param) for a in spec.axes]
+    names = ["lam" if a.param == "lambda" else a.param for a in spec.axes]
+    # each axis value with its text, formatted once per axis
+    axes = [[(v, _format_cell(v)) for v in a.values()] for a in spec.axes]
+    for point in itertools.product(*axes):
+        row = head.copy()
+        for slot, (_, text) in zip(slots, point):
+            row[slot] = text
         try:
-            params = spec.base.replace(**{("lam" if k == "lambda" else k): v
-                                          for k, v in point.items()})
+            params = spec.base.replace(**{k: v for k, (v, _) in zip(names, point)})
         except DomainError:
             params = None  # outside the parameter domain: every group is NA
         for columns, cells in groups:
             try:
-                row += [None] * len(columns) if params is None else cells(params)
+                row += ["NA"] * len(columns) if params is None else [
+                    _format_cell(c) for c in cells(params)]
             except ReformLabError:
-                row += [None] * len(columns)
-        yield ",".join(_format_cell(c) for c in row)
+                row += ["NA"] * len(columns)
+        yield ",".join(row)
 
 
 def _output(out: Optional[str]):

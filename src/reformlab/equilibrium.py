@@ -282,6 +282,7 @@ class Equilibrium:
                 {"observation": pat.to_json(), "p_congruent": val}
                 for pat, val in self.beliefs
             ],
+            "eps_tol": self.eps_tol,
             "pooling_effort": self.pooling_effort,
         }
 

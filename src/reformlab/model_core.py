@@ -17,7 +17,7 @@ import math
 import operator
 import sys
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field, fields, replace as _replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import Literal
 
@@ -95,7 +95,9 @@ class Params:
                 raise DomainError(msg.format(self))
 
     def replace(self, **kwargs) -> "Params":
-        return _replace(self, **kwargs)
+        """``dataclasses.replace(self, **kwargs)``: every field is an init field, so the
+        new ``Params`` is built from the instance dict plus the changes."""
+        return type(self)(**{**vars(self), **kwargs})
 
     def to_json(self) -> dict:
         """Flat JSON object with keys exactly ``PARAM_KEYS``."""

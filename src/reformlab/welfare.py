@@ -31,15 +31,12 @@ from typing import Optional
 
 from .errors import DomainError, NonFiniteError, PreconditionLossError, UnderflowError
 from .equilibrium import (
-    CONGRUENT, FAILURE, NONTRANSPARENT, OPAQUE, REFORM, SQ_OUTCOME, SUCCESS, TRANSPARENT_SEPARATING,
-    Equilibrium, gate_refusals, raw_profile, solve,
+    CELLS, CONGRUENT, FAILURE, NONTRANSPARENT, OPAQUE, REFORM, SQ_OUTCOME, STATUS_QUO, SUCCESS,
+    TRANSPARENT_SEPARATING, Equilibrium, gate_refusals, raw_profile, solve,
 )
 from .model_core import Params, Record, RentMode, posteriors, require_rent_mode
-from .verification import joint_outcome_distribution
 
 WELFARE_REGIMES = (NONTRANSPARENT, OPAQUE, TRANSPARENT_SEPARATING)
-
-_OUTCOME_VALUE = {SUCCESS: 1.0, FAILURE: 0.0}
 
 
 @dataclass(frozen=True)
@@ -73,16 +70,37 @@ def _welfare_and_selection(eq: Equilibrium, params: Params) -> tuple[float, floa
 
     W weighs outcomes 1 / d / 0; Q is the expected congruence of tomorrow's
     office-holder, counting the incumbent's posterior when retained and the
-    replacement prior when removed.
+    replacement prior when removed. The masses are those of the (type, signal,
+    state, outcome) enumeration, added in its order: a state of zero mass yields
+    none, and a reform yields a success where its effort is positive and a
+    failure where it is below one. A cell's retention is read once per outcome
+    that yields a mass.
     """
+    p, phi, pi, d = params.p, params.phi, params.pi, params.d
+    states = {"g": (phi * p, (1 - phi) * (1 - p)), "b": (phi * (1 - p), (1 - phi) * p)}
     w = 0.0
     q = 0.0
-    for t, _s, act, outcome, mass in joint_outcome_distribution(eq.profile, params):
-        w += mass * (params.d if outcome == SQ_OUTCOME else _OUTCOME_VALUE[outcome])
-        if eq.retains(act, outcome):
-            q += mass if t == CONGRUENT else 0.0
+    for (t, s), act in zip(CELLS, eq.profile.actions()):
+        own = t == CONGRUENT
+        pt = pi if own else 1 - pi
+        good, bad = pt * states[s][0], pt * states[s][1]
+        if act.policy == STATUS_QUO:
+            outcome, value, masses = SQ_OUTCOME, d, [m for m in (good, bad) if m != 0.0]
         else:
-            q += mass * params.pi
+            e = act.effort
+            if good != 0.0 and e > 0.0:  # success, worth 1, in the good state only
+                m = good * e
+                w += m
+                q += (m if own else 0.0) if eq.retains(act, SUCCESS) else m * pi
+            outcome, value = FAILURE, 0.0
+            masses = [good * (1.0 - e)] if good != 0.0 and e < 1.0 else []
+            if bad != 0.0:
+                masses.append(bad)
+        if masses:
+            kept = eq.retains(act, outcome)
+            for m in masses:
+                w += m * value
+                q += (m if own else 0.0) if kept else m * pi
     return w, q
 
 

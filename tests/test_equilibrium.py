@@ -517,6 +517,15 @@ class TestCrossRegimeInvariants:
         assert {r["decision"] for r in blob["retention"]} == {"retain", "remove"}
         assert all("p_congruent" in b for b in blob["beliefs"])
 
+    def test_json_states_the_eps_buffer(self, sanity):
+        # two equilibria that differ only in eps_tol retain differently, so they print apart
+        eq = solve(sanity, "transparent_separating")
+        wide = dataclasses.replace(eq, eps_tol=1e-3)
+        assert eq.retention_pieces() != wide.retention_pieces()
+        assert json.dumps(eq.to_json()) != json.dumps(wide.to_json())
+        assert list(eq.to_json())[-2:] == ["eps_tol", "pooling_effort"]
+        assert (eq.to_json()["eps_tol"], wide.to_json()["eps_tol"]) == (sanity.eps_tol, 1e-3)
+
 
 class TestActionValidation:
     def test_status_quo_with_effort_rejected(self):

@@ -1,12 +1,13 @@
 """Tests for parameters, posteriors, and assumption checks."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reformlab import (
@@ -18,7 +19,7 @@ from reformlab import (
     model_core,
     posteriors,
 )
-from support import sample_mon_pairs, sample_params
+from support import DOMAINS, sample_mon_pairs, sample_params
 
 # frozen regression values at the sanity-check parameters
 MU_PLUS = 0.9966442953020135
@@ -70,6 +71,28 @@ class TestParams:
     def test_replace_unknown_key_rejected(self, sanity):
         with pytest.raises(TypeError):
             sanity.replace(mu=0.5)
+
+    @given(base=st.builds(Params, **{k: st.floats(lo, hi) for k, (lo, hi) in DOMAINS.items()}),
+           changes=st.dictionaries(
+               st.sampled_from([f.name for f in dataclasses.fields(Params)] + ["lambda", "mu"]),
+               st.floats(-1.0, 4.0) | st.sampled_from([math.inf, math.nan]), max_size=3))
+    @example(base=Params(p=0.9, phi=0.5, d=0.1, lam=0.5, R=1.0, pi=0.5), changes={"mu": 0.5})
+    @example(base=Params(p=0.9, phi=0.5, d=0.1, lam=0.5, R=1.0, pi=0.5), changes={"lam": 1.5})
+    @settings(max_examples=300, deadline=None)
+    def test_replace_matches_dataclasses_replace(self, base, changes):
+        # the same Params field for field, or the same exception type and message
+        def outcome(replace):
+            try:
+                return replace(base, **changes)
+            except Exception as exc:
+                return type(exc), str(exc)
+        got, want = outcome(Params.replace), outcome(dataclasses.replace)
+        if isinstance(want, Params):
+            assert type(got) is Params
+            assert [(k, type(v), v) for k, v in vars(got).items()] == [
+                (k, type(v), v) for k, v in vars(want).items()]
+        else:
+            assert got == want
 
     @given(st.floats(0.5, 1.0), st.floats(0.01, 0.99))
     @settings(max_examples=200, deadline=None)

@@ -50,7 +50,14 @@ def imports(module: str) -> set[str]:
 def test_import_parser_reads_the_package():
     assert direct_imports("__main__") == {"cli"}
     assert {"welfare", "verification", "montecarlo"} <= direct_imports("cli")
-    assert imports("welfare") >= {"verification", "equilibrium", "model_core", "errors"}
+    assert imports("__main__") >= {"cli", "welfare", "verification", "equilibrium",
+                                    "model_core", "errors"}
+
+
+def test_welfare_imports_nothing_from_verification():
+    # W and Q are welfare's own walk of the four cells, not the oracles' enumeration
+    assert imports("welfare") >= {"equilibrium", "model_core", "errors"}
+    assert "verification" not in imports("welfare")
 
 
 def test_monte_carlo_imports_no_closed_form_or_deviation_oracle():

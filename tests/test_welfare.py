@@ -1,5 +1,7 @@
 """Tests for welfare computation, regime comparison, and thresholds."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,8 +25,13 @@ from reformlab import (
     thresholds_from_lambda_hat,
     transparent_pooling_family,
     UnderflowError,
+    UnresolvedObservationError,
 )
-from reformlab.equilibrium import REFORM
+from reformlab.equilibrium import (
+    FAILURE, OPAQUE, REFORM, REMOVE, RETAIN, STATUS_QUO, AgentAction, Equilibrium,
+    ObservationPattern, StrategyProfile,
+)
+from reformlab.verification import joint_outcome_distribution
 from reformlab.welfare import H, WELFARE_REGIMES, _welfare_and_selection
 from support import DOMAINS, bisect_root, per_mass_welfare_and_selection, sample_params
 
@@ -343,3 +350,48 @@ def test_q_walk_examples_reach_the_edges():
                    if gated and eq.pooling_effort is not None}
     assert len(gated_pools) == 2  # both ends of part3's family
     assert {gated for _, gated, _ in walked} == {True, False}
+
+
+def test_q_walk_reads_each_cell_outcome_once(monkeypatch):
+    # one retention read per (cell, outcome) that the enumeration gives a mass
+    reads = []
+    retains = Equilibrium.retains
+    monkeypatch.setattr(Equilibrium, "retains",
+                        lambda eq, act, outcome: reads.append(outcome) or retains(eq, act, outcome))
+    for params in WALK_EXAMPLES:
+        for _, eq in _walk_equilibria(params):
+            reads.clear()
+            _welfare_and_selection(eq, params)
+            cells = {(t, s, outcome)
+                     for t, s, _, outcome, _ in joint_outcome_distribution(eq.profile, params)}
+            assert len(reads) == len(cells), (params, eq.regime)
+
+
+def _failure_and_status_quo_only(effort: float) -> Equilibrium:
+    """Opaque play with a reform at ``effort`` on (congruent, g), a zero-effort reform on
+    (noncongruent, g) and the status quo on b, under a retention list that covers only
+    (reform, failure) and the status quo: a success it reads is unresolved."""
+    sq = AgentAction(STATUS_QUO)
+    profile = StrategyProfile(AgentAction(REFORM, effort), sq, AgentAction(REFORM, 0.0), sq)
+    retention = ((ObservationPattern(REFORM, outcome=FAILURE), REMOVE),
+                 (ObservationPattern(STATUS_QUO), RETAIN))
+    return Equilibrium(OPAQUE, profile, retention, (), eps_tol=1e-12)
+
+
+@pytest.mark.parametrize("effort", [0.0, 5e-324, 0.3, 1.0])
+@pytest.mark.parametrize("p", [0.8, 1.0])
+def test_q_walk_raises_where_the_reference_raises(p, effort):
+    # a success reads retention wherever the reform's effort is positive, even where its
+    # mass underflows to 0 (5e-324); p = 1 leaves the b-signal good state and the
+    # g-signal bad state without mass
+    params = Params(p=p, phi=0.6, d=0.3, lam=0.5, R=0.9, pi=0.5)
+    eq = _failure_and_status_quo_only(effort)
+    try:
+        want = per_mass_welfare_and_selection(eq, params)
+    except UnresolvedObservationError as exc:
+        assert effort > 0.0
+        with pytest.raises(UnresolvedObservationError, match=re.escape(str(exc))):
+            _welfare_and_selection(eq, params)
+    else:
+        assert effort == 0.0
+        assert _bits(_welfare_and_selection(eq, params)) == _bits(want)
