@@ -35,7 +35,7 @@ from typing import Iterator, Optional
 from .errors import DomainError, ReformLabError
 from .equilibrium import AgentAction, REGIMES, STATUS_QUO, solve
 from .model_core import ASSUMPTION_CHECKS, Params, assumption_values, check_assumptions
-from .model_core import require_integer, require_number
+from .model_core import read_json, require_integer, require_number
 from .montecarlo import SimConfig, simulate
 from .verification import (MAX_GRID_SIZE, bayes_consistency, deviation_check,
                            divinity_breakeven, news_classification)
@@ -64,25 +64,11 @@ def fixture_path(name: str) -> str:
 
 def _load_params(value: str) -> Params:
     """Resolve --params: a filesystem path, or a bundled fixture name."""
-    path = value
-    if not os.path.exists(path):
-        stem = value.removesuffix(".json")
-        if stem in FIXTURES:
-            path = fixture_path(stem)
-        else:
-            raise DomainError(f"--params: no such file or fixture: {value!r}")
-    return Params.from_json(_read_json(path, f"--params: invalid JSON in {path}"))
-
-
-def _read_json(path: str, invalid: str):
-    """The JSON document in ``path``; undecodable, non-UTF-8 or too deeply
-    nested text, or an integer of more digits than ``int`` parses, raises
-    ``DomainError`` prefixed with ``invalid``."""
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (ValueError, RecursionError) as exc:  # decode errors are ValueErrors
-        raise DomainError(f"{invalid}: {exc}") from None
+    if os.path.exists(value):
+        return Params.load(value)
+    if value.removesuffix(".json") in FIXTURES:
+        return Params.load(fixture_path(value))
+    raise DomainError(f"--params: no such file or fixture: {value!r}")
 
 
 def _format_cell(value) -> str:
@@ -299,6 +285,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _solve(args, params: Params):
+    """The equilibrium that --regime, --rent-mode and --pooling-effort name at ``params``."""
+    return solve(params, args.regime, rent_mode=args.rent_mode, pooling_effort=args.pooling_effort)
+
+
 def _cmd_check(args) -> int:
     params = _load_params(args.params)
     report = check_assumptions(params)
@@ -308,8 +299,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_solve(args) -> int:
     params = _load_params(args.params)
-    eq = solve(params, args.regime, rent_mode=args.rent_mode,
-               pooling_effort=args.pooling_effort)
+    eq = _solve(args, params)
     _emit(_json_dumps(eq.to_json()), args.out)
     return 0
 
@@ -318,8 +308,7 @@ def _cmd_verify(args) -> int:
     params = _load_params(args.params)
     if not 2 <= args.grid <= MAX_GRID_SIZE:
         raise DomainError(f"--grid must be in [2, {MAX_GRID_SIZE}]")
-    eq = solve(params, args.regime, rent_mode=args.rent_mode,
-               pooling_effort=args.pooling_effort)
+    eq = _solve(args, params)
     dev = deviation_check(eq, params, grid_size=args.grid)
     sys.stderr.write(dev.format_table() + "\n")
     bayes = bayes_consistency(eq, params)
@@ -348,7 +337,7 @@ def _cmd_welfare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     try:
-        spec = SweepSpec.from_json(_read_json(args.sweep, "--sweep: invalid JSON"))
+        spec = SweepSpec.from_json(read_json(args.sweep, "--sweep: invalid JSON"))
     except FileNotFoundError:
         raise DomainError(f"--sweep: no such file: {args.sweep!r}")
     with _output(args.out) as f:
@@ -360,8 +349,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_simulate(args) -> int:
     params = _load_params(args.params)
     config = SimConfig(n_draws=args.n, seed=args.seed, regime=args.regime, params=params)
-    eq = solve(params, args.regime, rent_mode=args.rent_mode,
-               pooling_effort=args.pooling_effort)
+    eq = _solve(args, params)
     stats = simulate(config, eq)
     text = _json_dumps(stats.to_json()) if args.format == "json" else stats.format_table()
     _emit(text, args.out)

@@ -334,15 +334,15 @@ def raw_profile(regime: str, params: Params, post: Posteriors) -> tuple[tuple[st
     raise DomainError(f"no closed-form profile for regime {regime!r}")
 
 
-def _opaque_success_beliefs(params: Params) -> tuple[float, float]:
-    """Posterior congruence after a successful / failed reform under the
-    outcome-accountable profile, by Bayes from the on-path distribution."""
-    post = posteriors(params)
-    lam, R, p, phi, pi = params.lam, params.R, params.p, params.phi, params.pi
-    succ_c = phi * lam * (1 + R) * (p * post.mu_plus + (1 - p) * post.mu_minus)
-    succ_n = phi * p * lam * R * post.mu_plus
+def _opaque_success_beliefs(params: Params, profile: StrategyProfile) -> tuple[float, float]:
+    """Posterior congruence after a successful / failed reform, by Bayes from the on-path
+    distribution of the clamped outcome-accountable ``profile`` that :func:`solve` built."""
+    p, phi, pi = params.p, params.phi, params.pi
+    e_g, e_b, e_n, _ = (act.effort for act in profile.actions())  # noncongruent_b: status quo
+    succ_c = phi * (p * e_g + (1 - p) * e_b)
+    succ_n = phi * p * e_n
     fail_c = 1.0 - succ_c
-    fail_n = phi * p * (1 - lam * R * post.mu_plus) + (1 - phi) * (1 - p)
+    fail_n = phi * p * (1 - e_n) + (1 - phi) * (1 - p)
     mass_succ = pi * succ_c + (1 - pi) * succ_n
     mass_fail = pi * fail_c + (1 - pi) * fail_n
     if mass_succ == 0.0 or mass_fail == 0.0:
@@ -427,7 +427,8 @@ def solve(
     regime, is refused before any gate. With ``check`` the core assumptions
     (rent in its ``rent_mode`` form) and the regime's own condition must
     hold, as read from :func:`gate_refusals`, and a pooled effort must lie
-    in the family. Either way the closed-form efforts are clamped to [0, 1].
+    in the family. Either way the closed-form efforts are clamped to [0, 1], and the
+    opaque beliefs are Bayes posteriors over that clamped profile.
     """
     require_rent_mode(rent_mode)
     if regime not in REGIMES:
@@ -476,7 +477,7 @@ def solve(
             (_ANY_STATUS_QUO, REMOVE, 0.0),
         )
     elif regime == OPAQUE:
-        b_succ, b_fail = _opaque_success_beliefs(params)
+        b_succ, b_fail = _opaque_success_beliefs(params, profile)
         rules = (
             (_REFORM_SUCCESS, RETAIN, b_succ),
             (_REFORM_FAILURE, REMOVE, b_fail),

@@ -31,6 +31,8 @@ RentMode = Literal["strict", "relaxed"]
 #: so the attribute is named ``lam``.
 PARAM_KEYS = ("p", "phi", "d", "lambda", "R", "pi", "M", "eps_tol")
 _MAX = sys.float_info.max  # the largest finite float
+#: width of the final bisection bracket of :func:`find_p_bar`
+P_BAR_TOL = 1e-9
 
 
 def require_integer(name: str, value) -> int:
@@ -46,6 +48,17 @@ def require_number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _MAX:
         raise DomainError(f"{name} must be a finite number, got {value!r:.40}")
     return float(value)
+
+
+def read_json(path, invalid: str):
+    """The JSON document in ``path``; undecodable, non-UTF-8 or too deeply
+    nested text, or an integer of more digits than ``int`` parses, raises
+    ``DomainError`` prefixed with ``invalid``."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (ValueError, RecursionError) as exc:  # decode errors are ValueErrors
+        raise DomainError(f"{invalid}: {exc}") from None
 
 
 class Record:
@@ -123,8 +136,8 @@ class Params:
 
     @classmethod
     def load(cls, path) -> "Params":
-        with open(path) as f:
-            return cls.from_json(json.load(f))
+        """Parse the params file at ``path``, read by :func:`read_json`."""
+        return cls.from_json(read_json(path, f"invalid params JSON in {path}"))
 
     @property
     def effort_root(self) -> float:
@@ -269,21 +282,18 @@ def _informativeness(params: Params, p):
     return lhs <= rhs + params.eps_tol, lhs, rhs
 
 
-def find_p_bar(params: Params, tol: float = 1e-9) -> float | None:
+def find_p_bar(params: Params) -> float | None:
     """Smallest signal accuracy from which the informativeness condition
     holds for all sampled larger accuracies, other parameters fixed.
 
     Returns None when z >= lambda, in which case no such threshold is
     guaranteed to exist (the condition can fail even at p = 1). The result
     is located by a scan for the start of the trailing all-hold run followed
-    by bisection on that boundary, then re-verified on a finer grid above
-    the returned value; if the re-scan exposes non-monotone behavior (only
-    possible when lambda(1+R) > 1), the search repeats on the finer grid.
-    ``tol`` (in (0, 1/2), so that ``1/2 + tol`` is an accuracy) bounds the
-    final bisection bracket's width.
+    by bisection on that boundary to a bracket of width ``P_BAR_TOL``, then
+    re-verified on a finer grid above the returned value; if the re-scan
+    exposes non-monotone behavior (only possible when lambda(1+R) > 1), the
+    search repeats on the finer grid.
     """
-    if not 0.0 < tol < 0.5:
-        raise DomainError(f"tol must be in (0, 0.5), got {tol}")
     if posteriors(params).z >= params.lam:
         return None
 
@@ -292,12 +302,10 @@ def find_p_bar(params: Params, tol: float = 1e-9) -> float | None:
         # the last grid point's own flag is not read
         fails = np.flatnonzero(~_informativeness(params, grid)[0][:-1])
         if len(fails) == 0:
-            return 0.5 + tol  # holds on the whole open interval
+            return 0.5 + P_BAR_TOL  # holds on the whole open interval
         lo, hi = float(grid[fails[-1]]), float(grid[fails[-1] + 1])
-        while hi - lo > tol:
+        while hi - lo > P_BAR_TOL:  # floats in [1/2, 1] are far closer: mid is strictly inside
             mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break  # adjacent floats: no narrower bracket exists
             if _informativeness(params, mid)[0]:
                 hi = mid
             else:

@@ -546,6 +546,14 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # the library reads a params file through the JSON reader the CLI uses
+    @pytest.mark.parametrize("name", sorted(n for n in MALFORMED if n.startswith("params_")))
+    def test_params_load_refuses(self, tmp_path, name):
+        path = tmp_path / "input.json"
+        path.write_bytes(MALFORMED[name][1])
+        with pytest.raises(DomainError):
+            Params.load(path)
+
     @pytest.mark.parametrize("effort", ["nan", "5", "-0.5"])
     @pytest.mark.parametrize("fixture", ["sanity", "part3"])
     def test_bad_pooled_effort_is_usage_error(self, capsys, fixture, effort):

@@ -41,7 +41,7 @@ from reformlab import verification
 from reformlab.cli import run
 from reformlab.equilibrium import CELLS, REFORM, STATUS_QUO
 from support import (
-    DOMAINS, dense_deviation_check, opaque_failure_mass, sample_params, scalar_divinity_breakeven,
+    DOMAINS, dense_deviation_check, sample_params, scalar_divinity_breakeven,
     scalar_expected_utility,
 )
 
@@ -145,10 +145,8 @@ class TestGridCap:
 
 def _regime_eq(params: Params, regime: str, check: bool = False):
     """The equilibrium a ``REGIMES`` name stands for, or None where there is none:
-    opaque without failed-reform mass, or a pool outside [0, 1]."""
+    a pool outside [0, 1]."""
     if regime in NONPOOLING_REGIMES:
-        if regime == "opaque" and opaque_failure_mass(params) == 0.0:
-            return None
         return solve(params, regime, check=check)
     family = transparent_pooling_family(params)
     e_star = family and family[1 if regime == "pooling_hi" else 0]

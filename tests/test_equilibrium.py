@@ -20,7 +20,9 @@ from reformlab import (
     Observation,
     Params,
     ReformLabError,
+    bayes_consistency,
     check_assumptions,
+    deviation_check,
     interior_effort,
     optimal_regime,
     posteriors,
@@ -163,6 +165,35 @@ class TestOpaque:
         assert b_f == pytest.approx(BELIEF_FAILURE, abs=1e-12)
         assert b_s > sanity.pi > b_f
         assert eq.belief(Observation(STATUS_QUO, outcome=SQ_OUTCOME)) == 0.0
+
+    # ungated, the beliefs follow from the clamped profile ``solve`` built; here the
+    # closed-form congruent good-signal effort lambda (1+R) mu+ = 1.63 is clamped to 1
+    @given(params=st.builds(Params, **{k: st.floats(lo, hi) for k, (lo, hi) in DOMAINS.items()}))
+    @example(params=Params(p=0.8, phi=0.6, d=0.3, lam=1.0, R=0.9, pi=0.5))
+    @settings(max_examples=100, deadline=None)
+    def test_ungated_beliefs_are_bayes_consistent(self, params):
+        eq = solve(params, "opaque", check=False)
+        assert all(0.0 <= b <= 1.0 for _, b in eq.beliefs)
+        assert bayes_consistency(eq, params).passed
+
+    def test_ungated_beliefs_read_the_clamped_efforts(self):
+        params = Params(p=0.8, phi=0.6, d=0.3, lam=1.0, R=0.9, pi=0.5)
+        eq = solve(params, "opaque", check=False)
+        assert eq.profile.congruent_g.effort == 1.0
+        b_s = eq.belief(Observation(REFORM, outcome=SUCCESS))
+        b_f = eq.belief(Observation(REFORM, outcome=FAILURE))
+        assert (b_s, b_f) == pytest.approx((0.594193, 0.707020), abs=1e-6)
+
+    def test_failure_keeps_mass_where_the_unclamped_effort_exceeds_one(self):
+        # p = 1 and lambda (1+R) = 2: with the unclamped good-signal efforts 2 and 1 a
+        # failure had no mass and no belief; the clamped profile fails with probability 1/4
+        params = Params(p=1.0, phi=0.5, d=0.5, lam=1.0, R=1.0, pi=0.5)
+        eq = solve(params, "opaque", check=False)
+        assert eq.belief(Observation(REFORM, outcome=SUCCESS)) == 0.5
+        assert eq.belief(Observation(REFORM, outcome=FAILURE)) == 1.0
+        assert bayes_consistency(eq, params).passed
+        assert deviation_check(eq, params).counts() == {"pass": 3, "fail": 0,
+                                                        "fail (documented)": 1}
 
     def test_informativeness_gate(self):
         # low accuracy, unbalanced prior: condition fails but basics hold

@@ -311,17 +311,3 @@ class TestPBarGolden:
         cases = P_BAR_GOLDEN["points"][path]
         got = [find_p_bar(Params.from_json(c["params"])) for c in cases]
         assert got == [c["p_bar"] for c in cases]
-
-
-class TestFindPBarTol:
-    # from 1/2 up, the whole-interval return 1/2 + tol is no accuracy
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, 0.5, 0.6, 1.0])
-    def test_invalid_tol_rejected(self, sanity, tol):
-        with pytest.raises(DomainError, match="tol"):
-            find_p_bar(sanity, tol=tol)
-
-    @pytest.mark.parametrize("tol", [1e-17, 1e-300])
-    def test_below_one_ulp_stops_where_condition_holds(self, sanity, tol):
-        p_bar = find_p_bar(sanity, tol=tol)
-        assert informativeness_condition(sanity.replace(p=p_bar))[0]
-        assert not informativeness_condition(sanity.replace(p=math.nextafter(p_bar, 0)))[0]

@@ -199,8 +199,13 @@ CLOSED_FORM = {"interior_effort", "raw_profile", "separation_effort",
 
 def names_used(module: str) -> set[str]:
     """Names that ``module`` imports, reads or takes as an attribute."""
+    return names_in(ast.parse(MODULES[module].read_text()))
+
+
+def names_in(tree: ast.AST) -> set[str]:
+    """Names that ``tree`` imports, reads or takes as an attribute."""
     found = set()
-    for node in ast.walk(ast.parse(MODULES[module].read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.alias):
             found.update({node.name, node.asname} - {None})
         elif isinstance(node, ast.Name):
@@ -228,6 +233,16 @@ def test_verification_imports_no_closed_form_effort():
                 for alias in node.names for name in (alias.name, alias.asname)}
     assert imported.isdisjoint({"raw_profile", "interior_effort"})
     assert "posteriors" in imported  # the reader sees real imports
+
+
+def test_opaque_beliefs_read_the_built_profile():
+    # the opaque beliefs take the reform efforts from the clamped profile ``solve`` built:
+    # they restate no closed-form effort from the rent, the cost sensitivity or the posteriors
+    [func] = [node for node in ast.parse(MODULES["equilibrium"].read_text()).body
+              if isinstance(node, ast.FunctionDef) and node.name == "_opaque_success_beliefs"]
+    used = names_in(func)
+    assert used.isdisjoint({"lam", "R", "posteriors", "mu_plus", "mu_minus"})
+    assert {"profile", "effort"} <= used  # the reader sees real reads
 
 
 def calls(name: str):

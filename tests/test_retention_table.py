@@ -28,14 +28,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reformlab import (
-    AgentAction, DomainError, Observation, Params, UnderflowError, UnresolvedObservationError,
+    AgentAction, DomainError, Observation, Params, UnresolvedObservationError,
     solve, transparent_pooling_family,
 )
 from reformlab import equilibrium
 from reformlab.equilibrium import (
     FAILURE, OBSERVATION_CLASSES, OPAQUE, REFORM, SQ_OUTCOME, STATUS_QUO, SUCCESS, observe,
 )
-from support import DOMAINS, _interpreted_belief, _interpreted_decide, opaque_failure_mass
+from support import DOMAINS, _interpreted_belief, _interpreted_decide
 
 NONPOOLING_REGIMES = ("benchmark", "nontransparent", "opaque", "transparent_separating")
 #: ``deviation_check``'s default grid size, whose points are probed next to each tested value
@@ -48,13 +48,7 @@ SHAPES = ((REFORM, None), (REFORM, SUCCESS), (REFORM, FAILURE), (STATUS_QUO, Non
 def _equilibria(params: Params, j: int) -> list:
     """Every regime at ``params``, pooling at both ends of its family and at
     grid point ``j``; ungated, so that the tests reach past the gates."""
-    eqs = []
-    for regime in NONPOOLING_REGIMES:
-        if regime == "opaque" and opaque_failure_mass(params) == 0.0:
-            with pytest.raises(UnderflowError):  # no belief after a failure: refused
-                solve(params, regime, check=False)
-            continue
-        eqs.append(solve(params, regime, check=False))
+    eqs = [solve(params, regime, check=False) for regime in NONPOOLING_REGIMES]
     pools = [*(transparent_pooling_family(params) or ()), j / (GRID_SIZE - 1)]
     eqs += [solve(params, "transparent_pooling", pooling_effort=e, check=False)
             for e in pools if 0.0 <= e <= 1.0]
