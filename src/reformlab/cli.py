@@ -34,8 +34,9 @@ from typing import Iterator, Optional
 
 from .errors import DomainError, ReformLabError
 from .equilibrium import AgentAction, REGIMES, STATUS_QUO, solve
-from .model_core import ASSUMPTION_CHECKS, Params, assumption_values, check_assumptions
-from .model_core import read_json, require_integer, require_number
+from .model_core import ASSUMPTION_CHECKS, GAME_KEYS, PARAM_FIELDS, PARAM_KEYS, Params
+from .model_core import assumption_values, check_assumptions, read_json, require_integer
+from .model_core import require_number
 from .montecarlo import SimConfig, simulate
 from .verification import (MAX_GRID_SIZE, bayes_consistency, deviation_check,
                            divinity_breakeven, news_classification)
@@ -47,11 +48,6 @@ FIXTURES = ("sanity", "part3")
 #: its axis values: two axes at the cap peak near 8 MB (tracemalloc), and
 #: their 10^10 rows would run for weeks.
 MAX_SWEEP_STEPS = 100_000
-
-_AXIS_DOMAINS = {
-    "p": (0.5, 1.0), "phi": (0.0, 1.0), "d": (0.0, 1.0),
-    "lambda": (0.0, 1.0), "R": (0.0, math.inf), "pi": (0.0, 1.0),
-}
 
 
 def fixture_path(name: str) -> str:
@@ -72,6 +68,7 @@ def _load_params(value: str) -> Params:
 
 
 def _format_cell(value) -> str:
+    """The one CSV cell rule: ``repr`` floats, ``true``/``false``, and ``NA`` for None or NaN."""
     if value is None:
         return "NA"
     if isinstance(value, bool):
@@ -85,13 +82,15 @@ def _format_cell(value) -> str:
 
 @dataclass(frozen=True)
 class SweepAxis:
+    """``steps`` evenly spaced values of one game primitive, from ``min`` to exactly ``max``."""
+
     param: str
     min: float
     max: float
     steps: int
 
     def __post_init__(self):
-        if not isinstance(self.param, str) or self.param not in _AXIS_DOMAINS:
+        if not isinstance(self.param, str) or self.param not in GAME_KEYS:
             raise DomainError(f"invalid sweep axis {self.param!r}")
         require_integer(f"axis {self.param}: steps", self.steps)
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
@@ -102,17 +101,15 @@ class SweepAxis:
             )
         if not self.min < self.max:
             raise DomainError(f"axis {self.param}: min must be < max")
-        lo, hi = _AXIS_DOMAINS[self.param]
+        _, lo, hi, _, _ = PARAM_FIELDS[self.param]
         if self.min < lo or self.max > hi:
             raise DomainError(
                 f"axis {self.param}: range [{self.min}, {self.max}] outside domain [{lo}, {hi}]"
             )
 
     def values(self) -> list[float]:
-        return [
-            self.min + (self.max - self.min) * i / (self.steps - 1)
-            for i in range(self.steps)
-        ]
+        span = self.max - self.min
+        return [self.min + span * i / (self.steps - 1) for i in range(self.steps - 1)] + [self.max]
 
 
 def _assumption_cells(params: Params) -> list:
@@ -188,18 +185,16 @@ class SweepSpec:
         return cls(base=Params.from_json(obj["base"]), axes=tuple(axes), outputs=tuple(outputs))
 
 
-_PARAM_COLS = ("p", "phi", "d", "lambda", "R", "pi", "M")
-
-
 def run_sweep(spec: SweepSpec) -> Iterator[str]:
     """Yield CSV lines (header first), rows in row-major axis order, each
     row computed when it is pulled."""
     groups = [group for name, group in SWEEP_GROUPS.items() if name in spec.outputs]
-    yield ",".join([*_PARAM_COLS, *(c for columns, _ in groups for c in columns)])
+    param_cols = PARAM_KEYS[:-1]  # every parameter but eps_tol
+    yield ",".join([*param_cols, *(c for columns, _ in groups for c in columns)])
     base = spec.base.to_json()
-    head = [_format_cell(base[k]) for k in _PARAM_COLS]  # the base columns, formatted once
-    slots = [_PARAM_COLS.index(a.param) for a in spec.axes]
-    names = ["lam" if a.param == "lambda" else a.param for a in spec.axes]
+    head = [_format_cell(base[k]) for k in param_cols]  # the base columns, formatted once
+    slots = [param_cols.index(a.param) for a in spec.axes]
+    names = [PARAM_FIELDS[a.param][0] for a in spec.axes]  # their Params attributes
     # each axis value with its text, formatted once per axis
     axes = [[(v, _format_cell(v)) for v in a.values()] for a in spec.axes]
     for point in itertools.product(*axes):
@@ -329,7 +324,9 @@ def _cmd_welfare(args) -> int:
     report = optimal_regime(params, rent_mode=args.rent_mode, strict=not args.no_strict)
     th = thresholds(params)
     if args.format == "csv":
-        _emit("\n".join(report.to_csv_rows()), args.out)
+        rows = [("regime", "W", "Q", "total", "optimal_flag")] + [
+            (r, e.W, e.Q, e.total, r == report.optimal) for r, e in report.entries.items()]
+        _emit("\n".join(",".join(map(_format_cell, row)) for row in rows), args.out)
     else:
         _emit(_json_dumps({"welfare": report.to_json(), "thresholds": th.to_json()}), args.out)
     return 0

@@ -296,7 +296,7 @@ def interior_effort(mu: float, reward_weight: float, params: Params) -> float:
     """
     if not 0.0 <= mu <= 1.0:
         raise DomainError(f"mu must be in [0, 1], got {mu}")
-    if reward_weight < 0.0:
+    if not reward_weight >= 0.0:  # NaN too
         raise DomainError(f"reward_weight must be >= 0, got {reward_weight}")
     return min(1.0, max(0.0, params.lam * reward_weight * mu))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import sys
 from contextlib import suppress
@@ -27,9 +28,21 @@ from .errors import DomainError
 
 RentMode = Literal["strict", "relaxed"]
 
-#: JSON keys for Params, in canonical order. ``lambda`` is a Python keyword,
-#: so the attribute is named ``lam``.
-PARAM_KEYS = ("p", "phi", "d", "lambda", "R", "pi", "M", "eps_tol")
+#: the parameter vector's one format: each JSON key, in canonical order, maps to its ``Params``
+#: attribute and domain as (attribute, low, high, low end open, high end open). ``lambda`` is a
+#: Python keyword, so its attribute is ``lam``. The game's six primitives come first.
+PARAM_FIELDS = {
+    "p": ("p", 0.5, 1.0, False, False),  # signal accuracy
+    "phi": ("phi", 0.0, 1.0, True, True),  # prior probability the reform is good
+    "d": ("d", 0.0, 1.0, True, True),  # status-quo payoff
+    "lambda": ("lam", 0.0, 1.0, True, False),  # cost sensitivity (higher = cheaper effort)
+    "R": ("R", 0.0, math.inf, True, True),  # office rent
+    "pi": ("pi", 0.0, 1.0, True, True),  # prior probability the agent is congruent
+    "M": ("M", 0.0, math.inf, False, True),  # principal's selection weight (0 = policy only)
+    "eps_tol": ("eps_tol", 0.0, math.inf, False, True),  # buffer for strict inequalities
+}
+PARAM_KEYS = tuple(PARAM_FIELDS)
+GAME_KEYS = PARAM_KEYS[:6]  # the keys a params object must hold and a sweep may vary
 _MAX = sys.float_info.max  # the largest finite float
 #: width of the final bisection bracket of :func:`find_p_bar`
 P_BAR_TOL = 1e-9
@@ -71,17 +84,8 @@ class Record:
 
 @dataclass(frozen=True)
 class Params:
-    """Primitive parameter vector.
-
-    p:    signal accuracy, in [1/2, 1]
-    phi:  prior probability the reform is good, in (0, 1)
-    d:    status-quo payoff, in (0, 1)
-    lam:  cost sensitivity (higher = cheaper effort), in (0, 1]
-    R:    office rent, > 0
-    pi:   prior probability the agent is congruent, in (0, 1)
-    M:    principal's selection weight, >= 0 (0 = pure policy motive)
-    eps_tol: buffer for strict-inequality comparisons
-    """
+    """Primitive parameter vector: each field a real number, not a bool, in the domain
+    that ``PARAM_FIELDS`` gives it under its JSON key."""
 
     p: float
     phi: float
@@ -93,19 +97,13 @@ class Params:
     eps_tol: float = 1e-12
 
     def __post_init__(self):
-        checks = (  # a message is formatted only for a failed condition
-            (0.5 <= self.p <= 1.0, "p must be in [1/2, 1], got {0.p}"),
-            (0.0 < self.phi < 1.0, "phi must be in (0, 1), got {0.phi}"),
-            (0.0 < self.d < 1.0, "d must be in (0, 1), got {0.d}"),
-            (0.0 < self.lam <= 1.0, "lambda must be in (0, 1], got {0.lam}"),
-            (0.0 < self.R < math.inf, "R must be finite and > 0, got {0.R}"),
-            (0.0 < self.pi < 1.0, "pi must be in (0, 1), got {0.pi}"),
-            (0.0 <= self.M < math.inf, "M must be finite and >= 0, got {0.M}"),
-            (0.0 <= self.eps_tol < math.inf, "eps_tol must be finite and >= 0, got {0.eps_tol}"),
-        )
-        for ok, msg in checks:
-            if not ok:
-                raise DomainError(msg.format(self))
+        for key, (attr, lo, hi, lo_open, hi_open) in PARAM_FIELDS.items():
+            v = getattr(self, attr)  # not vars(self): a built __dict__ slows every attribute read
+            # a float skips the slower ABC check, which admits an int or numpy scalar, no bool
+            if not ((type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool))
+                    and (lo < v or not lo_open and lo == v) and (v < hi or not hi_open and v == hi)):
+                raise DomainError(f"{key} must be in {'(' if lo_open else '['}{lo:g}, "
+                                  f"{hi:g}{')' if hi_open else ']'}, got {v!r:.40}")
 
     def replace(self, **kwargs) -> "Params":
         """``dataclasses.replace(self, **kwargs)``: every field is an init field, so the
@@ -114,10 +112,7 @@ class Params:
 
     def to_json(self) -> dict:
         """Flat JSON object with keys exactly ``PARAM_KEYS``."""
-        return {
-            "p": self.p, "phi": self.phi, "d": self.d, "lambda": self.lam,
-            "R": self.R, "pi": self.pi, "M": self.M, "eps_tol": self.eps_tol,
-        }
+        return {key: getattr(self, attr) for key, (attr, *_) in PARAM_FIELDS.items()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Params":
@@ -128,10 +123,10 @@ class Params:
         unknown = set(obj) - set(PARAM_KEYS)
         if unknown:
             raise DomainError(f"unknown params keys: {sorted(unknown)}")
-        missing = {"p", "phi", "d", "lambda", "R", "pi"} - set(obj)
+        missing = set(GAME_KEYS) - set(obj)
         if missing:
             raise DomainError(f"missing params keys: {sorted(missing)}")
-        return cls(**{"lam" if k == "lambda" else k: require_number(f"params {k!r}", v)
+        return cls(**{PARAM_FIELDS[k][0]: require_number(f"params {k!r}", v)
                       for k, v in obj.items()})
 
     @classmethod

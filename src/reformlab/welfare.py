@@ -34,7 +34,8 @@ from .equilibrium import (
     CELLS, CONGRUENT, FAILURE, NONTRANSPARENT, OPAQUE, REFORM, SQ_OUTCOME, STATUS_QUO, SUCCESS,
     TRANSPARENT_SEPARATING, Equilibrium, gate_refusals, raw_profile, solve,
 )
-from .model_core import Params, Record, RentMode, posteriors, require_rent_mode
+from .model_core import PARAM_FIELDS, Params, Record, RentMode, posteriors, require_number
+from .model_core import require_rent_mode
 
 WELFARE_REGIMES = (NONTRANSPARENT, OPAQUE, TRANSPARENT_SEPARATING)
 
@@ -56,13 +57,6 @@ class WelfareReport(Record):
     excluded: dict[str, str]  # regime -> failed check
     optimal: Optional[str]
     margin: Optional[float]  # optimal total minus runner-up total
-
-    def to_csv_rows(self) -> list[str]:
-        rows = ["regime,W,Q,total,optimal_flag"]
-        for regime, e in self.entries.items():
-            flag = "true" if regime == self.optimal else "false"
-            rows.append(f"{regime},{e.W!r},{e.Q!r},{e.total!r},{flag}")
-        return rows
 
 
 def _welfare_and_selection(eq: Equilibrium, params: Params) -> tuple[float, float]:
@@ -197,8 +191,10 @@ class Thresholds(Record):
 
 def thresholds_from_lambda_hat(lambda_hat: float, d: float) -> Thresholds:
     """Closed-form roots of H (the test suite checks them against bisection)."""
-    if lambda_hat <= 0:
-        raise DomainError(f"lambda_hat must be > 0, got {lambda_hat}")
+    if not 0.0 < lambda_hat < math.inf:
+        raise DomainError(f"lambda_hat must be in (0, inf), got {lambda_hat}")
+    if not 0.0 < d < 1.0:
+        raise DomainError(f"d must be in (0, 1), got {d}")
     disc = 1.0 - 2.0 * (1.0 + d) * lambda_hat
     if disc < 0:
         return Thresholds(lambda_hat=lambda_hat, exists=False, R_low=None, R_high=None)
@@ -216,7 +212,7 @@ def thresholds(params: Params) -> Thresholds:
     return thresholds_from_lambda_hat(lambda_hat, params.d)
 
 
-_BUMP_ATTR = {"phi": "phi", "lambda": "lam", "p": "p", "R": "R"}
+_BUMP_KEYS = ("phi", "lambda", "p", "R")  # the parameters comparative_statics bumps
 
 
 @dataclass(frozen=True)
@@ -238,9 +234,10 @@ def comparative_statics(
     Raises :class:`PreconditionLossError` when the bump leaves the parameter
     domain or (in strict mode) knocks out a regime present at baseline.
     """
-    if which not in _BUMP_ATTR:
-        raise DomainError(f"which must be one of {sorted(_BUMP_ATTR)}, got {which!r}")
-    attr = _BUMP_ATTR[which]
+    if which not in _BUMP_KEYS:
+        raise DomainError(f"which must be one of {sorted(_BUMP_KEYS)}, got {which!r}")
+    delta = require_number("delta", delta)
+    attr = PARAM_FIELDS[which][0]
     try:
         bumped_params = params.replace(**{attr: getattr(params, attr) + delta})
     except DomainError as exc:

@@ -13,6 +13,7 @@ call instead of read from one memoized refusal table.
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -542,3 +543,30 @@ def reference_excluded(params: Params, rent_mode="relaxed") -> dict[str, str]:
         except AssumptionError as exc:
             excluded[regime] = exc.check
     return excluded
+
+
+# ``Params.__post_init__`` and ``cli._AXIS_DOMAINS`` as they were before one table in
+# ``model_core`` stated each parameter's domain, kept verbatim but for the function's name and
+# for ``self`` being any object with the eight attributes: the reference that the table must
+# accept and refuse exactly as, and the ranges a sweep axis accepted. An axis was refused
+# where ``min < lo or max > hi``.
+def reference_params_checks(self):
+    checks = (  # a message is formatted only for a failed condition
+        (0.5 <= self.p <= 1.0, "p must be in [1/2, 1], got {0.p}"),
+        (0.0 < self.phi < 1.0, "phi must be in (0, 1), got {0.phi}"),
+        (0.0 < self.d < 1.0, "d must be in (0, 1), got {0.d}"),
+        (0.0 < self.lam <= 1.0, "lambda must be in (0, 1], got {0.lam}"),
+        (0.0 < self.R < math.inf, "R must be finite and > 0, got {0.R}"),
+        (0.0 < self.pi < 1.0, "pi must be in (0, 1), got {0.pi}"),
+        (0.0 <= self.M < math.inf, "M must be finite and >= 0, got {0.M}"),
+        (0.0 <= self.eps_tol < math.inf, "eps_tol must be finite and >= 0, got {0.eps_tol}"),
+    )
+    for ok, msg in checks:
+        if not ok:
+            raise DomainError(msg.format(self))
+
+
+REFERENCE_AXIS_DOMAINS = {
+    "p": (0.5, 1.0), "phi": (0.0, 1.0), "d": (0.0, 1.0),
+    "lambda": (0.0, 1.0), "R": (0.0, math.inf), "pi": (0.0, 1.0),
+}

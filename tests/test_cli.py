@@ -15,12 +15,13 @@ import tracemalloc
 from itertools import islice
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from reformlab import DomainError, Params, SweepAxis, SweepSpec, run_sweep
 from reformlab.cli import MAX_SWEEP_STEPS, SWEEP_GROUPS, _json_dumps, run
 from reformlab.equilibrium import REGIMES
 from reformlab.montecarlo import MAX_DRAWS
+from support import REFERENCE_AXIS_DOMAINS
 
 SANITY = {"p": 0.99, "phi": 0.75, "lambda": 0.5, "R": 0.25, "d": 0.0125, "pi": 0.9, "M": 0}
 PART3 = {"p": 0.999, "phi": 0.999, "lambda": 0.3, "R": 1.0, "d": 0.05, "pi": 0.999, "M": 0}
@@ -312,11 +313,42 @@ class TestSweepEngine:
         with pytest.raises(DomainError):
             SweepAxis("volume", 0.1, 0.9, 5)  # unknown parameter
         with pytest.raises(DomainError):
+            SweepAxis("M", 0.1, 0.9, 5)  # not a game primitive
+        with pytest.raises(DomainError, match="finite"):
+            SweepAxis("R", 0.2, math.inf, 5)
+        with pytest.raises(DomainError):
             SweepSpec(base=base, axes=())
         with pytest.raises(DomainError):
             SweepSpec(base=base, axes=(SweepAxis("R", 0.2, 0.3, 2),), outputs=("bogus",))
         with pytest.raises(DomainError, match="steps"):
             SweepAxis("R", 0.2, 0.3, MAX_SWEEP_STEPS + 1)  # above the cap
+
+    @given(lo=st.floats(0.0, 5.0), hi=st.floats(0.0, 5.0), steps=st.integers(2, 200))
+    @example(lo=0.01, hi=1.0, steps=97)
+    @settings(max_examples=100, deadline=None)
+    def test_axis_ends_exactly_at_max(self, lo, hi, steps):
+        # the last value is ``max`` itself, and every other value is min + (max-min) i/(steps-1)
+        assume(lo < hi)
+        values = SweepAxis("R", lo, hi, steps).values()
+        assert values[-1] == hi and len(values) == steps
+        assert values[:-1] == [lo + (hi - lo) * i / (steps - 1) for i in range(steps - 1)]
+
+    @given(param=st.sampled_from(sorted(REFERENCE_AXIS_DOMAINS)),
+           ends=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.0]) | st.floats(-0.5, 1.5),
+                         min_size=2, max_size=2, unique=True).map(sorted))
+    @settings(max_examples=200, deadline=None)
+    def test_axis_ranges_as_before(self, param, ends):
+        # each axis takes a range exactly where the domains the CLI used to state took it:
+        # inside the closure of the parameter's domain
+        lo, hi = ends
+        ref_lo, ref_hi = REFERENCE_AXIS_DOMAINS[param]
+        try:
+            SweepAxis(param, lo, hi, 3)
+        except DomainError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (not (lo < ref_lo or hi > ref_hi))
 
     @pytest.mark.parametrize("outputs", [
         c for n in range(4) for c in itertools.combinations(("welfare", "assumptions", "thresholds"), n)
@@ -428,6 +460,8 @@ class TestSweepCommand:
         ([{"param": "R", "min": 0.2, "max": 0.5, "steps": 4}], "welfare"),
         ([{"param": "R", "min": 0.2, "max": 0.5, "steps": 4}], [["welfare"]]),
         ([{"param": "R", "min": 0.2, "max": 0.5, "steps": MAX_SWEEP_STEPS + 1}], None),
+        ([{"param": "R", "min": 0.2, "max": 0.5, "steps": 4},  # one parameter on two axes
+          {"param": "R", "min": 0.3, "max": 0.6, "steps": 3}], None),
     ])
     def test_malformed_spec_is_usage_error(self, tmp_path, capsys, axes, outputs):
         spec = {"base": SANITY, "axes": axes}

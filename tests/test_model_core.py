@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from reformlab import (
     model_core,
     posteriors,
 )
-from support import DOMAINS, sample_mon_pairs, sample_params
+from support import DOMAINS, reference_params_checks, sample_mon_pairs, sample_params
+
+#: every domain end and the floats on each side of it (the subnormals +-5e-324 beside 0),
+#: -0.0 and NaN
+DOMAIN_EDGES = [x for end in (0.0, 0.5, 1.0, math.inf, -math.inf)
+                for x in (end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf))
+                ] + [-0.0, math.nan]
 
 # frozen regression values at the sanity-check parameters
 MU_PLUS = 0.9966442953020135
@@ -51,10 +58,38 @@ class TestParams:
         {"lam": 0.0}, {"lam": 1.5}, {"R": 0.0}, {"R": -1.0}, {"pi": 0.0}, {"pi": 1.0},
         {"M": -0.1}, {"R": float("inf")}, {"M": float("inf")},
         {"eps_tol": float("inf")}, {"p": float("nan")}, {"R": float("nan")},
+        {"p": True}, {"M": False}, {"R": "1"}, {"pi": None}, {"d": [0.1]}, {"phi": 0.5j},
     ])
     def test_domain_violations(self, sanity, bad):
         with pytest.raises(DomainError):
             sanity.replace(**bad)
+
+    def test_ints_and_numpy_scalars_accepted(self, sanity):
+        params = sanity.replace(p=1, M=np.float64(0.5), pi=np.float32(0.25), R=np.int64(2))
+        assert (params.p, params.M, params.pi, params.R) == (1, 0.5, 0.25, 2)
+
+    @given(key=st.sampled_from(model_core.PARAM_KEYS),
+           value=st.sampled_from(DOMAIN_EDGES) | st.floats() | st.integers(-2, 2))
+    @example(key="M", value=-0.0)
+    @example(key="phi", value=5e-324)
+    @settings(max_examples=400, deadline=None)
+    def test_table_refuses_as_the_reference(self, sanity, key, value):
+        # the one parameter table accepts and refuses each value exactly as the eight
+        # checks it replaced, at and around every domain end, NaN and the infinities
+        # included, and a refusal names the key and the value
+        def refusal(check, params):
+            try:
+                check(params)
+            except DomainError as exc:
+                return str(exc)
+            return None
+        attr = model_core.PARAM_FIELDS[key][0]
+        fields = {**vars(sanity), attr: value}
+        got = refusal(lambda f: Params(**f), fields)
+        want = refusal(reference_params_checks, SimpleNamespace(**fields))
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.startswith(f"{key} must be in ") and got.endswith(f", got {value!r}")
 
     @pytest.mark.parametrize("key, value", [
         ("p", "0.9"), ("M", False), ("pi", True), ("R", None), ("d", [0.1]), ("eps_tol", 10**400),

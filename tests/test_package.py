@@ -1,12 +1,22 @@
 """The package's public surface: every exported name resolves, once; the
 import graph keeps each oracle off the code path it checks; equilibria are
-built in one place; one reader interprets observation patterns; and the
-library keeps only the memos named here."""
+built in one place; one reader interprets observation patterns; one module
+states the parameter format; the library keeps only the memos named here; and
+each public entry point refuses malformed input with ``DomainError``."""
 
 import ast
+import math
 from pathlib import Path
 
+import pytest
+
 import reformlab
+from reformlab import (
+    OPAQUE, AgentAction, DomainError, Equilibrium, Observation, ObservationPattern, Params,
+    SimConfig, SweepAxis, comparative_statics, convergence_sweep, fixture_path, formula_welfare,
+    interior_effort, observe, posteriors, solve, thresholds_from_lambda_hat,
+)
+from reformlab.equilibrium import FAILURE, REFORM, raw_profile
 
 PACKAGE = Path(reformlab.__file__).parent
 MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
@@ -285,3 +295,58 @@ def test_one_utility_path():
     numpy_modules = {module for module, _ in sites(calls_numpy)}
     assert "verification" not in numpy_modules
     assert {"model_core", "montecarlo"} <= numpy_modules  # the reader sees real uses
+
+
+def holds_string(text: str):
+    """A matcher of the string constant ``text``."""
+    return lambda node: isinstance(node, ast.Constant) and node.value == text
+
+
+def test_only_model_core_states_the_parameter_format():
+    # the JSON key ``lambda`` is renamed to the attribute ``lam`` in the one parameter table:
+    # every other module reads the table, so no other module holds the name as a string
+    assert {module for module, _ in sites(holds_string("lam"))} == {"model_core"}
+
+
+_SANITY = Params(p=0.99, phi=0.75, d=0.0125, lam=0.5, R=0.25, pi=0.9)
+_SANITY_NT = solve(_SANITY, "nontransparent")
+
+#: a public entry point given input it must refuse, one case per refusal
+REFUSALS = {
+    "fixture_path": lambda: fixture_path("bogus"),
+    "sweep_axis_inf_bound": lambda: SweepAxis("R", 0.2, math.inf, 3),
+    "agent_action_policy": lambda: AgentAction("abstain"),
+    "observation_policy": lambda: Observation("abstain"),
+    "observation_outcome": lambda: Observation(REFORM, outcome="draw"),
+    "profile_cell": lambda: _SANITY_NT.profile.action("neutral", "g"),
+    "observe_regime": lambda: observe("secret", AgentAction(REFORM, 0.5), FAILURE),
+    "equilibrium_regime": lambda: Equilibrium("secret", _SANITY_NT.profile, (), (), 1e-12),
+    "pattern_op": lambda: ObservationPattern(REFORM, effort_op="lt", effort_value=0.5),
+    "pattern_op_without_value": lambda: ObservationPattern(REFORM, effort_op="eq"),
+    "equilibrium_decision": lambda: Equilibrium(
+        OPAQUE, _SANITY_NT.profile, ((ObservationPattern(REFORM), "keep"),), (), 1e-12),
+    "interior_effort_mu": lambda: interior_effort(1.5, 1.0, _SANITY),
+    "interior_effort_negative_weight": lambda: interior_effort(0.5, -1.0, _SANITY),
+    "interior_effort_nan_weight": lambda: interior_effort(0.5, math.nan, _SANITY),
+    "raw_profile_pooling": lambda: raw_profile("transparent_pooling", _SANITY,
+                                               posteriors(_SANITY)),
+    "posteriors_signal": lambda: posteriors(_SANITY).mu("x"),
+    "convergence_sweep_regime": lambda: convergence_sweep(
+        SimConfig(n_draws=10, seed=0, regime=OPAQUE, params=_SANITY), _SANITY_NT, [10]),
+    "formula_welfare_regime": lambda: formula_welfare(_SANITY, "benchmark"),
+    "thresholds_zero_lambda_hat": lambda: thresholds_from_lambda_hat(0.0, 0.3),
+    "thresholds_negative_lambda_hat": lambda: thresholds_from_lambda_hat(-1.0, 0.3),
+    "thresholds_nan_lambda_hat": lambda: thresholds_from_lambda_hat(math.nan, 0.3),
+    "thresholds_inf_lambda_hat": lambda: thresholds_from_lambda_hat(math.inf, 0.3),
+    "thresholds_nan_d": lambda: thresholds_from_lambda_hat(0.1, math.nan),
+    "thresholds_negative_d": lambda: thresholds_from_lambda_hat(0.1, -5.0),
+    "comparative_statics_string_delta": lambda: comparative_statics(_SANITY, "phi", "0.1"),
+    "comparative_statics_bool_delta": lambda: comparative_statics(_SANITY, "phi", True),
+    "comparative_statics_nan_delta": lambda: comparative_statics(_SANITY, "phi", math.nan),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_public_refusals(name):
+    with pytest.raises(DomainError):
+        REFUSALS[name]()
