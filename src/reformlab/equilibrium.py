@@ -12,8 +12,9 @@ profile, a pure retention rule, and a belief system over observables. Retention 
 are ordered pattern lists (first match wins), each effort test a comparison with fl(v - eps)
 or fl(v + eps), eps the equilibrium's own ``eps_tol``. One first-match reader serves both
 lists: it walks the list on each read, and ``decide``, ``retains`` and ``belief`` call it, as
-``retention_pieces`` does at each piece start. An ``AgentAction`` or ``Observation`` effort
-that is not a real number in [0, 1], or is a bool, is refused.
+``retention_pieces`` does at each piece start. An ``AgentAction`` or ``Observation`` effort,
+or an ``ObservationPattern`` effort value, that is not a real number in [0, 1], or is a bool,
+is refused.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .model_core import (
     ASSUMPTION_CHECKS, Params, Posteriors, Record, RentMode, assumption_values, posteriors,
-    check_assumptions, require_rent_mode,  # check_assumptions: re-exported, not called here
+    check_assumptions, require_rent_mode,  # check_assumptions: not called here; perfbench reads it
 )
 
 CONGRUENT = "congruent"
@@ -111,6 +112,19 @@ class StrategyProfile:
         ]
 
 
+def _check_policy_outcome(policy, outcome) -> None:
+    """Refuse a policy other than reform or the status quo, and an outcome (None: unseen)
+    other than the three, or one that ``policy`` cannot produce."""
+    if policy not in (REFORM, STATUS_QUO):
+        raise DomainError(f"bad policy {policy!r}")
+    if outcome is not None:
+        if outcome not in (SUCCESS, FAILURE, SQ_OUTCOME):
+            raise DomainError(f"bad outcome {outcome!r}")
+        # perfect invertibility: the status-quo outcome identifies the policy
+        if (outcome == SQ_OUTCOME) != (policy == STATUS_QUO):
+            raise DomainError(f"outcome {outcome!r} inconsistent with policy {policy!r}")
+
+
 @dataclass(frozen=True)
 class Observation:
     """What the principal sees; unobserved coordinates are None."""
@@ -120,18 +134,9 @@ class Observation:
     outcome: Optional[str] = None
 
     def __post_init__(self):
-        if self.policy not in (REFORM, STATUS_QUO):
-            raise DomainError(f"bad policy {self.policy!r}")
+        _check_policy_outcome(self.policy, self.outcome)
         if self.effort is not None:
             _check_effort(self.effort)
-        if self.outcome is not None:
-            if self.outcome not in (SUCCESS, FAILURE, SQ_OUTCOME):
-                raise DomainError(f"bad outcome {self.outcome!r}")
-            # perfect invertibility: the status-quo outcome identifies the policy
-            if (self.outcome == SQ_OUTCOME) != (self.policy == STATUS_QUO):
-                raise DomainError(
-                    f"outcome {self.outcome!r} inconsistent with policy {self.policy!r}"
-                )
 
 
 def observe(regime: str, action: AgentAction, outcome: str) -> Observation:
@@ -174,10 +179,13 @@ class ObservationPattern:
     effort_value: Optional[float] = None
 
     def __post_init__(self):
+        _check_policy_outcome(self.policy, self.outcome)
         if self.effort_op is not None and self.effort_op not in _EFFORT_TESTS:
             raise DomainError(f"bad effort_op {self.effort_op!r}")
         if (self.effort_op is None) != (self.effort_value is None):
             raise DomainError("effort_op and effort_value must come together")
+        if self.effort_value is not None:
+            _check_effort(self.effort_value, "effort_value")
 
     def to_json(self) -> dict:
         out: dict = {"policy": self.policy}

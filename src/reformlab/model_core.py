@@ -17,7 +17,6 @@ import math
 import numbers
 import operator
 import sys
-from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import Literal
@@ -51,8 +50,10 @@ P_BAR_TOL = 1e-9
 def require_integer(name: str, value) -> int:
     """``value`` as an int; a count or seed that is not an integer (1.5 or True, say) is refused."""
     if not isinstance(value, bool):
-        with suppress(TypeError):
+        try:
             return operator.index(value)
+        except TypeError:
+            pass
     raise DomainError(f"{name} must be an integer, got {value!r}")
 
 

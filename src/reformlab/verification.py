@@ -55,11 +55,7 @@ def _policy_payoff(agent_type: str, outcome: str, params: Params) -> float:
     noncongruent agent at 0/d/0."""
     if outcome == SQ_OUTCOME:
         return params.d
-    if outcome == SUCCESS:
-        return 1.0 if agent_type == CONGRUENT else 0.0
-    if outcome == FAILURE:
-        return 0.0
-    raise DomainError(f"bad outcome {outcome!r}")
+    return 1.0 if outcome == SUCCESS and agent_type == CONGRUENT else 0.0
 
 
 def _reform_utility(mu, effort, payoffs: tuple, retained: tuple, params: Params):
@@ -183,12 +179,14 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
     payoff, plus R where kept), the reform utility m e a + (1 - m e) b - e^2/(2 lambda)
     is a concave quadratic with vertex lambda m (a - b). So its supremum over the piece's
     floats in [0, 1], from lo to hi (the float below the next start), is attained at lo,
-    at hi or at the vertex clamped to them, and the report needs no open end. Each of
-    these three candidates of every piece and cell, and each cell's reform equilibrium
-    effort, is scored by one :func:`_reform_utility` call on floats. The candidates never
-    decrease in piece order, so a cell's best reform is its first maximum, the smaller
+    at hi or at the vertex clamped to them, and the report needs no open end. Each
+    distinct candidate of every piece and cell (lo; the vertex where it lies strictly
+    between lo and hi; hi where it is not lo), and each cell's reform equilibrium effort,
+    is scored once, by one :func:`_reform_utility` call on floats. The candidates
+    increase in piece order, so a cell's best reform is its first maximum, the smaller
     effort on a tie. The status quo is worth d + R * retained, as
-    :func:`_cell_utilities` gives it, and wins a tie with a reform.
+    :func:`_cell_utilities` gives it, and wins a tie with a reform. A cell's best reform
+    becomes an ``AgentAction`` only where the report names it.
     """
     grid_size = require_integer("grid_size", grid_size)
     if not 2 <= grid_size <= MAX_GRID_SIZE:
@@ -203,25 +201,24 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
     cells: dict[tuple[str, str], DeviationCell] = {}
     for (t, s), eq_action in zip(CELLS, eq.profile.actions()):
         pay_succ, pay_fail = _policy_payoff(t, SUCCESS, params), _policy_payoff(t, FAILURE, params)
-        mu, payoffs, efforts, us = post.mu(s), (pay_succ, pay_fail), [], []
-        for lo, hi, pair in pieces:  # three candidates a piece: its ends and its clamped vertex
+        mu, payoffs = post.mu(s), (pay_succ, pay_fail)
+        reform_u, reform_e = -math.inf, None  # the first maximum so far
+        for lo, hi, pair in pieces:  # its distinct candidates: lo, a vertex inside, hi past lo
             top = lam * mu * (pay_succ + R * pair[0] - (pay_fail + R * pair[1]))
-            for e in (lo, min(max(top, lo), hi), hi):
-                efforts.append(e)
-                us.append(_reform_utility(mu, e, payoffs, pair, params))
+            for e in (lo, top, hi) if lo < top < hi else (lo, hi) if lo < hi else (lo,):
+                if (u := _reform_utility(mu, e, payoffs, pair, params)) > reform_u:
+                    reform_u, reform_e = u, e
         if eq_action.policy == REFORM:
             eq_pair = kept[bisect_right(starts, eq_action.effort) - 1]
             eq_u = _reform_utility(mu, eq_action.effort, payoffs, eq_pair, params)
         else:
             eq_u = sq_u
-        i = us.index(reform_u := max(us))  # the first maximum
-        if sq_u >= reform_u:
-            best_action, best_u = _SQ_ACTION, sq_u
-        else:
-            best_action, best_u = AgentAction(REFORM, efforts[i]), reform_u
+        best_u = sq_u if sq_u >= reform_u else reform_u
         if best_u <= eq_u:
             # no improving deviation: the equilibrium action is best
             best_action, best_u = eq_action, eq_u
+        else:
+            best_action = _SQ_ACTION if sq_u >= reform_u else AgentAction(REFORM, reform_e)
         gain = best_u - eq_u
         if gain <= dev_tol:
             verdict = "pass"

@@ -8,12 +8,16 @@ pattern-by-pattern interpreter instead of the compiled first-match table and
 its effort pieces, one scalar utility per cell instead of the cells scored
 in one call, one observation per joint mass instead of one per observed
 class, and assumption reports and ``solve`` gates evaluated afresh on every
-call instead of read from one memoized refusal table.
+call instead of read from one memoized refusal table. The deviation oracle's
+three-candidate scan, which scored a piece's clamped vertex even where it
+repeats an end, is kept as the reference for the distinct candidates it now
+scores.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +31,7 @@ from reformlab.equilibrium import (
     STATUS_QUO, SUCCESS, TRANSPARENT_POOLING, TRANSPARENT_SEPARATING, AgentAction, Equilibrium,
     Observation, _check_effort, observe,
 )
-from reformlab.model_core import AssumptionReport, CheckResult
+from reformlab.model_core import AssumptionReport, CheckResult, require_integer
 from reformlab.verification import (
     BAYES_TOL, MAX_GRID_SIZE, BayesEntry, BayesReport, BreakEvenReport,
     DeviationCell, DeviationReport, _policy_payoff, _reform_utility, default_dev_tol,
@@ -284,6 +288,63 @@ def dense_deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_
         else:
             best_action = AgentAction(REFORM, float(scan_e[k]))
             best_u = float(scan_u[k])
+        if best_u <= eq_u:
+            # no improving deviation: the equilibrium action is best
+            best_action, best_u = eq_action, eq_u
+        gain = best_u - eq_u
+        if gain <= dev_tol:
+            verdict = "pass"
+        elif (
+            eq.regime == OPAQUE
+            and (t, s) == (CONGRUENT, "b")
+            and documented_opaque_gap(params) > 0
+        ):
+            verdict = "fail (documented)"
+        else:
+            verdict = "fail"
+        cells[(t, s)] = DeviationCell(eq_action, eq_u, best_action, best_u, gain, verdict)
+    return DeviationReport(eq.regime, grid_size, dev_tol, cells)
+
+
+# ``verification.deviation_check`` as it was before it scored each distinct candidate
+# once, copied verbatim but for the name, the docstring and the status-quo action built
+# in place: three candidates a piece (its ends and its clamped vertex), every one
+# scored, the first maximum taken from the lists of efforts and utilities, and the best
+# reform built as an ``AgentAction`` wherever it beats the status quo. The reference
+# that the oracle's reports must match, bit for bit.
+def three_candidate_deviation_check(eq: Equilibrium, params: Params,
+                                    grid_size: int = 100_001) -> DeviationReport:
+    """Exact no-profitable-deviation check, scoring three candidates on each
+    effort piece of constant retention: its two ends and its clamped vertex."""
+    grid_size = require_integer("grid_size", grid_size)
+    if not 2 <= grid_size <= MAX_GRID_SIZE:
+        raise DomainError(f"grid_size must be in [2, {MAX_GRID_SIZE}], got {grid_size}")
+    dev_tol = default_dev_tol(params, grid_size)
+    post, lam, R = posteriors(params), params.lam, params.R
+    starts, kept = eq.retention_pieces()
+    pieces = [(max(0.0, start), min(math.nextafter(end, -math.inf), 1.0), pair)
+              for start, end, pair in zip(starts, starts[1:] + [math.inf], kept)
+              if start <= 1.0 and end > 0.0]  # each piece that meets [0, 1], as float ranges
+    sq_u = float(params.d) + float(R) * eq.retains(AgentAction(STATUS_QUO), SQ_OUTCOME)
+    cells: dict[tuple[str, str], DeviationCell] = {}
+    for (t, s), eq_action in zip(CELLS, eq.profile.actions()):
+        pay_succ, pay_fail = _policy_payoff(t, SUCCESS, params), _policy_payoff(t, FAILURE, params)
+        mu, payoffs, efforts, us = post.mu(s), (pay_succ, pay_fail), [], []
+        for lo, hi, pair in pieces:  # three candidates a piece: its ends and its clamped vertex
+            top = lam * mu * (pay_succ + R * pair[0] - (pay_fail + R * pair[1]))
+            for e in (lo, min(max(top, lo), hi), hi):
+                efforts.append(e)
+                us.append(_reform_utility(mu, e, payoffs, pair, params))
+        if eq_action.policy == REFORM:
+            eq_pair = kept[bisect_right(starts, eq_action.effort) - 1]
+            eq_u = _reform_utility(mu, eq_action.effort, payoffs, eq_pair, params)
+        else:
+            eq_u = sq_u
+        i = us.index(reform_u := max(us))  # the first maximum
+        if sq_u >= reform_u:
+            best_action, best_u = AgentAction(STATUS_QUO), sq_u
+        else:
+            best_action, best_u = AgentAction(REFORM, efforts[i]), reform_u
         if best_u <= eq_u:
             # no improving deviation: the equilibrium action is best
             best_action, best_u = eq_action, eq_u

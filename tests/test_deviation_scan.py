@@ -1,6 +1,6 @@
 """Tests for the exact deviation oracle: reports pinned in a golden file, the
-cross-check against the dense grid reference, the tie rule, the grid cap and
-the cell utilities.
+cross-checks against the dense grid reference and the three-candidate scan,
+the tie rule, the grid cap and the cell utilities.
 
 ``deviation_golden.json`` holds the full report JSON for every regime at the
 ``sanity`` and ``part3`` fixtures (``transparent_pooling`` at both ends of its
@@ -16,16 +16,22 @@ The grid scan that the oracle replaced is kept as
 ``support.dense_deviation_check``, an independent reference that decides
 retention with the verbatim pattern interpreter. The exact gain must reach
 the dense gain, less rounding, and exceed it by no more than the grid's
-resolution bound: the argument behind ``default_dev_tol``. The scalar
-one-cell utility and break-even are kept verbatim in ``support`` as the
-references for every cell utility, and a check's utility calls (one per
-candidate, on Python floats) and its peak memory are pinned.
+resolution bound: the argument behind ``default_dev_tol``. The scan that
+scored three candidates a piece, repeats included, is kept as
+``support.three_candidate_deviation_check``, and every report must match it
+bit for bit. The scalar one-cell utility and break-even are kept verbatim in
+``support`` as the references for every cell utility, and a check's utility
+calls (one per distinct candidate, on Python floats), the actions it builds
+and its peak memory are pinned.
 """
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import tracemalloc
+from bisect import bisect_right
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +46,10 @@ from reformlab import (
 from reformlab import verification
 from reformlab.cli import run
 from reformlab.equilibrium import CELLS, REFORM, STATUS_QUO
+import support
 from support import (
     DOMAINS, dense_deviation_check, sample_params, scalar_divinity_breakeven,
-    scalar_expected_utility,
+    scalar_expected_utility, three_candidate_deviation_check,
 )
 
 GOLDEN_PATH = Path(__file__).with_name("deviation_golden.json")
@@ -174,21 +181,30 @@ CROSS_CHECK_CASES = [
 ]
 
 
+#: a cell and the reform effort it is moved to, or None for the equilibrium as built
+MOVED = st.none() | st.tuples(st.sampled_from(CELLS), st.floats(0.0, 1.0))
+
+
+def _moved(eq, moved):
+    """``eq`` with the cell of ``moved`` playing a reform at its effort."""
+    if moved is None:
+        return eq
+    (t, s), effort = moved
+    return dataclasses.replace(eq, profile=dataclasses.replace(
+        eq.profile, **{f"{t}_{s}": AgentAction(REFORM, effort)}))
+
+
 class TestExactAgainstDense:
     # the exact supremum reaches every grid maximum, less rounding, and exceeds it by at
     # most the grid's resolution bound, which default_dev_tol adds: the verdicts agree.
     # Ungated profiles, and a cell moved to another effort, deviate to reforms away
     # from the equilibrium efforts
     @given(case=st.sampled_from(CROSS_CHECK_CASES),
-           grid_size=st.sampled_from([2, 3, 5001, 100_001]),
-           moved=st.none() | st.tuples(st.sampled_from(CELLS), st.floats(0.0, 1.0)))
+           grid_size=st.sampled_from([2, 3, 5001, 100_001]), moved=MOVED)
     @settings(max_examples=250, deadline=None)
     def test_gain_within_the_grid_bound(self, case, grid_size, moved):
         params, _, eq = case
-        if moved is not None:
-            (t, s), effort = moved
-            eq = dataclasses.replace(eq, profile=dataclasses.replace(
-                eq.profile, **{f"{t}_{s}": AgentAction(REFORM, effort)}))
+        eq = _moved(eq, moved)
         exact = deviation_check(eq, params, grid_size)
         dense = dense_deviation_check(eq, params, grid_size)
         bound = (1.0 + params.R + 1.0 / params.lam) / (2.0 * (grid_size - 1))
@@ -205,11 +221,34 @@ class TestExactAgainstDense:
         assert sum(gain > 1e-3 for gain in gains) > 50
 
 
+def _hexed(obj):
+    """``obj``, a report's JSON, with every float written as its ``float.hex``."""
+    if isinstance(obj, dict):
+        return {key: _hexed(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_hexed(value) for value in obj]
+    return obj.hex() if isinstance(obj, float) else obj
+
+
+class TestMatchesThreeCandidateScan:
+    # scoring each distinct candidate of a piece once, and building only the reported
+    # action, leaves every report as the three-candidate scan gave it, bit for bit
+    @given(case=st.sampled_from(CROSS_CHECK_CASES),
+           grid_size=st.sampled_from([2, 3, 5001, 100_001]), moved=MOVED)
+    @settings(max_examples=250, deadline=None)
+    def test_report_bit_for_bit(self, case, grid_size, moved):
+        params, _, eq = case
+        eq = _moved(eq, moved)
+        got = deviation_check(eq, params, grid_size).to_json()
+        want = three_candidate_deviation_check(eq, params, grid_size).to_json()
+        assert _hexed(got) == _hexed(want)
+
+
 class TestTieRule:
     def test_tie_goes_to_the_smaller_effort(self, sanity, monkeypatch):
-        # a step utility ties the three candidates of the top piece (its start, its
-        # clamped vertex and 1.0) and nothing below it, and no equilibrium effort
-        # reaches it: each cell's best is the first maximum, the top piece's start
+        # a step utility ties every candidate of the top piece (its start, its vertex
+        # where that lies inside, and 1.0) and nothing below it, and no equilibrium
+        # effort reaches it: each cell's best is the first maximum, the top piece's start
         eq = solve(sanity, "transparent_separating")
         top = eq.retention_pieces()[0][-1]
         assert max(a.effort for a in eq.profile.actions()) < top < 1.0
@@ -302,29 +341,68 @@ class TestCellUtilities:
             assert _bits(cell.best_utility) == _bits(want)
 
 
+def _utility_calls(module, check, eq, params) -> list:
+    """The arguments, less ``params``, of each ``_reform_utility`` call that ``check``
+    makes through ``module``, grouped by cell in ``CELLS`` order."""
+    exact, calls = verification._reform_utility, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verification, "_cell_utilities", None)  # not called
+        patch.setattr(module, "_reform_utility",
+                      lambda *args: calls.append(args[:-1]) or exact(*args))
+        check(eq, params, 100_001)
+    # consecutive cells differ in the posterior (signal) or the payoffs (type)
+    return [list(cell) for _, cell in itertools.groupby(calls, key=lambda a: (a[0], a[2]))]
+
+
+class TestActionsBuilt:
+    @pytest.mark.parametrize("name", ["sanity", "part3"])
+    def test_only_a_reported_reform_is_built(self, name, request):
+        # a check builds one AgentAction for each cell whose reported best is a reform
+        # other than the equilibrium action, and none for a reform that loses
+        params = request.getfixturevalue(name)
+        total = 0
+        for eq in _equilibria(params):
+            built = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(verification, "AgentAction",
+                              lambda *args: built.append(args) or AgentAction(*args))
+                report = deviation_check(eq, params)
+            reported = [c for c in report.cells.values()
+                        if c.best_action.policy == REFORM and c.best_action != c.eq_action]
+            assert len(built) == len(reported), eq.regime
+            total += len(built)
+        assert total > 0  # the reader sees built actions
+
+
 class TestScanShape:
     @pytest.mark.parametrize("name", ["sanity", "part3"])
     def test_one_utility_call_and_small_peak(self, name, request):
-        # a check scores each candidate in one utility call on Python floats and bools:
-        # per cell, three a piece that meets [0, 1] and one for its reform equilibrium
-        # effort; it calls no other scorer, and its memory is small
+        # a check scores each distinct candidate once, in one utility call on Python
+        # floats and bools: per cell, the three-candidate scan's candidates less the
+        # repeats within a piece (one to three a piece that meets [0, 1]), then one call
+        # for its reform equilibrium effort; it calls no other scorer, and its memory is
+        # small
         params = request.getfixturevalue(name)
-        exact = verification._reform_utility
         for eq in _equilibria(params):
-            calls = []
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(verification, "_cell_utilities", None)  # not called
-                patch.setattr(verification, "_reform_utility",
-                              lambda *args: calls.append(args) or exact(*args))
-                deviation_check(eq, params, 100_001)
+            got = _utility_calls(verification, deviation_check, eq, params)
+            want = _utility_calls(support, three_candidate_deviation_check, eq, params)
             starts = eq.retention_pieces()[0]
-            pieces = sum(start <= 1.0 and end > 0.0
-                         for start, end in zip(starts, starts[1:] + [np.inf]))
-            reforms = sum(a.policy == REFORM for a in eq.profile.actions())
-            assert len(calls) == len(CELLS) * 3 * pieces + reforms, eq.regime
-            for mu, effort, payoffs, retained, _params in calls:
+            met = [i for i, (start, end) in enumerate(zip(starts, starts[1:] + [np.inf]))
+                   if start <= 1.0 and end > 0.0]
+            for mu, effort, payoffs, retained in itertools.chain(*got):
                 assert {type(x) for x in (mu, effort, *payoffs)} <= {float}, eq.regime
                 assert {type(x) for x in retained} <= {bool}, eq.regime
+            assert len(got) == len(want) == len(CELLS), eq.regime
+            for cell, ref, action in zip(got, want, eq.profile.actions()):
+                if action.policy == REFORM:  # the cell's last call scores its equilibrium effort
+                    last = cell.pop()
+                    assert last == ref.pop() and last[1] == action.effort, eq.regime
+                # the scan's candidates in its order, each scored once (a piece's efforts
+                # are its own, so a repeat can only be within a piece)
+                assert cell == list(dict.fromkeys(ref)), eq.regime
+                per_piece = Counter(bisect_right(starts, effort) - 1 for _, effort, *_ in cell)
+                assert sorted(per_piece) == met, eq.regime
+                assert set(per_piece.values()) <= {1, 2, 3}, eq.regime
             tracemalloc.start()
             try:
                 deviation_check(eq, params, 100_001)

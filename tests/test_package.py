@@ -16,7 +16,7 @@ from reformlab import (
     SimConfig, SweepAxis, comparative_statics, convergence_sweep, fixture_path, formula_welfare,
     interior_effort, observe, posteriors, solve, thresholds_from_lambda_hat,
 )
-from reformlab.equilibrium import FAILURE, REFORM, raw_profile
+from reformlab.equilibrium import FAILURE, REFORM, STATUS_QUO, SUCCESS, raw_profile
 
 PACKAGE = Path(reformlab.__file__).parent
 MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
@@ -94,6 +94,29 @@ def test_verification_reads_nothing_private_of_equilibrium():
 
 def test_only_the_entry_points_import_the_cli():
     assert {m for m in MODULES if "cli" in direct_imports(m)} == {"__init__", "__main__"}
+
+
+#: imports a module keeps for readers elsewhere: the package's public names, and
+#: ``equilibrium.check_assumptions``, which ``perfbench/selftest.py`` reads to see the
+#: tracer restore every module's copy of a wrapped function
+REEXPORTS = {"__init__": set(reformlab.__all__), "equilibrium": {"check_assumptions"}}
+
+
+def unread_imports(module: str) -> set[str]:
+    """Names that an import statement of ``module`` binds and that ``module`` never reads."""
+    tree = ast.parse(MODULES[module].read_text())
+    bound = {alias.asname or alias.name.partition(".")[0] for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+             for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_import_is_read():
+    unread = {m: names for m in MODULES
+              if (names := unread_imports(m) - REEXPORTS.get(m, set()))}
+    assert unread == {}
+    assert unread_imports("equilibrium") == {"check_assumptions"}  # it finds one that is there
 
 
 def sites(match) -> set[tuple[str, str]]:
@@ -323,6 +346,15 @@ REFUSALS = {
     "equilibrium_regime": lambda: Equilibrium("secret", _SANITY_NT.profile, (), (), 1e-12),
     "pattern_op": lambda: ObservationPattern(REFORM, effort_op="lt", effort_value=0.5),
     "pattern_op_without_value": lambda: ObservationPattern(REFORM, effort_op="eq"),
+    "pattern_policy": lambda: ObservationPattern("bogus"),
+    "pattern_outcome": lambda: ObservationPattern(REFORM, outcome="nonsense"),
+    "pattern_outcome_of_other_policy": lambda: ObservationPattern(STATUS_QUO, outcome=SUCCESS),
+    "pattern_eq_nan": lambda: ObservationPattern(REFORM, effort_op="eq", effort_value=math.nan),
+    "pattern_ge_nan": lambda: ObservationPattern(REFORM, effort_op="ge", effort_value=math.nan),
+    "pattern_gt_nan": lambda: ObservationPattern(REFORM, effort_op="gt", effort_value=math.nan),
+    "pattern_eq_bool": lambda: ObservationPattern(REFORM, effort_op="eq", effort_value=True),
+    "pattern_ge_bool": lambda: ObservationPattern(REFORM, effort_op="ge", effort_value=True),
+    "pattern_gt_bool": lambda: ObservationPattern(REFORM, effort_op="gt", effort_value=True),
     "equilibrium_decision": lambda: Equilibrium(
         OPAQUE, _SANITY_NT.profile, ((ObservationPattern(REFORM), "keep"),), (), 1e-12),
     "interior_effort_mu": lambda: interior_effort(1.5, 1.0, _SANITY),
