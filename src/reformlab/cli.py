@@ -35,8 +35,8 @@ from typing import Iterator, Optional
 from .errors import DomainError, ReformLabError
 from .equilibrium import AgentAction, REGIMES, STATUS_QUO, solve
 from .model_core import ASSUMPTION_CHECKS, GAME_KEYS, PARAM_FIELDS, PARAM_KEYS, Params
-from .model_core import assumption_values, check_assumptions, read_json, require_integer
-from .model_core import require_number
+from .model_core import assumption_values, check_assumptions, read_json, read_object
+from .model_core import require_integer, require_number, require_real
 from .montecarlo import SimConfig, simulate
 from .verification import (MAX_GRID_SIZE, bayes_consistency, deviation_check,
                            divinity_breakeven, news_classification)
@@ -92,20 +92,13 @@ class SweepAxis:
     def __post_init__(self):
         if not isinstance(self.param, str) or self.param not in GAME_KEYS:
             raise DomainError(f"invalid sweep axis {self.param!r}")
-        require_integer(f"axis {self.param}: steps", self.steps)
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise DomainError(f"axis {self.param}: min and max must be finite")
-        if not 2 <= self.steps <= MAX_SWEEP_STEPS:
-            raise DomainError(
-                f"axis {self.param}: steps must be in [2, {MAX_SWEEP_STEPS}], got {self.steps}"
-            )
+        lo, hi, _, _ = PARAM_FIELDS[self.param][1]
+        closure = (lo, hi, math.isinf(lo), math.isinf(hi))  # an infinite end stays open
+        for end in ("min", "max"):
+            require_real(f"axis {self.param}: {end}", getattr(self, end), closure)
+        require_integer(f"axis {self.param}: steps", self.steps, 2, MAX_SWEEP_STEPS)
         if not self.min < self.max:
             raise DomainError(f"axis {self.param}: min must be < max")
-        _, lo, hi, _, _ = PARAM_FIELDS[self.param]
-        if self.min < lo or self.max > hi:
-            raise DomainError(
-                f"axis {self.param}: range [{self.min}, {self.max}] outside domain [{lo}, {hi}]"
-            )
 
     def values(self) -> list[float]:
         span = self.max - self.min
@@ -163,20 +156,12 @@ class SweepSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SweepSpec":
-        if not isinstance(obj, dict):
-            raise DomainError("sweep spec must be a JSON object")
-        unknown = set(obj) - {"base", "axes", "outputs"}
-        if unknown:
-            raise DomainError(f"unknown sweep spec keys: {sorted(unknown)}")
-        if "base" not in obj or "axes" not in obj:
-            raise DomainError("sweep spec requires 'base' and 'axes'")
-        if not isinstance(obj["axes"], list) or not all(isinstance(a, dict) for a in obj["axes"]):
+        read_object(obj, "sweep spec", ("base", "axes"), ("base", "axes", "outputs"))
+        if not isinstance(obj["axes"], list):
             raise DomainError("sweep 'axes' must be a list of axis objects")
-        axes = []
+        axes, keys = [], ("param", "min", "max", "steps")
         for a in obj["axes"]:
-            missing = {"param", "min", "max", "steps"} - set(a)
-            if missing:
-                raise DomainError(f"sweep axis missing keys: {sorted(missing)}")
+            read_object(a, "sweep axis", keys, keys)
             lo, hi = (require_number(f"axis {a['param']}: {k}", a[k]) for k in ("min", "max"))
             axes.append(SweepAxis(param=a["param"], min=lo, max=hi, steps=a["steps"]))
         outputs = obj.get("outputs", list(SWEEP_GROUPS))
@@ -301,8 +286,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = _load_params(args.params)
-    if not 2 <= args.grid <= MAX_GRID_SIZE:
-        raise DomainError(f"--grid must be in [2, {MAX_GRID_SIZE}]")
+    require_integer("--grid", args.grid, 2, MAX_GRID_SIZE)
     eq = _solve(args, params)
     dev = deviation_check(eq, params, grid_size=args.grid)
     sys.stderr.write(dev.format_table() + "\n")

@@ -20,7 +20,6 @@ is refused.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -29,8 +28,9 @@ from .errors import (
     AssumptionError, DomainError, InformativenessError, UnderflowError, UnresolvedObservationError,
 )
 from .model_core import (
-    ASSUMPTION_CHECKS, Params, Posteriors, Record, RentMode, assumption_values, posteriors,
-    check_assumptions, require_rent_mode,  # check_assumptions: not called here; perfbench reads it
+    ASSUMPTION_CHECKS, PARAM_FIELDS, Params, Posteriors, Record, RentMode, assumption_values,
+    posteriors, require_real, require_rent_mode,
+    check_assumptions,  # not called here; perfbench reads it
 )
 
 CONGRUENT = "congruent"
@@ -61,12 +61,8 @@ REMOVE = "remove"
 OBSERVATION_CLASSES = ((REFORM, SUCCESS), (REFORM, FAILURE), (STATUS_QUO, SQ_OUTCOME))
 
 
-def _check_effort(effort, name: str = "effort") -> None:
-    """Refuse an effort that is not a real number in [0, 1]: an array, NaN, None or a bool."""
-    # a float passes at once; the slower ABC check admits numpy scalars, and a bool (a Real) not
-    if not ((isinstance(effort, float) or isinstance(effort, numbers.Real)
-             and not isinstance(effort, bool)) and 0.0 <= effort <= 1.0):
-        raise DomainError(f"{name} must be a real number in [0, 1], got {effort!r}")
+#: the domain of an effort, a success probability, and of a belief: [0, 1]
+UNIT_INTERVAL = (0.0, 1.0, False, False)
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ class AgentAction(Record):
     def __post_init__(self):
         if self.policy not in (REFORM, STATUS_QUO):
             raise DomainError(f"policy must be 'reform' or 'status_quo', got {self.policy!r}")
-        _check_effort(self.effort)
+        require_real("effort", self.effort, UNIT_INTERVAL)
         if self.policy == STATUS_QUO and self.effort != 0.0:
             raise DomainError("status quo carries zero effort")
 
@@ -136,7 +132,7 @@ class Observation:
     def __post_init__(self):
         _check_policy_outcome(self.policy, self.outcome)
         if self.effort is not None:
-            _check_effort(self.effort)
+            require_real("effort", self.effort, UNIT_INTERVAL)
 
 
 def observe(regime: str, action: AgentAction, outcome: str) -> Observation:
@@ -185,7 +181,7 @@ class ObservationPattern:
         if (self.effort_op is None) != (self.effort_value is None):
             raise DomainError("effort_op and effort_value must come together")
         if self.effort_value is not None:
-            _check_effort(self.effort_value, "effort_value")
+            require_real("effort_value", self.effort_value, UNIT_INTERVAL)
 
     def to_json(self) -> dict:
         out: dict = {"policy": self.policy}
@@ -227,8 +223,7 @@ class Equilibrium:
         for _, decision in self.retention:
             if decision not in (RETAIN, REMOVE):
                 raise DomainError(f"bad retention decision {decision!r}")
-        if not 0.0 <= self.eps_tol < math.inf:
-            raise DomainError(f"eps_tol must be finite and >= 0, got {self.eps_tol}")
+        require_real("eps_tol", self.eps_tol, PARAM_FIELDS["eps_tol"][1])
         object.__setattr__(self, "_pieces", None)  # retention pieces, built on first read
 
     def decide(self, obs: Observation) -> bool:
@@ -302,10 +297,8 @@ def interior_effort(mu: float, reward_weight: float, params: Params) -> float:
     incentive, 1+R when success also secures office for a congruent type,
     R for a noncongruent type.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise DomainError(f"mu must be in [0, 1], got {mu}")
-    if not reward_weight >= 0.0:  # NaN too
-        raise DomainError(f"reward_weight must be >= 0, got {reward_weight}")
+    require_real("mu", mu, UNIT_INTERVAL)
+    require_real("reward_weight", reward_weight, (0.0, math.inf, False, True))
     return min(1.0, max(0.0, params.lam * reward_weight * mu))
 
 
@@ -449,7 +442,7 @@ def solve(
             if family is None:
                 raise AssumptionError(*_NO_POOLING[1])
             pooling_effort = family[0]
-        _check_effort(pooling_effort, "pooled effort")  # before any gate
+        require_real("pooled effort", pooling_effort, UNIT_INTERVAL)  # before any gate
     if check:
         refusal = gate_refusals(params, rent_mode).get(regime)
         if refusal is not None:

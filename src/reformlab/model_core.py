@@ -28,17 +28,18 @@ from .errors import DomainError
 RentMode = Literal["strict", "relaxed"]
 
 #: the parameter vector's one format: each JSON key, in canonical order, maps to its ``Params``
-#: attribute and domain as (attribute, low, high, low end open, high end open). ``lambda`` is a
-#: Python keyword, so its attribute is ``lam``. The game's six primitives come first.
+#: attribute and domain as (attribute, (low, high, low end open, high end open)), the domain in
+#: the form :func:`require_real` reads. ``lambda`` is a Python keyword, so its attribute is
+#: ``lam``. The game's six primitives come first.
 PARAM_FIELDS = {
-    "p": ("p", 0.5, 1.0, False, False),  # signal accuracy
-    "phi": ("phi", 0.0, 1.0, True, True),  # prior probability the reform is good
-    "d": ("d", 0.0, 1.0, True, True),  # status-quo payoff
-    "lambda": ("lam", 0.0, 1.0, True, False),  # cost sensitivity (higher = cheaper effort)
-    "R": ("R", 0.0, math.inf, True, True),  # office rent
-    "pi": ("pi", 0.0, 1.0, True, True),  # prior probability the agent is congruent
-    "M": ("M", 0.0, math.inf, False, True),  # principal's selection weight (0 = policy only)
-    "eps_tol": ("eps_tol", 0.0, math.inf, False, True),  # buffer for strict inequalities
+    "p": ("p", (0.5, 1.0, False, False)),  # signal accuracy
+    "phi": ("phi", (0.0, 1.0, True, True)),  # prior probability the reform is good
+    "d": ("d", (0.0, 1.0, True, True)),  # status-quo payoff
+    "lambda": ("lam", (0.0, 1.0, True, False)),  # cost sensitivity (higher = cheaper effort)
+    "R": ("R", (0.0, math.inf, True, True)),  # office rent
+    "pi": ("pi", (0.0, 1.0, True, True)),  # prior probability the agent is congruent
+    "M": ("M", (0.0, math.inf, False, True)),  # principal's selection weight (0 = policy only)
+    "eps_tol": ("eps_tol", (0.0, math.inf, False, True)),  # buffer for strict inequalities
 }
 PARAM_KEYS = tuple(PARAM_FIELDS)
 GAME_KEYS = PARAM_KEYS[:6]  # the keys a params object must hold and a sweep may vary
@@ -47,14 +48,31 @@ _MAX = sys.float_info.max  # the largest finite float
 P_BAR_TOL = 1e-9
 
 
-def require_integer(name: str, value) -> int:
-    """``value`` as an int; a count or seed that is not an integer (1.5 or True, say) is refused."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise DomainError(f"{name} must be an integer, got {value!r}")
+def require_real(name: str, value, domain: tuple[float, float, bool, bool]) -> None:
+    """Refuse ``value`` unless it is a real number, not a bool, in ``domain``, an interval stated
+    as (low, high, low end open, high end open): NaN, a string or an array is refused."""
+    lo, hi, lo_open, hi_open = domain
+    # a float skips the slower ABC check, which admits an int or numpy scalar, no bool
+    if not ((type(value) is float
+             or isinstance(value, numbers.Real) and not isinstance(value, bool))
+            and (lo < value or not lo_open and lo == value)
+            and (value < hi or not hi_open and value == hi)):
+        raise DomainError(f"{name} must be a real number in {'(' if lo_open else '['}{lo:g}, "
+                          f"{hi:g}{')' if hi_open else ']'}, got {value!r:.40}")
+
+
+def require_integer(name: str, value, lo: int, hi: int) -> int:
+    """``value`` as an int in [lo, hi]; a count or seed that is not an integer (1.5 or True,
+    say) is refused, and so is one outside the range."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if not lo <= n <= hi:
+        raise DomainError(f"{name} must be in [{lo}, {hi}], got {n}")
+    return n
 
 
 def require_number(name: str, value) -> float:
@@ -62,6 +80,20 @@ def require_number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _MAX:
         raise DomainError(f"{name} must be a finite number, got {value!r:.40}")
     return float(value)
+
+
+def read_object(obj, what: str, required, allowed) -> dict:
+    """``obj`` if it is a JSON object that holds every key in ``required`` and no key outside
+    ``allowed``; anything else is refused, the message naming the object as ``what``."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise DomainError(f"unknown {what} keys: {sorted(unknown, key=str)}")  # keys of any type
+    missing = set(required) - set(obj)
+    if missing:
+        raise DomainError(f"missing {what} keys: {sorted(missing)}")
+    return obj
 
 
 def read_json(path, invalid: str):
@@ -98,13 +130,9 @@ class Params:
     eps_tol: float = 1e-12
 
     def __post_init__(self):
-        for key, (attr, lo, hi, lo_open, hi_open) in PARAM_FIELDS.items():
-            v = getattr(self, attr)  # not vars(self): a built __dict__ slows every attribute read
-            # a float skips the slower ABC check, which admits an int or numpy scalar, no bool
-            if not ((type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool))
-                    and (lo < v or not lo_open and lo == v) and (v < hi or not hi_open and v == hi)):
-                raise DomainError(f"{key} must be in {'(' if lo_open else '['}{lo:g}, "
-                                  f"{hi:g}{')' if hi_open else ']'}, got {v!r:.40}")
+        for key, (attr, domain) in PARAM_FIELDS.items():
+            # not vars(self): a built __dict__ slows every attribute read
+            require_real(key, getattr(self, attr), domain)
 
     def replace(self, **kwargs) -> "Params":
         """``dataclasses.replace(self, **kwargs)``: every field is an init field, so the
@@ -113,22 +141,14 @@ class Params:
 
     def to_json(self) -> dict:
         """Flat JSON object with keys exactly ``PARAM_KEYS``."""
-        return {key: getattr(self, attr) for key, (attr, *_) in PARAM_FIELDS.items()}
+        return {key: getattr(self, attr) for key, (attr, _) in PARAM_FIELDS.items()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Params":
         """Parse the flat JSON object. Missing M and eps_tol take the field
         defaults; unknown keys are rejected."""
-        if not isinstance(obj, dict):
-            raise DomainError(f"params JSON must be an object, got {type(obj).__name__}")
-        unknown = set(obj) - set(PARAM_KEYS)
-        if unknown:
-            raise DomainError(f"unknown params keys: {sorted(unknown)}")
-        missing = set(GAME_KEYS) - set(obj)
-        if missing:
-            raise DomainError(f"missing params keys: {sorted(missing)}")
         return cls(**{PARAM_FIELDS[k][0]: require_number(f"params {k!r}", v)
-                      for k, v in obj.items()})
+                      for k, v in read_object(obj, "params", GAME_KEYS, PARAM_KEYS).items()})
 
     @classmethod
     def load(cls, path) -> "Params":

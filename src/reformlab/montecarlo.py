@@ -46,6 +46,7 @@ from .equilibrium import (
     FAILURE,
     NONCONGRUENT,
     REFORM,
+    REGIMES,
     SQ_OUTCOME,
     SUCCESS,
     TYPES,
@@ -64,7 +65,8 @@ MAX_DRAWS = 10**12
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One run: ``n_draws`` in [1, MAX_DRAWS], ``seed`` an unsigned 64-bit integer."""
+    """One run: ``n_draws`` in [1, MAX_DRAWS], ``seed`` an unsigned 64-bit integer, ``regime``
+    one of ``REGIMES``."""
 
     n_draws: int
     seed: int
@@ -72,10 +74,10 @@ class SimConfig:
     params: Params
 
     def __post_init__(self):
-        if not 1 <= require_integer("n_draws", self.n_draws) <= MAX_DRAWS:
-            raise DomainError(f"n_draws must be in [1, {MAX_DRAWS}], got {self.n_draws}")
-        if not 0 <= require_integer("seed", self.seed) < 2**64:
-            raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        require_integer("n_draws", self.n_draws, 1, MAX_DRAWS)
+        require_integer("seed", self.seed, 0, 2**64 - 1)
+        if self.regime not in REGIMES:
+            raise DomainError(f"unknown regime {self.regime!r}")
 
 
 @dataclass(frozen=True)
@@ -286,11 +288,9 @@ def convergence_sweep(
     """Cumulative statistics at each checkpoint along a single stream."""
     if eq.regime != config.regime:
         raise DomainError(f"equilibrium regime {eq.regime!r} != config regime {config.regime!r}")
-    checkpoints = [require_integer("checkpoints", c) for c in checkpoints or ()]
+    checkpoints = [require_integer("checkpoints", c, 1, MAX_DRAWS) for c in checkpoints or ()]
     if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise DomainError("checkpoints must be strictly increasing and nonempty")
-    if not (1 <= checkpoints[0] and checkpoints[-1] <= MAX_DRAWS):
-        raise DomainError(f"checkpoints must lie in [1, {MAX_DRAWS}]")
     params = config.params
     tables = _cell_tables(eq)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))

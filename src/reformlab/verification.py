@@ -188,9 +188,7 @@ def deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -
     :func:`_cell_utilities` gives it, and wins a tie with a reform. A cell's best reform
     becomes an ``AgentAction`` only where the report names it.
     """
-    grid_size = require_integer("grid_size", grid_size)
-    if not 2 <= grid_size <= MAX_GRID_SIZE:
-        raise DomainError(f"grid_size must be in [2, {MAX_GRID_SIZE}], got {grid_size}")
+    grid_size = require_integer("grid_size", grid_size, 2, MAX_GRID_SIZE)
     dev_tol = default_dev_tol(params, grid_size)
     post, lam, R = posteriors(params), params.lam, params.R
     starts, kept = eq.retention_pieces()

@@ -35,7 +35,7 @@ from .equilibrium import (
     TRANSPARENT_SEPARATING, Equilibrium, gate_refusals, raw_profile, solve,
 )
 from .model_core import PARAM_FIELDS, Params, Record, RentMode, posteriors, require_number
-from .model_core import require_rent_mode
+from .model_core import require_real, require_rent_mode
 
 WELFARE_REGIMES = (NONTRANSPARENT, OPAQUE, TRANSPARENT_SEPARATING)
 
@@ -191,10 +191,8 @@ class Thresholds(Record):
 
 def thresholds_from_lambda_hat(lambda_hat: float, d: float) -> Thresholds:
     """Closed-form roots of H (the test suite checks them against bisection)."""
-    if not 0.0 < lambda_hat < math.inf:
-        raise DomainError(f"lambda_hat must be in (0, inf), got {lambda_hat}")
-    if not 0.0 < d < 1.0:
-        raise DomainError(f"d must be in (0, 1), got {d}")
+    require_real("lambda_hat", lambda_hat, (0.0, math.inf, True, True))
+    require_real("d", d, PARAM_FIELDS["d"][1])
     disc = 1.0 - 2.0 * (1.0 + d) * lambda_hat
     if disc < 0:
         return Thresholds(lambda_hat=lambda_hat, exists=False, R_low=None, R_high=None)

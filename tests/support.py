@@ -29,9 +29,9 @@ from reformlab import (
 from reformlab.equilibrium import (
     CELLS, CONGRUENT, FAILURE, NONTRANSPARENT, OPAQUE, REFORM, REGIMES, RETAIN, SQ_OUTCOME,
     STATUS_QUO, SUCCESS, TRANSPARENT_POOLING, TRANSPARENT_SEPARATING, AgentAction, Equilibrium,
-    Observation, _check_effort, observe,
+    UNIT_INTERVAL, Observation, observe,
 )
-from reformlab.model_core import AssumptionReport, CheckResult, require_integer
+from reformlab.model_core import AssumptionReport, CheckResult, require_integer, require_real
 from reformlab.verification import (
     BAYES_TOL, MAX_GRID_SIZE, BayesEntry, BayesReport, BreakEvenReport,
     DeviationCell, DeviationReport, _policy_payoff, _reform_utility, default_dev_tol,
@@ -316,7 +316,7 @@ def three_candidate_deviation_check(eq: Equilibrium, params: Params,
                                     grid_size: int = 100_001) -> DeviationReport:
     """Exact no-profitable-deviation check, scoring three candidates on each
     effort piece of constant retention: its two ends and its clamped vertex."""
-    grid_size = require_integer("grid_size", grid_size)
+    grid_size = require_integer("grid_size", grid_size, -math.inf, math.inf)
     if not 2 <= grid_size <= MAX_GRID_SIZE:
         raise DomainError(f"grid_size must be in [2, {MAX_GRID_SIZE}], got {grid_size}")
     dev_tol = default_dev_tol(params, grid_size)
@@ -568,7 +568,7 @@ def reference_solve(params: Params, regime: str, *, rent_mode="relaxed", check: 
         if pooling_effort is None:
             pooling_effort = _pooling_family(params)[0]
         # added later: a pooled effort that is not a real number in [0, 1] is refused first
-        _check_effort(pooling_effort, "pooled effort")
+        require_real("pooled effort", pooling_effort, UNIT_INTERVAL)
     if check:
         report = _require(params, rent_mode)
         if regime == OPAQUE and not report.informativeness.passed:

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -314,7 +315,8 @@ class TestSweepEngine:
             SweepAxis("volume", 0.1, 0.9, 5)  # unknown parameter
         with pytest.raises(DomainError):
             SweepAxis("M", 0.1, 0.9, 5)  # not a game primitive
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(DomainError, match=re.escape(
+                "axis R: max must be a real number in [0, inf), got inf")):
             SweepAxis("R", 0.2, math.inf, 5)
         with pytest.raises(DomainError):
             SweepSpec(base=base, axes=())
@@ -462,6 +464,7 @@ class TestSweepCommand:
         ([{"param": "R", "min": 0.2, "max": 0.5, "steps": MAX_SWEEP_STEPS + 1}], None),
         ([{"param": "R", "min": 0.2, "max": 0.5, "steps": 4},  # one parameter on two axes
           {"param": "R", "min": 0.3, "max": 0.6, "steps": 3}], None),
+        ([{"param": "R", "min": 0.2, "max": 0.5, "steps": 4, "stepz": 5}], None),  # unknown key
     ])
     def test_malformed_spec_is_usage_error(self, tmp_path, capsys, axes, outputs):
         spec = {"base": SANITY, "axes": axes}

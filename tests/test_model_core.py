@@ -89,7 +89,8 @@ class TestParams:
         want = refusal(reference_params_checks, SimpleNamespace(**fields))
         assert (got is None) == (want is None)
         if got is not None:
-            assert got.startswith(f"{key} must be in ") and got.endswith(f", got {value!r}")
+            assert got.startswith(f"{key} must be a real number in ")
+            assert got.endswith(f", got {value!r}")
 
     @pytest.mark.parametrize("key, value", [
         ("p", "0.9"), ("M", False), ("pi", True), ("R", None), ("d", [0.1]), ("eps_tol", 10**400),

@@ -331,6 +331,18 @@ def test_only_model_core_states_the_parameter_format():
     assert {module for module, _ in sites(holds_string("lam"))} == {"model_core"}
 
 
+def imports_numbers(node) -> bool:
+    """A matcher of ``import numbers`` and ``from numbers import ...``."""
+    return (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "numbers")
+
+
+def test_only_model_core_states_what_a_real_number_is():
+    # one reader, ``require_real``, decides which values are real numbers in a domain: every
+    # other module calls it, so no other module needs the numeric tower
+    assert {module for module, _ in sites(imports_numbers)} == {"model_core"}
+
+
 _SANITY = Params(p=0.99, phi=0.75, d=0.0125, lam=0.5, R=0.25, pi=0.9)
 _SANITY_NT = solve(_SANITY, "nontransparent")
 
@@ -338,12 +350,18 @@ _SANITY_NT = solve(_SANITY, "nontransparent")
 REFUSALS = {
     "fixture_path": lambda: fixture_path("bogus"),
     "sweep_axis_inf_bound": lambda: SweepAxis("R", 0.2, math.inf, 3),
+    "sweep_axis_string_bound": lambda: SweepAxis("R", "0.2", 1.0, 3),
+    "sweep_axis_bool_bound": lambda: SweepAxis("R", True, 2.0, 3),
+    "params_unknown_keys_of_two_types": lambda: Params.from_json(
+        {**_SANITY.to_json(), 1: 0.5, "x": 0.5}),
     "agent_action_policy": lambda: AgentAction("abstain"),
     "observation_policy": lambda: Observation("abstain"),
     "observation_outcome": lambda: Observation(REFORM, outcome="draw"),
     "profile_cell": lambda: _SANITY_NT.profile.action("neutral", "g"),
     "observe_regime": lambda: observe("secret", AgentAction(REFORM, 0.5), FAILURE),
     "equilibrium_regime": lambda: Equilibrium("secret", _SANITY_NT.profile, (), (), 1e-12),
+    "equilibrium_bool_eps_tol": lambda: Equilibrium(OPAQUE, _SANITY_NT.profile, (), (), True),
+    "equilibrium_string_eps_tol": lambda: Equilibrium(OPAQUE, _SANITY_NT.profile, (), (), "x"),
     "pattern_op": lambda: ObservationPattern(REFORM, effort_op="lt", effort_value=0.5),
     "pattern_op_without_value": lambda: ObservationPattern(REFORM, effort_op="eq"),
     "pattern_policy": lambda: ObservationPattern("bogus"),
@@ -360,11 +378,14 @@ REFUSALS = {
     "interior_effort_mu": lambda: interior_effort(1.5, 1.0, _SANITY),
     "interior_effort_negative_weight": lambda: interior_effort(0.5, -1.0, _SANITY),
     "interior_effort_nan_weight": lambda: interior_effort(0.5, math.nan, _SANITY),
+    "interior_effort_bool_mu": lambda: interior_effort(True, 1.0, _SANITY),
+    "interior_effort_string_mu": lambda: interior_effort("x", 1.0, _SANITY),
     "raw_profile_pooling": lambda: raw_profile("transparent_pooling", _SANITY,
                                                posteriors(_SANITY)),
     "posteriors_signal": lambda: posteriors(_SANITY).mu("x"),
     "convergence_sweep_regime": lambda: convergence_sweep(
         SimConfig(n_draws=10, seed=0, regime=OPAQUE, params=_SANITY), _SANITY_NT, [10]),
+    "sim_config_regime": lambda: SimConfig(n_draws=10, seed=0, regime="bogus", params=_SANITY),
     "formula_welfare_regime": lambda: formula_welfare(_SANITY, "benchmark"),
     "thresholds_zero_lambda_hat": lambda: thresholds_from_lambda_hat(0.0, 0.3),
     "thresholds_negative_lambda_hat": lambda: thresholds_from_lambda_hat(-1.0, 0.3),
@@ -372,6 +393,7 @@ REFUSALS = {
     "thresholds_inf_lambda_hat": lambda: thresholds_from_lambda_hat(math.inf, 0.3),
     "thresholds_nan_d": lambda: thresholds_from_lambda_hat(0.1, math.nan),
     "thresholds_negative_d": lambda: thresholds_from_lambda_hat(0.1, -5.0),
+    "thresholds_bool_lambda_hat": lambda: thresholds_from_lambda_hat(True, 0.3),
     "comparative_statics_string_delta": lambda: comparative_statics(_SANITY, "phi", "0.1"),
     "comparative_statics_bool_delta": lambda: comparative_statics(_SANITY, "phi", True),
     "comparative_statics_nan_delta": lambda: comparative_statics(_SANITY, "phi", math.nan),
