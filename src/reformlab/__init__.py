@@ -29,7 +29,6 @@ from .equilibrium import (
     AgentAction,
     Equilibrium,
     Observation,
-    ObservationPattern,
     StrategyProfile,
     interior_effort,
     observe,
@@ -70,7 +69,7 @@ __all__ = [
     "BENCHMARK", "BayesReport", "BreakEvenReport", "ComparativeStaticsReport",
     "DeviationReport", "DomainError", "Equilibrium", "InformativenessError",
     "NONTRANSPARENT", "NewsReport", "NonFiniteError", "OPAQUE", "Observation",
-    "ObservationPattern", "Params", "Posteriors", "PreconditionLossError",
+    "Params", "Posteriors", "PreconditionLossError",
     "ReformLabError", "SimConfig", "SimStats", "StrategyProfile", "SweepAxis",
     "SweepSpec", "Thresholds", "TRANSPARENT_POOLING", "TRANSPARENT_SEPARATING",
     "UnderflowError", "UnresolvedObservationError", "WelfareEntry", "WelfareReport",

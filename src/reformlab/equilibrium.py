@@ -9,17 +9,20 @@ A regime fixes what the principal observes before the retention vote:
 plus a no-accountability ``benchmark`` with no retention stage.
 :func:`solve` returns each regime's :class:`Equilibrium`, bundling the pure strategy
 profile, a pure retention rule, and a belief system over observables. Retention and beliefs
-are ordered pattern lists (first match wins), each effort test a comparison with fl(v - eps)
-or fl(v + eps), eps the equilibrium's own ``eps_tol``. One first-match reader serves both
-lists: it walks the list on each read, and ``decide``, ``retains`` and ``belief`` call it, as
-``retention_pieces`` does at each piece start. An ``AgentAction`` or ``Observation`` effort,
-or an ``ObservationPattern`` effort value, that is not a real number in [0, 1], or is a bool,
-is refused.
+are per-class effort-piece tables: each observation class (the policy, and the outcome where
+the regime sees it) maps to sorted piece starts from -inf and one value per piece. A class
+whose effort the regime does not see has one piece. ``solve`` writes each start as the exact
+float where one of its eps-buffered effort tests turns: fl(v - eps), or the float after
+fl(v + eps). ``decide``, ``retains`` and ``belief`` are a dict lookup and a ``bisect_right``;
+an observation that lacks a coordinate the regime sees is unresolved. An ``AgentAction`` or
+``Observation`` effort that is not a real number in [0, 1], or is a bool, is refused.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -28,7 +31,7 @@ from .errors import (
     AssumptionError, DomainError, InformativenessError, UnderflowError, UnresolvedObservationError,
 )
 from .model_core import (
-    ASSUMPTION_CHECKS, PARAM_FIELDS, Params, Posteriors, Record, RentMode, assumption_values,
+    ASSUMPTION_CHECKS, Params, Posteriors, Record, RentMode, assumption_values,
     posteriors, require_real, require_rent_mode,
     check_assumptions,  # not called here; perfbench reads it
 )
@@ -108,29 +111,25 @@ class StrategyProfile:
         ]
 
 
-def _check_policy_outcome(policy, outcome) -> None:
-    """Refuse a policy other than reform or the status quo, and an outcome (None: unseen)
-    other than the three, or one that ``policy`` cannot produce."""
-    if policy not in (REFORM, STATUS_QUO):
-        raise DomainError(f"bad policy {policy!r}")
-    if outcome is not None:
-        if outcome not in (SUCCESS, FAILURE, SQ_OUTCOME):
-            raise DomainError(f"bad outcome {outcome!r}")
-        # perfect invertibility: the status-quo outcome identifies the policy
-        if (outcome == SQ_OUTCOME) != (policy == STATUS_QUO):
-            raise DomainError(f"outcome {outcome!r} inconsistent with policy {policy!r}")
-
-
 @dataclass(frozen=True)
 class Observation:
-    """What the principal sees; unobserved coordinates are None."""
+    """What the principal sees; unobserved coordinates are None. An unknown policy or outcome,
+    an outcome the policy cannot produce and an effort outside [0, 1] are refused."""
 
     policy: str
     effort: Optional[float] = None
     outcome: Optional[str] = None
 
     def __post_init__(self):
-        _check_policy_outcome(self.policy, self.outcome)
+        if self.policy not in (REFORM, STATUS_QUO):
+            raise DomainError(f"bad policy {self.policy!r}")
+        if self.outcome is not None:
+            if self.outcome not in (SUCCESS, FAILURE, SQ_OUTCOME):
+                raise DomainError(f"bad outcome {self.outcome!r}")
+            # perfect invertibility: the status-quo outcome identifies the policy
+            if (self.outcome == SQ_OUTCOME) != (self.policy == STATUS_QUO):
+                raise DomainError(
+                    f"outcome {self.outcome!r} inconsistent with policy {self.policy!r}")
         if self.effort is not None:
             require_real("effort", self.effort, UNIT_INTERVAL)
 
@@ -146,146 +145,148 @@ def observe(regime: str, action: AgentAction, outcome: str) -> Observation:
     raise DomainError(f"unknown regime {regime!r}")
 
 
-def _shape(obs: Observation) -> tuple:
-    """The first-match reader's shape of ``obs``: (policy, outcome, whether effort is seen)."""
-    return obs.policy, obs.outcome, obs.effort is not None
+#: whether each regime sees a reform's effort and its outcome, read off :func:`observe`
+_SEES = {r: (o.effort is not None, o.outcome is not None)
+        for r in REGIMES for o in [observe(r, AgentAction(REFORM), SUCCESS)]}
+#: each regime's table key of each of ``OBSERVATION_CLASSES``: the policy, and the outcome
+#: where the regime sees it
+_CLASS_KEY = {r: {(policy, outcome): (policy, outcome if _SEES[r][1] else None)
+                  for policy, outcome in OBSERVATION_CLASSES} for r in REGIMES}
+#: the classes each regime's retention and belief tables map, in ``OBSERVATION_CLASSES``
+#: order; the benchmark has no retention stage, so its tables are empty
+TABLE_CLASSES = {r: () if r == BENCHMARK else tuple(dict.fromkeys(_CLASS_KEY[r].values()))
+                 for r in REGIMES}
 
-
-#: each regime's retention read key per observation class, through :func:`observe`'s projection
-_CLASS_VIEWS = {r: {c: ("retention", _shape(observe(r, AgentAction(c[0]), c[1])))
-                    for c in OBSERVATION_CLASSES} for r in REGIMES}
-
-#: a pattern's eps-buffered effort tests, (effort, value, eps) -> bool
-_EFFORT_TESTS = {"eq": lambda e, v, eps: v - eps <= e <= v + eps,
-                 "ge": lambda e, v, eps: e >= v - eps, "gt": lambda e, v, eps: e > v + eps}
-
-
-@dataclass(frozen=True)
-class ObservationPattern:
-    """Matcher for a set of observations.
-
-    ``outcome=None`` matches any outcome. ``effort_op`` is None (any effort), "eq" (the
-    closed range fl(v - eps) <= e <= fl(v + eps)), "ge" (e >= fl(v - eps)) or "gt"
-    (e > fl(v + eps)), for v ``effort_value`` and eps the reading equilibrium's ``eps_tol``.
-    """
-
-    policy: str
-    outcome: Optional[str] = None
-    effort_op: Optional[str] = None
-    effort_value: Optional[float] = None
-
-    def __post_init__(self):
-        _check_policy_outcome(self.policy, self.outcome)
-        if self.effort_op is not None and self.effort_op not in _EFFORT_TESTS:
-            raise DomainError(f"bad effort_op {self.effort_op!r}")
-        if (self.effort_op is None) != (self.effort_value is None):
-            raise DomainError("effort_op and effort_value must come together")
-        if self.effort_value is not None:
-            require_real("effort_value", self.effort_value, UNIT_INTERVAL)
-
-    def to_json(self) -> dict:
-        out: dict = {"policy": self.policy}
-        if self.outcome is not None:
-            out["outcome"] = self.outcome
-        if self.effort_op is not None:
-            out["effort"] = {"op": self.effort_op, "value": self.effort_value}
-        return out
-
-
-#: the effort-free patterns and the status-quo action :func:`solve` shares among equilibria
-_ANY_REFORM, _ANY_STATUS_QUO = ObservationPattern(REFORM), ObservationPattern(STATUS_QUO)
-_REFORM_SUCCESS = ObservationPattern(REFORM, outcome=SUCCESS)
-_REFORM_FAILURE = ObservationPattern(REFORM, outcome=FAILURE)
+#: the one start of a class whose effort the regime does not see
+_BLIND = (-math.inf,)
+#: the effort-blind table entries and the status-quo action :func:`solve` shares
+_KEPT, _REMOVED, _DISBELIEVED = (_BLIND, (True,)), (_BLIND, (False,)), (_BLIND, (0.0,))
+#: the ids of those entries by table, which the table check passes over: they are valid
+_SHARED = {"retention": {id(_KEPT), id(_REMOVED)}, "beliefs": {id(_DISBELIEVED)}}
 _SQ_ACTION = AgentAction(STATUS_QUO)
+
+
+def _check_table(name: str, table, regime: str) -> None:
+    """Refuse ``table`` unless it maps exactly the regime's ``TABLE_CLASSES`` to (starts,
+    values) of one length, the starts rising strictly from -inf (-inf alone where the regime
+    does not see effort), each value a bool in ``retention`` and a real number in [0, 1] in
+    ``beliefs``. Each list is read in one pass, and a float belief in range costs no call."""
+    classes = TABLE_CLASSES[regime]
+    if type(table) is not dict or len(table) != len(classes):
+        raise DomainError(f"{regime} {name} must map the classes {classes}, got {table!r:.200}")
+    sees_effort, decisions, shared = _SEES[regime][0], name == "retention", _SHARED[name]
+    checked = None
+    for key in classes:
+        entry = table.get(key)
+        if entry is None:
+            raise DomainError(f"{regime} {name} must map the classes {classes}, got {table!r:.200}")
+        if entry is checked or id(entry) in shared:  # the reform entry before, or a constant
+            continue
+        checked = entry
+        try:
+            starts, values = entry
+            n = len(starts)
+            rising = n == 1 or all(map(operator.lt, starts, starts[1:]))
+        except (TypeError, ValueError):  # not a pair of sequences, or starts that do not compare
+            raise DomainError(f"{name} {key}: not (starts, values) with real starts, "
+                              f"got {entry!r:.200}") from None
+        if n != len(values):
+            raise DomainError(f"{name} {key}: {n} starts for {len(values)} values")
+        if not (n and starts[0] == -math.inf and rising):
+            raise DomainError(f"{name} {key}: starts must rise strictly from -inf, "
+                              f"got {starts!r:.200}")
+        if n > 1 and not sees_effort:
+            raise DomainError(f"{name} {key}: {regime} sees no effort, so -inf is its one start, "
+                              f"got {starts!r:.200}")
+        for value in values:
+            if decisions:
+                if type(value) is not bool:
+                    raise DomainError(f"retention {key}: a decision must be a bool, got {value!r}")
+            elif not (type(value) is float and 0.0 <= value <= 1.0):
+                require_real(f"beliefs {key}: a belief", value, UNIT_INTERVAL)
 
 
 @dataclass(frozen=True)
 class Equilibrium:
     """A strategy profile, a pure retention rule, and a belief system.
 
-    ``retention`` and ``beliefs`` are ordered (pattern, value) lists, first match
-    wins. An empty retention list means no retention stage (benchmark): the agent
-    keeps office regardless of play, so the office term is constant across actions.
-    ``eps_tol`` buffers the patterns' effort tests for every reader; :func:`solve` sets it
-    from ``params.eps_tol``, and ``dataclasses.replace(eq, eps_tol=x)`` reads at ``x``.
+    ``retention`` and ``beliefs`` are per-class effort-piece tables: each maps an
+    observation class of ``TABLE_CLASSES`` (the policy, and the outcome where the regime
+    sees it) to ``(starts, values)``, ``values[i]`` holding for efforts from ``starts[i]`` up
+    to the next start. ``starts[0]`` is -inf, and a class whose effort the regime does not
+    see has that start only. Retention values are bools (True: retained), belief values the
+    posterior probability that the agent is congruent. The benchmark has no retention
+    stage, so both its tables are empty: the agent keeps office regardless of play, and the
+    office term is constant across actions. :func:`solve` writes the starts with its eps
+    buffer baked in; a malformed table is refused with ``DomainError``.
     """
 
     regime: str
     profile: StrategyProfile
-    retention: tuple[tuple[ObservationPattern, str], ...]
-    beliefs: tuple[tuple[ObservationPattern, float], ...]
-    eps_tol: float
+    retention: dict[tuple[str, Optional[str]], tuple[tuple[float, ...], tuple[bool, ...]]]
+    beliefs: dict[tuple[str, Optional[str]], tuple[tuple[float, ...], tuple[float, ...]]]
     pooling_effort: Optional[float] = None
 
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise DomainError(f"unknown regime {self.regime!r}")
-        for _, decision in self.retention:
-            if decision not in (RETAIN, REMOVE):
-                raise DomainError(f"bad retention decision {decision!r}")
-        require_real("eps_tol", self.eps_tol, PARAM_FIELDS["eps_tol"][1])
-        object.__setattr__(self, "_pieces", None)  # retention pieces, built on first read
+        _check_table("retention", self.retention, self.regime)
+        _check_table("beliefs", self.beliefs, self.regime)
 
     def decide(self, obs: Observation) -> bool:
         """True iff retained after ``obs``."""
-        return self._first_match(("retention", _shape(obs)), obs.effort) == RETAIN
+        return self._read("retention", obs) if self.retention else True
 
     def retains(self, action: AgentAction, outcome: str) -> bool:
         """``decide(observe(regime, action, outcome))`` without building the observation;
         (``action.policy``, ``outcome``) is one of ``OBSERVATION_CLASSES``."""
-        key = _CLASS_VIEWS[self.regime][action.policy, outcome]
-        return self._first_match(key, action.effort) == RETAIN
+        if not self.retention:
+            return True
+        starts, kept = self.retention[_CLASS_KEY[self.regime][action.policy, outcome]]
+        return kept[bisect_right(starts, action.effort) - 1]
 
     def belief(self, obs: Observation) -> float:
         """Posterior probability the agent is congruent after ``obs``."""
-        return self._first_match(("beliefs", _shape(obs)), obs.effort)
+        return self._read("beliefs", obs)
+
+    def _read(self, name: str, obs: Observation):
+        """The value of table ``name`` at ``obs``, which must carry every coordinate the
+        regime sees; a coordinate it does not see is not read."""
+        sees_effort, sees_outcome = _SEES[self.regime]
+        table, key = getattr(self, name), (obs.policy, obs.outcome if sees_outcome else None)
+        if key not in table or sees_effort and obs.effort is None:
+            raise UnresolvedObservationError(f"{self.regime} has no {name} entry for {obs}")
+        starts, values = table[key]
+        return values[bisect_right(starts, obs.effort or 0.0) - 1]
 
     def retention_pieces(self) -> tuple[list, list]:
-        """Reform retention by effort, built on first read: sorted piece ``starts`` from -inf and
-        each piece's (kept after success, kept after failure), read by :meth:`_first_match` at its
-        start. Each start is exact: fl(v - eps) where "eq" and "ge" start to pass, and the float
-        after fl(v + eps) where "eq" stops and "gt" starts to pass."""
-        if self._pieces is None:
-            starts, eps = {-math.inf}, self.eps_tol
-            for op, v in {(p.effort_op, p.effort_value) for p, _ in self.retention if p.effort_op}:
-                if op != "gt":
-                    starts.add(v - eps)
-                if op != "ge":
-                    starts.add(math.nextafter(v + eps, math.inf))
-            starts = sorted(starts)
-            keys = [_CLASS_VIEWS[self.regime][REFORM, outcome] for outcome in (SUCCESS, FAILURE)]
-            object.__setattr__(self, "_pieces", (starts, [
-                tuple(self._first_match(k, s) == RETAIN for k in keys) for s in starts]))
-        return self._pieces
-
-    def _first_match(self, key: tuple, effort: Optional[float]):
-        """The value of the first entry of list ``key[0]`` ("retention" or "beliefs") whose
-        pattern matches an observation of shape ``key[1]`` carrying ``effort``, the effort
-        tests buffered by ``eps_tol``, walked on each read: nothing is stored."""
-        rules, (policy, outcome, seen) = key
-        entries = getattr(self, rules)
-        if rules == "retention" and not entries:  # no retention stage: the agent keeps office
-            return RETAIN
-        for p, value in entries:
-            if p.policy == policy and p.outcome in (None, outcome) and (
-                    p.effort_op is None
-                    or seen and _EFFORT_TESTS[p.effort_op](effort, p.effort_value, self.eps_tol)):
-                return value
-        raise UnresolvedObservationError(f"no {rules} entry matches {key[1]}, effort {effort}")
+        """Reform retention by effort: the sorted starts of the two reform classes' retention
+        tables, from -inf, and each piece's (kept after success, kept after failure), looked
+        up in each table. :func:`solve` gives both classes one start list, so the pieces are
+        the two tables zipped; nothing is stored."""
+        if not self.retention:
+            return [-math.inf], [(True, True)]
+        tables = [self.retention[_CLASS_KEY[self.regime][REFORM, o]] for o in (SUCCESS, FAILURE)]
+        (starts, kept_s), (starts_f, kept_f) = tables
+        if starts_f != starts:  # tables that start apart: each read at the union's starts
+            starts = sorted({*starts, *starts_f})
+            kept_s, kept_f = ([kept[bisect_right(table_starts, s) - 1] for s in starts]
+                              for table_starts, kept in tables)
+        return list(starts), list(zip(kept_s, kept_f))
 
     def to_json(self) -> dict:
+        """The profile, and each table as one object per piece: the class, the piece's
+        ``effort_from`` (left out where it is -inf) and its value."""
+        def pieces(table, label, value):
+            return [{"policy": policy, **({"outcome": outcome} if outcome else {}),
+                     **({"effort_from": s} if s != -math.inf else {}), label: value(v)}
+                    for policy, outcome in TABLE_CLASSES[self.regime]
+                    for s, v in zip(*table[policy, outcome])]
         return {
             "regime": self.regime,
             "profile": self.profile.to_json(),
-            "retention": [
-                {"observation": pat.to_json(), "decision": dec}
-                for pat, dec in self.retention
-            ],
-            "beliefs": [
-                {"observation": pat.to_json(), "p_congruent": val}
-                for pat, val in self.beliefs
-            ],
-            "eps_tol": self.eps_tol,
+            "retention": pieces(self.retention, "decision", lambda v: RETAIN if v else REMOVE),
+            "beliefs": pieces(self.beliefs, "p_congruent", lambda v: v),
             "pooling_effort": self.pooling_effort,
         }
 
@@ -359,6 +360,12 @@ def transparent_pooling_family(params: Params) -> Optional[tuple[float, float]]:
     if params.lam * post.mu_plus**2 < 2 * (params.R - params.d) - params.eps_tol:
         return (params.lam * post.mu_plus, separation_effort(params))
     return None
+
+
+def _transparent(reform: tuple, status_quo: tuple) -> dict:
+    """A transparent regime's table: both reform classes read ``reform``."""
+    return {(REFORM, SUCCESS): reform, (REFORM, FAILURE): reform,
+            (STATUS_QUO, SQ_OUTCOME): status_quo}
 
 
 #: the refusal of ``transparent_pooling`` where its family is empty, as (exception class, args)
@@ -452,46 +459,37 @@ def solve(
             lo, hi = family  # the gate has refused an empty family
             if not (lo - params.eps_tol <= pooling_effort <= hi + params.eps_tol):
                 raise DomainError(f"e_star {pooling_effort} outside pooling family [{lo}, {hi}]")
+    eps = params.eps_tol
     if regime == TRANSPARENT_POOLING:
-        act = AgentAction(REFORM, pooling_effort)
-        retention = (
-            (_ANY_STATUS_QUO, REMOVE),
-            (ObservationPattern(REFORM, effort_op="ge", effort_value=pooling_effort), RETAIN),
-            (_ANY_REFORM, REMOVE),
-        )
-        beliefs = (
-            (_ANY_STATUS_QUO, 0.0),
-            (ObservationPattern(REFORM, effort_op="eq", effort_value=pooling_effort), params.pi),
-            (ObservationPattern(REFORM, effort_op="gt", effort_value=pooling_effort), 1.0),
-            (_ANY_REFORM, 0.0),
-        )
-        return Equilibrium(regime, StrategyProfile(act, act, act, act), retention, beliefs,
-                           params.eps_tol, pooling_effort)
+        # kept from fl(e - eps); believed the prior up to fl(e + eps), a good-signal congruent
+        # type above it, and a noncongruent type below the pool
+        act, lo = AgentAction(REFORM, pooling_effort), pooling_effort - eps
+        believed = (-math.inf, lo, math.nextafter(pooling_effort + eps, math.inf))
+        return Equilibrium(regime, StrategyProfile(act, act, act, act),
+                           _transparent(((-math.inf, lo), (False, True)), _REMOVED),
+                           _transparent((believed, (0.0, params.pi, 1.0)), _DISBELIEVED),
+                           pooling_effort)
     profile = StrategyProfile(*(
         _SQ_ACTION if policy == STATUS_QUO else AgentAction(policy, min(1.0, max(0.0, effort)))
         for policy, effort in raw_profile(regime, params, posteriors(params))
     ))
-    rules: tuple = ()  # (pattern, retention decision, belief), first match wins
+    retention = beliefs = {}  # benchmark: no retention stage
     if regime == NONTRANSPARENT:
-        rules = (
-            (_ANY_REFORM, RETAIN, params.pi),
-            (_ANY_STATUS_QUO, REMOVE, 0.0),
-        )
+        retention = {(REFORM, None): _KEPT, (STATUS_QUO, None): _REMOVED}
+        beliefs = {(REFORM, None): (_BLIND, (params.pi,)), (STATUS_QUO, None): _DISBELIEVED}
     elif regime == OPAQUE:
         b_succ, b_fail = _opaque_success_beliefs(params, profile)
-        rules = (
-            (_REFORM_SUCCESS, RETAIN, b_succ),
-            (_REFORM_FAILURE, REMOVE, b_fail),
-            (_ANY_STATUS_QUO, REMOVE, 0.0),
-        )
+        retention = {(REFORM, SUCCESS): _KEPT, (REFORM, FAILURE): _REMOVED,
+                     (STATUS_QUO, SQ_OUTCOME): _REMOVED}
+        beliefs = {(REFORM, SUCCESS): (_BLIND, (b_succ,)), (REFORM, FAILURE): (_BLIND, (b_fail,)),
+                   (STATUS_QUO, SQ_OUTCOME): _DISBELIEVED}
     elif regime == TRANSPARENT_SEPARATING:
+        # kept within [fl(e - eps), fl(e + eps)] of e_H or of e_L, and above fl(e_H + eps)
         e_h, e_l = profile.congruent_g.effort, profile.congruent_b.effort
-        rules = (
-            (_ANY_STATUS_QUO, REMOVE, 0.0),
-            (ObservationPattern(REFORM, effort_op="eq", effort_value=e_h), RETAIN, 1.0),
-            (ObservationPattern(REFORM, effort_op="eq", effort_value=e_l), RETAIN, 1.0),
-            (ObservationPattern(REFORM, effort_op="gt", effort_value=e_h), RETAIN, 1.0),
-            (_ANY_REFORM, REMOVE, 0.0),
-        )
-    return Equilibrium(regime, profile, tuple((pat, dec) for pat, dec, _ in rules),
-                       tuple((pat, belief) for pat, _, belief in rules), params.eps_tol)
+        lo_h, lo_l, hi_l = e_h - eps, e_l - eps, e_l + eps
+        starts = tuple(sorted({-math.inf, lo_h, math.nextafter(e_h + eps, math.inf),
+                               lo_l, math.nextafter(hi_l, math.inf)}))
+        kept = tuple(bool(s >= lo_h or lo_l <= s <= hi_l) for s in starts)
+        retention = _transparent((starts, kept), _REMOVED)
+        beliefs = _transparent((starts, tuple(1.0 if k else 0.0 for k in kept)), _DISBELIEVED)
+    return Equilibrium(regime, profile, retention, beliefs)

@@ -41,7 +41,7 @@ class NonFiniteError(ReformLabError, ArithmeticError):
 
 class UnresolvedObservationError(ReformLabError, LookupError):
     """An observation cannot be resolved by an equilibrium's retention or
-    belief rules (regime-inconsistent observation pattern)."""
+    belief tables: it lacks a coordinate the regime sees, or there is no table."""
 
 
 class PreconditionLossError(ReformLabError):

@@ -3,9 +3,10 @@
 Everything here is deliberately independent of the library's solution path:
 grid maximizers instead of first-order conditions, joint-distribution
 enumeration instead of stored beliefs, dense scans instead of closed-form
-roots and of the deviation oracle's exact per-piece candidates, a
-pattern-by-pattern interpreter instead of the compiled first-match table and
-its effort pieces, one scalar utility per cell instead of the cells scored
+roots and of the deviation oracle's exact per-piece candidates, the ordered
+pattern lists ``solve`` once built, read by a pattern-by-pattern interpreter,
+instead of the per-class effort-piece tables and their effort pieces, one
+scalar utility per cell instead of the cells scored
 in one call, one observation per joint mass instead of one per observed
 class, and assumption reports and ``solve`` gates evaluated afresh on every
 call instead of read from one memoized refusal table. The deviation oracle's
@@ -18,7 +19,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 
@@ -27,9 +30,9 @@ from reformlab import (
     informativeness_condition, posteriors, separation_effort, solve, transparent_pooling_family,
 )
 from reformlab.equilibrium import (
-    CELLS, CONGRUENT, FAILURE, NONTRANSPARENT, OPAQUE, REFORM, REGIMES, RETAIN, SQ_OUTCOME,
-    STATUS_QUO, SUCCESS, TRANSPARENT_POOLING, TRANSPARENT_SEPARATING, AgentAction, Equilibrium,
-    UNIT_INTERVAL, Observation, observe,
+    CELLS, CONGRUENT, FAILURE, NONTRANSPARENT, OPAQUE, REFORM, REGIMES, REMOVE, RETAIN,
+    SQ_OUTCOME, STATUS_QUO, SUCCESS, TRANSPARENT_POOLING, TRANSPARENT_SEPARATING, AgentAction,
+    Equilibrium, UNIT_INTERVAL, Observation, _opaque_success_beliefs, observe,
 )
 from reformlab.model_core import AssumptionReport, CheckResult, require_integer, require_real
 from reformlab.verification import (
@@ -67,14 +70,15 @@ def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
-# The first-match interpreter that read retention and beliefs before the
-# compiled table, copied verbatim but for reading the buffer from the equilibrium's
-# ``eps_tol`` and for stating "eq" as the closed range [fl(v - eps), fl(v + eps)],
-# as its readers now do: ``_matches`` was ``ObservationPattern.matches``,
-# ``_interpreted_decide`` and ``_interpreted_belief`` were ``Equilibrium.decide``
-# and ``Equilibrium.belief``. ``obs`` is anything with ``policy``, ``effort`` and
-# ``outcome``; ``_interpreted_decide`` also takes an array of efforts and then
-# returns a bool array, the retention of ``dense_deviation_check``'s grid blocks.
+# The first-match interpreter that read retention and beliefs while an equilibrium
+# stored ordered pattern lists, copied verbatim but for reading the buffer from the
+# lists' ``eps_tol`` and for stating "eq" as the closed range [fl(v - eps), fl(v + eps)],
+# as its readers came to do: ``_matches`` was ``ObservationPattern.matches``,
+# ``_interpreted_decide`` and ``_interpreted_belief`` were ``Equilibrium.decide`` and
+# ``Equilibrium.belief``. ``self`` is the ``reference_rules`` of an equilibrium. ``obs`` is
+# anything with ``policy``, ``effort`` and ``outcome``; ``_interpreted_decide`` also takes
+# an array of efforts and then returns a bool array, the retention of
+# ``dense_deviation_check``'s grid blocks.
 def _matches(self, obs, eps):
     if obs.policy != self.policy:
         return False
@@ -113,6 +117,109 @@ def _interpreted_belief(self, obs):
         if _matches(pattern, obs, self.eps_tol):
             return value
     raise UnresolvedObservationError(f"no belief entry matches {obs}")
+
+
+# ``ObservationPattern``, the effort-free patterns and the rule blocks of ``solve`` as they
+# were while an equilibrium stored ordered pattern lists, copied verbatim but for building
+# the lists from an equilibrium's profile and pooling effort and the point's ``params``
+# after ``solve`` has run, and for the pattern's input checks, which ``Observation`` states:
+# the reference that the library's per-class tables must read as, through the interpreter
+# above.
+@dataclass(frozen=True)
+class ObservationPattern:
+    """Matcher for a set of observations.
+
+    ``outcome=None`` matches any outcome. ``effort_op`` is None (any effort), "eq" (the
+    closed range fl(v - eps) <= e <= fl(v + eps)), "ge" (e >= fl(v - eps)) or "gt"
+    (e > fl(v + eps)), for v ``effort_value`` and eps the reading equilibrium's ``eps_tol``.
+    """
+
+    policy: str
+    outcome: Optional[str] = None
+    effort_op: Optional[str] = None
+    effort_value: Optional[float] = None
+
+
+_ANY_REFORM, _ANY_STATUS_QUO = ObservationPattern(REFORM), ObservationPattern(STATUS_QUO)
+_REFORM_SUCCESS = ObservationPattern(REFORM, outcome=SUCCESS)
+_REFORM_FAILURE = ObservationPattern(REFORM, outcome=FAILURE)
+
+
+def reference_rules(eq: Equilibrium, params: Params) -> SimpleNamespace:
+    """The ``regime``, ordered ``retention`` and ``beliefs`` pattern lists and ``eps_tol``
+    that ``solve`` stated for ``eq`` at ``params``."""
+    regime, profile, pooling_effort = eq.regime, eq.profile, eq.pooling_effort
+    if regime == TRANSPARENT_POOLING:
+        retention = (
+            (_ANY_STATUS_QUO, REMOVE),
+            (ObservationPattern(REFORM, effort_op="ge", effort_value=pooling_effort), RETAIN),
+            (_ANY_REFORM, REMOVE),
+        )
+        beliefs = (
+            (_ANY_STATUS_QUO, 0.0),
+            (ObservationPattern(REFORM, effort_op="eq", effort_value=pooling_effort), params.pi),
+            (ObservationPattern(REFORM, effort_op="gt", effort_value=pooling_effort), 1.0),
+            (_ANY_REFORM, 0.0),
+        )
+        return SimpleNamespace(regime=regime, retention=retention, beliefs=beliefs,
+                               eps_tol=params.eps_tol)
+    rules: tuple = ()  # (pattern, retention decision, belief), first match wins
+    if regime == NONTRANSPARENT:
+        rules = (
+            (_ANY_REFORM, RETAIN, params.pi),
+            (_ANY_STATUS_QUO, REMOVE, 0.0),
+        )
+    elif regime == OPAQUE:
+        b_succ, b_fail = _opaque_success_beliefs(params, profile)
+        rules = (
+            (_REFORM_SUCCESS, RETAIN, b_succ),
+            (_REFORM_FAILURE, REMOVE, b_fail),
+            (_ANY_STATUS_QUO, REMOVE, 0.0),
+        )
+    elif regime == TRANSPARENT_SEPARATING:
+        e_h, e_l = profile.congruent_g.effort, profile.congruent_b.effort
+        rules = (
+            (_ANY_STATUS_QUO, REMOVE, 0.0),
+            (ObservationPattern(REFORM, effort_op="eq", effort_value=e_h), RETAIN, 1.0),
+            (ObservationPattern(REFORM, effort_op="eq", effort_value=e_l), RETAIN, 1.0),
+            (ObservationPattern(REFORM, effort_op="gt", effort_value=e_h), RETAIN, 1.0),
+            (_ANY_REFORM, REMOVE, 0.0),
+        )
+    return SimpleNamespace(regime=regime, retention=tuple((pat, dec) for pat, dec, _ in rules),
+                           beliefs=tuple((pat, belief) for pat, _, belief in rules),
+                           eps_tol=params.eps_tol)
+
+
+def class_view(regime: str, policy: str, effort: float, outcome: str) -> SimpleNamespace:
+    """What ``regime`` observes of a (policy, outcome) class at ``effort``, any float: the
+    coordinates that :func:`observe` leaves None stay None."""
+    obs = observe(regime, AgentAction(policy), outcome)
+    return SimpleNamespace(policy=policy, outcome=obs.outcome,
+                           effort=None if obs.effort is None else effort)
+
+
+# ``Equilibrium.retention_pieces`` as it derived its starts from a pattern list and
+# labelled each piece through the first-match reader at its start, copied verbatim but for
+# taking the list and reading through the interpreter above: the reference for every table's
+# starts and for the pieces, bit for bit.
+def reference_starts(patterns: tuple, eps: float) -> list[float]:
+    """Sorted piece starts from -inf: fl(v - eps) where an "eq" or "ge" test starts to
+    pass, and the float after fl(v + eps) where "eq" stops and "gt" starts to pass."""
+    starts = {-math.inf}
+    for op, v in {(p.effort_op, p.effort_value) for p, _ in patterns if p.effort_op}:
+        if op != "gt":
+            starts.add(v - eps)
+        if op != "ge":
+            starts.add(math.nextafter(v + eps, math.inf))
+    return sorted(starts)
+
+
+def reference_pieces(rules: SimpleNamespace) -> tuple[list, list]:
+    """Reform retention by effort: :func:`reference_starts` of the retention list and each
+    piece's (kept after success, kept after failure), read at its start."""
+    starts = reference_starts(rules.retention, rules.eps_tol)
+    return starts, [tuple(_interpreted_decide(rules, class_view(rules.regime, REFORM, s, o))
+                          for o in (SUCCESS, FAILURE)) for s in starts]
 
 
 # ``welfare._welfare_and_selection`` copied verbatim but for its name: one
@@ -222,12 +329,14 @@ SCAN_BLOCK = 1 << 13
 # ``verification.deviation_check`` as it was while it scanned a grid, before it
 # scored each retention piece's exact candidates: every point of the grid is
 # evaluated, scored with ``scalar_expected_utility`` for the cells, and a grid
-# block's retention is decided point by point by the verbatim interpreter above.
-# The independent reference that the exact oracle must match to within the grid's
-# resolution, and never fall below.
-def dense_deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001) -> DeviationReport:
+# block's retention is decided point by point by the verbatim interpreter above, over
+# the pattern lists of ``reference_rules``. The independent reference that the exact
+# oracle must match to within the grid's resolution, and never fall below.
+def dense_deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_001,
+                          rules=None) -> DeviationReport:
     """Brute-force no-profitable-deviation check at tolerance
-    :func:`default_dev_tol`.
+    :func:`default_dev_tol`, reading retention from the pattern lists ``rules``: by
+    default the :func:`reference_rules` of ``eq``.
 
     For each (type, signal) cell, scans the status quo plus reforms on
     ``np.linspace(0, 1, grid_size)``, built ``SCAN_BLOCK`` efforts at a time,
@@ -251,7 +360,8 @@ def dense_deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_
             extras.add(act.effort)
     if eq.pooling_effort is not None:
         extras.add(eq.pooling_effort)
-    for pattern, _ in eq.retention:
+    rules = rules or reference_rules(eq, params)
+    for pattern, _ in rules.retention:
         if pattern.effort_value is not None and 0.0 <= pattern.effort_value <= 1.0:
             extras.add(pattern.effort_value)
     step = 1.0 / (grid_size - 1)
@@ -270,7 +380,7 @@ def dense_deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_
     scan_u, scan_e = np.full(len(CELLS), -np.inf), np.zeros(len(CELLS))
     for e in blocks():
         # an Observation refuses an array of efforts; the interpreter reads any object
-        kept = [np.broadcast_to(_interpreted_decide(eq, SimpleNamespace(
+        kept = [np.broadcast_to(_interpreted_decide(rules, SimpleNamespace(
             policy=REFORM, effort=e, outcome=o)), e.shape) for o in (SUCCESS, FAILURE)]
         u = _reform_utility(mu, e, (pay[:, :1], pay[:, 1:]), kept, params)
         i = np.argmax(u, axis=1)

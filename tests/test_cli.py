@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from reformlab import DomainError, Params, SweepAxis, SweepSpec, run_sweep
-from reformlab.cli import MAX_SWEEP_STEPS, SWEEP_GROUPS, _json_dumps, run
+from reformlab.cli import FIXTURES, MAX_SWEEP_STEPS, SWEEP_GROUPS, _json_dumps, run
 from reformlab.equilibrium import REGIMES
 from reformlab.montecarlo import MAX_DRAWS
 from support import REFERENCE_AXIS_DOMAINS
@@ -83,6 +83,23 @@ class TestSolve:
         assert efforts[1] == pytest.approx(0.0184, abs=5e-4)
         assert efforts[2] == pytest.approx(0.1246, abs=5e-4)
         assert blob["profile"][3]["policy"] == "status_quo"
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_stdout_is_strict_json(self, capsys, fixture, regime):
+        # the tables' leading -inf start is left out, so no start is written as null
+        def reject(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        if run(["solve", "--params", fixture, "--regime", regime]) != 0:
+            assert capsys.readouterr().out == ""  # refused: nothing on stdout
+            return
+        blob = json.loads(capsys.readouterr().out, parse_constant=reject)
+        pieces = blob["retention"] + blob["beliefs"]
+        assert pieces or regime == "benchmark"
+        starts = [piece["effort_from"] for piece in pieces if "effort_from" in piece]
+        assert all(type(s) is float for s in starts), starts  # no null
+        assert starts or not regime.startswith("transparent")
 
     def test_assumption_failure_exit_code(self, capsys):
         rc = run(["solve", "--regime", "opaque", "--params", "sanity",

@@ -48,7 +48,7 @@ from reformlab.cli import run
 from reformlab.equilibrium import CELLS, REFORM, STATUS_QUO
 import support
 from support import (
-    DOMAINS, dense_deviation_check, sample_params, scalar_divinity_breakeven,
+    DOMAINS, dense_deviation_check, reference_rules, sample_params, scalar_divinity_breakeven,
     scalar_expected_utility, three_candidate_deviation_check,
 )
 
@@ -203,10 +203,11 @@ class TestExactAgainstDense:
            grid_size=st.sampled_from([2, 3, 5001, 100_001]), moved=MOVED)
     @settings(max_examples=250, deadline=None)
     def test_gain_within_the_grid_bound(self, case, grid_size, moved):
-        params, _, eq = case
-        eq = _moved(eq, moved)
+        params, _, solved = case
+        eq = _moved(solved, moved)
         exact = deviation_check(eq, params, grid_size)
-        dense = dense_deviation_check(eq, params, grid_size)
+        # the dense scan reads the pattern lists solve stated for the equilibrium as built
+        dense = dense_deviation_check(eq, params, grid_size, reference_rules(solved, params))
         bound = (1.0 + params.R + 1.0 / params.lam) / (2.0 * (grid_size - 1))
         for key, cell in exact.cells.items():
             ref = dense.cells[key]
@@ -308,7 +309,8 @@ class TestCellUtilities:
         eq = _regime_eq(params, regime)
         assume(eq is not None)
         eps = params.eps_tol
-        values = {v for pattern, _ in eq.retention if (v := pattern.effort_value) is not None}
+        values = {v for pattern, _ in reference_rules(eq, params).retention
+                  if (v := pattern.effort_value) is not None}
         efforts = {min(max(float(x), 0.0), 1.0) for v in values for t in (v - eps, v, v + eps)
                    for x in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf))}
         probes = [AgentAction(STATUS_QUO), *(AgentAction(REFORM, e) for e in sorted(efforts))]

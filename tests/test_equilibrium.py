@@ -110,7 +110,7 @@ class TestBenchmark:
         assert eq.profile.congruent_b.policy == STATUS_QUO
         assert eq.profile.noncongruent_g.policy == STATUS_QUO
         assert eq.profile.noncongruent_b.policy == STATUS_QUO
-        assert eq.retention == () and eq.beliefs == ()
+        assert eq.retention == {} and eq.beliefs == {}
 
     def test_effort_approaches_lambda_at_certainty(self):
         eps = 1e-3
@@ -173,7 +173,7 @@ class TestOpaque:
     @settings(max_examples=100, deadline=None)
     def test_ungated_beliefs_are_bayes_consistent(self, params):
         eq = solve(params, "opaque", check=False)
-        assert all(0.0 <= b <= 1.0 for _, b in eq.beliefs)
+        assert all(0.0 <= b <= 1.0 for _, values in eq.beliefs.values() for b in values)
         assert bayes_consistency(eq, params).passed
 
     def test_ungated_beliefs_read_the_clamped_efforts(self):
@@ -519,11 +519,21 @@ class TestCrossRegimeInvariants:
                     assert len(set(scalar)) == 1, eq.regime
 
     def test_decide_on_effort_grid_unresolved(self, sanity):
+        # a table covers every effort of each class, and one that lacks a class is refused
+        # when it is built, so only an observation that lacks a coordinate the regime sees
+        # (here the effort) is unresolved; at effort 0, below e_L's buffer, it is removed
         eq = solve(sanity, "transparent_separating")
-        partial = dataclasses.replace(eq, retention=eq.retention[:4])
-        assert 0.0 < eq.profile.congruent_b.effort  # so effort 0 meets none of the four
+        assert 0.0 < eq.profile.congruent_b.effort - sanity.eps_tol
+        assert eq.decide(Observation(REFORM, 0.0, FAILURE)) is False
+        for table in ("retention", "beliefs"):
+            partial = {**getattr(eq, table)}
+            del partial[REFORM, FAILURE]
+            with pytest.raises(DomainError, match=table):
+                dataclasses.replace(eq, **{table: partial})
         with pytest.raises(UnresolvedObservationError):
-            partial.decide(Observation(REFORM, 0.0, FAILURE))
+            eq.decide(Observation(REFORM, None, FAILURE))
+        with pytest.raises(UnresolvedObservationError):
+            eq.belief(Observation(REFORM, None, FAILURE))
 
     def test_effort_ordering_opaque_above_flat(self):
         for params in sample_params(37, 200, "acceptance"):
@@ -549,13 +559,24 @@ class TestCrossRegimeInvariants:
         assert all("p_congruent" in b for b in blob["beliefs"])
 
     def test_json_states_the_eps_buffer(self, sanity):
-        # two equilibria that differ only in eps_tol retain differently, so they print apart
+        # two equilibria solved at two eps_tol retain differently, so they print apart: the
+        # buffer is baked into the piece starts, which the JSON states past the leading -inf
         eq = solve(sanity, "transparent_separating")
-        wide = dataclasses.replace(eq, eps_tol=1e-3)
+        wide = solve(sanity.replace(eps_tol=1e-3), "transparent_separating")
+        assert eq.profile == wide.profile
         assert eq.retention_pieces() != wide.retention_pieces()
         assert json.dumps(eq.to_json()) != json.dumps(wide.to_json())
-        assert list(eq.to_json())[-2:] == ["eps_tol", "pooling_effort"]
-        assert (eq.to_json()["eps_tol"], wide.to_json()["eps_tol"]) == (sanity.eps_tol, 1e-3)
+        assert list(eq.to_json()) == ["regime", "profile", "retention", "beliefs",
+                                      "pooling_effort"]
+        for solved in (eq, wide):
+            blob = solved.to_json()
+            for name in ("retention", "beliefs"):
+                for (policy, outcome), (starts, _) in getattr(solved, name).items():
+                    stated = [piece.get("effort_from", -math.inf) for piece in blob[name]
+                              if (piece["policy"], piece["outcome"]) == (policy, outcome)]
+                    assert stated == list(starts), (name, policy, outcome)
+        # the first start past -inf is fl(e_L - eps), e_L at most e_H
+        assert wide.retention[REFORM, SUCCESS][0][1] == eq.profile.congruent_b.effort - 1e-3
 
 
 class TestActionValidation:

@@ -1,6 +1,7 @@
 """The package's public surface: every exported name resolves, once; the
 import graph keeps each oracle off the code path it checks; equilibria are
-built in one place; one reader interprets observation patterns; one module
+built in one place; only an equilibrium's own readers read its retention and
+belief tables, and no pattern interpreter is left; one module
 states the parameter format; the library keeps only the memos named here; and
 each public entry point refuses malformed input with ``DomainError``."""
 
@@ -12,11 +13,11 @@ import pytest
 
 import reformlab
 from reformlab import (
-    OPAQUE, AgentAction, DomainError, Equilibrium, Observation, ObservationPattern, Params,
+    OPAQUE, AgentAction, DomainError, Equilibrium, Observation, Params,
     SimConfig, SweepAxis, comparative_statics, convergence_sweep, fixture_path, formula_welfare,
     interior_effort, observe, posteriors, solve, thresholds_from_lambda_hat,
 )
-from reformlab.equilibrium import FAILURE, REFORM, STATUS_QUO, SUCCESS, raw_profile
+from reformlab.equilibrium import FAILURE, REFORM, SQ_OUTCOME, STATUS_QUO, SUCCESS, raw_profile
 
 PACKAGE = Path(reformlab.__file__).parent
 MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
@@ -145,27 +146,37 @@ def builds_equilibrium(node) -> bool:
     return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "Equilibrium"
 
 
-def reads_effort_tests(node) -> bool:
-    if isinstance(node, ast.Name):
-        return node.id == "_EFFORT_TESTS" and isinstance(node.ctx, ast.Load)
-    return isinstance(node, ast.Attribute) and node.attr == "_EFFORT_TESTS"
+def reads_a_table(node) -> bool:
+    """``x.retention`` or ``x.beliefs`` read, or a name of the deleted pattern interpreter."""
+    return (isinstance(node, ast.Attribute) and node.attr in ("retention", "beliefs")
+            and isinstance(node.ctx, ast.Load)
+            or isinstance(node, (ast.Name, ast.Attribute))
+            and getattr(node, "id", getattr(node, "attr", None)) in PATTERN_NAMES)
+
+
+#: the names of the pattern interpreter that per-class tables replaced
+PATTERN_NAMES = {"ObservationPattern", "_first_match", "_shape", "_CLASS_VIEWS", "_EFFORT_TESTS"}
 
 
 def test_only_solve_builds_equilibria():
     assert sites(builds_equilibrium) == {("equilibrium", "solve")}
 
 
-def test_one_reader_interprets_patterns():
-    # the eps-buffered effort tests are applied by the first-match reader of retention
-    # and beliefs alone: the piece builder states each start as fl(v - eps) or the float
-    # after fl(v + eps) and labels each piece through that reader; pattern construction
-    # only checks the op name
-    assert sites(reads_effort_tests) == {("equilibrium", "ObservationPattern.__post_init__"),
-                                         ("equilibrium", "Equilibrium._first_match")}
+def test_only_the_readers_read_the_tables():
+    # an equilibrium's tables are read by its own readers, which take a table by name, and
+    # by the two that state it (its constructor's check and its JSON); past them only the
+    # Bayes check asks whether a belief system exists, and no module names the pattern
+    # interpreter the tables replaced
+    assert sites(reads_a_table) == {("equilibrium", "Equilibrium.__post_init__"),
+                                    ("equilibrium", "Equilibrium.decide"),
+                                    ("equilibrium", "Equilibrium.retains"),
+                                    ("equilibrium", "Equilibrium.retention_pieces"),
+                                    ("equilibrium", "Equilibrium.to_json"),
+                                    ("verification", "bayes_consistency")}
 
 
 #: each reader of an equilibrium and the positional arguments it takes: the observation,
-#: or the action and the outcome; the tolerance is the equilibrium's own ``eps_tol``
+#: or the action and the outcome; the tolerance is baked into the tables' starts
 READER_ARITY = {"decide": 1, "retains": 2, "belief": 1, "retention_pieces": 0}
 
 
@@ -216,13 +227,12 @@ def writes_instance_state(node) -> bool:
 
 
 def test_only_the_memos_that_pay_are_kept():
-    # a memo stays where its readers mostly hit it: the posteriors per (p, phi), the
-    # refusal table per point, and an equilibrium's retention pieces, one slot that
-    # ``__post_init__`` empties and the first read fills; a new memo comes with a case here
+    # a memo stays where its readers mostly hit it: the posteriors per (p, phi) and the
+    # refusal table per point; an equilibrium stores nothing past its fields, its retention
+    # pieces are its tables read afresh; a new memo comes with a case here
     assert sites(names_a_memo_decorator) == {("model_core", "_posteriors"),
                                              ("equilibrium", "gate_refusals")}
-    assert sites(writes_instance_state) == {("equilibrium", "Equilibrium.__post_init__"),
-                                            ("equilibrium", "Equilibrium.retention_pieces")}
+    assert sites(writes_instance_state) == set()
 
 
 #: equilibrium's closed-form efforts and beliefs, which the deviation oracle checks
@@ -345,6 +355,19 @@ def test_only_model_core_states_what_a_real_number_is():
 
 _SANITY = Params(p=0.99, phi=0.75, d=0.0125, lam=0.5, R=0.25, pi=0.9)
 _SANITY_NT = solve(_SANITY, "nontransparent")
+_SANITY_OP = solve(_SANITY, "opaque")
+_BLIND = (-math.inf,)  # the one start of a class whose effort the regime does not see
+
+
+def _table(regime=OPAQUE, retention=(), beliefs=()) -> Equilibrium:
+    """The ``regime`` equilibrium at ``_SANITY`` with the (class, entry) pairs ``retention``
+    and ``beliefs`` set in its tables, a None entry dropping its class."""
+    eq = solve(_SANITY, regime)
+
+    def edited(table, edits):
+        return {key: entry for key, entry in {**table, **dict(edits)}.items() if entry is not None}
+    return Equilibrium(regime, eq.profile, edited(eq.retention, retention),
+                       edited(eq.beliefs, beliefs))
 
 #: a public entry point given input it must refuse, one case per refusal
 REFUSALS = {
@@ -357,24 +380,29 @@ REFUSALS = {
     "agent_action_policy": lambda: AgentAction("abstain"),
     "observation_policy": lambda: Observation("abstain"),
     "observation_outcome": lambda: Observation(REFORM, outcome="draw"),
+    "observation_outcome_of_other_policy": lambda: Observation(STATUS_QUO, outcome=SUCCESS),
     "profile_cell": lambda: _SANITY_NT.profile.action("neutral", "g"),
     "observe_regime": lambda: observe("secret", AgentAction(REFORM, 0.5), FAILURE),
-    "equilibrium_regime": lambda: Equilibrium("secret", _SANITY_NT.profile, (), (), 1e-12),
-    "equilibrium_bool_eps_tol": lambda: Equilibrium(OPAQUE, _SANITY_NT.profile, (), (), True),
-    "equilibrium_string_eps_tol": lambda: Equilibrium(OPAQUE, _SANITY_NT.profile, (), (), "x"),
-    "pattern_op": lambda: ObservationPattern(REFORM, effort_op="lt", effort_value=0.5),
-    "pattern_op_without_value": lambda: ObservationPattern(REFORM, effort_op="eq"),
-    "pattern_policy": lambda: ObservationPattern("bogus"),
-    "pattern_outcome": lambda: ObservationPattern(REFORM, outcome="nonsense"),
-    "pattern_outcome_of_other_policy": lambda: ObservationPattern(STATUS_QUO, outcome=SUCCESS),
-    "pattern_eq_nan": lambda: ObservationPattern(REFORM, effort_op="eq", effort_value=math.nan),
-    "pattern_ge_nan": lambda: ObservationPattern(REFORM, effort_op="ge", effort_value=math.nan),
-    "pattern_gt_nan": lambda: ObservationPattern(REFORM, effort_op="gt", effort_value=math.nan),
-    "pattern_eq_bool": lambda: ObservationPattern(REFORM, effort_op="eq", effort_value=True),
-    "pattern_ge_bool": lambda: ObservationPattern(REFORM, effort_op="ge", effort_value=True),
-    "pattern_gt_bool": lambda: ObservationPattern(REFORM, effort_op="gt", effort_value=True),
-    "equilibrium_decision": lambda: Equilibrium(
-        OPAQUE, _SANITY_NT.profile, ((ObservationPattern(REFORM), "keep"),), (), 1e-12),
+    "equilibrium_regime": lambda: Equilibrium("secret", _SANITY_NT.profile, {}, {}),
+    "equilibrium_decision": lambda: _table(retention=[((REFORM, SUCCESS), (_BLIND, ("keep",)))]),
+    "table_int_decision": lambda: _table(retention=[((REFORM, FAILURE), (_BLIND, (0,)))]),
+    "table_classes_of_another_regime": lambda: Equilibrium(
+        OPAQUE, _SANITY_OP.profile, _SANITY_NT.retention, _SANITY_OP.beliefs),
+    "table_class_missing": lambda: _table(beliefs=[((STATUS_QUO, SQ_OUTCOME), None)]),
+    "table_not_a_dict": lambda: Equilibrium(
+        OPAQUE, _SANITY_OP.profile, tuple(_SANITY_OP.retention.items()), _SANITY_OP.beliefs),
+    "table_entry_not_a_pair": lambda: _table(beliefs=[((REFORM, SUCCESS), (-math.inf, 0.5))]),
+    "table_start_not_minus_inf": lambda: _table(beliefs=[((REFORM, SUCCESS), ((0.0,), (0.5,)))]),
+    "table_starts_not_rising": lambda: _table("transparent_separating", retention=[
+        ((REFORM, SUCCESS), ((-math.inf, 0.5, 0.5), (False, True, True)))]),
+    "table_string_start": lambda: _table("transparent_separating", retention=[
+        ((REFORM, SUCCESS), ((-math.inf, "0.5"), (False, True)))]),
+    "table_effort_start_unseen": lambda: _table(retention=[
+        ((REFORM, SUCCESS), ((-math.inf, 0.5), (False, True)))]),
+    "table_lengths_mismatched": lambda: _table(beliefs=[((REFORM, SUCCESS), (_BLIND, (0.5, 0.6)))]),
+    "table_nan_belief": lambda: _table(beliefs=[((REFORM, SUCCESS), (_BLIND, (math.nan,)))]),
+    "table_belief_of_seven": lambda: _table(beliefs=[((REFORM, FAILURE), (_BLIND, (7,)))]),
+    "table_bool_belief": lambda: _table(beliefs=[((REFORM, FAILURE), (_BLIND, (True,)))]),
     "interior_effort_mu": lambda: interior_effort(1.5, 1.0, _SANITY),
     "interior_effort_negative_weight": lambda: interior_effort(0.5, -1.0, _SANITY),
     "interior_effort_nan_weight": lambda: interior_effort(0.5, math.nan, _SANITY),

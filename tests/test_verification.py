@@ -90,10 +90,17 @@ class TestExpectedUtility:
         assert u_q == pytest.approx(sanity.d + sanity.R)
 
     def test_unresolvable_observation(self, sanity):
+        # a retention table that lacks the failure and status-quo classes is refused when it
+        # is built, so an expected utility always resolves: a reform is kept after success
+        # only; an observation that lacks what the regime sees, the outcome, is unresolved
         eq = solve(sanity, "opaque")
-        partial = dataclasses.replace(eq, retention=eq.retention[:1])
+        with pytest.raises(DomainError, match="retention"):
+            dataclasses.replace(eq, retention={(REFORM, SUCCESS): eq.retention[REFORM, SUCCESS]})
+        u = expected_utility(CONGRUENT, "g", AgentAction(REFORM, 0.5), eq, sanity)
+        mu = posteriors(sanity).mu_plus
+        assert u == pytest.approx(mu * 0.5 * (1 + sanity.R) - 0.25 / (2 * sanity.lam), abs=1e-15)
         with pytest.raises(UnresolvedObservationError):
-            expected_utility(CONGRUENT, "g", AgentAction(REFORM, 0.5), partial, sanity)
+            eq.decide(Observation(REFORM))
 
     @pytest.mark.parametrize("cell", [("nobody", "g"), ("Congruent", "b"), (CONGRUENT, "x"),
                                       (NONCONGRUENT, None)])

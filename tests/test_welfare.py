@@ -1,5 +1,6 @@
 """Tests for welfare computation, regime comparison, and thresholds."""
 
+import math
 import re
 
 import numpy as np
@@ -28,8 +29,8 @@ from reformlab import (
     UnresolvedObservationError,
 )
 from reformlab.equilibrium import (
-    FAILURE, OPAQUE, REFORM, REMOVE, RETAIN, STATUS_QUO, AgentAction, Equilibrium,
-    ObservationPattern, StrategyProfile,
+    FAILURE, OPAQUE, REFORM, SQ_OUTCOME, STATUS_QUO, SUCCESS, AgentAction, Equilibrium,
+    StrategyProfile,
 )
 from reformlab.verification import joint_outcome_distribution
 from reformlab.welfare import H, WELFARE_REGIMES, _welfare_and_selection
@@ -367,15 +368,27 @@ def test_q_walk_reads_each_cell_outcome_once(monkeypatch):
             assert len(reads) == len(cells), (params, eq.regime)
 
 
+class _SuccessUnresolved(Equilibrium):
+    """An equilibrium whose retention after a reform success is unresolved: a read of that
+    class raises, as a retention list without an entry for it once did."""
+
+    def retains(self, action, outcome):
+        if outcome == SUCCESS:
+            raise UnresolvedObservationError(f"no retention entry for {action}, {outcome}")
+        return super().retains(action, outcome)
+
+
 def _failure_and_status_quo_only(effort: float) -> Equilibrium:
     """Opaque play with a reform at ``effort`` on (congruent, g), a zero-effort reform on
-    (noncongruent, g) and the status quo on b, under a retention list that covers only
-    (reform, failure) and the status quo: a success it reads is unresolved."""
+    (noncongruent, g) and the status quo on b, under retention that resolves only (reform,
+    failure) and the status quo: a success it reads is unresolved."""
     sq = AgentAction(STATUS_QUO)
     profile = StrategyProfile(AgentAction(REFORM, effort), sq, AgentAction(REFORM, 0.0), sq)
-    retention = ((ObservationPattern(REFORM, outcome=FAILURE), REMOVE),
-                 (ObservationPattern(STATUS_QUO), RETAIN))
-    return Equilibrium(OPAQUE, profile, retention, (), eps_tol=1e-12)
+    blind = (-math.inf,)
+    retention = {(REFORM, SUCCESS): (blind, (True,)), (REFORM, FAILURE): (blind, (False,)),
+                 (STATUS_QUO, SQ_OUTCOME): (blind, (True,))}
+    beliefs = dict.fromkeys(retention, (blind, (0.5,)))
+    return _SuccessUnresolved(OPAQUE, profile, retention, beliefs)
 
 
 @pytest.mark.parametrize("effort", [0.0, 5e-324, 0.3, 1.0])
