@@ -25,7 +25,8 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 from .errors import (
     AssumptionError, DomainError, InformativenessError, UnderflowError, UnresolvedObservationError,
@@ -164,25 +165,40 @@ _KEPT, _REMOVED, _DISBELIEVED = (_BLIND, (True,)), (_BLIND, (False,)), (_BLIND, 
 #: the ids of those entries by table, which the table check passes over: they are valid
 _SHARED = {"retention": {id(_KEPT), id(_REMOVED)}, "beliefs": {id(_DISBELIEVED)}}
 _SQ_ACTION = AgentAction(STATUS_QUO)
+#: the slot of a table that :func:`solve` builds per point: no table is this object, so
+#: every table given in such a slot is checked
+_UNSHARED = object()
+#: the (retention, beliefs) tables that do not vary, by regime: read-only constants that
+#: :func:`solve` shares and the regime's check passes over whole
+_SHARED_TABLES = {
+    BENCHMARK: (MappingProxyType({}),) * 2,  # no retention stage
+    NONTRANSPARENT: (MappingProxyType({(REFORM, None): _KEPT, (STATUS_QUO, None): _REMOVED}),
+                     _UNSHARED),
+    OPAQUE: (MappingProxyType({(REFORM, SUCCESS): _KEPT, (REFORM, FAILURE): _REMOVED,
+                               (STATUS_QUO, SQ_OUTCOME): _REMOVED}), _UNSHARED),
+    TRANSPARENT_SEPARATING: (_UNSHARED, _UNSHARED),
+    TRANSPARENT_POOLING: (_UNSHARED, _UNSHARED),
+}
 
 
-def _check_table(name: str, table, regime: str) -> None:
-    """Refuse ``table`` unless it maps exactly the regime's ``TABLE_CLASSES`` to (starts,
-    values) of one length, the starts rising strictly from -inf (-inf alone where the regime
-    does not see effort), each value a bool in ``retention`` and a real number in [0, 1] in
-    ``beliefs``. Each list is read in one pass, and a float belief in range costs no call."""
+def _check_table(name: str, table, regime: str) -> MappingProxyType:
+    """A read-only copy of ``table``, each entry a pair of tuples, if it maps exactly the
+    regime's ``TABLE_CLASSES`` to (starts, values) of one length, the starts rising strictly
+    from -inf (-inf alone where the regime does not see effort), each value a bool in
+    ``retention`` and a real number in [0, 1] in ``beliefs``; else a refusal. Each distinct
+    entry is read in one pass, and a float belief in range costs no call."""
     classes = TABLE_CLASSES[regime]
-    if type(table) is not dict or len(table) != len(classes):
+    if type(table) not in (dict, MappingProxyType) or len(table) != len(classes):
         raise DomainError(f"{regime} {name} must map the classes {classes}, got {table!r:.200}")
     sees_effort, decisions, shared = _SEES[regime][0], name == "retention", _SHARED[name]
-    checked = None
+    checked, frozen, copy = None, None, {}
     for key in classes:
         entry = table.get(key)
         if entry is None:
             raise DomainError(f"{regime} {name} must map the classes {classes}, got {table!r:.200}")
         if entry is checked or id(entry) in shared:  # the reform entry before, or a constant
+            copy[key] = frozen if entry is checked else entry
             continue
-        checked = entry
         try:
             starts, values = entry
             n = len(starts)
@@ -204,6 +220,18 @@ def _check_table(name: str, table, regime: str) -> None:
                     raise DomainError(f"retention {key}: a decision must be a bool, got {value!r}")
             elif not (type(value) is float and 0.0 <= value <= 1.0):
                 require_real(f"beliefs {key}: a belief", value, UNIT_INTERVAL)
+        checked, frozen = entry, (tuple(starts), tuple(values))
+        copy[key] = frozen
+    return MappingProxyType(copy)
+
+
+def _check_pooling_effort(regime: str, effort) -> None:
+    """Refuse a pooled ``effort`` for a regime other than ``transparent_pooling``, and one for
+    that regime that is not a real number in [0, 1]."""
+    if regime == TRANSPARENT_POOLING:
+        require_real("pooled effort", effort, UNIT_INTERVAL)
+    elif effort is not None:
+        raise DomainError(f"a pooling effort applies only to transparent_pooling, not {regime}")
 
 
 @dataclass(frozen=True)
@@ -218,20 +246,35 @@ class Equilibrium:
     posterior probability that the agent is congruent. The benchmark has no retention
     stage, so both its tables are empty: the agent keeps office regardless of play, and the
     office term is constant across actions. :func:`solve` writes the starts with its eps
-    buffer baked in; a malformed table is refused with ``DomainError``.
+    buffer baked in. The tables are read-only copies of those given; a malformed table, a
+    profile that is not a ``StrategyProfile`` and a ``pooling_effort`` that is not a real
+    number in [0, 1], or is given for another regime, are refused with ``DomainError``.
     """
 
     regime: str
     profile: StrategyProfile
-    retention: dict[tuple[str, Optional[str]], tuple[tuple[float, ...], tuple[bool, ...]]]
-    beliefs: dict[tuple[str, Optional[str]], tuple[tuple[float, ...], tuple[float, ...]]]
+    retention: Mapping[tuple[str, Optional[str]], tuple[tuple[float, ...], tuple[bool, ...]]]
+    beliefs: Mapping[tuple[str, Optional[str]], tuple[tuple[float, ...], tuple[float, ...]]]
     pooling_effort: Optional[float] = None
 
     def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise DomainError(f"unknown regime {self.regime!r}")
-        _check_table("retention", self.retention, self.regime)
-        _check_table("beliefs", self.beliefs, self.regime)
+        regime = self.regime
+        if regime not in REGIMES:
+            raise DomainError(f"unknown regime {regime!r}")
+        if not isinstance(self.profile, StrategyProfile):
+            raise DomainError(f"profile must be a StrategyProfile, got {self.profile!r:.200}")
+        _check_pooling_effort(regime, self.pooling_effort)
+        kept, believed = _SHARED_TABLES[regime]
+        if self.retention is not kept:
+            object.__setattr__(self, "retention", _check_table("retention", self.retention, regime))
+        if self.beliefs is not believed:
+            object.__setattr__(self, "beliefs", _check_table("beliefs", self.beliefs, regime))
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor, which checks and freezes the tables again
+        (a read-only mapping does not pickle itself)."""
+        return Equilibrium, (self.regime, self.profile, dict(self.retention), dict(self.beliefs),
+                             self.pooling_effort)
 
     def decide(self, obs: Observation) -> bool:
         """True iff retained after ``obs``."""
@@ -441,15 +484,13 @@ def solve(
     require_rent_mode(rent_mode)
     if regime not in REGIMES:
         raise DomainError(f"unknown regime {regime!r}")
-    if pooling_effort is not None and regime != TRANSPARENT_POOLING:
-        raise DomainError(f"a pooling effort applies only to transparent_pooling, not {regime}")
     if regime == TRANSPARENT_POOLING:
         family = transparent_pooling_family(params) if check or pooling_effort is None else None
         if pooling_effort is None:
             if family is None:
                 raise AssumptionError(*_NO_POOLING[1])
             pooling_effort = family[0]
-        require_real("pooled effort", pooling_effort, UNIT_INTERVAL)  # before any gate
+    _check_pooling_effort(regime, pooling_effort)  # before any gate
     if check:
         refusal = gate_refusals(params, rent_mode).get(regime)
         if refusal is not None:
@@ -473,14 +514,11 @@ def solve(
         _SQ_ACTION if policy == STATUS_QUO else AgentAction(policy, min(1.0, max(0.0, effort)))
         for policy, effort in raw_profile(regime, params, posteriors(params))
     ))
-    retention = beliefs = {}  # benchmark: no retention stage
+    retention, beliefs = _SHARED_TABLES[regime]
     if regime == NONTRANSPARENT:
-        retention = {(REFORM, None): _KEPT, (STATUS_QUO, None): _REMOVED}
         beliefs = {(REFORM, None): (_BLIND, (params.pi,)), (STATUS_QUO, None): _DISBELIEVED}
     elif regime == OPAQUE:
         b_succ, b_fail = _opaque_success_beliefs(params, profile)
-        retention = {(REFORM, SUCCESS): _KEPT, (REFORM, FAILURE): _REMOVED,
-                     (STATUS_QUO, SQ_OUTCOME): _REMOVED}
         beliefs = {(REFORM, SUCCESS): (_BLIND, (b_succ,)), (REFORM, FAILURE): (_BLIND, (b_fail,)),
                    (STATUS_QUO, SQ_OUTCOME): _DISBELIEVED}
     elif regime == TRANSPARENT_SEPARATING:

@@ -21,8 +21,6 @@ from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import Literal
 
-import numpy as np
-
 from .errors import DomainError
 
 RentMode = Literal["strict", "relaxed"]
@@ -44,7 +42,7 @@ PARAM_FIELDS = {
 PARAM_KEYS = tuple(PARAM_FIELDS)
 GAME_KEYS = PARAM_KEYS[:6]  # the keys a params object must hold and a sweep may vary
 _MAX = sys.float_info.max  # the largest finite float
-#: width of the final bisection bracket of :func:`find_p_bar`
+#: :func:`find_p_bar`'s return where the condition holds on all of (1/2, 1]: 1/2 + P_BAR_TOL
 P_BAR_TOL = 1e-9
 
 
@@ -289,8 +287,8 @@ def informativeness_condition(params: Params) -> tuple[bool, float, float]:
     return _informativeness(params, params.p)
 
 
-def _informativeness(params: Params, p):
-    """(holds, lhs, rhs) at accuracy ``p`` (a float or an ndarray)."""
+def _informativeness(params: Params, p: float) -> tuple[bool, float, float]:
+    """(holds, lhs, rhs) at accuracy ``p``."""
     g = (1 - p) / p
     z = (1 - params.phi) / params.phi
     lhs = z - params.lam / (1 + g * z)
@@ -299,37 +297,34 @@ def _informativeness(params: Params, p):
 
 
 def find_p_bar(params: Params) -> float | None:
-    """Smallest signal accuracy from which the informativeness condition
-    holds for all sampled larger accuracies, other parameters fixed.
+    """Smallest signal accuracy from which the informativeness condition, as
+    :func:`informativeness_condition` evaluates it, holds at every larger accuracy, other
+    parameters fixed.
 
-    Returns None when z >= lambda, in which case no such threshold is
-    guaranteed to exist (the condition can fail even at p = 1). The result
-    is located by a scan for the start of the trailing all-hold run followed
-    by bisection on that boundary to a bracket of width ``P_BAR_TOL``, then
-    re-verified on a finer grid above the returned value; if the re-scan
-    exposes non-monotone behavior (only possible when lambda(1+R) > 1), the
-    search repeats on the finer grid.
+    Returns None when z >= lambda: the condition can then fail even at p = 1. Otherwise, times
+    (1 + gamma z)(gamma + z) > 0, it reads F(gamma) <= 0 for a cubic in gamma = (1-p)/p,
+    F = (z - eps + gamma)(1 + gamma z)(gamma + z) - lambda (gamma + z) - lambda (1+R) gamma^2
+    (1 + gamma z), with F(0) < 0. The real roots of F' split gamma in [0, 1] into pieces where F
+    is monotone. On the first piece at whose end the condition fails, it is bisected to adjacent
+    floats, so it holds at p-bar and fails at the float below. If it holds at every piece end,
+    it holds on all of (1/2, 1] and the result is ``1/2 + P_BAR_TOL``.
     """
-    if posteriors(params).z >= params.lam:
+    lam, z = params.lam, (1 - params.phi) / params.phi
+    if z >= lam:
         return None
-
-    def locate(n: int) -> float:
-        grid = 0.5 + 0.5 * np.arange(n) / (n - 1)
-        # the last grid point's own flag is not read
-        fails = np.flatnonzero(~_informativeness(params, grid)[0][:-1])
-        if len(fails) == 0:
-            return 0.5 + P_BAR_TOL  # holds on the whole open interval
-        lo, hi = float(grid[fails[-1]]), float(grid[fails[-1] + 1])
-        while hi - lo > P_BAR_TOL:  # floats in [1/2, 1] are far closer: mid is strictly inside
-            mid = 0.5 * (lo + hi)
-            if _informativeness(params, mid)[0]:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    p_bar = locate(4097)
-    recheck = np.minimum(p_bar + (1.0 - p_bar) * np.arange(257) / 256, 1.0)
-    if not _informativeness(params, recheck)[0].all():
-        return locate(65_537)
-    return p_bar
+    L, a = lam * (1 + params.R), z - params.eps_tol
+    # F' = qa g^2 + qb g + qc, its roots by the cancellation-free formula; where it has no real
+    # root, the formula's clamped points are extra piece ends, which split no piece wrongly
+    qa, qb, qc = 3 * z * (1 - L), 2 * (1 + z * z + a * z - L), z + a * (1 + z * z) - lam
+    q = -0.5 * (qb + math.copysign(math.sqrt(max(qb * qb - 4 * qa * qc, 0.0)), qb))
+    hi = 1.0  # the condition holds at p = 1, gamma = 0
+    for g in (*sorted(g for g in (q / qa if qa else 1, qc / q if q else 1) if 0 < g < 1), 1.0):
+        lo = 1 / (1 + g)
+        if not _informativeness(params, lo)[0]:
+            break
+        hi = lo
+    else:
+        return 0.5 + P_BAR_TOL
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):  # it holds at hi and fails at lo
+        lo, hi = (lo, mid) if _informativeness(params, mid)[0] else (mid, hi)
+    return hi

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import Optional
 
@@ -741,3 +742,61 @@ REFERENCE_AXIS_DOMAINS = {
     "p": (0.5, 1.0), "phi": (0.0, 1.0), "d": (0.0, 1.0),
     "lambda": (0.0, 1.0), "R": (0.0, math.inf), "pi": (0.0, 1.0),
 }
+
+
+# Exact root counts of the informativeness cubic, in rationals: a polynomial is its list of
+# Fraction coefficients, the constant first, with no zero leading coefficient.
+
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a: list, b: list) -> list:
+    n = max(len(a), len(b))
+    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def informativeness_cubic(params: Params) -> list:
+    """F(gamma) = (z - eps + gamma)(1 + gamma z)(gamma + z) - lambda (gamma + z)
+    - lambda (1+R) gamma^2 (1 + gamma z), multiplied out in exact rationals from the float
+    parameters, z = (1 - phi)/phi exactly: lhs - rhs - eps_tol of the informativeness
+    condition at gamma = (1-p)/p, times (1 + gamma z)(gamma + z) > 0, so the condition fails
+    exactly where F > 0."""
+    phi, lam, R, eps = map(Fraction, (params.phi, params.lam, params.R, params.eps_tol))
+    z = (1 - phi) / phi
+    one_gz, g_z = [Fraction(1), z], [z, Fraction(1)]
+    left = _poly_mul(_poly_mul([z - eps, Fraction(1)], one_gz), g_z)
+    return _poly_sub(_poly_sub(left, [lam * c for c in g_z]),
+                     _poly_mul([0, 0, lam * (1 + R)], one_gz))
+
+
+def sturm_root_count(poly: list, lo: Fraction, hi: Fraction) -> int:
+    """The number of distinct real roots of ``poly`` in (lo, hi], by Sturm's theorem."""
+    chain = [poly, [i * c for i, c in enumerate(poly)][1:]]
+    while len(chain[-1]) > 1:
+        rem, div = chain[-2], chain[-1]
+        while len(rem) >= len(div):  # the remainder of the last two by long division
+            f = rem[-1] / div[-1]
+            rem = _poly_sub(rem, [0] * (len(rem) - len(div)) + [f * c for c in div])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def value(q: list, x: Fraction) -> Fraction:
+        v = Fraction(0)
+        for c in reversed(q):
+            v = v * x + c
+        return v
+
+    def sign_changes(x: Fraction) -> int:
+        signs = [v > 0 for v in (value(q, x) for q in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return sign_changes(lo) - sign_changes(hi)

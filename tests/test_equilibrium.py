@@ -1,8 +1,10 @@
 """Tests for the regime equilibrium constructors."""
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import traceback
 from collections import defaultdict
 from functools import lru_cache
@@ -32,8 +34,8 @@ from reformlab import (
 )
 from reformlab import equilibrium
 from reformlab.equilibrium import (
-    CELLS, REFORM, REGIMES, STATUS_QUO, SUCCESS, FAILURE, SQ_OUTCOME, StrategyProfile,
-    raw_profile,
+    CELLS, REFORM, REGIMES, STATUS_QUO, SUCCESS, FAILURE, SQ_OUTCOME, TRANSPARENT_POOLING,
+    Equilibrium, StrategyProfile, raw_profile,
 )
 from reformlab.model_core import ASSUMPTION_CHECKS
 from reformlab.verification import joint_outcome_distribution
@@ -577,6 +579,54 @@ class TestCrossRegimeInvariants:
                     assert stated == list(starts), (name, policy, outcome)
         # the first start past -inf is fl(e_L - eps), e_L at most e_H
         assert wide.retention[REFORM, SUCCESS][0][1] == eq.profile.congruent_b.effort - 1e-3
+
+
+class TestReadOnlyTables:
+    """An equilibrium's tables are read-only copies of those it was given, so what its
+    constructor checked is what its readers read."""
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_tables_refuse_item_assignment(self, regime, sanity):
+        pooled = {"pooling_effort": 0.3} if regime == TRANSPARENT_POOLING else {}
+        eq = solve(sanity, regime, check=False, **pooled)
+        for table in (eq.retention, eq.beliefs):
+            with pytest.raises(TypeError):
+                table[REFORM, FAILURE] = ((-math.inf,), (True,))
+        assert dataclasses.replace(eq) == eq == solve(sanity, regime, check=False, **pooled)
+        assert json.dumps(dataclasses.replace(eq).to_json()) == json.dumps(eq.to_json())
+
+    def test_a_checked_table_cannot_be_changed(self, sanity):
+        eq = solve(sanity, "opaque")
+        with pytest.raises(TypeError):
+            eq.retention[REFORM, FAILURE] = eq.retention[REFORM, SUCCESS]
+        assert eq.retains(AgentAction(REFORM, 0.5), FAILURE) is False
+        retention, beliefs = dict(eq.retention), dict(eq.beliefs)
+        built = Equilibrium("opaque", eq.profile, retention, beliefs)
+        retention[REFORM, FAILURE] = retention[REFORM, SUCCESS]
+        beliefs[REFORM, FAILURE] = ((-math.inf,), (1.0,))
+        assert built == eq and built.retains(AgentAction(REFORM, 0.5), FAILURE) is False
+        assert built.belief(Observation(REFORM, outcome=FAILURE)) == eq.belief(
+            Observation(REFORM, outcome=FAILURE))
+
+    # a read-only mapping does not pickle itself: an equilibrium returned from a worker
+    # process once failed with "cannot pickle 'mappingproxy' object"
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_pickles_and_copies_through_the_constructor(self, regime, sanity):
+        pooled = {"pooling_effort": 0.3} if regime == TRANSPARENT_POOLING else {}
+        eq = solve(sanity, regime, check=False, **pooled)
+        for twin in (pickle.loads(pickle.dumps(eq)), copy.deepcopy(eq), copy.copy(eq)):
+            assert twin == eq and json.dumps(twin.to_json()) == json.dumps(eq.to_json())
+            with pytest.raises(TypeError):
+                twin.retention[REFORM, FAILURE] = ((-math.inf,), (True,))
+
+    def test_entries_given_as_lists_are_copied_to_tuples(self, sanity):
+        eq = solve(sanity, "transparent_separating")
+        starts, kept = (list(x) for x in eq.retention[REFORM, SUCCESS])
+        built = dataclasses.replace(
+            eq, retention={**eq.retention, (REFORM, SUCCESS): [starts, kept]})
+        kept[-1] = not kept[-1]
+        assert built.retention[REFORM, SUCCESS] == eq.retention[REFORM, SUCCESS]
+        assert built == eq
 
 
 class TestActionValidation:

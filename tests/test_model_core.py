@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,11 +18,15 @@ from reformlab import (
     Params,
     check_assumptions,
     find_p_bar,
+    fixture_path,
     informativeness_condition,
     model_core,
     posteriors,
 )
-from support import DOMAINS, reference_params_checks, sample_mon_pairs, sample_params
+from support import (
+    DOMAINS, informativeness_cubic, reference_params_checks, sample_mon_pairs, sample_params,
+    sturm_root_count,
+)
 
 #: every domain end and the floats on each side of it (the subnormals +-5e-324 beside 0),
 #: -0.0 and NaN
@@ -323,14 +329,41 @@ class TestFindPBar:
         assert find_p_bar(params) is None
 
 
-# find_p_bar and informativeness_condition values captured from the scalar
-# implementation (one Params per probed accuracy) before the scans became
-# arrays: the fixtures, 100 seeded uniform points over the test domains for
-# each path (None when z >= lambda, the whole-interval 0.5 + tol return, scan
-# plus bisection), and one point with a failure window narrower than the
-# 4 097-point grid just above a re-check point, which reaches the 65 537-point
-# re-scan, all at the default tol. Values must match exactly.
-P_BAR_GOLDEN = json.loads(Path(__file__).with_name("p_bar_golden.json").read_text())
+# find_p_bar and informativeness_condition values at the fixtures and at seeded points, by
+# path: 100 uniform points over the test domains where z >= lambda (None), 100 where the
+# condition holds on all of (1/2, 1] (the 0.5 + P_BAR_TOL return) and 100 where it fails
+# below some accuracy; "rescan" is a point whose failure window is narrower than a 4 097-point
+# grid, and "window" holds points with failure windows of 7.9e-6, 6.3e-7 and 3.1e-7 in p (the
+# narrowest tested), which no grid search found. The points were drawn for a sampled search;
+# ``python tests/test_model_core.py`` recomputes every value at the file's own points, so a
+# re-capture changes values only. Values must match exactly.
+P_BAR_GOLDEN_PATH = Path(__file__).with_name("p_bar_golden.json")
+P_BAR_GOLDEN = json.loads(P_BAR_GOLDEN_PATH.read_text())
+
+
+def capture_p_bar() -> dict:
+    """The golden file's contents with each value recomputed at its own points."""
+    golden = json.loads(P_BAR_GOLDEN_PATH.read_text())
+    for name, entry in golden["fixtures"].items():
+        params = Params.load(fixture_path(name))
+        entry.update(p_bar=find_p_bar(params),
+                     informativeness=list(informativeness_condition(params)))
+    for cases in golden["points"].values():
+        for case in cases:
+            case["p_bar"] = find_p_bar(Params.from_json(case["params"]))
+    return golden
+
+
+def dump_p_bar(golden: dict) -> str:
+    """The golden file's text: one line per fixture and per point."""
+    def block(entries, indent):
+        return ",\n".join(f"{indent}{entry}" for entry in entries)
+    points = [f"{json.dumps(path)}: [\n{block(map(json.dumps, cases), '   ')}\n  ]"
+              for path, cases in golden["points"].items()]
+    fixtures = [f"{json.dumps(name)}: {json.dumps(entry)}"
+                for name, entry in golden["fixtures"].items()]
+    return (f'{{\n "fixtures": {{\n{block(fixtures, "  ")}\n }},\n'
+            f' "points": {{\n{block(points, "  ")}\n }}\n}}\n')
 
 
 class TestPBarGolden:
@@ -347,3 +380,64 @@ class TestPBarGolden:
         cases = P_BAR_GOLDEN["points"][path]
         got = [find_p_bar(Params.from_json(c["params"])) for c in cases]
         assert got == [c["p_bar"] for c in cases]
+
+    def test_recapture_writes_the_file_as_it_is(self):
+        # the re-capture's writer reproduces the file's layout, so a re-capture changes values only
+        assert dump_p_bar(P_BAR_GOLDEN) == P_BAR_GOLDEN_PATH.read_text()
+
+
+#: the point whose failure window, 7.9e-6 wide in p around p = 0.668079, the sampled search
+#: missed: it returned 0.5 + P_BAR_TOL
+P_BAR_WITNESS = Params(p=0.9, phi=0.6636109412163944, d=0.01, lam=0.7438393376394754,
+                       R=1.2388504719580151, pi=0.5)
+#: the relative margin in gamma = (1-p)/p within which the Sturm counts place F's first root
+STURM_MARGIN = Fraction(1, 10**9)
+
+
+def p_bar_cases(seed: int, n: int) -> list[Params]:
+    """``n`` seeded points with z < lambda, R log-uniform in [0.01, 50] and eps_tol one of
+    0, 1e-12 and 1e-3, then the golden file's window points."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(n):
+        lam = float(rng.uniform(0.02, 1.0))
+        points.append(Params(
+            p=0.9, phi=float(rng.uniform(1 / (1 + lam), 0.995)), d=0.01, lam=lam,
+            R=float(np.exp(rng.uniform(math.log(0.01), math.log(50.0)))), pi=0.5,
+            eps_tol=float(rng.choice([0.0, 1e-12, 1e-3]))))
+    return points + [Params.from_json(c["params"]) for c in P_BAR_GOLDEN["points"]["window"]]
+
+
+class TestPBarExact:
+    def test_witness_window_is_found(self):
+        p_bar = find_p_bar(P_BAR_WITNESS)
+        assert p_bar >= 0.668083301  # above the window
+        assert informativeness_condition(P_BAR_WITNESS.replace(p=p_bar))[0]
+        assert not informativeness_condition(
+            P_BAR_WITNESS.replace(p=math.nextafter(p_bar, 0)))[0]
+
+    def test_no_root_of_the_cubic_below_p_bar(self):
+        # where F has a root in (0, 1], the condition holds at p_bar and fails at the float
+        # below, and exact Sturm counts put no root of F in (0, gamma_bar (1 - margin)] and one
+        # within the margin of gamma_bar; where the result is the whole interval, F has no
+        # root in (0, 1]
+        paths = Counter()
+        for params in p_bar_cases(23, 1000):
+            p_bar, cubic = find_p_bar(params), informativeness_cubic(params)
+            if p_bar == 0.5 + model_core.P_BAR_TOL:
+                paths["whole"] += 1
+                assert sturm_root_count(cubic, Fraction(0), Fraction(1)) == 0, params
+                continue
+            paths["root"] += 1
+            assert informativeness_condition(params.replace(p=p_bar))[0], params
+            assert not informativeness_condition(
+                params.replace(p=math.nextafter(p_bar, 0)))[0], params
+            g_bar = (1 - Fraction(p_bar)) / Fraction(p_bar)
+            below, above = g_bar * (1 - STURM_MARGIN), g_bar * (1 + STURM_MARGIN)
+            assert sturm_root_count(cubic, Fraction(0), below) == 0, params
+            assert sturm_root_count(cubic, below, above) >= 1, params
+        assert min(paths.values()) >= 100 and len(paths) == 2, paths
+
+
+if __name__ == "__main__":
+    P_BAR_GOLDEN_PATH.write_text(dump_p_bar(capture_p_bar()))

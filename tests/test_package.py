@@ -164,10 +164,11 @@ def test_only_solve_builds_equilibria():
 
 def test_only_the_readers_read_the_tables():
     # an equilibrium's tables are read by its own readers, which take a table by name, and
-    # by the two that state it (its constructor's check and its JSON); past them only the
-    # Bayes check asks whether a belief system exists, and no module names the pattern
-    # interpreter the tables replaced
+    # by the three that state it (its constructor's check, its JSON and its pickle); past
+    # them only the Bayes check asks whether a belief system exists, and no module names the
+    # pattern interpreter the tables replaced
     assert sites(reads_a_table) == {("equilibrium", "Equilibrium.__post_init__"),
+                                    ("equilibrium", "Equilibrium.__reduce__"),
                                     ("equilibrium", "Equilibrium.decide"),
                                     ("equilibrium", "Equilibrium.retains"),
                                     ("equilibrium", "Equilibrium.retention_pieces"),
@@ -229,10 +230,11 @@ def writes_instance_state(node) -> bool:
 def test_only_the_memos_that_pay_are_kept():
     # a memo stays where its readers mostly hit it: the posteriors per (p, phi) and the
     # refusal table per point; an equilibrium stores nothing past its fields, its retention
-    # pieces are its tables read afresh; a new memo comes with a case here
+    # pieces are its tables read afresh; a new memo comes with a case here. The one write is
+    # no memo: the constructor replaces each table it was given by the checked read-only copy
     assert sites(names_a_memo_decorator) == {("model_core", "_posteriors"),
                                              ("equilibrium", "gate_refusals")}
-    assert sites(writes_instance_state) == set()
+    assert sites(writes_instance_state) == {("equilibrium", "Equilibrium.__post_init__")}
 
 
 #: equilibrium's closed-form efforts and beliefs, which the deviation oracle checks
@@ -327,7 +329,14 @@ def test_one_utility_path():
     assert {"math", "bisect"} <= imported_roots("verification")  # the reader sees real imports
     numpy_modules = {module for module, _ in sites(calls_numpy)}
     assert "verification" not in numpy_modules
-    assert {"model_core", "montecarlo"} <= numpy_modules  # the reader sees real uses
+    assert "montecarlo" in numpy_modules  # the reader sees real uses
+
+
+def test_model_core_imports_no_numpy():
+    # the model's primitives, the informativeness condition and its threshold are scalar
+    # Python: find_p_bar isolates the cubic's roots in closed form, not on an array grid
+    assert "numpy" not in imported_roots("model_core")
+    assert {module for module, _ in sites(calls_numpy)}.isdisjoint({"model_core"})
 
 
 def holds_string(text: str):
@@ -356,6 +365,7 @@ def test_only_model_core_states_what_a_real_number_is():
 _SANITY = Params(p=0.99, phi=0.75, d=0.0125, lam=0.5, R=0.25, pi=0.9)
 _SANITY_NT = solve(_SANITY, "nontransparent")
 _SANITY_OP = solve(_SANITY, "opaque")
+_SANITY_POOL = solve(_SANITY, "transparent_pooling", pooling_effort=0.3, check=False)
 _BLIND = (-math.inf,)  # the one start of a class whose effort the regime does not see
 
 
@@ -384,11 +394,35 @@ REFUSALS = {
     "profile_cell": lambda: _SANITY_NT.profile.action("neutral", "g"),
     "observe_regime": lambda: observe("secret", AgentAction(REFORM, 0.5), FAILURE),
     "equilibrium_regime": lambda: Equilibrium("secret", _SANITY_NT.profile, {}, {}),
+    "equilibrium_profile_none": lambda: Equilibrium(
+        OPAQUE, None, _SANITY_OP.retention, _SANITY_OP.beliefs),
+    "equilibrium_profile_of_cells": lambda: Equilibrium(
+        OPAQUE, _SANITY_OP.profile.actions(), _SANITY_OP.retention, _SANITY_OP.beliefs),
+    "equilibrium_pooling_effort_string": lambda: Equilibrium(
+        "transparent_pooling", _SANITY_POOL.profile, _SANITY_POOL.retention,
+        _SANITY_POOL.beliefs, "x"),
+    "equilibrium_pooling_effort_above_one": lambda: Equilibrium(
+        "transparent_pooling", _SANITY_POOL.profile, _SANITY_POOL.retention,
+        _SANITY_POOL.beliefs, 1.5),
+    "equilibrium_pooling_effort_missing": lambda: Equilibrium(
+        "transparent_pooling", _SANITY_POOL.profile, _SANITY_POOL.retention,
+        _SANITY_POOL.beliefs),
+    "equilibrium_pooling_effort_of_another_regime": lambda: Equilibrium(
+        OPAQUE, _SANITY_OP.profile, _SANITY_OP.retention, _SANITY_OP.beliefs, 0.3),
     "equilibrium_decision": lambda: _table(retention=[((REFORM, SUCCESS), (_BLIND, ("keep",)))]),
     "table_int_decision": lambda: _table(retention=[((REFORM, FAILURE), (_BLIND, (0,)))]),
     "table_classes_of_another_regime": lambda: Equilibrium(
         OPAQUE, _SANITY_OP.profile, _SANITY_NT.retention, _SANITY_OP.beliefs),
     "table_class_missing": lambda: _table(beliefs=[((STATUS_QUO, SQ_OUTCOME), None)]),
+    "table_retention_as_beliefs": lambda: Equilibrium(
+        OPAQUE, _SANITY_OP.profile, _SANITY_OP.retention, _SANITY_OP.retention),
+    # None is no table: once taken as a regime's shared table, it was read as "retained
+    # after every observation" and broke belief() with a TypeError
+    "table_retention_none": lambda: Equilibrium(
+        "transparent_separating", _table("transparent_separating").profile, None,
+        _table("transparent_separating").beliefs),
+    "table_beliefs_none": lambda: Equilibrium(
+        OPAQUE, _SANITY_OP.profile, _SANITY_OP.retention, None),
     "table_not_a_dict": lambda: Equilibrium(
         OPAQUE, _SANITY_OP.profile, tuple(_SANITY_OP.retention.items()), _SANITY_OP.beliefs),
     "table_entry_not_a_pair": lambda: _table(beliefs=[((REFORM, SUCCESS), (-math.inf, 0.5))]),
