@@ -9,12 +9,14 @@ A regime fixes what the principal observes before the retention vote:
 plus a no-accountability ``benchmark`` with no retention stage.
 :func:`solve` returns each regime's :class:`Equilibrium`, bundling the pure strategy
 profile, a pure retention rule, and a belief system over observables. Retention and beliefs
-are per-class effort-piece tables: each observation class (the policy, and the outcome where
-the regime sees it) maps to sorted piece starts from -inf and one value per piece. A class
-whose effort the regime does not see has one piece. ``solve`` writes each start as the exact
-float where one of its eps-buffered effort tests turns: fl(v - eps), or the float after
-fl(v + eps). ``decide``, ``retains`` and ``belief`` are a dict lookup and a ``bisect_right``;
-an observation that lacks a coordinate the regime sees is unresolved. An ``AgentAction`` or
+are per-class effort-piece tables: tuples with one pair of tuples, sorted piece starts from
+-inf and one value per piece, for each observation class of the regime's ``TABLE_CLASSES``
+(the policy, and the outcome where the regime sees it), in that order. Immutable by
+construction, they are checked and stored as given. A class whose effort the regime does not
+see has one piece. ``solve`` writes each start as the exact float where one of its
+eps-buffered effort tests turns: fl(v - eps), or the float after fl(v + eps). ``decide``,
+``retains`` and ``belief`` are a class-position lookup and a ``bisect_right``; an
+observation that lacks a coordinate the regime sees is unresolved. An ``AgentAction`` or
 ``Observation`` effort that is not a real number in [0, 1], or is a bool, is refused.
 """
 
@@ -25,8 +27,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from .errors import (
     AssumptionError, DomainError, InformativenessError, UnderflowError, UnresolvedObservationError,
@@ -86,12 +87,20 @@ class AgentAction(Record):
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """Pure action for each of the four (type, signal) cells."""
+    """Pure action for each of the four (type, signal) cells; a cell that is not an
+    ``AgentAction`` is refused."""
 
     congruent_g: AgentAction
     congruent_b: AgentAction
     noncongruent_g: AgentAction
     noncongruent_b: AgentAction
+
+    def __post_init__(self):
+        if not (isinstance(self.congruent_g, AgentAction)
+                and isinstance(self.congruent_b, AgentAction)
+                and isinstance(self.noncongruent_g, AgentAction)
+                and isinstance(self.noncongruent_b, AgentAction)):
+            raise DomainError(f"each cell must be an AgentAction, got {self!r:.200}")
 
     def action(self, agent_type: str, signal: str) -> AgentAction:
         if (agent_type, signal) not in CELLS:
@@ -149,80 +158,67 @@ def observe(regime: str, action: AgentAction, outcome: str) -> Observation:
 #: whether each regime sees a reform's effort and its outcome, read off :func:`observe`
 _SEES = {r: (o.effort is not None, o.outcome is not None)
         for r in REGIMES for o in [observe(r, AgentAction(REFORM), SUCCESS)]}
-#: each regime's table key of each of ``OBSERVATION_CLASSES``: the policy, and the outcome
-#: where the regime sees it
-_CLASS_KEY = {r: {(policy, outcome): (policy, outcome if _SEES[r][1] else None)
-                  for policy, outcome in OBSERVATION_CLASSES} for r in REGIMES}
-#: the classes each regime's retention and belief tables map, in ``OBSERVATION_CLASSES``
-#: order; the benchmark has no retention stage, so its tables are empty
-TABLE_CLASSES = {r: () if r == BENCHMARK else tuple(dict.fromkeys(_CLASS_KEY[r].values()))
-                 for r in REGIMES}
+#: the classes each regime's retention and belief tables hold, in ``OBSERVATION_CLASSES``
+#: order, each as (policy, outcome) with the outcome None where the regime does not see it;
+#: the benchmark has no retention stage, so its tables are empty
+TABLE_CLASSES = {r: () if r == BENCHMARK else tuple(dict.fromkeys(
+                     (policy, outcome if _SEES[r][1] else None)
+                     for policy, outcome in OBSERVATION_CLASSES)) for r in REGIMES}
+#: each regime's table position of an observation's (policy, outcome): each of its
+#: ``TABLE_CLASSES``, and each of ``OBSERVATION_CLASSES`` where the outcome is not seen
+_CLASS_INDEX = {r: {(policy, outcome): classes.index((policy, outcome if _SEES[r][1] else None))
+                    for policy, outcome in (*OBSERVATION_CLASSES, *classes)} if classes else {}
+                for r, classes in TABLE_CLASSES.items()}
 
 #: the one start of a class whose effort the regime does not see
 _BLIND = (-math.inf,)
 #: the effort-blind table entries and the status-quo action :func:`solve` shares
 _KEPT, _REMOVED, _DISBELIEVED = (_BLIND, (True,)), (_BLIND, (False,)), (_BLIND, (0.0,))
-#: the ids of those entries by table, which the table check passes over: they are valid
-_SHARED = {"retention": {id(_KEPT), id(_REMOVED)}, "beliefs": {id(_DISBELIEVED)}}
 _SQ_ACTION = AgentAction(STATUS_QUO)
-#: the slot of a table that :func:`solve` builds per point: no table is this object, so
-#: every table given in such a slot is checked
-_UNSHARED = object()
-#: the (retention, beliefs) tables that do not vary, by regime: read-only constants that
-#: :func:`solve` shares and the regime's check passes over whole
-_SHARED_TABLES = {
-    BENCHMARK: (MappingProxyType({}),) * 2,  # no retention stage
-    NONTRANSPARENT: (MappingProxyType({(REFORM, None): _KEPT, (STATUS_QUO, None): _REMOVED}),
-                     _UNSHARED),
-    OPAQUE: (MappingProxyType({(REFORM, SUCCESS): _KEPT, (REFORM, FAILURE): _REMOVED,
-                               (STATUS_QUO, SQ_OUTCOME): _REMOVED}), _UNSHARED),
-    TRANSPARENT_SEPARATING: (_UNSHARED, _UNSHARED),
-    TRANSPARENT_POOLING: (_UNSHARED, _UNSHARED),
-}
 
 
-def _check_table(name: str, table, regime: str) -> MappingProxyType:
-    """A read-only copy of ``table``, each entry a pair of tuples, if it maps exactly the
-    regime's ``TABLE_CLASSES`` to (starts, values) of one length, the starts rising strictly
-    from -inf (-inf alone where the regime does not see effort), each value a bool in
-    ``retention`` and a real number in [0, 1] in ``beliefs``; else a refusal. Each distinct
-    entry is read in one pass, and a float belief in range costs no call."""
+def _check_table(name: str, table, regime: str) -> None:
+    """Refuse ``table`` unless it is a tuple of one (starts, values) pair of tuples per class
+    of the regime's ``TABLE_CLASSES``, in that order, the two of one length, the starts real
+    numbers that rise strictly from -inf (-inf alone where the regime does not see effort),
+    each value a bool in ``retention`` and a real number in [0, 1] in ``beliefs``. An entry
+    that is the one before it is read once, and a float start or belief costs no call; a
+    refusal names the entry's class."""
     classes = TABLE_CLASSES[regime]
-    if type(table) not in (dict, MappingProxyType) or len(table) != len(classes):
-        raise DomainError(f"{regime} {name} must map the classes {classes}, got {table!r:.200}")
-    sees_effort, decisions, shared = _SEES[regime][0], name == "retention", _SHARED[name]
-    checked, frozen, copy = None, None, {}
-    for key in classes:
-        entry = table.get(key)
-        if entry is None:
-            raise DomainError(f"{regime} {name} must map the classes {classes}, got {table!r:.200}")
-        if entry is checked or id(entry) in shared:  # the reform entry before, or a constant
-            copy[key] = frozen if entry is checked else entry
+    if type(table) is not tuple or len(table) != len(classes):
+        raise DomainError(f"{regime} {name} must be a tuple of one (starts, values) per class "
+                          f"of {classes}, got {table!r:.200}")
+    sees_effort, decisions, checked = _SEES[regime][0], name == "retention", None
+    for entry in table:
+        if entry is checked and entry is not None:  # the entry before, read once
             continue
         try:
+            if not (type(entry) is tuple and len(entry) == 2
+                    and type(entry[0]) is tuple and type(entry[1]) is tuple):
+                raise DomainError(f"not a tuple (starts, values) of two tuples, got {entry!r:.200}")
             starts, values = entry
             n = len(starts)
-            rising = n == 1 or all(map(operator.lt, starts, starts[1:]))
-        except (TypeError, ValueError):  # not a pair of sequences, or starts that do not compare
-            raise DomainError(f"{name} {key}: not (starts, values) with real starts, "
-                              f"got {entry!r:.200}") from None
-        if n != len(values):
-            raise DomainError(f"{name} {key}: {n} starts for {len(values)} values")
-        if not (n and starts[0] == -math.inf and rising):
-            raise DomainError(f"{name} {key}: starts must rise strictly from -inf, "
-                              f"got {starts!r:.200}")
-        if n > 1 and not sees_effort:
-            raise DomainError(f"{name} {key}: {regime} sees no effort, so -inf is its one start, "
-                              f"got {starts!r:.200}")
-        for value in values:
-            if decisions:
-                if type(value) is not bool:
-                    raise DomainError(f"retention {key}: a decision must be a bool, got {value!r}")
-            elif not (type(value) is float and 0.0 <= value <= 1.0):
-                require_real(f"beliefs {key}: a belief", value, UNIT_INTERVAL)
-        checked, frozen = entry, (tuple(starts), tuple(values))
-        copy[key] = frozen
-    return MappingProxyType(copy)
+            if n != len(values):
+                raise DomainError(f"{n} starts for {len(values)} values")
+            for start in starts:
+                if type(start) is not float:
+                    require_real("a start", start, (-math.inf, math.inf, False, False))
+            if not (n and starts[0] == -math.inf
+                    and (n == 1 or all(map(operator.lt, starts, starts[1:])))):
+                raise DomainError(f"starts must rise strictly from -inf, got {starts!r:.200}")
+            if n > 1 and not sees_effort:
+                raise DomainError(f"{regime} sees no effort, so -inf is its one start, "
+                                  f"got {starts!r:.200}")
+            for value in values:
+                if decisions:
+                    if type(value) is not bool:
+                        raise DomainError(f"a decision must be a bool, got {value!r}")
+                elif not (type(value) is float and 0.0 <= value <= 1.0):
+                    require_real("a belief", value, UNIT_INTERVAL)
+        except DomainError as exc:  # the class is looked up, by identity, only to refuse
+            key = classes[[e is entry for e in table].index(True)]
+            raise DomainError(f"{name} {key}: {exc}") from None
+        checked = entry
 
 
 def _check_pooling_effort(regime: str, effort) -> None:
@@ -238,23 +234,25 @@ def _check_pooling_effort(regime: str, effort) -> None:
 class Equilibrium:
     """A strategy profile, a pure retention rule, and a belief system.
 
-    ``retention`` and ``beliefs`` are per-class effort-piece tables: each maps an
-    observation class of ``TABLE_CLASSES`` (the policy, and the outcome where the regime
-    sees it) to ``(starts, values)``, ``values[i]`` holding for efforts from ``starts[i]`` up
-    to the next start. ``starts[0]`` is -inf, and a class whose effort the regime does not
-    see has that start only. Retention values are bools (True: retained), belief values the
-    posterior probability that the agent is congruent. The benchmark has no retention
-    stage, so both its tables are empty: the agent keeps office regardless of play, and the
-    office term is constant across actions. :func:`solve` writes the starts with its eps
-    buffer baked in. The tables are read-only copies of those given; a malformed table, a
-    profile that is not a ``StrategyProfile`` and a ``pooling_effort`` that is not a real
-    number in [0, 1], or is given for another regime, are refused with ``DomainError``.
+    ``retention`` and ``beliefs`` are per-class effort-piece tables: each is a tuple with
+    one ``(starts, values)`` pair of tuples for each class of ``TABLE_CLASSES[regime]`` (the
+    policy, and the outcome where the regime sees it), in that order, ``values[i]`` holding
+    for efforts from ``starts[i]`` up to the next start. ``starts[0]`` is -inf, and a class
+    whose effort the regime does not see has that start only. Retention values are bools
+    (True: retained), belief values the posterior probability that the agent is congruent.
+    ``dict(zip(TABLE_CLASSES[eq.regime], eq.retention))`` is a table keyed by class. The
+    benchmark has no retention stage, so both its tables are ``()``: the agent keeps office
+    regardless of play, and the office term is constant across actions. :func:`solve`
+    writes the starts with its eps buffer baked in. The tables are stored as given, immutable
+    by construction; a malformed table, a profile that is not a ``StrategyProfile`` and a
+    ``pooling_effort`` that is not a real number in [0, 1], or is given for another regime,
+    are refused with ``DomainError``.
     """
 
     regime: str
     profile: StrategyProfile
-    retention: Mapping[tuple[str, Optional[str]], tuple[tuple[float, ...], tuple[bool, ...]]]
-    beliefs: Mapping[tuple[str, Optional[str]], tuple[tuple[float, ...], tuple[float, ...]]]
+    retention: tuple[tuple[tuple[float, ...], tuple[bool, ...]], ...]
+    beliefs: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
     pooling_effort: Optional[float] = None
 
     def __post_init__(self):
@@ -264,17 +262,8 @@ class Equilibrium:
         if not isinstance(self.profile, StrategyProfile):
             raise DomainError(f"profile must be a StrategyProfile, got {self.profile!r:.200}")
         _check_pooling_effort(regime, self.pooling_effort)
-        kept, believed = _SHARED_TABLES[regime]
-        if self.retention is not kept:
-            object.__setattr__(self, "retention", _check_table("retention", self.retention, regime))
-        if self.beliefs is not believed:
-            object.__setattr__(self, "beliefs", _check_table("beliefs", self.beliefs, regime))
-
-    def __reduce__(self):
-        """Pickle and copy through the constructor, which checks and freezes the tables again
-        (a read-only mapping does not pickle itself)."""
-        return Equilibrium, (self.regime, self.profile, dict(self.retention), dict(self.beliefs),
-                             self.pooling_effort)
+        _check_table("retention", self.retention, regime)
+        _check_table("beliefs", self.beliefs, regime)
 
     def decide(self, obs: Observation) -> bool:
         """True iff retained after ``obs``."""
@@ -285,7 +274,7 @@ class Equilibrium:
         (``action.policy``, ``outcome``) is one of ``OBSERVATION_CLASSES``."""
         if not self.retention:
             return True
-        starts, kept = self.retention[_CLASS_KEY[self.regime][action.policy, outcome]]
+        starts, kept = self.retention[_CLASS_INDEX[self.regime][action.policy, outcome]]
         return kept[bisect_right(starts, action.effort) - 1]
 
     def belief(self, obs: Observation) -> float:
@@ -295,11 +284,10 @@ class Equilibrium:
     def _read(self, name: str, obs: Observation):
         """The value of table ``name`` at ``obs``, which must carry every coordinate the
         regime sees; a coordinate it does not see is not read."""
-        sees_effort, sees_outcome = _SEES[self.regime]
-        table, key = getattr(self, name), (obs.policy, obs.outcome if sees_outcome else None)
-        if key not in table or sees_effort and obs.effort is None:
+        i = _CLASS_INDEX[self.regime].get((obs.policy, obs.outcome))
+        if i is None or _SEES[self.regime][0] and obs.effort is None:
             raise UnresolvedObservationError(f"{self.regime} has no {name} entry for {obs}")
-        starts, values = table[key]
+        starts, values = getattr(self, name)[i]
         return values[bisect_right(starts, obs.effort or 0.0) - 1]
 
     def retention_pieces(self) -> tuple[list, list]:
@@ -309,7 +297,8 @@ class Equilibrium:
         the two tables zipped; nothing is stored."""
         if not self.retention:
             return [-math.inf], [(True, True)]
-        tables = [self.retention[_CLASS_KEY[self.regime][REFORM, o]] for o in (SUCCESS, FAILURE)]
+        index = _CLASS_INDEX[self.regime]
+        tables = [self.retention[index[REFORM, o]] for o in (SUCCESS, FAILURE)]
         (starts, kept_s), (starts_f, kept_f) = tables
         if starts_f != starts:  # tables that start apart: each read at the union's starts
             starts = sorted({*starts, *starts_f})
@@ -323,8 +312,8 @@ class Equilibrium:
         def pieces(table, label, value):
             return [{"policy": policy, **({"outcome": outcome} if outcome else {}),
                      **({"effort_from": s} if s != -math.inf else {}), label: value(v)}
-                    for policy, outcome in TABLE_CLASSES[self.regime]
-                    for s, v in zip(*table[policy, outcome])]
+                    for (policy, outcome), entry in zip(TABLE_CLASSES[self.regime], table)
+                    for s, v in zip(*entry)]
         return {
             "regime": self.regime,
             "profile": self.profile.to_json(),
@@ -405,10 +394,9 @@ def transparent_pooling_family(params: Params) -> Optional[tuple[float, float]]:
     return None
 
 
-def _transparent(reform: tuple, status_quo: tuple) -> dict:
+def _transparent(reform: tuple, status_quo: tuple) -> tuple:
     """A transparent regime's table: both reform classes read ``reform``."""
-    return {(REFORM, SUCCESS): reform, (REFORM, FAILURE): reform,
-            (STATUS_QUO, SQ_OUTCOME): status_quo}
+    return reform, reform, status_quo
 
 
 #: the refusal of ``transparent_pooling`` where its family is empty, as (exception class, args)
@@ -514,13 +502,13 @@ def solve(
         _SQ_ACTION if policy == STATUS_QUO else AgentAction(policy, min(1.0, max(0.0, effort)))
         for policy, effort in raw_profile(regime, params, posteriors(params))
     ))
-    retention, beliefs = _SHARED_TABLES[regime]
+    retention, beliefs = (), ()  # the benchmark's: no retention stage
     if regime == NONTRANSPARENT:
-        beliefs = {(REFORM, None): (_BLIND, (params.pi,)), (STATUS_QUO, None): _DISBELIEVED}
+        retention, beliefs = (_KEPT, _REMOVED), ((_BLIND, (params.pi,)), _DISBELIEVED)
     elif regime == OPAQUE:
         b_succ, b_fail = _opaque_success_beliefs(params, profile)
-        beliefs = {(REFORM, SUCCESS): (_BLIND, (b_succ,)), (REFORM, FAILURE): (_BLIND, (b_fail,)),
-                   (STATUS_QUO, SQ_OUTCOME): _DISBELIEVED}
+        retention = _KEPT, _REMOVED, _REMOVED
+        beliefs = (_BLIND, (b_succ,)), (_BLIND, (b_fail,)), _DISBELIEVED
     elif regime == TRANSPARENT_SEPARATING:
         # kept within [fl(e - eps), fl(e + eps)] of e_H or of e_L, and above fl(e_H + eps)
         e_h, e_l = profile.congruent_g.effort, profile.congruent_b.effort

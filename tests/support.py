@@ -32,8 +32,8 @@ from reformlab import (
 )
 from reformlab.equilibrium import (
     CELLS, CONGRUENT, FAILURE, NONTRANSPARENT, OPAQUE, REFORM, REGIMES, REMOVE, RETAIN,
-    SQ_OUTCOME, STATUS_QUO, SUCCESS, TRANSPARENT_POOLING, TRANSPARENT_SEPARATING, AgentAction,
-    Equilibrium, UNIT_INTERVAL, Observation, _opaque_success_beliefs, observe,
+    SQ_OUTCOME, STATUS_QUO, SUCCESS, TABLE_CLASSES, TRANSPARENT_POOLING, TRANSPARENT_SEPARATING,
+    AgentAction, Equilibrium, UNIT_INTERVAL, Observation, _opaque_success_beliefs, observe,
 )
 from reformlab.model_core import AssumptionReport, CheckResult, require_integer, require_real
 from reformlab.verification import (
@@ -197,6 +197,18 @@ def class_view(regime: str, policy: str, effort: float, outcome: str) -> SimpleN
     obs = observe(regime, AgentAction(policy), outcome)
     return SimpleNamespace(policy=policy, outcome=obs.outcome,
                            effort=None if obs.effort is None else effort)
+
+
+def keyed(regime: str, table: tuple) -> dict:
+    """An equilibrium's ``table`` keyed by class: each class of ``TABLE_CLASSES[regime]`` to
+    its (starts, values), a table of another length refused."""
+    return dict(zip(TABLE_CLASSES[regime], table, strict=True))
+
+
+def in_class_order(regime: str, table: dict) -> tuple:
+    """A table keyed by class as an equilibrium takes it: each entry of
+    ``TABLE_CLASSES[regime]`` in that order, a class that ``table`` lacks left out."""
+    return tuple(table[key] for key in TABLE_CLASSES[regime] if key in table)
 
 
 # ``Equilibrium.retention_pieces`` as it derived its starts from a pattern list and

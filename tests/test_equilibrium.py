@@ -41,8 +41,8 @@ from reformlab.model_core import ASSUMPTION_CHECKS
 from reformlab.verification import joint_outcome_distribution
 from reformlab.welfare import WELFARE_REGIMES, formula_welfare
 from support import (
-    DOMAINS, grid_argmax_effort, reference_check_assumptions, reference_excluded,
-    reference_solve, sample_params,
+    DOMAINS, grid_argmax_effort, in_class_order, keyed, reference_check_assumptions,
+    reference_excluded, reference_solve, sample_params,
 )
 
 # frozen effort levels at the sanity-check parameters
@@ -112,7 +112,7 @@ class TestBenchmark:
         assert eq.profile.congruent_b.policy == STATUS_QUO
         assert eq.profile.noncongruent_g.policy == STATUS_QUO
         assert eq.profile.noncongruent_b.policy == STATUS_QUO
-        assert eq.retention == {} and eq.beliefs == {}
+        assert eq.retention == () and eq.beliefs == ()
 
     def test_effort_approaches_lambda_at_certainty(self):
         eps = 1e-3
@@ -175,7 +175,7 @@ class TestOpaque:
     @settings(max_examples=100, deadline=None)
     def test_ungated_beliefs_are_bayes_consistent(self, params):
         eq = solve(params, "opaque", check=False)
-        assert all(0.0 <= b <= 1.0 for _, values in eq.beliefs.values() for b in values)
+        assert all(0.0 <= b <= 1.0 for _, values in eq.beliefs for b in values)
         assert bayes_consistency(eq, params).passed
 
     def test_ungated_beliefs_read_the_clamped_efforts(self):
@@ -528,10 +528,10 @@ class TestCrossRegimeInvariants:
         assert 0.0 < eq.profile.congruent_b.effort - sanity.eps_tol
         assert eq.decide(Observation(REFORM, 0.0, FAILURE)) is False
         for table in ("retention", "beliefs"):
-            partial = {**getattr(eq, table)}
+            partial = keyed(eq.regime, getattr(eq, table))
             del partial[REFORM, FAILURE]
             with pytest.raises(DomainError, match=table):
-                dataclasses.replace(eq, **{table: partial})
+                dataclasses.replace(eq, **{table: in_class_order(eq.regime, partial)})
         with pytest.raises(UnresolvedObservationError):
             eq.decide(Observation(REFORM, None, FAILURE))
         with pytest.raises(UnresolvedObservationError):
@@ -573,17 +573,20 @@ class TestCrossRegimeInvariants:
         for solved in (eq, wide):
             blob = solved.to_json()
             for name in ("retention", "beliefs"):
-                for (policy, outcome), (starts, _) in getattr(solved, name).items():
+                for (policy, outcome), (starts, _) in keyed(solved.regime,
+                                                            getattr(solved, name)).items():
                     stated = [piece.get("effort_from", -math.inf) for piece in blob[name]
                               if (piece["policy"], piece["outcome"]) == (policy, outcome)]
                     assert stated == list(starts), (name, policy, outcome)
         # the first start past -inf is fl(e_L - eps), e_L at most e_H
-        assert wide.retention[REFORM, SUCCESS][0][1] == eq.profile.congruent_b.effort - 1e-3
+        assert (keyed(wide.regime, wide.retention)[REFORM, SUCCESS][0][1]
+                == eq.profile.congruent_b.effort - 1e-3)
 
 
 class TestReadOnlyTables:
-    """An equilibrium's tables are read-only copies of those it was given, so what its
-    constructor checked is what its readers read."""
+    """An equilibrium's tables are tuples in class order, immutable at every level, so what
+    its constructor checked is what its readers read. It stores them as given, with no copy,
+    and pickles, copies, compares and hashes as a plain frozen dataclass."""
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_tables_refuse_item_assignment(self, regime, sanity):
@@ -591,42 +594,64 @@ class TestReadOnlyTables:
         eq = solve(sanity, regime, check=False, **pooled)
         for table in (eq.retention, eq.beliefs):
             with pytest.raises(TypeError):
-                table[REFORM, FAILURE] = ((-math.inf,), (True,))
+                table[0] = ((-math.inf,), (True,))
+            for starts, values in table:
+                with pytest.raises(TypeError):
+                    starts[0] = 0.0
+                with pytest.raises(TypeError):
+                    values[0] = values[0]
         assert dataclasses.replace(eq) == eq == solve(sanity, regime, check=False, **pooled)
         assert json.dumps(dataclasses.replace(eq).to_json()) == json.dumps(eq.to_json())
 
     def test_a_checked_table_cannot_be_changed(self, sanity):
         eq = solve(sanity, "opaque")
         with pytest.raises(TypeError):
-            eq.retention[REFORM, FAILURE] = eq.retention[REFORM, SUCCESS]
+            eq.retention[1] = eq.retention[0]
         assert eq.retains(AgentAction(REFORM, 0.5), FAILURE) is False
-        retention, beliefs = dict(eq.retention), dict(eq.beliefs)
-        built = Equilibrium("opaque", eq.profile, retention, beliefs)
-        retention[REFORM, FAILURE] = retention[REFORM, SUCCESS]
-        beliefs[REFORM, FAILURE] = ((-math.inf,), (1.0,))
+        retention, beliefs = keyed(eq.regime, eq.retention), keyed(eq.regime, eq.beliefs)
+        for table in ({"retention": retention}, {"beliefs": beliefs}):  # a mutable table
+            with pytest.raises(DomainError):
+                dataclasses.replace(eq, **table)
+        built = Equilibrium("opaque", eq.profile, eq.retention, eq.beliefs)
+        assert built.retention is eq.retention and built.beliefs is eq.beliefs  # no copy
         assert built == eq and built.retains(AgentAction(REFORM, 0.5), FAILURE) is False
         assert built.belief(Observation(REFORM, outcome=FAILURE)) == eq.belief(
             Observation(REFORM, outcome=FAILURE))
 
-    # a read-only mapping does not pickle itself: an equilibrium returned from a worker
-    # process once failed with "cannot pickle 'mappingproxy' object"
+    # a read-only mapping once made every equilibrium unpicklable ("cannot pickle
+    # 'mappingproxy' object"); each copy passes the constructor's check again
     @pytest.mark.parametrize("regime", REGIMES)
     def test_pickles_and_copies_through_the_constructor(self, regime, sanity):
         pooled = {"pooling_effort": 0.3} if regime == TRANSPARENT_POOLING else {}
         eq = solve(sanity, regime, check=False, **pooled)
-        for twin in (pickle.loads(pickle.dumps(eq)), copy.deepcopy(eq), copy.copy(eq)):
+        for twin in (pickle.loads(pickle.dumps(eq)), copy.deepcopy(eq), copy.copy(eq),
+                     dataclasses.replace(eq)):
             assert twin == eq and json.dumps(twin.to_json()) == json.dumps(eq.to_json())
+            assert Equilibrium(twin.regime, twin.profile, twin.retention, twin.beliefs,
+                               twin.pooling_effort) == eq
             with pytest.raises(TypeError):
-                twin.retention[REFORM, FAILURE] = ((-math.inf,), (True,))
+                twin.retention[0] = ((-math.inf,), (True,))
 
-    def test_entries_given_as_lists_are_copied_to_tuples(self, sanity):
+    # a read-only mapping made every equilibrium unhashable ("unhashable type: 'mappingproxy'")
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_equal_equilibria_hash_equal(self, regime, sanity):
+        pooled = {"pooling_effort": 0.3} if regime == TRANSPARENT_POOLING else {}
+        eq = solve(sanity, regime, check=False, **pooled)
+        twins = (solve(sanity, regime, check=False, **pooled), pickle.loads(pickle.dumps(eq)),
+                 copy.deepcopy(eq))
+        assert all(twin == eq and hash(twin) == hash(eq) for twin in twins)
+        assert len({eq, *twins}) == 1
+
+    def test_entries_given_as_lists_are_refused(self, sanity):
         eq = solve(sanity, "transparent_separating")
-        starts, kept = (list(x) for x in eq.retention[REFORM, SUCCESS])
-        built = dataclasses.replace(
-            eq, retention={**eq.retention, (REFORM, SUCCESS): [starts, kept]})
-        kept[-1] = not kept[-1]
-        assert built.retention[REFORM, SUCCESS] == eq.retention[REFORM, SUCCESS]
-        assert built == eq
+        retention = keyed(eq.regime, eq.retention)
+        starts, kept = retention[REFORM, SUCCESS]
+        for entry in ([starts, kept], (list(starts), kept), (starts, list(kept))):
+            with pytest.raises(DomainError, match="retention"):
+                dataclasses.replace(eq, retention=in_class_order(
+                    eq.regime, {**retention, (REFORM, SUCCESS): entry}))
+        with pytest.raises(DomainError, match="retention"):
+            dataclasses.replace(eq, retention=list(eq.retention))
 
 
 class TestActionValidation:

@@ -9,6 +9,7 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reformlab
@@ -17,7 +18,10 @@ from reformlab import (
     SimConfig, SweepAxis, comparative_statics, convergence_sweep, fixture_path, formula_welfare,
     interior_effort, observe, posteriors, solve, thresholds_from_lambda_hat,
 )
-from reformlab.equilibrium import FAILURE, REFORM, SQ_OUTCOME, STATUS_QUO, SUCCESS, raw_profile
+from reformlab.equilibrium import (
+    FAILURE, REFORM, SQ_OUTCOME, STATUS_QUO, SUCCESS, StrategyProfile, raw_profile,
+)
+from support import in_class_order, keyed
 
 PACKAGE = Path(reformlab.__file__).parent
 MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
@@ -164,11 +168,10 @@ def test_only_solve_builds_equilibria():
 
 def test_only_the_readers_read_the_tables():
     # an equilibrium's tables are read by its own readers, which take a table by name, and
-    # by the three that state it (its constructor's check, its JSON and its pickle); past
-    # them only the Bayes check asks whether a belief system exists, and no module names the
-    # pattern interpreter the tables replaced
+    # by the two that state it (its constructor's check and its JSON); past them only the
+    # Bayes check asks whether a belief system exists, and no module names the pattern
+    # interpreter the tables replaced
     assert sites(reads_a_table) == {("equilibrium", "Equilibrium.__post_init__"),
-                                    ("equilibrium", "Equilibrium.__reduce__"),
                                     ("equilibrium", "Equilibrium.decide"),
                                     ("equilibrium", "Equilibrium.retains"),
                                     ("equilibrium", "Equilibrium.retention_pieces"),
@@ -229,12 +232,12 @@ def writes_instance_state(node) -> bool:
 
 def test_only_the_memos_that_pay_are_kept():
     # a memo stays where its readers mostly hit it: the posteriors per (p, phi) and the
-    # refusal table per point; an equilibrium stores nothing past its fields, its retention
-    # pieces are its tables read afresh; a new memo comes with a case here. The one write is
-    # no memo: the constructor replaces each table it was given by the checked read-only copy
+    # refusal table per point; an equilibrium stores nothing past its fields, not even a
+    # copy of a table, and its retention pieces are its tables read afresh; a new memo
+    # comes with a case here
     assert sites(names_a_memo_decorator) == {("model_core", "_posteriors"),
                                              ("equilibrium", "gate_refusals")}
-    assert sites(writes_instance_state) == {("equilibrium", "Equilibrium.__post_init__")}
+    assert sites(writes_instance_state) == set()
 
 
 #: equilibrium's closed-form efforts and beliefs, which the deviation oracle checks
@@ -375,7 +378,9 @@ def _table(regime=OPAQUE, retention=(), beliefs=()) -> Equilibrium:
     eq = solve(_SANITY, regime)
 
     def edited(table, edits):
-        return {key: entry for key, entry in {**table, **dict(edits)}.items() if entry is not None}
+        table = {**keyed(regime, table), **dict(edits)}
+        return in_class_order(regime, {key: entry for key, entry in table.items()
+                                       if entry is not None})
     return Equilibrium(regime, eq.profile, edited(eq.retention, retention),
                        edited(eq.beliefs, beliefs))
 
@@ -392,8 +397,11 @@ REFUSALS = {
     "observation_outcome": lambda: Observation(REFORM, outcome="draw"),
     "observation_outcome_of_other_policy": lambda: Observation(STATUS_QUO, outcome=SUCCESS),
     "profile_cell": lambda: _SANITY_NT.profile.action("neutral", "g"),
+    # a profile of ints once built, and so did an equilibrium on it, which the deviation
+    # check then left with an AttributeError
+    "profile_cell_not_an_action": lambda: StrategyProfile(1, 2, 3, 4),
     "observe_regime": lambda: observe("secret", AgentAction(REFORM, 0.5), FAILURE),
-    "equilibrium_regime": lambda: Equilibrium("secret", _SANITY_NT.profile, {}, {}),
+    "equilibrium_regime": lambda: Equilibrium("secret", _SANITY_NT.profile, (), ()),
     "equilibrium_profile_none": lambda: Equilibrium(
         OPAQUE, None, _SANITY_OP.retention, _SANITY_OP.beliefs),
     "equilibrium_profile_of_cells": lambda: Equilibrium(
@@ -423,14 +431,28 @@ REFUSALS = {
         _table("transparent_separating").beliefs),
     "table_beliefs_none": lambda: Equilibrium(
         OPAQUE, _SANITY_OP.profile, _SANITY_OP.retention, None),
-    "table_not_a_dict": lambda: Equilibrium(
-        OPAQUE, _SANITY_OP.profile, tuple(_SANITY_OP.retention.items()), _SANITY_OP.beliefs),
+    # a table is a tuple in class order at every level: no mapping, list or (class, entry) pair
+    "table_dict": lambda: Equilibrium(
+        OPAQUE, _SANITY_OP.profile, keyed(OPAQUE, _SANITY_OP.retention), _SANITY_OP.beliefs),
+    "table_of_class_entry_pairs": lambda: Equilibrium(
+        OPAQUE, _SANITY_OP.profile, tuple(keyed(OPAQUE, _SANITY_OP.retention).items()),
+        _SANITY_OP.beliefs),
+    "table_list_entry": lambda: _table(retention=[((REFORM, SUCCESS), [_BLIND, (True,)])]),
+    # the check passes over an entry that repeats the one before; a leading None repeats none
+    "table_entries_none": lambda: Equilibrium(
+        "nontransparent", _SANITY_NT.profile, (None, None), _SANITY_NT.beliefs),
+    # named by identity: comparing the entries before it with an array would raise ValueError
+    "table_array_entry": lambda: _table(retention=[
+        ((REFORM, FAILURE), np.array([_BLIND, (0.0,)]))]),
     "table_entry_not_a_pair": lambda: _table(beliefs=[((REFORM, SUCCESS), (-math.inf, 0.5))]),
     "table_start_not_minus_inf": lambda: _table(beliefs=[((REFORM, SUCCESS), ((0.0,), (0.5,)))]),
     "table_starts_not_rising": lambda: _table("transparent_separating", retention=[
         ((REFORM, SUCCESS), ((-math.inf, 0.5, 0.5), (False, True, True)))]),
     "table_string_start": lambda: _table("transparent_separating", retention=[
         ((REFORM, SUCCESS), ((-math.inf, "0.5"), (False, True)))]),
+    # True compares as 1, so this once built and retained from effort 1.0
+    "table_bool_start": lambda: _table("transparent_separating", retention=[
+        ((REFORM, SUCCESS), ((-math.inf, True), (False, True)))]),
     "table_effort_start_unseen": lambda: _table(retention=[
         ((REFORM, SUCCESS), ((-math.inf, 0.5), (False, True)))]),
     "table_lengths_mismatched": lambda: _table(beliefs=[((REFORM, SUCCESS), (_BLIND, (0.5, 0.6)))]),

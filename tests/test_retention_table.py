@@ -1,8 +1,8 @@
 """The per-class retention and belief tables against the pattern interpreter.
 
 An ``Equilibrium`` states retention and beliefs as per-class effort-piece
-tables, and ``decide``, ``retains`` and ``belief`` read them by a dict lookup
-and a ``bisect_right``. ``support`` keeps the ordered pattern lists that
+tables, and ``decide``, ``retains`` and ``belief`` read them by a class-position
+lookup and a ``bisect_right``. ``support`` keeps the ordered pattern lists that
 ``solve`` stated before the tables, rebuilt from an equilibrium's profile,
 pooling effort and parameters by ``reference_rules``, and the first-match
 interpreter that read them, both copied verbatim. So the properties compare
@@ -41,8 +41,8 @@ from reformlab.equilibrium import (
     observe,
 )
 from support import (
-    DOMAINS, _interpreted_belief, _interpreted_decide, reference_pieces, reference_rules,
-    reference_starts, sample_params,
+    DOMAINS, _interpreted_belief, _interpreted_decide, in_class_order, keyed, reference_pieces,
+    reference_rules, reference_starts, sample_params,
 )
 
 NONPOOLING_REGIMES = ("benchmark", "nontransparent", "opaque", "transparent_separating")
@@ -79,8 +79,7 @@ def _near(t: float) -> set[float]:
 
 def _starts(eq) -> set[float]:
     """Every finite start of ``eq``'s two tables."""
-    return {s for table in (eq.retention, eq.beliefs) for starts, _ in table.values()
-            for s in starts[1:]}
+    return {s for table in (eq.retention, eq.beliefs) for starts, _ in table for s in starts[1:]}
 
 
 def _probes(eq, rules) -> list[float]:
@@ -200,7 +199,7 @@ def test_each_start_is_a_buffered_bound(sanity, cell):
         assert eq.retention_pieces()[0] == sorted(want), eps
         for table in (eq.retention, eq.beliefs):
             for outcome in (SUCCESS, FAILURE):
-                assert list(table[REFORM, outcome][0]) == sorted(want), eps
+                assert list(keyed(eq.regime, table)[REFORM, outcome][0]) == sorted(want), eps
         assert _piece_mismatches(eq, rules) == [], eps
 
 
@@ -208,10 +207,11 @@ def test_pieces_of_reform_classes_that_start_apart(sanity):
     # a table whose success and failure classes start apart (``solve`` never writes one)
     # gives pieces at the union of their starts, each read in both tables
     eq = solve(sanity, "transparent_separating")
-    apart = dataclasses.replace(eq, retention={
-        **eq.retention, (REFORM, SUCCESS): ((-math.inf, 0.25), (False, True))})
+    retention = keyed(eq.regime, eq.retention)
+    apart = dataclasses.replace(eq, retention=in_class_order(eq.regime, {
+        **retention, (REFORM, SUCCESS): ((-math.inf, 0.25), (False, True))}))
     starts, kept = apart.retention_pieces()
-    assert starts == sorted({0.25, *eq.retention[REFORM, FAILURE][0]})
+    assert starts == sorted({0.25, *retention[REFORM, FAILURE][0]})
     assert kept[:2] == [(False, False), (True, False)]
     assert _piece_mismatches(apart, reference_rules(eq, sanity)) == []
 
@@ -341,7 +341,8 @@ def test_comparison_notices_a_mutated_table(sanity):
                                     (separating, "retention", _flip_top, "retains"),
                                     (separating, "retention", _move_starts, "retains"),
                                     (pooling, "beliefs", _move_starts, "belief")):
-        mutant = dataclasses.replace(eq, **{table: edit(getattr(eq, table))})
+        edited = edit(keyed(eq.regime, getattr(eq, table)))
+        mutant = dataclasses.replace(eq, **{table: in_class_order(eq.regime, edited)})
         found = _mismatches(mutant, reference_rules(eq, sanity))
         assert reader in _readers(found), (eq.regime, edit.__name__)
 
@@ -373,7 +374,7 @@ class TestOwnBuffer:
             for eq in _equilibria(params, 30_000):
                 rules = reference_rules(eq, params)
                 for name in ("retention", "beliefs"):
-                    for (policy, _), (starts, _) in getattr(eq, name).items():
+                    for (policy, _), (starts, _) in keyed(eq.regime, getattr(eq, name)).items():
                         want = (reference_starts(getattr(rules, name), eps_tol)
                                 if policy == REFORM and SEES[eq.regime][0] else [-math.inf])
                         assert [s.hex() for s in starts] == [s.hex() for s in want], eq.regime

@@ -28,7 +28,9 @@ from reformlab.equilibrium import (
 )
 from reformlab.model_core import ASSUMPTION_CHECKS
 from reformlab.verification import documented_opaque_gap, joint_outcome_distribution
-from support import DOMAINS, grid_argmax_effort, per_mass_bayes_consistency, sample_params
+from support import (
+    DOMAINS, grid_argmax_effort, in_class_order, keyed, per_mass_bayes_consistency, sample_params,
+)
 
 EQ_UTILITY_CG_OPAQUE = 0.38800775443673713  # (lambda/2)(1+R)^2 mu+^2 at sanity
 PBAR_NONTRANSPARENT = {
@@ -95,7 +97,8 @@ class TestExpectedUtility:
         # only; an observation that lacks what the regime sees, the outcome, is unresolved
         eq = solve(sanity, "opaque")
         with pytest.raises(DomainError, match="retention"):
-            dataclasses.replace(eq, retention={(REFORM, SUCCESS): eq.retention[REFORM, SUCCESS]})
+            dataclasses.replace(eq, retention=in_class_order(
+                eq.regime, {(REFORM, SUCCESS): keyed(eq.regime, eq.retention)[REFORM, SUCCESS]}))
         u = expected_utility(CONGRUENT, "g", AgentAction(REFORM, 0.5), eq, sanity)
         mu = posteriors(sanity).mu_plus
         assert u == pytest.approx(mu * 0.5 * (1 + sanity.R) - 0.25 / (2 * sanity.lam), abs=1e-15)

@@ -385,9 +385,8 @@ def _failure_and_status_quo_only(effort: float) -> Equilibrium:
     sq = AgentAction(STATUS_QUO)
     profile = StrategyProfile(AgentAction(REFORM, effort), sq, AgentAction(REFORM, 0.0), sq)
     blind = (-math.inf,)
-    retention = {(REFORM, SUCCESS): (blind, (True,)), (REFORM, FAILURE): (blind, (False,)),
-                 (STATUS_QUO, SQ_OUTCOME): (blind, (True,))}
-    beliefs = dict.fromkeys(retention, (blind, (0.5,)))
+    retention = (blind, (True,)), (blind, (False,)), (blind, (True,))
+    beliefs = ((blind, (0.5,)),) * 3
     return _SuccessUnresolved(OPAQUE, profile, retention, beliefs)
 
 
