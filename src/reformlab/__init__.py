@@ -30,7 +30,6 @@ from .equilibrium import (
     Equilibrium,
     Observation,
     StrategyProfile,
-    interior_effort,
     observe,
     separation_effort,
     solve,
@@ -76,7 +75,7 @@ __all__ = [
     "bayes_consistency", "check_assumptions", "comparative_statics",
     "convergence_sweep", "deviation_check", "divinity_breakeven",
     "expected_utility", "find_p_bar", "fixture_path", "formula_welfare",
-    "informativeness_condition", "interior_effort", "news_classification",
+    "informativeness_condition", "news_classification",
     "observe", "optimal_regime", "posteriors", "regime_welfare", "run_sweep",
     "separation_effort", "simulate", "solve", "thresholds",
     "thresholds_from_lambda_hat", "transparent_pooling_family",

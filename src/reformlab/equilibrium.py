@@ -14,10 +14,11 @@ are per-class effort-piece tables: tuples with one pair of tuples, sorted piece 
 (the policy, and the outcome where the regime sees it), in that order. Immutable by
 construction, they are checked and stored as given. A class whose effort the regime does not
 see has one piece. ``solve`` writes each start as the exact float where one of its
-eps-buffered effort tests turns: fl(v - eps), or the float after fl(v + eps). ``decide``,
-``retains`` and ``belief`` are a class-position lookup and a ``bisect_right``; an
-observation that lacks a coordinate the regime sees is unresolved. An ``AgentAction`` or
-``Observation`` effort that is not a real number in [0, 1], or is a bool, is refused.
+eps-buffered effort tests turns: fl(v - eps), or the float after fl(v + eps). ``retains``
+and ``belief`` are a class-position lookup and a ``bisect_right``; an observation that lacks
+a coordinate the regime sees has no belief. The pooled effort is the profile's, read off it.
+An ``AgentAction`` or ``Observation`` effort that is not a real number in [0, 1], or is a
+bool, is refused.
 """
 
 from __future__ import annotations
@@ -101,11 +102,6 @@ class StrategyProfile:
                 and isinstance(self.noncongruent_g, AgentAction)
                 and isinstance(self.noncongruent_b, AgentAction)):
             raise DomainError(f"each cell must be an AgentAction, got {self!r:.200}")
-
-    def action(self, agent_type: str, signal: str) -> AgentAction:
-        if (agent_type, signal) not in CELLS:
-            raise DomainError(f"unknown cell ({agent_type!r}, {signal!r})")
-        return getattr(self, f"{agent_type}_{signal}")
 
     def actions(self) -> tuple[AgentAction, AgentAction, AgentAction, AgentAction]:
         """The four cells' actions in ``CELLS`` order (the field order), no name checked."""
@@ -221,15 +217,6 @@ def _check_table(name: str, table, regime: str) -> None:
         checked = entry
 
 
-def _check_pooling_effort(regime: str, effort) -> None:
-    """Refuse a pooled ``effort`` for a regime other than ``transparent_pooling``, and one for
-    that regime that is not a real number in [0, 1]."""
-    if regime == TRANSPARENT_POOLING:
-        require_real("pooled effort", effort, UNIT_INTERVAL)
-    elif effort is not None:
-        raise DomainError(f"a pooling effort applies only to transparent_pooling, not {regime}")
-
-
 @dataclass(frozen=True)
 class Equilibrium:
     """A strategy profile, a pure retention rule, and a belief system.
@@ -244,16 +231,15 @@ class Equilibrium:
     benchmark has no retention stage, so both its tables are ``()``: the agent keeps office
     regardless of play, and the office term is constant across actions. :func:`solve`
     writes the starts with its eps buffer baked in. The tables are stored as given, immutable
-    by construction; a malformed table, a profile that is not a ``StrategyProfile`` and a
-    ``pooling_effort`` that is not a real number in [0, 1], or is given for another regime,
-    are refused with ``DomainError``.
+    by construction; a malformed table and a profile that is not a ``StrategyProfile`` are
+    refused with ``DomainError``. ``pooling_effort`` is read off the profile, so it cannot
+    disagree with the efforts played.
     """
 
     regime: str
     profile: StrategyProfile
     retention: tuple[tuple[tuple[float, ...], tuple[bool, ...]], ...]
     beliefs: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
-    pooling_effort: Optional[float] = None
 
     def __post_init__(self):
         regime = self.regime
@@ -261,33 +247,29 @@ class Equilibrium:
             raise DomainError(f"unknown regime {regime!r}")
         if not isinstance(self.profile, StrategyProfile):
             raise DomainError(f"profile must be a StrategyProfile, got {self.profile!r:.200}")
-        _check_pooling_effort(regime, self.pooling_effort)
         _check_table("retention", self.retention, regime)
         _check_table("beliefs", self.beliefs, regime)
 
-    def decide(self, obs: Observation) -> bool:
-        """True iff retained after ``obs``."""
-        return self._read("retention", obs) if self.retention else True
+    @property
+    def pooling_effort(self) -> Optional[float]:
+        """The effort every cell pools at under ``transparent_pooling``, else None."""
+        return self.profile.congruent_g.effort if self.regime == TRANSPARENT_POOLING else None
 
     def retains(self, action: AgentAction, outcome: str) -> bool:
-        """``decide(observe(regime, action, outcome))`` without building the observation;
-        (``action.policy``, ``outcome``) is one of ``OBSERVATION_CLASSES``."""
+        """True iff retained after ``action`` and ``outcome``, read as the regime observes
+        them; (``action.policy``, ``outcome``) is one of ``OBSERVATION_CLASSES``."""
         if not self.retention:
             return True
         starts, kept = self.retention[_CLASS_INDEX[self.regime][action.policy, outcome]]
         return kept[bisect_right(starts, action.effort) - 1]
 
     def belief(self, obs: Observation) -> float:
-        """Posterior probability the agent is congruent after ``obs``."""
-        return self._read("beliefs", obs)
-
-    def _read(self, name: str, obs: Observation):
-        """The value of table ``name`` at ``obs``, which must carry every coordinate the
-        regime sees; a coordinate it does not see is not read."""
+        """Posterior probability the agent is congruent after ``obs``, which must carry every
+        coordinate the regime sees; a coordinate it does not see is not read."""
         i = _CLASS_INDEX[self.regime].get((obs.policy, obs.outcome))
         if i is None or _SEES[self.regime][0] and obs.effort is None:
-            raise UnresolvedObservationError(f"{self.regime} has no {name} entry for {obs}")
-        starts, values = getattr(self, name)[i]
+            raise UnresolvedObservationError(f"{self.regime} has no beliefs entry for {obs}")
+        starts, values = self.beliefs[i]
         return values[bisect_right(starts, obs.effort or 0.0) - 1]
 
     def retention_pieces(self) -> tuple[list, list]:
@@ -321,18 +303,6 @@ class Equilibrium:
             "beliefs": pieces(self.beliefs, "p_congruent", lambda v: v),
             "pooling_effort": self.pooling_effort,
         }
-
-
-def interior_effort(mu: float, reward_weight: float, params: Params) -> float:
-    """Maximizer of mu*e*reward_weight - e^2/(2 lambda) on [0, 1].
-
-    ``reward_weight`` is the agent's stake in a success: 1 with no retention
-    incentive, 1+R when success also secures office for a congruent type,
-    R for a noncongruent type.
-    """
-    require_real("mu", mu, UNIT_INTERVAL)
-    require_real("reward_weight", reward_weight, (0.0, math.inf, False, True))
-    return min(1.0, max(0.0, params.lam * reward_weight * mu))
 
 
 def separation_effort(params: Params) -> float:
@@ -429,7 +399,7 @@ def gate_refusals(params: Params, rent_mode: RentMode) -> dict[str, tuple[type, 
 
 def solve(
     params: Params, regime: str, *, rent_mode: RentMode = "relaxed", check: bool = True,
-    pooling_effort: Optional[float] = None,
+    pooling_effort: float | None = None,
 ) -> Equilibrium:
     """Construct the named regime's equilibrium.
 
@@ -478,7 +448,9 @@ def solve(
             if family is None:
                 raise AssumptionError(*_NO_POOLING[1])
             pooling_effort = family[0]
-    _check_pooling_effort(regime, pooling_effort)  # before any gate
+        require_real("pooled effort", pooling_effort, UNIT_INTERVAL)  # before any gate
+    elif pooling_effort is not None:
+        raise DomainError(f"a pooling effort applies only to transparent_pooling, not {regime}")
     if check:
         refusal = gate_refusals(params, rent_mode).get(regime)
         if refusal is not None:
@@ -496,8 +468,7 @@ def solve(
         believed = (-math.inf, lo, math.nextafter(pooling_effort + eps, math.inf))
         return Equilibrium(regime, StrategyProfile(act, act, act, act),
                            _transparent(((-math.inf, lo), (False, True)), _REMOVED),
-                           _transparent((believed, (0.0, params.pi, 1.0)), _DISBELIEVED),
-                           pooling_effort)
+                           _transparent((believed, (0.0, params.pi, 1.0)), _DISBELIEVED))
     profile = StrategyProfile(*(
         _SQ_ACTION if policy == STATUS_QUO else AgentAction(policy, min(1.0, max(0.0, effort)))
         for policy, effort in raw_profile(regime, params, posteriors(params))

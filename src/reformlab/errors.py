@@ -40,8 +40,8 @@ class NonFiniteError(ReformLabError, ArithmeticError):
 
 
 class UnresolvedObservationError(ReformLabError, LookupError):
-    """An observation cannot be resolved by an equilibrium's retention or
-    belief tables: it lacks a coordinate the regime sees, or there is no table."""
+    """An observation cannot be resolved by an equilibrium's belief table: it
+    lacks a coordinate the regime sees, or the regime (the benchmark) has none."""
 
 
 class PreconditionLossError(ReformLabError):

@@ -48,11 +48,13 @@ P_BAR_TOL = 1e-9
 
 def require_real(name: str, value, domain: tuple[float, float, bool, bool]) -> None:
     """Refuse ``value`` unless it is a real number, not a bool, in ``domain``, an interval stated
-    as (low, high, low end open, high end open): NaN, a string or an array is refused."""
+    as (low, high, low end open, high end open): NaN, a string, an array and an int or
+    ``Fraction`` past the largest float, which no reader could convert, are refused."""
     lo, hi, lo_open, hi_open = domain
     # a float skips the slower ABC check, which admits an int or numpy scalar, no bool
     if not ((type(value) is float
-             or isinstance(value, numbers.Real) and not isinstance(value, bool))
+             or isinstance(value, numbers.Real) and not isinstance(value, bool)
+             and (not isinstance(value, numbers.Rational) or abs(value) <= _MAX))
             and (lo < value or not lo_open and lo == value)
             and (value < hi or not hi_open and value == hi)):
         raise DomainError(f"{name} must be a real number in {'(' if lo_open else '['}{lo:g}, "

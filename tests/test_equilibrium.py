@@ -25,7 +25,6 @@ from reformlab import (
     bayes_consistency,
     check_assumptions,
     deviation_check,
-    interior_effort,
     optimal_regime,
     posteriors,
     separation_effort,
@@ -34,8 +33,8 @@ from reformlab import (
 )
 from reformlab import equilibrium
 from reformlab.equilibrium import (
-    CELLS, REFORM, REGIMES, STATUS_QUO, SUCCESS, FAILURE, SQ_OUTCOME, TRANSPARENT_POOLING,
-    Equilibrium, StrategyProfile, raw_profile,
+    CELLS, CONGRUENT, OPAQUE, REFORM, REGIMES, STATUS_QUO, SUCCESS, FAILURE, SQ_OUTCOME,
+    TRANSPARENT_POOLING, Equilibrium, StrategyProfile, observe, raw_profile,
 )
 from reformlab.model_core import ASSUMPTION_CHECKS
 from reformlab.verification import joint_outcome_distribution
@@ -56,52 +55,60 @@ BELIEF_SUCCESS = 0.9782672070353847
 BELIEF_FAILURE = 0.8811198190360197
 
 POOLING_PARAMS = Params(p=0.999, phi=0.999, d=0.05, lam=0.3, R=0.5, pi=0.9)
+#: a point where lambda (1+R) mu+ exceeds 1, so the opaque good-signal congruent effort clamps
+CLAMPED_PARAMS = Params(p=0.9, phi=0.9, d=0.1, lam=1.0, R=2.0, pi=0.5)
 
 
-def _observations_for(eq, params):
-    """A covering set of on- and off-path observations for the regime."""
+def _plays_for(eq, params):
+    """A covering set of on- and off-path (action, outcome) pairs: a reform at each effort
+    played, at 0, 1 and lambda mu+ / 2, and 0.01 either side of each, and the status quo."""
     post = posteriors(params)
-    if eq.regime in ("nontransparent",):
-        return [Observation(REFORM), Observation(STATUS_QUO)]
-    if eq.regime == "opaque":
-        return [
-            Observation(REFORM, outcome=SUCCESS),
-            Observation(REFORM, outcome=FAILURE),
-            Observation(STATUS_QUO, outcome=SQ_OUTCOME),
-        ]
     efforts = sorted({a.effort for _, _, a in eq.profile.cells() if a.policy == REFORM}
                      | {0.0, 1.0, params.lam * post.mu_plus / 2})
     probes = set(efforts)
     for e in efforts:
         probes.add(min(1.0, e + 0.01))
         probes.add(max(0.0, e - 0.01))
-    obs = [Observation(REFORM, effort=e, outcome=o)
-           for e in sorted(probes) for o in (SUCCESS, FAILURE)]
-    obs.append(Observation(STATUS_QUO, effort=0.0, outcome=SQ_OUTCOME))
-    return obs
+    plays = [(AgentAction(REFORM, e), o) for e in sorted(probes) for o in (SUCCESS, FAILURE)]
+    return plays + [(AgentAction(STATUS_QUO), SQ_OUTCOME)]
+
+
+def _stake(regime: str, agent_type: str, params: Params) -> float:
+    """What a success is worth to a reforming cell: 1 for a congruent type's policy payoff,
+    plus R where retention is pivotal on the outcome (opaque)."""
+    return (agent_type == CONGRUENT) + (regime == OPAQUE) * params.R
 
 
 class TestInteriorEffort:
-    @pytest.mark.parametrize("mu,weight", [
-        (0.9966442953020135, 1.25),
-        (0.9966442953020135, 0.25),
-        (0.029411764705882377, 1.25),
-        (0.5, 1.0),
-    ])
-    def test_matches_grid_oracle(self, sanity, mu, weight):
-        e_star, _ = grid_argmax_effort(mu, weight, sanity.lam)
-        assert interior_effort(mu, weight, sanity) == pytest.approx(e_star, abs=1e-6)
+    """Where effort is not a signal (benchmark, nontransparent, opaque), each reform effort
+    ``solve`` builds maximizes mu*e*stake - e^2/(2 lambda) on [0, 1]."""
+
+    @pytest.mark.parametrize("regime", ["benchmark", "nontransparent", "opaque"])
+    def test_matches_grid_oracle(self, sanity, part3, regime):
+        for params in (sanity, part3, CLAMPED_PARAMS):
+            post = posteriors(params)
+            for t, s, act in solve(params, regime, check=False).profile.cells():
+                if act.policy == REFORM:
+                    mu = post.mu_plus if s == "g" else post.mu_minus
+                    e_star, _ = grid_argmax_effort(mu, _stake(regime, t, params), params.lam)
+                    assert act.effort == pytest.approx(e_star, abs=1e-6), (params, t, s)
 
     def test_zero_posterior_means_zero_effort(self, sanity):
-        assert interior_effort(0.0, 7.0, sanity) == 0.0
+        # a perfectly accurate bad signal leaves mu- = 0, so no stake buys effort on it
+        params = sanity.replace(p=1.0)
+        assert posteriors(params).mu_minus == 0.0
+        for regime in ("nontransparent", "opaque"):
+            assert solve(params, regime, check=False).profile.congruent_b == AgentAction(REFORM)
 
     def test_clamped_at_one(self):
-        params = Params(p=0.9, phi=0.9, d=0.1, lam=1.0, R=2.0, pi=0.5)
-        assert interior_effort(0.9, 3.0, params) == 1.0
+        raw = dict(zip(CELLS, raw_profile("opaque", CLAMPED_PARAMS, posteriors(CLAMPED_PARAMS))))
+        assert raw[CONGRUENT, "g"][1] > 1.0
+        assert solve(CLAMPED_PARAMS, "opaque", check=False).profile.congruent_g.effort == 1.0
 
     def test_frozen_values(self, sanity):
-        assert interior_effort(0.9966442953020135, 1.25, sanity) == pytest.approx(E_CG_OPAQUE)
-        assert interior_effort(0.9966442953020135, 0.25, sanity) == pytest.approx(E_NG_OPAQUE)
+        profile = solve(sanity, "opaque").profile
+        assert (profile.congruent_g.effort, profile.noncongruent_g.effort) == (
+            E_CG_OPAQUE, E_NG_OPAQUE)
 
 
 class TestBenchmark:
@@ -141,7 +148,7 @@ class TestNontransparent:
 
     def test_off_path_status_quo_removes(self, sanity):
         eq = solve(sanity, "nontransparent")
-        assert eq.decide(Observation(STATUS_QUO)) is False
+        assert eq.retains(AgentAction(STATUS_QUO), SQ_OUTCOME) is False
         assert eq.belief(Observation(STATUS_QUO)) == 0.0
 
 
@@ -155,9 +162,9 @@ class TestOpaque:
 
     def test_retention_pivots_on_success(self, sanity):
         eq = solve(sanity, "opaque")
-        assert eq.decide(Observation(REFORM, outcome=SUCCESS)) is True
-        assert eq.decide(Observation(REFORM, outcome=FAILURE)) is False
-        assert eq.decide(Observation(STATUS_QUO, outcome=SQ_OUTCOME)) is False
+        assert eq.retains(AgentAction(REFORM, 0.5), SUCCESS) is True
+        assert eq.retains(AgentAction(REFORM, 0.5), FAILURE) is False
+        assert eq.retains(AgentAction(STATUS_QUO), SQ_OUTCOME) is False
 
     def test_beliefs(self, sanity):
         eq = solve(sanity, "opaque")
@@ -246,7 +253,7 @@ class TestTransparentSeparating:
         mid = (e_l + e_h) / 2
         assert eq.belief(Observation(REFORM, effort=mid, outcome=FAILURE)) == 0.0
         assert eq.belief(Observation(REFORM, effort=min(1.0, e_h + 0.1), outcome=FAILURE)) == 1.0
-        assert eq.decide(Observation(REFORM, effort=mid, outcome=SUCCESS)) is False
+        assert eq.retains(AgentAction(REFORM, mid), SUCCESS) is False
 
     def test_pathological_tie(self, part3):
         # separating bar above lambda mu+: both signals pool at the bar
@@ -302,6 +309,20 @@ class TestPoolingFamily:
             assert e_star >= POOLING_PARAMS.lam * posteriors(POOLING_PARAMS).mu_plus - 1e-12
             assert POOLING_PARAMS.R - e_star**2 / (2 * POOLING_PARAMS.lam) >= POOLING_PARAMS.d - 1e-12
             assert eq.pooling_effort == e_star
+
+    # the pooled effort was once a field of its own, so an equilibrium could state one effort
+    # in its JSON and pool at another; it is now read off the profile, and no field is left
+    def test_pooled_effort_is_the_profile_s(self, part3):
+        eq = solve(part3, "transparent_pooling")
+        act = AgentAction(REFORM, 0.3)
+        moved = dataclasses.replace(eq, profile=StrategyProfile(act, act, act, act))
+        assert moved.pooling_effort == moved.profile.congruent_g.effort == 0.3
+        assert json.loads(json.dumps(moved.to_json()))["pooling_effort"] == 0.3
+        assert "pooling_effort" not in {f.name for f in dataclasses.fields(Equilibrium)}
+        with pytest.raises(TypeError):
+            dataclasses.replace(eq, pooling_effort=0.3)
+        assert {solve(part3, r).pooling_effort for r in REGIMES if r != TRANSPARENT_POOLING} == {
+            None}
 
     def test_outside_family_rejected(self):
         lo, hi = transparent_pooling_family(POOLING_PARAMS)
@@ -495,18 +516,20 @@ class TestCrossRegimeInvariants:
         for params in [sanity, part3] + sample_params(31, 50, "acceptance"):
             for regime in regimes:
                 eq = solve(params, regime)
-                for obs in _observations_for(eq, params):
-                    retained = eq.decide(obs)
-                    assert retained == (eq.belief(obs) >= params.pi), (
-                        regime, obs)
+                for action, outcome in _plays_for(eq, params):
+                    belief = eq.belief(observe(regime, action, outcome))
+                    assert eq.retains(action, outcome) == (belief >= params.pi), (
+                        regime, action, outcome)
             fam = transparent_pooling_family(params)
             if fam is not None and fam[0] <= 1.0:
                 eq = solve(params, "transparent_pooling", pooling_effort=fam[0])
-                for obs in _observations_for(eq, params):
-                    retained = eq.decide(obs)
-                    assert retained == (eq.belief(obs) >= params.pi)
+                for action, outcome in _plays_for(eq, params):
+                    belief = eq.belief(observe(eq.regime, action, outcome))
+                    assert eq.retains(action, outcome) == (belief >= params.pi)
 
     def test_decide_on_effort_grid_matches_scalar(self, sanity):
+        # each retention decision on an effort grid is a bool, and one that ignores effort
+        # where the regime does not see it
         fam = transparent_pooling_family(POOLING_PARAMS)
         eqs = [solve(sanity, r) for r in
                ("benchmark", "nontransparent", "opaque", "transparent_separating")]
@@ -515,7 +538,7 @@ class TestCrossRegimeInvariants:
             kinks = [act.effort for _, _, act in eq.profile.cells()]
             grid = np.union1d(np.linspace(0.0, 1.0, 2001), kinks)
             for outcome in (SUCCESS, FAILURE):
-                scalar = [eq.decide(Observation(REFORM, float(e), outcome)) for e in grid]
+                scalar = [eq.retains(AgentAction(REFORM, float(e)), outcome) for e in grid]
                 assert all(type(v) is bool for v in scalar)
                 if not eq.regime.startswith("transparent"):  # retention ignores effort
                     assert len(set(scalar)) == 1, eq.regime
@@ -523,17 +546,15 @@ class TestCrossRegimeInvariants:
     def test_decide_on_effort_grid_unresolved(self, sanity):
         # a table covers every effort of each class, and one that lacks a class is refused
         # when it is built, so only an observation that lacks a coordinate the regime sees
-        # (here the effort) is unresolved; at effort 0, below e_L's buffer, it is removed
+        # (here the effort) has no belief; at effort 0, below e_L's buffer, it is removed
         eq = solve(sanity, "transparent_separating")
         assert 0.0 < eq.profile.congruent_b.effort - sanity.eps_tol
-        assert eq.decide(Observation(REFORM, 0.0, FAILURE)) is False
+        assert eq.retains(AgentAction(REFORM, 0.0), FAILURE) is False
         for table in ("retention", "beliefs"):
             partial = keyed(eq.regime, getattr(eq, table))
             del partial[REFORM, FAILURE]
             with pytest.raises(DomainError, match=table):
                 dataclasses.replace(eq, **{table: in_class_order(eq.regime, partial)})
-        with pytest.raises(UnresolvedObservationError):
-            eq.decide(Observation(REFORM, None, FAILURE))
         with pytest.raises(UnresolvedObservationError):
             eq.belief(Observation(REFORM, None, FAILURE))
 
@@ -627,8 +648,7 @@ class TestReadOnlyTables:
         for twin in (pickle.loads(pickle.dumps(eq)), copy.deepcopy(eq), copy.copy(eq),
                      dataclasses.replace(eq)):
             assert twin == eq and json.dumps(twin.to_json()) == json.dumps(eq.to_json())
-            assert Equilibrium(twin.regime, twin.profile, twin.retention, twin.beliefs,
-                               twin.pooling_effort) == eq
+            assert Equilibrium(twin.regime, twin.profile, twin.retention, twin.beliefs) == eq
             with pytest.raises(TypeError):
                 twin.retention[0] = ((-math.inf,), (True,))
 
@@ -727,7 +747,7 @@ class TestCellOrder:
 
     def test_strategy_profile_actions(self, sanity):
         profile = solve(sanity, "opaque").profile
-        assert profile.actions() == tuple(profile.action(t, s) for t, s in CELLS)
+        assert profile.actions() == tuple(getattr(profile, f"{t}_{s}") for t, s in CELLS)
         assert [(t, s) for t, s, _ in profile.cells()] == list(CELLS)
 
     @pytest.mark.parametrize("regime", ["benchmark", "nontransparent", "opaque",

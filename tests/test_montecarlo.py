@@ -207,29 +207,11 @@ class TestDrawOrder:
         assert whole.random() == chunked.random()
 
 
-# Statistics of the per-draw payoff-array kernel, captured before the count
-# table replaced it. Counts and rates must match exactly; the mean and SE now
-# come from exact counts instead of a float sum, so they may move in the
-# last ulp. ``python tests/test_montecarlo.py`` re-captures the file at its
-# own cases, keeping each mean and SE that is within that tolerance.
+# Statistics of the count-table kernel, every one compared exactly: counts, rates,
+# mean and SE. ``python tests/test_montecarlo.py`` re-captures the file at its own
+# draw count, seeds, checkpoints and cases.
 GOLDEN_PATH = Path(__file__).with_name("mc_golden.json")
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
-#: the statistics compared to a relative ``ULP_REL`` rather than exactly
-ULP_KEYS, ULP_REL = ("mean_payoff", "payoff_se"), 1e-14
-
-
-def _against(stats, golden) -> dict:
-    """``stats.to_json()`` with each of ``ULP_KEYS`` replaced by ``golden``'s where the two
-    lie within ``ULP_REL`` of the golden value."""
-    got = stats.to_json()
-    for key in ULP_KEYS:
-        if abs(got[key] - golden[key]) <= ULP_REL * abs(golden[key]):
-            got[key] = golden[key]
-    return got
-
-
-def _assert_golden(stats, golden):
-    assert _against(stats, golden) == golden
 
 
 def _golden_eq(case):
@@ -244,13 +226,12 @@ def capture() -> dict:
         params, eq = _golden_eq(case)
         cfg = SimConfig(n_draws=GOLDEN["n_draws"], seed=case["stats"]["seed"],
                         regime=case["regime"], params=params)
-        simulated.append({**case, "stats": _against(simulate(cfg, eq), case["stats"])})
+        simulated.append({**case, "stats": simulate(cfg, eq).to_json()})
     for case in GOLDEN["convergence_sweep"]:
         params, eq = _golden_eq(case)
         cfg = SimConfig(n_draws=1, seed=GOLDEN["seeds"][0], regime=case["regime"], params=params)
         table = convergence_sweep(cfg, eq, GOLDEN["checkpoints"])
-        swept.append({**case, "stats": [
-            _against(stats, golden) for stats, golden in zip(table, case["stats"], strict=True)]})
+        swept.append({**case, "stats": [stats.to_json() for stats in table]})
     return {**GOLDEN, "simulate": simulated, "convergence_sweep": swept}
 
 
@@ -261,7 +242,7 @@ class TestGolden:
         params, eq = _golden_eq(case)
         cfg = SimConfig(n_draws=GOLDEN["n_draws"], seed=case["stats"]["seed"],
                         regime=case["regime"], params=params)
-        _assert_golden(simulate(cfg, eq), case["stats"])
+        assert simulate(cfg, eq).to_json() == case["stats"]
 
     @pytest.mark.parametrize("case", GOLDEN["convergence_sweep"], ids=lambda c: (
         f"{c['fixture']}-{c['regime']}"))
@@ -269,9 +250,7 @@ class TestGolden:
         params, eq = _golden_eq(case)
         cfg = SimConfig(n_draws=1, seed=GOLDEN["seeds"][0], regime=case["regime"], params=params)
         table = convergence_sweep(cfg, eq, GOLDEN["checkpoints"])
-        assert len(table) == len(case["stats"])
-        for stats, golden in zip(table, case["stats"]):
-            _assert_golden(stats, golden)
+        assert [stats.to_json() for stats in table] == case["stats"]
 
 
 class TestStatistics:

@@ -7,6 +7,7 @@ each public entry point refuses malformed input with ``DomainError``."""
 
 import ast
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import reformlab
 from reformlab import (
     OPAQUE, AgentAction, DomainError, Equilibrium, Observation, Params,
     SimConfig, SweepAxis, comparative_statics, convergence_sweep, fixture_path, formula_welfare,
-    interior_effort, observe, posteriors, solve, thresholds_from_lambda_hat,
+    observe, posteriors, solve, thresholds_from_lambda_hat,
 )
 from reformlab.equilibrium import (
     FAILURE, REFORM, SQ_OUTCOME, STATUS_QUO, SUCCESS, StrategyProfile, raw_profile,
@@ -167,21 +168,20 @@ def test_only_solve_builds_equilibria():
 
 
 def test_only_the_readers_read_the_tables():
-    # an equilibrium's tables are read by its own readers, which take a table by name, and
-    # by the two that state it (its constructor's check and its JSON); past them only the
-    # Bayes check asks whether a belief system exists, and no module names the pattern
-    # interpreter the tables replaced
+    # an equilibrium's tables are read by its own readers and by the two that state it
+    # (its constructor's check and its JSON); past them only the Bayes check asks whether
+    # a belief system exists, and no module names the pattern interpreter the tables replaced
     assert sites(reads_a_table) == {("equilibrium", "Equilibrium.__post_init__"),
-                                    ("equilibrium", "Equilibrium.decide"),
+                                    ("equilibrium", "Equilibrium.belief"),
                                     ("equilibrium", "Equilibrium.retains"),
                                     ("equilibrium", "Equilibrium.retention_pieces"),
                                     ("equilibrium", "Equilibrium.to_json"),
                                     ("verification", "bayes_consistency")}
 
 
-#: each reader of an equilibrium and the positional arguments it takes: the observation,
-#: or the action and the outcome; the tolerance is baked into the tables' starts
-READER_ARITY = {"decide": 1, "retains": 2, "belief": 1, "retention_pieces": 0}
+#: each reader of an equilibrium and the positional arguments it takes: the action and the
+#: outcome, or the observation; the tolerance is baked into the tables' starts
+READER_ARITY = {"retains": 2, "belief": 1, "retention_pieces": 0}
 
 
 def reader_calls(paths) -> list[tuple[str, int, int]]:
@@ -195,13 +195,12 @@ def reader_calls(paths) -> list[tuple[str, int, int]]:
 
 def test_no_reader_is_passed_a_tolerance():
     # no call in the package or in its tests passes a reader anything beyond the
-    # observation or the (action, outcome); the package calls three of the readers and
-    # the tests call all four, so the reader sees real calls
+    # observation or the (action, outcome); the package and the tests call all three
+    # readers, so the reader sees real calls
     package = reader_calls(MODULES.values())
     tests = reader_calls(Path(__file__).parent.glob("*.py"))
     assert [c for c in package + tests if c[1:] != (READER_ARITY[c[0]], 0)] == []
-    assert {name for name, _, _ in package} == {"retains", "belief", "retention_pieces"}
-    assert {name for name, _, _ in tests} == set(READER_ARITY)
+    assert {name for name, _, _ in package} == {name for name, _, _ in tests} == set(READER_ARITY)
 
 
 MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
@@ -241,7 +240,7 @@ def test_only_the_memos_that_pay_are_kept():
 
 
 #: equilibrium's closed-form efforts and beliefs, which the deviation oracle checks
-CLOSED_FORM = {"interior_effort", "raw_profile", "separation_effort",
+CLOSED_FORM = {"raw_profile", "separation_effort",
                "transparent_pooling_family", "_opaque_success_beliefs"}
 
 
@@ -275,11 +274,11 @@ def test_verification_uses_no_closed_form_effort():
 
 def test_verification_imports_no_closed_form_effort():
     # the oracle's independence at its import statements: the vertex it scores comes
-    # from the payoff primitives, never from the profile builder or the interior effort
+    # from the payoff primitives, never from the profile builder
     imported = {name for node in ast.walk(ast.parse(MODULES["verification"].read_text()))
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names for name in (alias.name, alias.asname)}
-    assert imported.isdisjoint({"raw_profile", "interior_effort"})
+    assert imported.isdisjoint(CLOSED_FORM)
     assert "posteriors" in imported  # the reader sees real imports
 
 
@@ -368,7 +367,6 @@ def test_only_model_core_states_what_a_real_number_is():
 _SANITY = Params(p=0.99, phi=0.75, d=0.0125, lam=0.5, R=0.25, pi=0.9)
 _SANITY_NT = solve(_SANITY, "nontransparent")
 _SANITY_OP = solve(_SANITY, "opaque")
-_SANITY_POOL = solve(_SANITY, "transparent_pooling", pooling_effort=0.3, check=False)
 _BLIND = (-math.inf,)  # the one start of a class whose effort the regime does not see
 
 
@@ -390,13 +388,18 @@ REFUSALS = {
     "sweep_axis_inf_bound": lambda: SweepAxis("R", 0.2, math.inf, 3),
     "sweep_axis_string_bound": lambda: SweepAxis("R", "0.2", 1.0, 3),
     "sweep_axis_bool_bound": lambda: SweepAxis("R", True, 2.0, 3),
+    # an int or Fraction past the largest float once built, and every float reader of it
+    # escaped with OverflowError
+    "sweep_axis_huge_int_bound": lambda: SweepAxis("R", 0.2, 10**400, 3),
+    "params_huge_int_rent": lambda: _SANITY.replace(R=10**400),
+    "params_huge_int_weight": lambda: _SANITY.replace(M=10**400),
+    "params_huge_fraction_rent": lambda: _SANITY.replace(R=Fraction(10**400)),
     "params_unknown_keys_of_two_types": lambda: Params.from_json(
         {**_SANITY.to_json(), 1: 0.5, "x": 0.5}),
     "agent_action_policy": lambda: AgentAction("abstain"),
     "observation_policy": lambda: Observation("abstain"),
     "observation_outcome": lambda: Observation(REFORM, outcome="draw"),
     "observation_outcome_of_other_policy": lambda: Observation(STATUS_QUO, outcome=SUCCESS),
-    "profile_cell": lambda: _SANITY_NT.profile.action("neutral", "g"),
     # a profile of ints once built, and so did an equilibrium on it, which the deviation
     # check then left with an AttributeError
     "profile_cell_not_an_action": lambda: StrategyProfile(1, 2, 3, 4),
@@ -406,17 +409,9 @@ REFUSALS = {
         OPAQUE, None, _SANITY_OP.retention, _SANITY_OP.beliefs),
     "equilibrium_profile_of_cells": lambda: Equilibrium(
         OPAQUE, _SANITY_OP.profile.actions(), _SANITY_OP.retention, _SANITY_OP.beliefs),
-    "equilibrium_pooling_effort_string": lambda: Equilibrium(
-        "transparent_pooling", _SANITY_POOL.profile, _SANITY_POOL.retention,
-        _SANITY_POOL.beliefs, "x"),
-    "equilibrium_pooling_effort_above_one": lambda: Equilibrium(
-        "transparent_pooling", _SANITY_POOL.profile, _SANITY_POOL.retention,
-        _SANITY_POOL.beliefs, 1.5),
-    "equilibrium_pooling_effort_missing": lambda: Equilibrium(
-        "transparent_pooling", _SANITY_POOL.profile, _SANITY_POOL.retention,
-        _SANITY_POOL.beliefs),
-    "equilibrium_pooling_effort_of_another_regime": lambda: Equilibrium(
-        OPAQUE, _SANITY_OP.profile, _SANITY_OP.retention, _SANITY_OP.beliefs, 0.3),
+    # the pooled effort is read off the profile, so only ``solve`` takes one to check
+    "solve_pooling_effort_string": lambda: solve(
+        _SANITY, "transparent_pooling", pooling_effort="x", check=False),
     "equilibrium_decision": lambda: _table(retention=[((REFORM, SUCCESS), (_BLIND, ("keep",)))]),
     "table_int_decision": lambda: _table(retention=[((REFORM, FAILURE), (_BLIND, (0,)))]),
     "table_classes_of_another_regime": lambda: Equilibrium(
@@ -459,11 +454,6 @@ REFUSALS = {
     "table_nan_belief": lambda: _table(beliefs=[((REFORM, SUCCESS), (_BLIND, (math.nan,)))]),
     "table_belief_of_seven": lambda: _table(beliefs=[((REFORM, FAILURE), (_BLIND, (7,)))]),
     "table_bool_belief": lambda: _table(beliefs=[((REFORM, FAILURE), (_BLIND, (True,)))]),
-    "interior_effort_mu": lambda: interior_effort(1.5, 1.0, _SANITY),
-    "interior_effort_negative_weight": lambda: interior_effort(0.5, -1.0, _SANITY),
-    "interior_effort_nan_weight": lambda: interior_effort(0.5, math.nan, _SANITY),
-    "interior_effort_bool_mu": lambda: interior_effort(True, 1.0, _SANITY),
-    "interior_effort_string_mu": lambda: interior_effort("x", 1.0, _SANITY),
     "raw_profile_pooling": lambda: raw_profile("transparent_pooling", _SANITY,
                                                posteriors(_SANITY)),
     "posteriors_signal": lambda: posteriors(_SANITY).mu("x"),
@@ -478,6 +468,7 @@ REFUSALS = {
     "thresholds_nan_d": lambda: thresholds_from_lambda_hat(0.1, math.nan),
     "thresholds_negative_d": lambda: thresholds_from_lambda_hat(0.1, -5.0),
     "thresholds_bool_lambda_hat": lambda: thresholds_from_lambda_hat(True, 0.3),
+    "thresholds_huge_int_lambda_hat": lambda: thresholds_from_lambda_hat(10**400, 0.3),
     "comparative_statics_string_delta": lambda: comparative_statics(_SANITY, "phi", "0.1"),
     "comparative_statics_bool_delta": lambda: comparative_statics(_SANITY, "phi", True),
     "comparative_statics_nan_delta": lambda: comparative_statics(_SANITY, "phi", math.nan),

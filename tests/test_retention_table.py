@@ -1,16 +1,16 @@
 """The per-class retention and belief tables against the pattern interpreter.
 
 An ``Equilibrium`` states retention and beliefs as per-class effort-piece
-tables, and ``decide``, ``retains`` and ``belief`` read them by a class-position
-lookup and a ``bisect_right``. ``support`` keeps the ordered pattern lists that
+tables, and ``retains`` and ``belief`` read them by a class-position lookup and
+a ``bisect_right``. ``support`` keeps the ordered pattern lists that
 ``solve`` stated before the tables, rebuilt from an equilibrium's profile,
 pooling effort and parameters by ``reference_rules``, and the first-match
 interpreter that read them, both copied verbatim. So the properties compare
 the two on every regime at grid points and within 4 ulp of every v - eps, v
 and v + eps a pattern tests and of every table start: ``retains`` on each
-observation class, ``decide`` and ``belief`` on every shape an
-``Observation`` can take. A shape that lacks a coordinate the regime sees is
-unresolved, whatever the interpreter made of it. Every equilibrium ``solve``
+observation class, ``belief`` on every shape an ``Observation`` can take. A
+shape that lacks a coordinate the regime sees is unresolved, whatever the
+interpreter made of it. Every equilibrium ``solve``
 builds at the census and acceptance points, with ``eps_tol`` 0, 1e-12 and
 1e-3, is read at each start and its float neighbours. The mutation tests show
 that the comparison notices a table with two outcome classes swapped, in
@@ -33,7 +33,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reformlab import (
-    AgentAction, DomainError, Equilibrium, Observation, Params, UnderflowError,
+    AgentAction, AssumptionError, DomainError, Equilibrium, Observation, Params, UnderflowError,
     UnresolvedObservationError, solve, transparent_pooling_family,
 )
 from reformlab.equilibrium import (
@@ -82,6 +82,12 @@ def _starts(eq) -> set[float]:
     return {s for table in (eq.retention, eq.beliefs) for starts, _ in table for s in starts[1:]}
 
 
+def _at_starts(eq) -> list[float]:
+    """0, 1, and each start of ``eq``'s tables and the floats next to it, in [0, 1]."""
+    return sorted({0.0, 1.0, *(x for s in _starts(eq) for x in (
+        math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf)) if 0.0 <= x <= 1.0)})
+
+
 def _probes(eq, rules) -> list[float]:
     """Efforts in [0, 1]: a coarse grid, and :func:`_near` each tested value t in
     {v - eps, v, v + eps} of the reference patterns and each table start."""
@@ -113,8 +119,8 @@ def _complete(regime: str, obs: Observation) -> bool:
 def _mismatches(eq, rules, efforts=None) -> list:
     """Where the table's answer differs from the interpreter's on ``rules``, in value, in
     type or in raising: (class, effort) for ``retains`` on what the regime observes of each
-    class, (reader, policy, outcome, effort) for ``decide`` and ``belief`` on every
-    observation shape, at ``efforts`` (by default :func:`_probes`). A shape that lacks a
+    class, ("belief", policy, outcome, effort) for ``belief`` on every observation shape,
+    at ``efforts`` (by default :func:`_probes`). A shape that lacks a
     coordinate the regime sees must be unresolved."""
     found = []
     efforts = _probes(eq, rules) if efforts is None else efforts
@@ -124,16 +130,13 @@ def _mismatches(eq, rules, efforts=None) -> list:
             want = _result(_interpreted_decide, rules, observe(eq.regime, action, outcome))
             if _result(eq.retains, action, outcome) != want:
                 found.append(((policy, outcome), e))
-    readers = (("decide", eq.decide, _interpreted_decide),
-               ("belief", eq.belief, _interpreted_belief))
     for policy, outcome in SHAPES:
         for effort in (None, *efforts) if policy == REFORM else (None, 0.0):
             obs = Observation(policy, effort, outcome)
-            for name, read, reference in readers:
-                want = (_result(reference, rules, obs) if _complete(eq.regime, obs)
-                        else UnresolvedObservationError)
-                if _result(read, obs) != want:
-                    found.append((name, policy, outcome, effort))
+            want = (_result(_interpreted_belief, rules, obs) if _complete(eq.regime, obs)
+                    else UnresolvedObservationError)
+            if _result(eq.belief, obs) != want:
+                found.append(("belief", policy, outcome, effort))
     return found
 
 
@@ -274,35 +277,77 @@ def test_census_tables_read_as_the_reference(eps_tol, sanity, part3):
     assert {eq.regime for _, eq in cases} == set(REGIMES)
     for params, eq in cases:
         rules = reference_rules(eq, params)
-        efforts = sorted({0.0, 1.0, *(x for s in _starts(eq) for x in (
-            math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf))
-            if 0.0 <= x <= 1.0)})
-        assert _mismatches(eq, rules, efforts) == [], (params, eq.regime)
+        assert _mismatches(eq, rules, _at_starts(eq)) == [], (params, eq.regime)
         assert _hexed(eq.retention_pieces()) == _hexed(reference_pieces(rules)), eq.regime
 
 
+def _incredible(eq, pi: float) -> list:
+    """(policy, outcome, effort), at :func:`_at_starts`, where ``eq``'s retention goes against
+    its own belief: removed on a belief above the prior ``pi``, or retained on one below it.
+    A belief at the prior binds neither way."""
+    found = []
+    for policy, outcome in OBSERVATION_CLASSES:
+        for e in _at_starts(eq) if policy == REFORM else [0.0]:
+            action = AgentAction(policy, e)
+            belief = eq.belief(observe(eq.regime, action, outcome))
+            if belief != pi and eq.retains(action, outcome) != (belief > pi):
+                found.append((policy, outcome, e))
+    return found
+
+
+@pytest.mark.parametrize("eps_tol", [0.0, 1e-12, 1e-3])
+def test_retention_is_credible_under_its_beliefs(eps_tol, sanity, part3):
+    # the principal keeps an agent believed more likely congruent than the prior and
+    # removes one believed less likely, in every regime with a retention stage, at every
+    # equilibrium gated ``solve`` builds at the fixtures and the acceptance points, pooling
+    # at both ends of its family. Ungated, opaque breaks this at most of the domain
+    built = 0
+    for params in (sanity, part3, *sample_params(59, 200, "acceptance")):
+        params = params.replace(eps_tol=eps_tol)
+        family = transparent_pooling_family(params) or ()
+        calls = [(r, None) for r in NONPOOLING_REGIMES if r != "benchmark"]
+        calls += [("transparent_pooling", e) for e in family if 0.0 <= e <= 1.0]
+        for regime, effort in calls:
+            try:
+                eq = solve(params, regime, pooling_effort=effort)
+            except (AssumptionError, DomainError):  # no equilibrium of this regime here
+                continue
+            assert _incredible(eq, params.pi) == [], (params, regime, effort)
+            built += 1
+    assert built >= 4 * 202  # the check sees real equilibria in every regime
+    # and it notices retention that reads the outcomes the wrong way round
+    opaque = solve(sanity.replace(eps_tol=eps_tol), "opaque")
+    swapped = dataclasses.replace(opaque, retention=in_class_order(
+        OPAQUE, _swap_outcomes(keyed(OPAQUE, opaque.retention))))
+    assert {(policy, outcome) for policy, outcome, _ in _incredible(swapped, sanity.pi)} == {
+        (REFORM, SUCCESS), (REFORM, FAILURE)}
+
+
 def test_decide_reads_every_observation_shape(sanity):
-    # a shape that carries every coordinate the regime sees is answered, one that lacks a
+    # retention is decided on (action, outcome), read as the regime observes it; a belief
+    # shape that carries every coordinate the regime sees is answered, one that lacks a
     # coordinate is unresolved in every regime, and one that carries a coordinate the
     # regime does not see is read without it
     separating = solve(sanity, "transparent_separating")
     e_h = separating.profile.congruent_g.effort
-    assert separating.decide(Observation(REFORM, e_h, FAILURE)) is True
+    assert separating.retains(AgentAction(REFORM, e_h), FAILURE) is True
+    assert separating.belief(Observation(REFORM, e_h, FAILURE)) == 1.0
     for incomplete in (Observation(REFORM, effort=e_h), Observation(REFORM, outcome=SUCCESS),
                        Observation(STATUS_QUO, outcome=SQ_OUTCOME)):
         with pytest.raises(UnresolvedObservationError):
-            separating.decide(incomplete)
-        with pytest.raises(UnresolvedObservationError):
             separating.belief(incomplete)
     opaque = solve(sanity, "opaque")
-    assert opaque.decide(Observation(STATUS_QUO, outcome=SQ_OUTCOME)) is False
-    assert opaque.decide(Observation(REFORM, 0.5, SUCCESS)) is True
+    assert opaque.retains(AgentAction(STATUS_QUO), SQ_OUTCOME) is False
+    assert opaque.retains(AgentAction(REFORM, 0.5), SUCCESS) is True
     for incomplete in (Observation(REFORM), Observation(STATUS_QUO)):
         with pytest.raises(UnresolvedObservationError):
-            opaque.decide(incomplete)
+            opaque.belief(incomplete)
     nontransparent = solve(sanity, "nontransparent")
     assert nontransparent.belief(Observation(REFORM, 0.5, FAILURE)) == sanity.pi
-    assert solve(sanity, "benchmark").decide(Observation(REFORM)) is True
+    benchmark = solve(sanity, "benchmark")
+    assert benchmark.retains(AgentAction(STATUS_QUO), SQ_OUTCOME) is True
+    with pytest.raises(UnresolvedObservationError):  # no retention stage, so no beliefs
+        benchmark.belief(Observation(REFORM))
 
 
 def _readers(found: list) -> set[str]:
@@ -357,13 +402,12 @@ class TestOwnBuffer:
         e = eq.profile.congruent_g.effort - 5e-4  # inside e_H's buffer, outside 1e-12's
         observed = Observation(REFORM, e, FAILURE)
         starts, kept = eq.retention_pieces()
-        assert eq.decide(observed) is True
         assert eq.retains(AgentAction(REFORM, e), FAILURE) is True
         assert eq.belief(observed) == 1.0
         assert kept[bisect_right(starts, e) - 1] == (True, True)
         assert _piece_mismatches(eq, reference_rules(eq, params)) == []
-        assert solve(sanity.replace(eps_tol=1e-12), "transparent_separating").decide(
-            observed) is False
+        assert solve(sanity.replace(eps_tol=1e-12), "transparent_separating").retains(
+            AgentAction(REFORM, e), FAILURE) is False
 
     @pytest.mark.parametrize("eps_tol", [0.0, 1e-12, 1e-3, 0.1])
     def test_solve_sets_the_buffer(self, sanity, part3, eps_tol):

@@ -24,7 +24,7 @@ from reformlab import (
     transparent_pooling_family,
 )
 from reformlab.equilibrium import (
-    CONGRUENT, FAILURE, NONCONGRUENT, REFORM, REGIMES, STATUS_QUO, SUCCESS, Observation,
+    CELLS, CONGRUENT, FAILURE, NONCONGRUENT, REFORM, REGIMES, STATUS_QUO, SUCCESS, Observation,
 )
 from reformlab.model_core import ASSUMPTION_CHECKS
 from reformlab.verification import documented_opaque_gap, joint_outcome_distribution
@@ -103,7 +103,7 @@ class TestExpectedUtility:
         mu = posteriors(sanity).mu_plus
         assert u == pytest.approx(mu * 0.5 * (1 + sanity.R) - 0.25 / (2 * sanity.lam), abs=1e-15)
         with pytest.raises(UnresolvedObservationError):
-            eq.decide(Observation(REFORM))
+            eq.belief(Observation(REFORM))
 
     @pytest.mark.parametrize("cell", [("nobody", "g"), ("Congruent", "b"), (CONGRUENT, "x"),
                                       (NONCONGRUENT, None)])
@@ -123,9 +123,10 @@ class TestDeviationCheck:
     def test_gain_nonnegative_and_zero_at_equilibrium(self, sanity):
         eq = solve(sanity, "nontransparent")
         report = deviation_check(eq, sanity, grid_size=5001)
+        played = dict(zip(CELLS, eq.profile.actions()))
         for (t, s), cell in report.cells.items():
             assert cell.gain >= 0.0
-            u_again = expected_utility(t, s, eq.profile.action(t, s), eq, sanity)
+            u_again = expected_utility(t, s, played[t, s], eq, sanity)
             assert u_again - cell.eq_utility == 0.0
 
     def test_tampered_opaque_effort_fails(self, sanity):
@@ -155,7 +156,8 @@ class TestDeviationCheck:
         eq = solve(part3, "transparent_separating")
         e_h = eq.profile.congruent_g.effort
         for s in ("g", "b"):
-            eq_u = expected_utility(NONCONGRUENT, s, eq.profile.action(NONCONGRUENT, s), eq, part3)
+            played = getattr(eq.profile, f"{NONCONGRUENT}_{s}")
+            eq_u = expected_utility(NONCONGRUENT, s, played, eq, part3)
             mimic_u = expected_utility(NONCONGRUENT, s, AgentAction(REFORM, e_h), eq, part3)
             gain = mimic_u - eq_u
             assert gain <= 1e-12
