@@ -33,7 +33,8 @@ from reformlab import (
 )
 from reformlab import equilibrium
 from reformlab.equilibrium import (
-    CELLS, CONGRUENT, OPAQUE, REFORM, REGIMES, STATUS_QUO, SUCCESS, FAILURE, SQ_OUTCOME,
+    CELLS, CONGRUENT, NONCONGRUENT, OPAQUE, REFORM, REGIMES, STATUS_QUO, SUCCESS, FAILURE,
+    SQ_OUTCOME,
     TRANSPARENT_POOLING, Equilibrium, StrategyProfile, observe, raw_profile,
 )
 from reformlab.model_core import ASSUMPTION_CHECKS
@@ -79,12 +80,34 @@ def _stake(regime: str, agent_type: str, params: Params) -> float:
     return (agent_type == CONGRUENT) + (regime == OPAQUE) * params.R
 
 
+#: sanity's opaque reform cells as (type, signal, mu, stake): the posterior on the signal
+#: and what a success is worth to the type (1 + R congruent, R noncongruent)
+SANITY_OPAQUE_CELLS = [
+    (CONGRUENT, "g", 0.9966442953020135, 1.25),
+    (NONCONGRUENT, "g", 0.9966442953020135, 0.25),
+    (CONGRUENT, "b", 0.029411764705882377, 1.25),
+]
+
+
 class TestInteriorEffort:
     """Where effort is not a signal (benchmark, nontransparent, opaque), each reform effort
     ``solve`` builds maximizes mu*e*stake - e^2/(2 lambda) on [0, 1]."""
 
-    @pytest.mark.parametrize("regime", ["benchmark", "nontransparent", "opaque"])
-    def test_matches_grid_oracle(self, sanity, part3, regime):
+    @pytest.mark.parametrize("regime,cell", [
+        *(pytest.param(r, None, id=r) for r in ("benchmark", "nontransparent", "opaque")),
+        *(pytest.param(OPAQUE, cell, id=f"{cell[2]}-{cell[3]}") for cell in SANITY_OPAQUE_CELLS),
+    ])
+    def test_matches_grid_oracle(self, sanity, part3, regime, cell):
+        if cell is not None:  # one of sanity's cells, its posterior and stake stated by hand
+            t, s, mu, stake = cell
+            post = posteriors(sanity)
+            assert (post.mu_plus if s == "g" else post.mu_minus) == mu
+            assert _stake(regime, t, sanity) == stake
+            e_star, _ = grid_argmax_effort(mu, stake, sanity.lam)
+            act = dict(zip(CELLS, solve(sanity, regime).profile.actions()))[t, s]
+            assert act.policy == REFORM
+            assert act.effort == pytest.approx(e_star, abs=1e-6)
+            return
         for params in (sanity, part3, CLAMPED_PARAMS):
             post = posteriors(params)
             for t, s, act in solve(params, regime, check=False).profile.cells():
