@@ -306,12 +306,12 @@ def _cmd_verify(args) -> int:
 def _cmd_welfare(args) -> int:
     params = _load_params(args.params)
     report = optimal_regime(params, rent_mode=args.rent_mode, strict=not args.no_strict)
-    th = thresholds(params)
-    if args.format == "csv":
+    if args.format == "csv":  # prints no threshold, so computes none
         rows = [("regime", "W", "Q", "total", "optimal_flag")] + [
             (r, e.W, e.Q, e.total, r == report.optimal) for r, e in report.entries.items()]
         _emit("\n".join(",".join(map(_format_cell, row)) for row in rows), args.out)
     else:
+        th = thresholds(params)
         _emit(_json_dumps({"welfare": report.to_json(), "thresholds": th.to_json()}), args.out)
     return 0
 

@@ -1,6 +1,6 @@
 """Equilibrium objects for each disclosure regime.
 
-A regime fixes what the principal observes before the retention vote:
+A regime fixes what the principal observes before the retention vote, as ``SEES`` states it:
 
 * ``nontransparent``: policy choice only
 * ``opaque``: policy choice and reform outcome
@@ -28,7 +28,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import (
     AssumptionError, DomainError, InformativenessError, UnderflowError, UnresolvedObservationError,
@@ -107,13 +107,9 @@ class StrategyProfile:
         """The four cells' actions in ``CELLS`` order (the field order), no name checked."""
         return self.congruent_g, self.congruent_b, self.noncongruent_g, self.noncongruent_b
 
-    def cells(self) -> Iterator[tuple[str, str, AgentAction]]:
-        for (t, s), act in zip(CELLS, self.actions()):
-            yield t, s, act
-
     def to_json(self) -> list[dict]:
         return [
-            {"type": t, "signal": s, **a.to_json()} for t, s, a in self.cells()
+            {"type": t, "signal": s, **a.to_json()} for (t, s), a in zip(CELLS, self.actions())
         ]
 
 
@@ -140,31 +136,33 @@ class Observation:
             require_real("effort", self.effort, UNIT_INTERVAL)
 
 
+#: what each regime observes of a reform besides the policy: (sees the effort, sees the outcome)
+SEES = {BENCHMARK: (False, False), NONTRANSPARENT: (False, False), OPAQUE: (False, True),
+        TRANSPARENT_SEPARATING: (True, True), TRANSPARENT_POOLING: (True, True)}
+
+
 def observe(regime: str, action: AgentAction, outcome: str) -> Observation:
-    """Project a realized (action, outcome) onto the regime's observables."""
-    if regime in (BENCHMARK, NONTRANSPARENT):
-        return Observation(policy=action.policy)
-    if regime == OPAQUE:
-        return Observation(policy=action.policy, outcome=outcome)
-    if regime in (TRANSPARENT_SEPARATING, TRANSPARENT_POOLING):
-        return Observation(policy=action.policy, effort=action.effort, outcome=outcome)
-    raise DomainError(f"unknown regime {regime!r}")
+    """Project a realized (action, outcome) onto what ``SEES`` says the regime observes."""
+    if regime not in REGIMES:
+        raise DomainError(f"unknown regime {regime!r}")
+    sees_effort, sees_outcome = SEES[regime]
+    return Observation(action.policy, action.effort if sees_effort else None,
+                       outcome if sees_outcome else None)
 
 
-#: whether each regime sees a reform's effort and its outcome, read off :func:`observe`
-_SEES = {r: (o.effort is not None, o.outcome is not None)
-        for r in REGIMES for o in [observe(r, AgentAction(REFORM), SUCCESS)]}
 #: the classes each regime's retention and belief tables hold, in ``OBSERVATION_CLASSES``
 #: order, each as (policy, outcome) with the outcome None where the regime does not see it;
 #: the benchmark has no retention stage, so its tables are empty
 TABLE_CLASSES = {r: () if r == BENCHMARK else tuple(dict.fromkeys(
-                     (policy, outcome if _SEES[r][1] else None)
+                     (policy, outcome if SEES[r][1] else None)
                      for policy, outcome in OBSERVATION_CLASSES)) for r in REGIMES}
-#: each regime's table position of an observation's (policy, outcome): each of its
-#: ``TABLE_CLASSES``, and each of ``OBSERVATION_CLASSES`` where the outcome is not seen
-_CLASS_INDEX = {r: {(policy, outcome): classes.index((policy, outcome if _SEES[r][1] else None))
-                    for policy, outcome in (*OBSERVATION_CLASSES, *classes)} if classes else {}
+#: each regime's table position of each of ``OBSERVATION_CLASSES``; None in the benchmark
+_CLASS_INDEX = {r: {(policy, outcome): classes.index((policy, outcome if SEES[r][1] else None))
+                    if classes else None for policy, outcome in OBSERVATION_CLASSES}
                 for r, classes in TABLE_CLASSES.items()}
+#: the same, and each of the regime's ``TABLE_CLASSES``: the keys an observation resolves on
+_OBSERVED_INDEX = {r: {**index, **{c: i for i, c in enumerate(TABLE_CLASSES[r])}}
+                   for r, index in _CLASS_INDEX.items()}
 
 #: the one start of a class whose effort the regime does not see
 _BLIND = (-math.inf,)
@@ -184,7 +182,7 @@ def _check_table(name: str, table, regime: str) -> None:
     if type(table) is not tuple or len(table) != len(classes):
         raise DomainError(f"{regime} {name} must be a tuple of one (starts, values) per class "
                           f"of {classes}, got {table!r:.200}")
-    sees_effort, decisions, checked = _SEES[regime][0], name == "retention", None
+    sees_effort, decisions, checked = SEES[regime][0], name == "retention", None
     for entry in table:
         if entry is checked and entry is not None:  # the entry before, read once
             continue
@@ -257,17 +255,21 @@ class Equilibrium:
 
     def retains(self, action: AgentAction, outcome: str) -> bool:
         """True iff retained after ``action`` and ``outcome``, read as the regime observes
-        them; (``action.policy``, ``outcome``) is one of ``OBSERVATION_CLASSES``."""
-        if not self.retention:
+        them; a (policy, outcome) that is none of ``OBSERVATION_CLASSES`` is refused."""
+        try:
+            i = _CLASS_INDEX[self.regime][action.policy, outcome]
+        except (KeyError, TypeError):  # TypeError: an unhashable outcome
+            raise DomainError(f"({action.policy!r}, {outcome!r}) is no observation class") from None
+        if i is None:  # the benchmark: no retention stage
             return True
-        starts, kept = self.retention[_CLASS_INDEX[self.regime][action.policy, outcome]]
+        starts, kept = self.retention[i]
         return kept[bisect_right(starts, action.effort) - 1]
 
     def belief(self, obs: Observation) -> float:
         """Posterior probability the agent is congruent after ``obs``, which must carry every
         coordinate the regime sees; a coordinate it does not see is not read."""
-        i = _CLASS_INDEX[self.regime].get((obs.policy, obs.outcome))
-        if i is None or _SEES[self.regime][0] and obs.effort is None:
+        i = _OBSERVED_INDEX[self.regime].get((obs.policy, obs.outcome))
+        if i is None or SEES[self.regime][0] and obs.effort is None:
             raise UnresolvedObservationError(f"{self.regime} has no beliefs entry for {obs}")
         starts, values = self.beliefs[i]
         return values[bisect_right(starts, obs.effort or 0.0) - 1]

@@ -48,15 +48,20 @@ P_BAR_TOL = 1e-9
 
 def require_real(name: str, value, domain: tuple[float, float, bool, bool]) -> None:
     """Refuse ``value`` unless it is a real number, not a bool, in ``domain``, an interval stated
-    as (low, high, low end open, high end open): NaN, a string, an array and an int or
-    ``Fraction`` past the largest float, which no reader could convert, are refused."""
+    as (low, high, low end open, high end open). A value that is no float is judged as the float
+    its readers convert it to: NaN, a string, an array and a number past the largest float are
+    refused."""
     lo, hi, lo_open, hi_open = domain
-    # a float skips the slower ABC check, which admits an int or numpy scalar, no bool
-    if not ((type(value) is float
-             or isinstance(value, numbers.Real) and not isinstance(value, bool)
-             and (not isinstance(value, numbers.Rational) or abs(value) <= _MAX))
-            and (lo < value or not lo_open and lo == value)
-            and (value < hi or not hi_open and value == hi)):
+    x = value
+    if type(value) is not float:  # a float is judged as it is, with no call
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        try:
+            x = float(value) if real else math.nan  # NaN is refused below
+        except OverflowError:
+            x = None
+        if x is None or math.isinf(x) and value != x:  # a finite number made infinite
+            raise DomainError(f"{name} is past the largest float, got {value!r:.40}")
+    if not ((lo < x or not lo_open and lo == x) and (x < hi or not hi_open and x == hi)):
         raise DomainError(f"{name} must be a real number in {'(' if lo_open else '['}{lo:g}, "
                           f"{hi:g}{')' if hi_open else ']'}, got {value!r:.40}")
 
@@ -164,17 +169,14 @@ class Params:
 
 @dataclass(frozen=True)
 class Posteriors:
-    """State posteriors after each signal, plus the odds reparameterization.
-
-    mu_plus  = P(good | signal g),  mu_minus = P(good | signal b),
-    gamma = (1-p)/p, z = (1-phi)/phi. Algebraically
-    mu_plus = 1/(1 + gamma z) and mu_minus = gamma/(gamma + z).
+    """State posteriors after each signal: mu_plus = P(good | signal g) and
+    mu_minus = P(good | signal b). In the odds gamma = (1-p)/p and z = (1-phi)/phi, which
+    :func:`informativeness_condition` reads, mu_plus = 1/(1 + gamma z) and
+    mu_minus = gamma/(gamma + z).
     """
 
     mu_plus: float
     mu_minus: float
-    gamma: float
-    z: float
 
     def mu(self, signal: str) -> float:
         if signal == "g":
@@ -196,8 +198,6 @@ def _posteriors(p: float, phi: float) -> Posteriors:
     return Posteriors(
         mu_plus=mu_plus,
         mu_minus=mu_minus,
-        gamma=(1 - p) / p,
-        z=(1 - phi) / phi,
     )
 
 

@@ -114,8 +114,11 @@ class SimStats(Record):
 _OUTCOMES = (SUCCESS, FAILURE, SQ_OUTCOME)
 
 
-def _cell_tables(eq: Equilibrium):
-    """Per-cell policy/effort arrays and the 4x3 retention table D[cell, outcome]."""
+def _cell_tables(config: SimConfig, eq: Equilibrium):
+    """Per-cell policy/effort arrays and the 4x3 retention table D[cell, outcome] of ``eq``,
+    refused where ``eq`` is of another regime than ``config``: a run's one regime check."""
+    if eq.regime != config.regime:
+        raise DomainError(f"equilibrium regime {eq.regime!r} != config regime {config.regime!r}")
     reform = np.zeros(4, dtype=bool)
     effort = np.zeros(4)
     retain = np.zeros((4, 3), dtype=bool)
@@ -255,10 +258,8 @@ def simulate(config: SimConfig, eq: Equilibrium) -> SimStats:
     through its own scratch, so memory is ``threads`` scratches whatever
     ``n_draws`` is. The sums are of integers, hence exact in any order.
     """
-    if eq.regime != config.regime:
-        raise DomainError(f"equilibrium regime {eq.regime!r} != config regime {config.regime!r}")
     params = config.params
-    tables = _cell_tables(eq)
+    tables = _cell_tables(config, eq)
     n_blocks = -(-config.n_draws // BLOCK_SIZE)
 
     def block(i, scratch):
@@ -286,13 +287,11 @@ def convergence_sweep(
     config: SimConfig, eq: Equilibrium, checkpoints: list[int]
 ) -> list[SimStats]:
     """Cumulative statistics at each checkpoint along a single stream."""
-    if eq.regime != config.regime:
-        raise DomainError(f"equilibrium regime {eq.regime!r} != config regime {config.regime!r}")
+    tables = _cell_tables(config, eq)  # the regime is checked before the checkpoints
     checkpoints = [require_integer("checkpoints", c, 1, MAX_DRAWS) for c in checkpoints or ()]
     if not checkpoints or any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise DomainError("checkpoints must be strictly increasing and nonempty")
     params = config.params
-    tables = _cell_tables(eq)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     counts = np.zeros(8, dtype=np.int64)
     scratch = {}

@@ -25,7 +25,7 @@ from .equilibrium import (
     FAILURE,
     OPAQUE,
     REFORM,
-    REGIMES,
+    SEES,
     SQ_OUTCOME,
     STATUS_QUO,
     SUCCESS,
@@ -33,7 +33,6 @@ from .equilibrium import (
     Equilibrium,
     Observation,
     StrategyProfile,
-    observe,
 )
 from .model_core import Params, Record, posteriors, require_integer
 
@@ -43,9 +42,6 @@ NEUTRAL_BAND = 1e-9
 BAYES_TOL = 1e-9
 #: largest ``grid_size`` whose resolution sets the deviation tolerance
 MAX_GRID_SIZE = 10_000_001
-#: whether each regime sees a reform's effort and its outcome, read once off :func:`observe`
-_SEES = {r: (o.effort is not None, o.outcome is not None)
-         for r in REGIMES for o in [observe(r, AgentAction(REFORM), SUCCESS)]}
 #: the status quo, worth d + R * retained in every cell
 _SQ_ACTION = AgentAction(STATUS_QUO)
 
@@ -283,10 +279,10 @@ def bayes_consistency(eq: Equilibrium, params: Params) -> BayesReport:
     """Recompute P(congruent | observation) for every positive-probability
     observation under the profile and compare with the stored beliefs, to
     within ``BAYES_TOL``. Masses are tallied by observed class: the policy, plus
-    the effort and the outcome where :func:`observe` shows them to the regime."""
+    the effort and the outcome where ``SEES`` shows them to the regime."""
     if not eq.beliefs:
         return BayesReport(entries=())  # no belief system (benchmark)
-    sees_effort, sees_outcome = _SEES[eq.regime]
+    sees_effort, sees_outcome = SEES[eq.regime]
     acc: dict[tuple, tuple[float, float]] = {}
     for t, _s, act, outcome, mass in joint_outcome_distribution(eq.profile, params):
         key = act.policy, act.effort if sees_effort else None, outcome if sees_outcome else None
@@ -372,7 +368,8 @@ def divinity_breakeven(
     Higher break-evens mark types with less to gain from the deviation; the
     refinement attributes the deviation to the lowest break-even type(s).
     """
-    post, e, cells = posteriors(params), deviation.effort, tuple(eq.profile.cells())
+    post, e = posteriors(params), deviation.effort
+    cells = [(t, s, act) for (t, s), act in zip(CELLS, eq.profile.actions())]
     p_bar: dict[tuple[str, str], float] = {}
     for (t, s, _), eq_u in zip(cells, _cell_utilities(cells, params, eq)):
         if deviation.policy == STATUS_QUO:

@@ -323,7 +323,7 @@ def scalar_divinity_breakeven(
     post = posteriors(params)
     e = deviation.effort
     p_bar: dict[tuple[str, str], float] = {}
-    for t, s, act in eq.profile.cells():
+    for (t, s), act in zip(CELLS, eq.profile.actions()):
         eq_u = scalar_expected_utility(t, s, act, eq, params)
         if deviation.policy == STATUS_QUO:
             dev_policy = params.d
@@ -403,7 +403,7 @@ def dense_deviation_check(eq: Equilibrium, params: Params, grid_size: int = 100_
         scan_e[better] = e_max[better]
 
     cells: dict[tuple[str, str], DeviationCell] = {}
-    for k, (t, s, eq_action) in enumerate(eq.profile.cells()):
+    for k, ((t, s), eq_action) in enumerate(zip(CELLS, eq.profile.actions())):
         eq_u = scalar_expected_utility(t, s, eq_action, eq, params)
         sq_u = scalar_expected_utility(t, s, AgentAction(STATUS_QUO), eq, params)
         if sq_u >= scan_u[k]:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from reformlab import DomainError, Params, SweepAxis, SweepSpec, run_sweep
-from reformlab.cli import FIXTURES, MAX_SWEEP_STEPS, SWEEP_GROUPS, _json_dumps, run
+from reformlab.cli import FIXTURES, MAX_SWEEP_STEPS, SWEEP_GROUPS, _format_cell, _json_dumps, run
 from reformlab.equilibrium import REGIMES
 from reformlab.montecarlo import MAX_DRAWS
 from support import REFERENCE_AXIS_DOMAINS
@@ -196,6 +196,13 @@ class TestWelfare:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert reason in captured.err
 
+    def test_csv_computes_no_threshold(self, tmp_path, capsys):
+        # the CSV prints no threshold, so the thresholds' underflow that the JSON refuses above
+        # does not stop it: every regime is excluded, and only the header is printed
+        path = _write_json(tmp_path, "tiny_phi.json", {**SANITY, "phi": 1e-200})
+        assert run(["welfare", "--params", path, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "regime,W,Q,total,optimal_flag\n"
+
 
 class TestSimulate:
     def test_table_echoes_seed(self, capsys):
@@ -245,6 +252,9 @@ class TestSweepEngine:
         lines = list(run_sweep(spec))
         assert len(lines) == 3  # header + 2 rows
         assert lines[0].startswith("p,phi,d,lambda,R,pi,M,")
+
+    def test_nan_cell_is_na(self):
+        assert _format_cell(math.nan) == "NA"
 
     def test_phi_sweep_monotone_opaque_welfare(self):
         spec = SweepSpec(

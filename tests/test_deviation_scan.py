@@ -314,7 +314,7 @@ class TestCellUtilities:
         efforts = {min(max(float(x), 0.0), 1.0) for v in values for t in (v - eps, v, v + eps)
                    for x in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf))}
         probes = [AgentAction(STATUS_QUO), *(AgentAction(REFORM, e) for e in sorted(efforts))]
-        for t, s, act in eq.profile.cells():
+        for (t, s), act in zip(CELLS, eq.profile.actions()):
             for action in (act, *probes):
                 got = verification.expected_utility(t, s, action, eq, params)
                 assert _bits(got) == _bits(scalar_expected_utility(t, s, action, eq, params))

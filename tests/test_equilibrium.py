@@ -33,8 +33,8 @@ from reformlab import (
 )
 from reformlab import equilibrium
 from reformlab.equilibrium import (
-    CELLS, CONGRUENT, NONCONGRUENT, OPAQUE, REFORM, REGIMES, STATUS_QUO, SUCCESS, FAILURE,
-    SQ_OUTCOME,
+    CELLS, CONGRUENT, NONCONGRUENT, OBSERVATION_CLASSES, OPAQUE, REFORM, REGIMES, SEES,
+    STATUS_QUO, SUCCESS, FAILURE, SQ_OUTCOME,
     TRANSPARENT_POOLING, Equilibrium, StrategyProfile, observe, raw_profile,
 )
 from reformlab.model_core import ASSUMPTION_CHECKS
@@ -64,7 +64,7 @@ def _plays_for(eq, params):
     """A covering set of on- and off-path (action, outcome) pairs: a reform at each effort
     played, at 0, 1 and lambda mu+ / 2, and 0.01 either side of each, and the status quo."""
     post = posteriors(params)
-    efforts = sorted({a.effort for _, _, a in eq.profile.cells() if a.policy == REFORM}
+    efforts = sorted({a.effort for a in eq.profile.actions() if a.policy == REFORM}
                      | {0.0, 1.0, params.lam * post.mu_plus / 2})
     probes = set(efforts)
     for e in efforts:
@@ -110,7 +110,7 @@ class TestInteriorEffort:
             return
         for params in (sanity, part3, CLAMPED_PARAMS):
             post = posteriors(params)
-            for t, s, act in solve(params, regime, check=False).profile.cells():
+            for (t, s), act in zip(CELLS, solve(params, regime, check=False).profile.actions()):
                 if act.policy == REFORM:
                     mu = post.mu_plus if s == "g" else post.mu_minus
                     e_star, _ = grid_argmax_effort(mu, _stake(regime, t, params), params.lam)
@@ -558,7 +558,7 @@ class TestCrossRegimeInvariants:
                ("benchmark", "nontransparent", "opaque", "transparent_separating")]
         eqs.append(solve(POOLING_PARAMS, "transparent_pooling", pooling_effort=fam[0]))
         for eq in eqs:
-            kinks = [act.effort for _, _, act in eq.profile.cells()]
+            kinks = [act.effort for act in eq.profile.actions()]
             grid = np.union1d(np.linspace(0.0, 1.0, 2001), kinks)
             for outcome in (SUCCESS, FAILURE):
                 scalar = [eq.retains(AgentAction(REFORM, float(e)), outcome) for e in grid]
@@ -593,7 +593,7 @@ class TestCrossRegimeInvariants:
         for params in sample_params(41, 200, "acceptance"):
             for regime in ("benchmark", "nontransparent", "opaque", "transparent_separating"):
                 eq = solve(params, regime)
-                for _, _, act in eq.profile.cells():
+                for act in eq.profile.actions():
                     assert 0.0 <= act.effort <= 1.0
 
     def test_json_shape(self, sanity):
@@ -771,7 +771,7 @@ class TestCellOrder:
     def test_strategy_profile_actions(self, sanity):
         profile = solve(sanity, "opaque").profile
         assert profile.actions() == tuple(getattr(profile, f"{t}_{s}") for t, s in CELLS)
-        assert [(t, s) for t, s, _ in profile.cells()] == list(CELLS)
+        assert [(c["type"], c["signal"]) for c in profile.to_json()] == list(CELLS)
 
     @pytest.mark.parametrize("regime", ["benchmark", "nontransparent", "opaque",
                                         "transparent_separating"])
@@ -799,3 +799,46 @@ class TestCellOrder:
                 for (t, s), (policy, effort) in _paper_profile(regime, params, post).items()
             )
             assert formula_welfare(params, regime) == pytest.approx(want, rel=1e-12)
+
+
+class TestObservables:
+    """What each regime observes, stated once in ``SEES``, and the classes retention reads."""
+
+    def test_sees_states_the_papers_environments(self):
+        # the policy alone without accountability and under nontransparency; plus the outcome
+        # when opaque; plus the effort and the outcome under transparency
+        assert SEES == {
+            "benchmark": (False, False), "nontransparent": (False, False),
+            "opaque": (False, True),
+            "transparent_separating": (True, True), "transparent_pooling": (True, True),
+        }
+        reform, status_quo = AgentAction(REFORM, 0.5), AgentAction(STATUS_QUO)
+        for regime, reformed, kept in (
+            ("benchmark", Observation(REFORM), Observation(STATUS_QUO)),
+            ("nontransparent", Observation(REFORM), Observation(STATUS_QUO)),
+            ("opaque", Observation(REFORM, outcome=FAILURE),
+             Observation(STATUS_QUO, outcome=SQ_OUTCOME)),
+            ("transparent_separating", Observation(REFORM, 0.5, FAILURE),
+             Observation(STATUS_QUO, 0.0, SQ_OUTCOME)),
+            ("transparent_pooling", Observation(REFORM, 0.5, FAILURE),
+             Observation(STATUS_QUO, 0.0, SQ_OUTCOME)),
+        ):
+            assert observe(regime, reform, FAILURE) == reformed
+            assert observe(regime, status_quo, SQ_OUTCOME) == kept
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_retains_refuses_what_is_no_observation_class(self, sanity, regime):
+        # (status quo, success) and a bogus outcome escaped as KeyError, an unhashable one as
+        # TypeError, an outcome of None read True under nontransparency, and the benchmark
+        # answered True to each
+        eq = solve(sanity, regime, check=False,
+                   pooling_effort=0.5 if regime == TRANSPARENT_POOLING else None)
+        for policy, outcome in ((STATUS_QUO, SUCCESS), (STATUS_QUO, FAILURE), (STATUS_QUO, None),
+                                (REFORM, SQ_OUTCOME), (REFORM, None), (REFORM, "bogus"),
+                                (REFORM, [SUCCESS])):
+            action = AgentAction(policy, 0.5 if policy == REFORM else 0.0)
+            with pytest.raises(DomainError, match="is no observation class"):
+                eq.retains(action, outcome)
+        for policy, outcome in OBSERVATION_CLASSES:
+            action = AgentAction(policy, 0.5 if policy == REFORM else 0.0)
+            assert type(eq.retains(action, outcome)) is bool

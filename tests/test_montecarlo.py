@@ -135,7 +135,7 @@ class TestKernel:
         # the scratch holds four mask bytes a draw and a 256 KiB chunk buffer,
         # one byte a draw at BLOCK_SIZE: a block-length bool temporary would
         # add a byte a draw. Later blocks allocate no block-length array at all.
-        tables = _cell_tables(solve(sanity, "opaque"))
+        tables = _cell_tables(SimConfig(1, 0, "opaque", sanity), solve(sanity, "opaque"))
         rng = np.random.default_rng(1)
         tracemalloc.start()
         try:

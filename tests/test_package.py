@@ -92,7 +92,7 @@ def test_verification_reads_nothing_private_of_equilibrium():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 and node.module in ("equilibrium", "reformlab.equilibrium")
                 for alias in node.names}
-    assert {"Equilibrium", "observe"} <= imported  # the reader sees a real import
+    assert {"Equilibrium", "SEES"} <= imported  # the reader sees a real import
     assert {name for name in imported if name.startswith("_")} == set()
     assert {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr.startswith("_")} == set()
@@ -394,6 +394,9 @@ REFUSALS = {
     "params_huge_int_rent": lambda: _SANITY.replace(R=10**400),
     "params_huge_int_weight": lambda: _SANITY.replace(M=10**400),
     "params_huge_fraction_rent": lambda: _SANITY.replace(R=Fraction(10**400)),
+    # a longdouble past the largest float once built, and every float reader read inf
+    "params_huge_longdouble_rent": lambda: _SANITY.replace(R=np.longdouble("1e400")),
+    "params_huge_longdouble_weight": lambda: _SANITY.replace(M=np.longdouble("1e400")),
     "params_unknown_keys_of_two_types": lambda: Params.from_json(
         {**_SANITY.to_json(), 1: 0.5, "x": 0.5}),
     "agent_action_policy": lambda: AgentAction("abstain"),
@@ -405,6 +408,12 @@ REFUSALS = {
     "profile_cell_not_an_action": lambda: StrategyProfile(1, 2, 3, 4),
     "observe_regime": lambda: observe("secret", AgentAction(REFORM, 0.5), FAILURE),
     "equilibrium_regime": lambda: Equilibrium("secret", _SANITY_NT.profile, (), ()),
+    # a (policy, outcome) that is no observation class escaped as KeyError, or read True
+    "retains_status_quo_success": lambda: _SANITY_OP.retains(AgentAction(STATUS_QUO), SUCCESS),
+    "retains_bogus_outcome": lambda: _SANITY_OP.retains(AgentAction(REFORM, 0.5), "bogus"),
+    "retains_unseen_outcome_none": lambda: _SANITY_NT.retains(AgentAction(REFORM, 0.5), None),
+    "retains_benchmark_bogus_outcome": lambda: solve(_SANITY, "benchmark").retains(
+        AgentAction(REFORM, 0.5), "bogus"),
     "equilibrium_profile_none": lambda: Equilibrium(
         OPAQUE, None, _SANITY_OP.retention, _SANITY_OP.beliefs),
     "equilibrium_profile_of_cells": lambda: Equilibrium(

@@ -37,7 +37,7 @@ from reformlab import (
     UnresolvedObservationError, solve, transparent_pooling_family,
 )
 from reformlab.equilibrium import (
-    FAILURE, OBSERVATION_CLASSES, OPAQUE, REFORM, REGIMES, SQ_OUTCOME, STATUS_QUO, SUCCESS,
+    FAILURE, OBSERVATION_CLASSES, OPAQUE, REFORM, REGIMES, SEES, SQ_OUTCOME, STATUS_QUO, SUCCESS,
     observe,
 )
 from support import (
@@ -51,9 +51,6 @@ GRID_SIZE = 100_001
 #: every (policy, outcome) an ``Observation`` can carry
 SHAPES = ((REFORM, None), (REFORM, SUCCESS), (REFORM, FAILURE), (STATUS_QUO, None),
           (STATUS_QUO, SQ_OUTCOME))
-#: whether each regime sees a reform's effort and its outcome, read off ``observe``
-SEES = {r: (o.effort is not None, o.outcome is not None)
-        for r in REGIMES for o in [observe(r, AgentAction(REFORM), SUCCESS)]}
 
 
 def _equilibria(params: Params, j: int) -> list:

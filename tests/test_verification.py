@@ -24,7 +24,8 @@ from reformlab import (
     transparent_pooling_family,
 )
 from reformlab.equilibrium import (
-    CELLS, CONGRUENT, FAILURE, NONCONGRUENT, REFORM, REGIMES, STATUS_QUO, SUCCESS, Observation,
+    CELLS, CONGRUENT, FAILURE, NONCONGRUENT, REFORM, REGIMES, SQ_OUTCOME, STATUS_QUO, SUCCESS,
+    Observation, observe,
 )
 from reformlab.model_core import ASSUMPTION_CHECKS
 from reformlab.verification import documented_opaque_gap, joint_outcome_distribution
@@ -266,6 +267,20 @@ class TestBayesConsistency:
         got = bayes_consistency(eq, params).entries
         want = per_mass_bayes_consistency(eq, params).entries
         assert [_entry_bits(e) for e in got] == [_entry_bits(e) for e in want]
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_entries_are_the_observed_on_path_plays(self, sanity, part3, regime):
+        # the report's observations are ``observe``'s projections of the plays of positive
+        # probability: a reform fails in the bad state, and succeeds in the good state at a
+        # positive effort. The benchmark has no belief system, so no entry
+        for params in (sanity, part3):
+            eq = solve(params, regime, check=False,
+                       pooling_effort=0.5 if regime == "transparent_pooling" else None)
+            plays = {(act, outcome) for act in eq.profile.actions()
+                     for outcome in ((SQ_OUTCOME,) if act.policy == STATUS_QUO
+                                     else (FAILURE, SUCCESS) if act.effort > 0 else (FAILURE,))}
+            want = set() if regime == "benchmark" else {observe(regime, *play) for play in plays}
+            assert {e.observation for e in bayes_consistency(eq, params).entries} == want
 
 
 class TestNewsClassification:
